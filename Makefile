@@ -61,18 +61,20 @@ controlplane-smoke:
 	$(GO) test -run 'TestControlPlane|TestHotSwapHammer|TestAdminSwapCompatGuard' -count=1 .
 
 # Short in-process loadgen run against the serving hot path (snapshot
-# cache, optional coalescing, zero-alloc JSON): every response must pass
+# cache, zero-alloc JSON): every response must pass
 # strict validation, the hard error rate must be exactly zero, and p99
 # must stay under a generous bound. Correctness tripwire, not a perf gate.
 serving-smoke:
-	$(GO) test -run 'TestServingSmoke' -count=1 .
+	$(GO) test -run 'TestServingSmoke$$' -count=1 .
 
 # Serving smoke with tracing fully on: every exported JSONL trace line is
 # schema-checked (16-hex IDs, parent refs resolving in-line, children
 # nested inside their parents' intervals), plus the slow-request
-# acceptance pin (export + /debug/requests agree on the trace ID).
+# acceptance pin (export + /debug/requests agree on the trace ID), the
+# stage-histogram/access-log/tree agreement pin, and cross-node links
+# over both write-forwarding modes.
 trace-smoke:
-	$(GO) test -run 'TestTraceSmoke|TestTraceSlowRequestRecorded|TestWriteProxyTraceContinuity' -count=1 .
+	$(GO) test -run 'TestTraceSmoke$$|TestTraceSlowRequestRecorded$$|TestStageMetricsMatchTree$$|TestWriteProxyTraceContinuity$$' -count=1 .
 
 # Legacy O(N) snapshot scan vs the livestate engine's indexed extraction,
 # in benchstat-friendly form:

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"time"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
@@ -191,21 +190,16 @@ func minutesPrediction(minutes, cutoff float64) core.Prediction {
 // partition) returns an error — that is a bad request, not a degraded
 // model.
 func (b *Bundle) PredictWithFallback(snap *Snapshot) (TieredPrediction, error) {
-	return b.PredictWithFallbackSpans(snap, nil)
+	return b.predictWithFallback(snap, obs.SpanHandle{})
 }
 
-// PredictWithFallbackSpans is PredictWithFallback with per-stage span
-// timing (featurize, scale, classify, regress, fallback) recorded into
-// sp. A nil sp skips all timing, making the two paths identical.
-func (b *Bundle) PredictWithFallbackSpans(snap *Snapshot, sp *obs.Spans) (TieredPrediction, error) {
-	var t0 time.Time
-	if sp != nil {
-		t0 = time.Now()
-	}
+// predictWithFallback is the one body of PredictWithFallback: it records
+// the featurize, scale, classify, regress and fallback stages as child
+// spans of parent (the zero handle records nothing and reads no clock).
+func (b *Bundle) predictWithFallback(snap *Snapshot, parent obs.SpanHandle) (TieredPrediction, error) {
+	sp := parent.StartChild(obs.StageFeaturize)
 	row, err := features.SnapshotRow(snap, &b.Cluster, b.Runtime)
-	if sp != nil {
-		sp.Observe(obs.StageFeaturize, time.Since(t0).Seconds())
-	}
+	sp.End()
 	if err != nil {
 		return TieredPrediction{}, err
 	}
@@ -216,10 +210,10 @@ func (b *Bundle) PredictWithFallbackSpans(snap *Snapshot, sp *obs.Spans) (Tiered
 			if b.Model == nil {
 				return core.Prediction{}, fmt.Errorf("no model in bundle")
 			}
-			return b.Model.PredictSpans(row, sp), nil
+			return b.Model.PredictTraced(row, parent), nil
 		},
 		Check: checkPrediction,
-	}}, b.degradedStepsSpans(row, snap.Target.Partition, cutoff, sp)...)
+	}}, b.degradedSteps(row, snap.Target.Partition, cutoff, parent)...)
 	pred, tier, err := resilience.Run(steps, nil)
 	if err != nil {
 		return TieredPrediction{}, err
@@ -239,11 +233,13 @@ func (b *Bundle) cutoffMinutes() float64 {
 // degradedSteps are the tier-2 (bundled GBDT) and tier-3 (partition median)
 // fallback steps for one feature row — everything in the chain below the
 // neural network, shared between the single and batched prediction paths.
-func (b *Bundle) degradedSteps(row []float64, partition string, cutoff float64) []resilience.Step[core.Prediction] {
+// Each attempt records a "fallback" span under parent.
+func (b *Bundle) degradedSteps(row []float64, partition string, cutoff float64, parent obs.SpanHandle) []resilience.Step[core.Prediction] {
 	return []resilience.Step[core.Prediction]{
 		{
 			Tier: resilience.TierBaseline,
 			Predict: func() (core.Prediction, error) {
+				defer parent.StartChild(obs.StageFallback).End()
 				if b.Fallback.Baseline == nil {
 					return core.Prediction{}, fmt.Errorf("no baseline predictor in bundle")
 				}
@@ -254,6 +250,7 @@ func (b *Bundle) degradedSteps(row []float64, partition string, cutoff float64) 
 		{
 			Tier: resilience.TierHeuristic,
 			Predict: func() (core.Prediction, error) {
+				defer parent.StartChild(obs.StageFallback).End()
 				med, ok := b.Fallback.PartitionMedianMinutes[partition]
 				if !ok {
 					med = b.Fallback.GlobalMedianMinutes
@@ -263,25 +260,6 @@ func (b *Bundle) degradedSteps(row []float64, partition string, cutoff float64) 
 			Check: checkPrediction,
 		},
 	}
-}
-
-// degradedStepsSpans wraps the degraded tiers so each attempt records a
-// "fallback" span. A nil sp returns the plain steps.
-func (b *Bundle) degradedStepsSpans(row []float64, partition string, cutoff float64, sp *obs.Spans) []resilience.Step[core.Prediction] {
-	steps := b.degradedSteps(row, partition, cutoff)
-	if sp == nil {
-		return steps
-	}
-	for i := range steps {
-		inner := steps[i].Predict
-		steps[i].Predict = func() (core.Prediction, error) {
-			t0 := time.Now()
-			p, err := inner()
-			sp.Observe(obs.StageFallback, time.Since(t0).Seconds())
-			return p, err
-		}
-	}
-	return steps
 }
 
 // BatchResult is one job's outcome from PredictBatchWithFallback: either a
@@ -301,23 +279,19 @@ type BatchResult struct {
 // each result is identical (values and tier label) to PredictWithFallback
 // on that snapshot.
 func (b *Bundle) PredictBatchWithFallback(snaps []*Snapshot) []BatchResult {
-	return b.PredictBatchWithFallbackSpans(snaps, nil)
+	return b.predictBatchWithFallback(snaps, obs.SpanHandle{})
 }
 
-// PredictBatchWithFallbackSpans is PredictBatchWithFallback with stage
-// spans: featurize covers row staging, batch_nn the mini-batched forward
-// passes, and fallback the degraded per-row chains (one span covering all
-// fallen-back rows). A nil sp skips all timing.
-func (b *Bundle) PredictBatchWithFallbackSpans(snaps []*Snapshot, sp *obs.Spans) []BatchResult {
+// predictBatchWithFallback is the one body of PredictBatchWithFallback,
+// recording stage spans under parent: featurize covers row staging,
+// batch_nn the mini-batched forward passes, and fallback the degraded
+// per-row chains (one span around all fallen-back rows).
+func (b *Bundle) predictBatchWithFallback(snaps []*Snapshot, parent obs.SpanHandle) []BatchResult {
 	results := make([]BatchResult, len(snaps))
-	cutoff := b.cutoffMinutes()
 
-	var t0 time.Time
-	if sp != nil {
-		t0 = time.Now()
-	}
 	// Stage the feature rows; per-row failures are bad requests, not
 	// batch failures.
+	sp := parent.StartChild(obs.StageFeaturize)
 	rows := make([][]float64, 0, len(snaps))
 	rowOf := make([]int, 0, len(snaps)) // rows index -> snaps index
 	for i, snap := range snaps {
@@ -329,44 +303,38 @@ func (b *Bundle) PredictBatchWithFallbackSpans(snaps []*Snapshot, sp *obs.Spans)
 		rows = append(rows, row)
 		rowOf = append(rowOf, i)
 	}
-	if sp != nil {
-		sp.Observe(obs.StageFeaturize, time.Since(t0).Seconds())
-	}
+	sp.End()
 	if len(rows) == 0 {
 		return results
 	}
 
-	if sp != nil {
-		t0 = time.Now()
-	}
+	sp = parent.StartChild(obs.StageBatchNN)
 	preds, ok := b.tryPredictBatch(rows)
-	if sp != nil {
-		sp.Observe(obs.StageBatchNN, time.Since(t0).Seconds())
-	}
-	var fallbackSecs float64
-	fellBack := false
+	sp.End()
+	var fellBack []int // rows indices the NN tier could not answer
 	for k, i := range rowOf {
 		if ok && checkPrediction(preds[k]) == nil {
 			results[i] = BatchResult{TieredPrediction: TieredPrediction{Prediction: preds[k], Tier: resilience.TierNN}}
 			continue
 		}
-		if sp != nil {
-			t0 = time.Now()
-		}
-		pred, tier, err := resilience.Run(b.degradedSteps(rows[k], snaps[i].Target.Partition, cutoff), nil)
-		if sp != nil {
-			fallbackSecs += time.Since(t0).Seconds()
-			fellBack = true
-		}
+		fellBack = append(fellBack, k)
+	}
+	if len(fellBack) == 0 {
+		return results
+	}
+
+	sp = parent.StartChild(obs.StageFallback)
+	cutoff := b.cutoffMinutes()
+	for _, k := range fellBack {
+		i := rowOf[k]
+		pred, tier, err := resilience.Run(b.degradedSteps(rows[k], snaps[i].Target.Partition, cutoff, obs.SpanHandle{}), nil)
 		if err != nil {
 			results[i].Err = err
 			continue
 		}
 		results[i] = BatchResult{TieredPrediction: TieredPrediction{Prediction: pred, Tier: tier}}
 	}
-	if sp != nil && fellBack {
-		sp.Observe(obs.StageFallback, fallbackSecs)
-	}
+	sp.End()
 	return results
 }
 

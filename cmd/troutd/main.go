@@ -83,9 +83,6 @@ func main() {
 		maxBatch       = flag.Int("max-batch", 256, "maximum jobs per /predict/batch request (-1 = unlimited)")
 		shutdownGrace  = flag.Duration("shutdown-grace", 15*time.Second, "drain window after SIGINT/SIGTERM")
 		fastInference  = flag.Bool("fast-inference", true, "serve NN predictions from the float32 kernel path (falls back to float64 if the model cannot compile)")
-		coalesce       = flag.Bool("coalesce", false, "collect concurrent single /predict requests into micro-batches (bit-identical answers, adds up to -coalesce-window latency)")
-		coalesceWindow = flag.Duration("coalesce-window", 200*time.Microsecond, "how long a forming /predict micro-batch waits for company before flushing")
-		coalesceMax    = flag.Int("coalesce-max", 32, "flush a /predict micro-batch early at this many requests")
 
 		walDir     = flag.String("wal-dir", "", "live-state durability directory (WAL + checkpoints); empty = memory-only")
 		ckptEvery  = flag.Duration("checkpoint-interval", 5*time.Minute, "periodic live-state checkpoint cadence (0 disables)")
@@ -201,13 +198,10 @@ func main() {
 		Admission: resilience.AdmissionConfig{
 			MaxInFlight: *admitInflight, MaxQueue: *admitQueue, QueueTimeout: *admitTimeout,
 		},
-		FastInference:  *fastInference,
-		Coalesce:       *coalesce,
-		CoalesceWindow: *coalesceWindow,
-		CoalesceMax:    *coalesceMax,
-		Tracer:         tracer,
-		Tracing:        tcfg,
-		SLO:            scfg,
+		FastInference: *fastInference,
+		Tracer:        tracer,
+		Tracing:       tcfg,
+		SLO:           scfg,
 	})
 	if err != nil {
 		fatal("build service", err)

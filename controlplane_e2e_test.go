@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -421,9 +422,10 @@ func TestControlPlaneRejectsWorseCandidate(t *testing.T) {
 
 // TestHotSwapHammer drives /predict and /predict/batch from several
 // goroutines while the serving bundle is repeatedly hot-swapped and rolled
-// back. Run under -race in CI. Invariants: zero failed requests, and every
-// response attributes itself to exactly one of the two bundles that ever
-// served.
+// back and event ingest keeps bumping the engine version (so predicts race
+// snapshot-cache invalidation as well as the swap). Run under -race in CI.
+// Invariants: zero failed requests, and every response attributes itself
+// to exactly one of the two bundles that ever served.
 func TestHotSwapHammer(t *testing.T) {
 	srv, svc := resilientServer(t, resilientBundle(t), trout.ServiceConfig{})
 	blob := serializeBundle(t, resilientBundle(t))
@@ -437,6 +439,28 @@ func TestHotSwapHammer(t *testing.T) {
 	var now atomic.Int64
 	now.Store(svc.LiveStore().Engine().Now())
 	load := startAttributionLoad(srv, &now, 4)
+	stopIngest := make(chan struct{})
+	ingestDone := make(chan struct{})
+	go func() {
+		defer close(ingestDone)
+		client := srv.Client()
+		for i := 0; ; i++ {
+			select {
+			case <-stopIngest:
+				return
+			default:
+			}
+			at := now.Load() + 2
+			resp, err := client.Post(srv.URL+"/events", "application/jsonl",
+				strings.NewReader(cacheEventsBody(9310000+i, at)))
+			if err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				now.Store(at + 1) // predicts follow the live clock
+			}
+			time.Sleep(500 * time.Microsecond)
+		}
+	}()
 	const swaps = 20
 	for i := 0; i < swaps; i++ {
 		if err := svc.SwapBundle(next, 1); err != nil {
@@ -448,6 +472,8 @@ func TestHotSwapHammer(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	close(stopIngest)
+	<-ingestDone
 	pairs := load.halt()
 
 	if n := load.failures.Load(); n != 0 {

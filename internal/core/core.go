@@ -20,8 +20,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"time"
-
 	"repro/internal/features"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -284,14 +282,29 @@ func trainRegressor(ctx context.Context, X [][]float64, y []float64, dim int, cf
 // row lives in a pooled matrix (TransformInto is bit-identical to
 // Transform), so the warm path performs zero heap allocations.
 func (m *Model) Predict(raw []float64) Prediction {
+	return m.PredictTraced(raw, obs.SpanHandle{})
+}
+
+// PredictTraced is the one body of Predict: it additionally records the
+// scale, classify and regress stages as child spans of parent. The zero
+// parent records nothing and reads no clock.
+func (m *Model) PredictTraced(raw []float64, parent obs.SpanHandle) Prediction {
 	xm := tensor.Get(1, m.NumInputs)
 	defer tensor.Put(xm)
+	sp := parent.StartChild(obs.StageScale)
 	scaling.TransformInto(m.Scaler, xm.Data, raw)
+	sp.End()
 	x := xm.Data
+
+	sp = parent.StartChild(obs.StageClassify)
 	prob := m.Classifier.Predict1(x)
+	sp.End()
+
 	p := Prediction{Prob: prob, Long: prob >= 0.5}
 	if p.Long {
+		sp = parent.StartChild(obs.StageRegress)
 		p.Minutes = math.Expm1(m.Regressor.Predict1(x))
+		sp.End()
 		if p.Minutes < m.Cfg.CutoffMinutes {
 			// The hierarchical contract: the regressor only speaks for
 			// jobs past the cutoff.
@@ -326,38 +339,6 @@ func (m *Model) DisableFastInference() {
 // path.
 func (m *Model) FastInferenceEnabled() bool {
 	return m.Classifier.Float32Enabled() && m.Regressor.Float32Enabled()
-}
-
-// PredictSpans is Predict with per-stage span timing (scale, classify,
-// regress) recorded into sp. A nil sp falls through to the untimed path,
-// so serving code can call this unconditionally.
-func (m *Model) PredictSpans(raw []float64, sp *obs.Spans) Prediction {
-	if sp == nil {
-		return m.Predict(raw)
-	}
-	t0 := time.Now()
-	xm := tensor.Get(1, m.NumInputs)
-	defer tensor.Put(xm)
-	scaling.TransformInto(m.Scaler, xm.Data, raw)
-	x := xm.Data
-	sp.Observe(obs.StageScale, time.Since(t0).Seconds())
-
-	t0 = time.Now()
-	prob := m.Classifier.Predict1(x)
-	sp.Observe(obs.StageClassify, time.Since(t0).Seconds())
-
-	p := Prediction{Prob: prob, Long: prob >= 0.5}
-	if p.Long {
-		t0 = time.Now()
-		p.Minutes = math.Expm1(m.Regressor.Predict1(x))
-		sp.Observe(obs.StageRegress, time.Since(t0).Seconds())
-		if p.Minutes < m.Cfg.CutoffMinutes {
-			// The hierarchical contract: the regressor only speaks for
-			// jobs past the cutoff.
-			p.Minutes = m.Cfg.CutoffMinutes
-		}
-	}
-	return p
 }
 
 // batchChunk bounds the rows one worker processes per PredictBatch chunk:

@@ -307,14 +307,80 @@ func buildUserHistory(jobs []trace.Job) map[int]*userHistory {
 }
 
 // window returns aggregate activity in [t-86400, t).
-func (h *userHistory) window(t int64) (jobs, cpus, mem, nodes, limit float64) {
+func (h *userHistory) window(t int64) jobSums {
 	lo := sort.Search(len(h.submit), func(i int) bool { return h.submit[i] >= t-86400 })
 	hi := sort.Search(len(h.submit), func(i int) bool { return h.submit[i] >= t })
-	return h.cumJobs[hi] - h.cumJobs[lo],
-		h.cumCPUs[hi] - h.cumCPUs[lo],
-		h.cumMem[hi] - h.cumMem[lo],
-		h.cumNodes[hi] - h.cumNodes[lo],
-		h.cumLimit[hi] - h.cumLimit[lo]
+	return jobSums{
+		jobs:  h.cumJobs[hi] - h.cumJobs[lo],
+		cpus:  h.cumCPUs[hi] - h.cumCPUs[lo],
+		mem:   h.cumMem[hi] - h.cumMem[lo],
+		nodes: h.cumNodes[hi] - h.cumNodes[lo],
+		limit: h.cumLimit[hi] - h.cumLimit[lo],
+	}
+}
+
+// jobSums is one five-column block of the feature row: a count of jobs
+// and their summed requests (time limit in minutes).
+type jobSums struct{ jobs, cpus, mem, nodes, limit float64 }
+
+func (a *jobSums) add(o *trace.Job) {
+	a.jobs++
+	a.cpus += float64(o.ReqCPUs)
+	a.mem += o.ReqMemGB
+	a.nodes += float64(o.ReqNodes)
+	a.limit += float64(o.TimeLimit) / 60
+}
+
+func (a *jobSums) put(dst []float64) {
+	dst[0], dst[1], dst[2], dst[3], dst[4] = a.jobs, a.cpus, a.mem, a.nodes, a.limit
+}
+
+// queueAgg accumulates the queue-state columns of one target job's row
+// over the other jobs of its partition. Both row builders feed it — the
+// offline one from interval-tree stabs, the serving one from a snapshot's
+// job lists — each in its own iteration order, which fixes the
+// floating-point sums; fill owns the column layout.
+type queueAgg struct {
+	ahead, queued, running  jobSums
+	queuedPred, runningPred float64 // summed predicted runtimes, minutes
+}
+
+// addQueued counts a pending job o (predicted to run predSeconds) toward
+// the target's queue columns, and toward the ahead columns when it
+// outranks the target.
+func (a *queueAgg) addQueued(target, o *trace.Job, predSeconds float64) {
+	a.queued.add(o)
+	a.queuedPred += predSeconds / 60
+	if o.Priority > target.Priority {
+		a.ahead.add(o)
+	}
+}
+
+// addRunning counts a running job o toward the running columns.
+func (a *queueAgg) addRunning(o *trace.Job, predSeconds float64) {
+	a.running.add(o)
+	a.runningPred += predSeconds / 60
+}
+
+// fill writes job j's 33 columns (the order of Names) into row.
+func (a *queueAgg) fill(row []float64, j *trace.Job, tot slurmsim.PartitionTotals, user jobSums, predSeconds float64) {
+	row[0] = float64(j.Priority)
+	row[1] = float64(j.TimeLimit) / 60
+	row[2] = float64(j.ReqCPUs)
+	row[3] = j.ReqMemGB
+	row[4] = float64(j.ReqNodes)
+	a.ahead.put(row[5:10])
+	a.queued.put(row[10:15])
+	a.running.put(row[15:20])
+	user.put(row[20:25])
+	row[25] = float64(tot.Nodes)
+	row[26] = float64(tot.CPUs)
+	row[27] = tot.CPUPerNode
+	row[28] = tot.MemPerNode
+	row[29] = float64(tot.GPUs)
+	row[30] = predSeconds / 60
+	row[31] = a.queuedPred
+	row[32] = a.runningPred
 }
 
 // buildRow computes one job's 33-feature vector.
@@ -324,73 +390,23 @@ func buildRow(jobs []trace.Job, i int, totals map[string]slurmsim.PartitionTotal
 
 	j := &jobs[i]
 	t := j.Eligible
-	row := make([]float64, NumFeatures)
-	row[0] = float64(j.Priority)
-	row[1] = float64(j.TimeLimit) / 60
-	row[2] = float64(j.ReqCPUs)
-	row[3] = j.ReqMemGB
-	row[4] = float64(j.ReqNodes)
-
+	var agg queueAgg
 	// Pending jobs in this partition at eligibility (excluding self).
-	var aheadJobs, aheadCPUs, aheadMem, aheadNodes, aheadLimit float64
-	var qJobs, qCPUs, qMem, qNodes, qLimit, qPred float64
 	pendTrees[j.Partition].StabVisit(t, func(iv intervaltree.Interval) {
-		k := iv.ID
-		if k == i {
-			return
-		}
-		o := &jobs[k]
-		qJobs++
-		qCPUs += float64(o.ReqCPUs)
-		qMem += o.ReqMemGB
-		qNodes += float64(o.ReqNodes)
-		qLimit += float64(o.TimeLimit) / 60
-		qPred += predRuntime[k] / 60
-		if o.Priority > j.Priority {
-			aheadJobs++
-			aheadCPUs += float64(o.ReqCPUs)
-			aheadMem += o.ReqMemGB
-			aheadNodes += float64(o.ReqNodes)
-			aheadLimit += float64(o.TimeLimit) / 60
+		if iv.ID != i {
+			agg.addQueued(j, &jobs[iv.ID], predRuntime[iv.ID])
 		}
 	})
-	row[5], row[6], row[7], row[8], row[9] = aheadJobs, aheadCPUs, aheadMem, aheadNodes, aheadLimit
-	row[10], row[11], row[12], row[13], row[14] = qJobs, qCPUs, qMem, qNodes, qLimit
-
-	// Running jobs in this partition at eligibility.
-	var rJobs, rCPUs, rMem, rNodes, rLimit, rPred float64
+	// Running jobs in this partition at eligibility. A zero-queue job is
+	// "running" at its own eligibility instant; the features describe the
+	// state it observed, so it skips itself.
 	runTrees[j.Partition].StabVisit(t, func(iv intervaltree.Interval) {
-		if iv.ID == i {
-			// A zero-queue job is "running" at its own eligibility
-			// instant; the features describe the state it observed.
-			return
+		if iv.ID != i {
+			agg.addRunning(&jobs[iv.ID], predRuntime[iv.ID])
 		}
-		o := &jobs[iv.ID]
-		rJobs++
-		rCPUs += float64(o.ReqCPUs)
-		rMem += o.ReqMemGB
-		rNodes += float64(o.ReqNodes)
-		rLimit += float64(o.TimeLimit) / 60
-		rPred += predRuntime[iv.ID] / 60
 	})
-	row[15], row[16], row[17], row[18], row[19] = rJobs, rCPUs, rMem, rNodes, rLimit
-
-	// User past-day activity.
-	uj, uc, um, un, ul := hist[j.User].window(t)
-	row[20], row[21], row[22], row[23], row[24] = uj, uc, um, un, ul
-
-	// Partition constants.
-	tot := totals[j.Partition]
-	row[25] = float64(tot.Nodes)
-	row[26] = float64(tot.CPUs)
-	row[27] = tot.CPUPerNode
-	row[28] = tot.MemPerNode
-	row[29] = float64(tot.GPUs)
-
-	// Runtime predictions (minutes).
-	row[30] = predRuntime[i] / 60
-	row[31] = qPred
-	row[32] = rPred
+	row := make([]float64, NumFeatures)
+	agg.fill(row, j, totals[j.Partition], hist[j.User].window(t), predRuntime[i])
 	return row
 }
 

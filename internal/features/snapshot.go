@@ -30,67 +30,32 @@ type Snapshot struct {
 // state — the deployment counterpart of Build, which works from completed
 // accounting records.
 func SnapshotRow(snap *Snapshot, cluster *slurmsim.ClusterSpec, rp *RuntimePredictor) ([]float64, error) {
-	part := cluster.Partition(snap.Target.Partition)
-	if part == nil {
+	if cluster.Partition(snap.Target.Partition) == nil {
 		return nil, fmt.Errorf("features: snapshot target references unknown partition %q", snap.Target.Partition)
 	}
 	if rp == nil {
 		return nil, fmt.Errorf("features: snapshot needs a runtime predictor")
 	}
 	tot := cluster.Totals(snap.Target.Partition)
-	j := snap.Target
-	row := make([]float64, NumFeatures)
-	row[0] = float64(j.Priority)
-	row[1] = float64(j.TimeLimit) / 60
-	row[2] = float64(j.ReqCPUs)
-	row[3] = j.ReqMemGB
-	row[4] = float64(j.ReqNodes)
-
-	var aheadJobs, aheadCPUs, aheadMem, aheadNodes, aheadLimit float64
-	var qJobs, qCPUs, qMem, qNodes, qLimit, qPred float64
+	j := &snap.Target
+	var agg queueAgg
 	for i := range snap.Pending {
-		o := &snap.Pending[i]
-		if o.Partition != j.Partition || o.ID == j.ID {
-			continue
-		}
-		qJobs++
-		qCPUs += float64(o.ReqCPUs)
-		qMem += o.ReqMemGB
-		qNodes += float64(o.ReqNodes)
-		qLimit += float64(o.TimeLimit) / 60
-		qPred += rp.PredictSeconds(o, cluster.Totals(o.Partition)) / 60
-		if o.Priority > j.Priority {
-			aheadJobs++
-			aheadCPUs += float64(o.ReqCPUs)
-			aheadMem += o.ReqMemGB
-			aheadNodes += float64(o.ReqNodes)
-			aheadLimit += float64(o.TimeLimit) / 60
+		if o := &snap.Pending[i]; o.Partition == j.Partition && o.ID != j.ID {
+			agg.addQueued(j, o, rp.PredictSeconds(o, tot))
 		}
 	}
-	row[5], row[6], row[7], row[8], row[9] = aheadJobs, aheadCPUs, aheadMem, aheadNodes, aheadLimit
-	row[10], row[11], row[12], row[13], row[14] = qJobs, qCPUs, qMem, qNodes, qLimit
-
-	var rJobs, rCPUs, rMem, rNodes, rLimit, rPred float64
 	for i := range snap.Running {
-		o := &snap.Running[i]
-		if o.Partition != j.Partition || o.ID == j.ID {
-			continue
+		if o := &snap.Running[i]; o.Partition == j.Partition && o.ID != j.ID {
+			agg.addRunning(o, rp.PredictSeconds(o, tot))
 		}
-		rJobs++
-		rCPUs += float64(o.ReqCPUs)
-		rMem += o.ReqMemGB
-		rNodes += float64(o.ReqNodes)
-		rLimit += float64(o.TimeLimit) / 60
-		rPred += rp.PredictSeconds(o, cluster.Totals(o.Partition)) / 60
 	}
-	row[15], row[16], row[17], row[18], row[19] = rJobs, rCPUs, rMem, rNodes, rLimit
 
 	// The target's own submission counts toward its user's past-day
 	// activity when it happened before the prediction instant (a job held
 	// by a dependency was submitted earlier) — matching the offline
 	// builder's semantics. History rows are deduplicated by ID.
 	seen := map[int]bool{}
-	var uj, uc, um, un, ul float64
+	var user jobSums
 	for i := range snap.History {
 		o := &snap.History[i]
 		if o.User != j.User || seen[o.ID] {
@@ -100,22 +65,10 @@ func SnapshotRow(snap *Snapshot, cluster *slurmsim.ClusterSpec, rp *RuntimePredi
 			continue
 		}
 		seen[o.ID] = true
-		uj++
-		uc += float64(o.ReqCPUs)
-		um += o.ReqMemGB
-		un += float64(o.ReqNodes)
-		ul += float64(o.TimeLimit) / 60
+		user.add(o)
 	}
-	row[20], row[21], row[22], row[23], row[24] = uj, uc, um, un, ul
 
-	row[25] = float64(tot.Nodes)
-	row[26] = float64(tot.CPUs)
-	row[27] = tot.CPUPerNode
-	row[28] = tot.MemPerNode
-	row[29] = float64(tot.GPUs)
-
-	row[30] = rp.PredictSeconds(&j, tot) / 60
-	row[31] = qPred
-	row[32] = rPred
+	row := make([]float64, NumFeatures)
+	agg.fill(row, j, tot, user, rp.PredictSeconds(j, tot))
 	return row, nil
 }

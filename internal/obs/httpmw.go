@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -19,13 +20,14 @@ type HTTPOptions struct {
 	Requests *CounterVec
 	// Latency is the whole-request latency histogram (seconds).
 	Latency *Histogram
-	// StageLatency receives every pipeline span; label {stage}.
+	// StageLatency receives the request's stage spans; label {stage}.
 	StageLatency *HistogramVec
 	// PathFor maps a request to its metric/log path label (clamping
 	// unknown paths bounds label cardinality). Nil uses the URL path.
 	PathFor func(*http.Request) string
-	// Tracer, when set, opens a hierarchical root span per request and
-	// runs the tail-sampling/flight-recorder pipeline at completion.
+	// Tracer, when set, runs the tail-sampling/flight-recorder pipeline
+	// over the request's span tree at completion. Without one the tree
+	// still feeds StageLatency and the access log.
 	Tracer *Tracer
 	// SLO, when set, feeds the rolling burn-rate windows.
 	SLO *SLOTracker
@@ -59,11 +61,11 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // Instrument is the observability middleware: it establishes the
 // request's trace ID (accepted from X-Request-ID when well-formed,
-// generated otherwise), echoes it on the response, attaches a span
-// recorder — and, with a Tracer, a hierarchical root span — to the
-// context, and on completion records request metrics, per-stage
-// latency, SLO windows, the flight recorder / trace export, and a
-// structured access-log line carrying the trace ID and spans.
+// generated otherwise), echoes it on the response, attaches the request's
+// trace buffer (one root span; see TraceFrom) to the context, and on
+// completion records request metrics, per-stage latency, SLO windows, the
+// flight recorder / trace export, and a structured access-log line
+// carrying the trace ID and the tree's stage spans.
 //
 // Cross-node continuity: a well-formed X-Trout-Parent-Span header links
 // the root span to the caller's span (same trace ID, other node), and
@@ -77,23 +79,22 @@ func Instrument(next http.Handler, o HTTPOptions) http.Handler {
 		}
 		w.Header().Set(TraceIDHeader, id)
 
-		sp := &Spans{}
-		ctx := WithSpans(WithTraceID(r.Context(), id), sp)
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 
 		var tb *TraceBuf
 		var root SpanHandle
-		var rootName string
+		rootName := r.Method + " " + r.URL.Path
 		if o.Tracer.Enabled() {
 			remoteParent := ParseSpanID(r.Header.Get(ParentSpanHeader))
-			rootName = r.Method + " " + r.URL.Path
 			tb, root = o.Tracer.StartTrace(id, rootName, start, remoteParent)
 			root.SetAttr("remote", r.RemoteAddr)
-			sp.AttachTree(tb, root.ID())
 			// Forward our root as the parent for any proxied hop.
 			r.Header.Set(ParentSpanHeader, FormatSpanID(root.ID()))
+		} else {
+			tb, root = newTrace(id, rootName, start)
 		}
+		ctx := context.WithValue(r.Context(), traceKey{}, tb)
 
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		elapsed := time.Since(start)
@@ -113,13 +114,17 @@ func Instrument(next http.Handler, o HTTPOptions) http.Handler {
 		if o.Latency != nil {
 			o.Latency.Observe(elapsed.Seconds())
 		}
+		var stages stageTimings
+		if o.StageLatency != nil || o.Logger != nil {
+			stages = tb.stages()
+		}
 		if o.StageLatency != nil {
-			for _, s := range sp.Snapshot() {
-				o.StageLatency.Observe(s.Seconds, s.Stage)
+			for _, s := range stages {
+				o.StageLatency.Observe(s.seconds, s.stage)
 			}
 		}
 		o.SLO.Observe(code, elapsed)
-		if tb != nil {
+		if o.Tracer.Enabled() {
 			root.SetAttr("status", codeStr)
 			root.SetAttrInt("bytes", sw.bytes)
 			if path != r.URL.Path {
@@ -138,7 +143,7 @@ func Instrument(next http.Handler, o HTTPOptions) http.Handler {
 				slog.Float64("duration_seconds", elapsed.Seconds()),
 				slog.Int64("bytes", sw.bytes),
 				slog.String("remote", r.RemoteAddr),
-				slog.Any("spans", sp),
+				slog.Any("spans", stages),
 			)
 		}
 	})

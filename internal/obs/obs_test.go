@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestSanitizeTraceID(t *testing.T) {
@@ -44,31 +45,39 @@ func TestNewTraceID(t *testing.T) {
 }
 
 func TestSpansNilSafe(t *testing.T) {
-	var sp *Spans
-	sp.Observe("x", 1)
-	sp.Time("y")()
-	if got := sp.Snapshot(); got != nil {
-		t.Errorf("nil Spans snapshot = %v", got)
+	tb := TraceFrom(context.Background())
+	if tb != nil {
+		t.Errorf("TraceFrom(empty ctx) = %v", tb)
 	}
-	if got := SpansFrom(context.Background()); got != nil {
-		t.Errorf("SpansFrom(empty ctx) = %v", got)
+	if got := tb.TraceID(); got != "" {
+		t.Errorf("nil trace ID = %q", got)
 	}
-	if got := TraceIDFrom(context.Background()); got != "" {
-		t.Errorf("TraceIDFrom(empty ctx) = %q", got)
+	// The nil buffer's root is the no-op handle: a whole pipeline can
+	// open and end spans under it without recording anything.
+	sp := tb.Root().StartChild(StageSnapshot)
+	sp.SetAttr("k", "v")
+	sp.End()
+	if sp.ID() != 0 {
+		t.Errorf("span under a nil trace has ID %x", sp.ID())
 	}
 }
 
 func TestSpansRecord(t *testing.T) {
-	sp := &Spans{}
-	sp.Observe(StageSnapshot, 0.001)
-	done := sp.Time(StageClassify)
-	done()
-	got := sp.Snapshot()
-	if len(got) != 2 || got[0].Stage != StageSnapshot || got[1].Stage != StageClassify {
-		t.Fatalf("spans = %+v", got)
+	tb, root := newTrace("t", "GET /x", time.Now())
+	root.StartChild(StageSnapshot).End()
+	root.StartChild("not-a-stage").End()
+	nested := root.StartChild(StageFeaturize)
+	nested.StartChild(StageClassify).End()
+	nested.End()
+	root.StartChild(StageRegress) // still open: not a timing yet
+	got := tb.stages()
+	if len(got) != 3 || got[0].stage != StageSnapshot || got[1].stage != StageFeaturize || got[2].stage != StageClassify {
+		t.Fatalf("stages = %+v", got)
 	}
-	if got[1].Seconds < 0 {
-		t.Errorf("negative span duration %v", got[1].Seconds)
+	for _, s := range got {
+		if s.seconds < 0 {
+			t.Errorf("negative stage duration %+v", s)
+		}
 	}
 }
 
@@ -135,8 +144,9 @@ func TestInstrument(t *testing.T) {
 
 	var seenID string
 	h := Instrument(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seenID = TraceIDFrom(r.Context())
-		SpansFrom(r.Context()).Observe(StageClassify, 0.002)
+		tb := TraceFrom(r.Context())
+		seenID = tb.TraceID()
+		tb.Root().StartChild(StageClassify).End()
 		w.WriteHeader(http.StatusTeapot)
 		w.Write([]byte("short and stout"))
 	}), HTTPOptions{Logger: logger, Requests: reqs, Latency: lat, StageLatency: stages})

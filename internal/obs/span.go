@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"log/slog"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -12,12 +13,13 @@ import (
 )
 
 // Hierarchical request tracing. A TraceBuf accumulates the span tree of
-// one trace (an HTTP request, a coalesced flush, a WAL sync, a retrain
-// cycle); the Tracer owns the tail-sampling policy, the JSONL exporter
-// and the flight recorder. The flat Spans stage timings keep feeding the
-// stage histogram exactly as before — when a TraceBuf is attached they
-// *additionally* materialize as child spans, so the whole predict
-// pipeline shows up in the tree without touching any call site.
+// one trace (an HTTP request, a WAL sync, a retrain cycle) and is the
+// only per-request recorder: pipeline code opens child spans under the
+// handle it is given, and the stage histogram and the access log's spans
+// group are read back from the tree's stage spans (IsStage) when the
+// request finishes. The Tracer owns what happens to finished trees — the
+// tail-sampling policy, the JSONL exporter and the flight recorder — so a
+// request served without one still records its stages.
 
 // ParentSpanHeader carries the caller's span ID across process
 // boundaries (follower write-proxy → leader). The trace ID itself rides
@@ -48,11 +50,12 @@ type SpanRec struct {
 	Attrs     []Attr
 }
 
-// TraceBuf collects the spans of one trace. It is mutex-guarded for the
-// same reason Spans is: the deadline middleware runs handlers on a
+// TraceBuf collects the spans of one trace; span 0 is the root. It is
+// mutex-guarded because the deadline middleware runs handlers on a
 // separate goroutine, so a handler racing its own 504 may still be
 // appending spans while the middleware finishes the trace. Finishing
 // therefore clones the spans it keeps and never recycles the buffer.
+// A nil *TraceBuf is inert: its root is the no-op handle.
 type TraceBuf struct {
 	mu      sync.Mutex
 	traceID string
@@ -67,6 +70,46 @@ func (tb *TraceBuf) TraceID() string {
 		return ""
 	}
 	return tb.traceID
+}
+
+// Root returns the handle of the trace's root span (the no-op handle on a
+// nil buffer), the parent pipeline code opens its spans under.
+func (tb *TraceBuf) Root() SpanHandle {
+	if tb == nil {
+		return SpanHandle{}
+	}
+	return SpanHandle{tb: tb}
+}
+
+// stageTimings are a finished request's closed stage spans in start order:
+// what the stage histogram observes and the access log prints.
+type stageTimings []stageTiming
+
+type stageTiming struct {
+	stage   string
+	seconds float64
+}
+
+func (tb *TraceBuf) stages() stageTimings {
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	out := make(stageTimings, 0, len(tb.spans))
+	for i := range tb.spans {
+		if s := &tb.spans[i]; s.End != 0 && IsStage(s.Name) {
+			out = append(out, stageTiming{s.Name, float64(s.End-s.Start) / 1e9})
+		}
+	}
+	return out
+}
+
+// LogValue renders the stages as a structured log group: one member per
+// stage span, seconds as the value.
+func (st stageTimings) LogValue() slog.Value {
+	attrs := make([]slog.Attr, len(st))
+	for i, s := range st {
+		attrs[i] = slog.Float64(s.stage, s.seconds)
+	}
+	return slog.GroupValue(attrs...)
 }
 
 // snapshot clones the recorded spans (open spans are closed at now so
@@ -84,56 +127,31 @@ func (tb *TraceBuf) snapshot(now int64) []SpanRec {
 	return out
 }
 
-func (tb *TraceBuf) start(parent uint64, name string, at time.Time) SpanHandle {
+// start appends a span opened at `at` under the span at index parent
+// (-1 opens the root).
+func (tb *TraceBuf) start(parent int, name string, at time.Time) SpanHandle {
 	tb.mu.Lock()
 	if len(tb.spans) >= maxTraceSpans {
 		tb.dropped++
 		tb.mu.Unlock()
 		return SpanHandle{}
 	}
+	var parentID uint64
+	if parent >= 0 {
+		parentID = tb.spans[parent].ID
+	}
 	idx := len(tb.spans)
 	tb.spans = append(tb.spans, SpanRec{
-		ID: nextSpanID(), Parent: parent, Name: name, Start: at.UnixNano(),
+		ID: nextSpanID(), Parent: parentID, Name: name, Start: at.UnixNano(),
 	})
 	tb.mu.Unlock()
 	return SpanHandle{tb: tb, idx: idx}
 }
 
-// observed appends an already-measured span (a Spans stage timing): the
-// interval is reconstructed as [now-dur, now], clamped into the parent
-// span so the exported tree is always properly nested even when the
-// measured duration covers time before the parent opened.
-func (tb *TraceBuf) observed(parent uint64, name string, seconds float64) {
-	end := time.Now().UnixNano()
-	start := end - int64(seconds*1e9)
-	tb.mu.Lock()
-	if len(tb.spans) >= maxTraceSpans {
-		tb.dropped++
-		tb.mu.Unlock()
-		return
-	}
-	if parent != 0 {
-		for i := range tb.spans {
-			if tb.spans[i].ID == parent {
-				if start < tb.spans[i].Start {
-					start = tb.spans[i].Start
-				}
-				break
-			}
-		}
-	}
-	if start > end {
-		start = end
-	}
-	tb.spans = append(tb.spans, SpanRec{
-		ID: nextSpanID(), Parent: parent, Name: name, Start: start, End: end,
-	})
-	tb.mu.Unlock()
-}
-
 // SpanHandle mutates one span inside a TraceBuf. The zero value is a
-// valid no-op handle, so callers never need nil checks when tracing is
-// disabled.
+// valid no-op handle that records nothing and reads no clock, so timed
+// code takes a parent handle unconditionally and untraced callers pass
+// SpanHandle{}.
 type SpanHandle struct {
 	tb  *TraceBuf
 	idx int
@@ -206,7 +224,7 @@ func (h SpanHandle) SetAttrInt(key string, val int64) {
 }
 
 // Link records a pointer from this span to a span in another trace
-// (e.g. a coalesced member linking to the shared flush span). Links are
+// (e.g. a proxied write linking to the forwarding node's span). Links are
 // cross-trace by design and are not checked for in-trace resolution.
 func (h SpanHandle) Link(traceID string, span uint64) {
 	if h.tb == nil {
@@ -223,7 +241,7 @@ func (h SpanHandle) StartChild(name string) SpanHandle {
 	if h.tb == nil {
 		return SpanHandle{}
 	}
-	return h.tb.start(h.ID(), name, time.Now())
+	return h.tb.start(h.idx, name, time.Now())
 }
 
 // --- span IDs ---------------------------------------------------------
@@ -393,6 +411,14 @@ func (t *Tracer) SlowThreshold() time.Duration {
 	return t.cfg.SlowThreshold
 }
 
+// newTrace opens a trace buffer rooted at `name`. On its own (no tracer)
+// it records spans and stage timings but is never sampled, exported or
+// offered to the flight recorder.
+func newTrace(traceID, name string, at time.Time) (*TraceBuf, SpanHandle) {
+	tb := &TraceBuf{traceID: traceID, spans: make([]SpanRec, 0, 12)}
+	return tb, tb.start(-1, name, at)
+}
+
 // StartTrace opens a trace rooted at `name` with the given trace ID and
 // start instant. A non-zero remoteParent (a span in the same trace on
 // the calling node) is recorded as a link on the root span, keeping the
@@ -402,8 +428,7 @@ func (t *Tracer) StartTrace(traceID, name string, at time.Time, remoteParent uin
 		return nil, SpanHandle{}
 	}
 	t.started.Add(1)
-	tb := &TraceBuf{traceID: traceID, spans: make([]SpanRec, 0, 12)}
-	root := tb.start(0, name, at)
+	tb, root := newTrace(traceID, name, at)
 	if remoteParent != 0 {
 		root.Link(traceID, remoteParent)
 	}
@@ -546,36 +571,14 @@ func (t *Tracer) Register(r *Registry) {
 
 // --- context plumbing -------------------------------------------------
 
-// AttachTree hooks a TraceBuf under a Spans recorder: every subsequent
-// Observe also materializes as a child span of `parent` in the tree.
-// The flat slice feeding the stage histogram is untouched.
-func (sp *Spans) AttachTree(tb *TraceBuf, parent uint64) {
-	if sp == nil {
-		return
-	}
-	sp.mu.Lock()
-	sp.tb = tb
-	sp.parent = parent
-	sp.mu.Unlock()
-}
+// traceKey is the context key Instrument stores the request's trace
+// buffer under.
+type traceKey struct{}
 
-// tree returns the attached buffer and parent span, if any.
-func (sp *Spans) tree() (*TraceBuf, uint64) {
-	if sp == nil {
-		return nil, 0
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.tb, sp.parent
-}
-
-// StartSpan opens a child span under the request's root span (found via
-// the context's Spans recorder). Returns a no-op handle outside a traced
-// request.
-func StartSpan(ctx context.Context, name string) SpanHandle {
-	tb, parent := SpansFrom(ctx).tree()
-	if tb == nil {
-		return SpanHandle{}
-	}
-	return tb.start(parent, name, time.Now())
+// TraceFrom returns the request's trace buffer, or nil outside an
+// instrumented request (a nil buffer's TraceID is "" and its Root the
+// no-op handle, so callers never check).
+func TraceFrom(ctx context.Context) *TraceBuf {
+	tb, _ := ctx.Value(traceKey{}).(*TraceBuf)
+	return tb
 }

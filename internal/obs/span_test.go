@@ -46,9 +46,7 @@ func TestTraceTreeStructure(t *testing.T) {
 	child.SetAttr("k", "v")
 	child.End()
 
-	sp := &Spans{}
-	sp.AttachTree(tb, root.ID())
-	sp.Observe(StageSnapshot, 0.001)
+	tb.Root().StartChild(StageSnapshot).End()
 
 	grand := child.StartChild("substep")
 	grand.EndErr(errors.New("boom"))
@@ -65,7 +63,7 @@ func TestTraceTreeStructure(t *testing.T) {
 		t.Errorf("child = %+v", spans[1])
 	}
 	if spans[2].Parent != spans[0].ID || spans[2].Name != StageSnapshot {
-		t.Errorf("observed stage = %+v", spans[2])
+		t.Errorf("stage span = %+v", spans[2])
 	}
 	if spans[3].Parent != spans[1].ID || spans[3].Err != "boom" {
 		t.Errorf("grandchild = %+v", spans[3])
@@ -100,8 +98,8 @@ func TestNilTracerInert(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if h := StartSpan(context.Background(), "z"); h.ID() != 0 {
-		t.Fatal("StartSpan outside a trace should be a no-op")
+	if h := TraceFrom(context.Background()).Root().StartChild("z"); h.ID() != 0 {
+		t.Fatal("a span opened outside a trace should be a no-op")
 	}
 	// Disabled config yields a nil tracer.
 	if d, err := NewTracer(TracerConfig{Disabled: true}); err != nil || d != nil {
@@ -452,8 +450,9 @@ func TestInstrumentWithTracer(t *testing.T) {
 	var parentSeen string
 	h := Instrument(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		parentSeen = r.Header.Get(ParentSpanHeader)
-		sp := StartSpan(r.Context(), "inner")
-		SpansFrom(r.Context()).Observe(StageSnapshot, 0.001)
+		root := TraceFrom(r.Context()).Root()
+		sp := root.StartChild("inner")
+		root.StartChild(StageSnapshot).End()
 		sp.End()
 		w.Write([]byte("ok"))
 	}), HTTPOptions{Tracer: tr, SLO: slo})

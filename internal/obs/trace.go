@@ -1,17 +1,14 @@
 package obs
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"log/slog"
-	"sync"
-	"time"
 )
 
-// Canonical predict-pipeline stage names, used as the "stage" label on
-// the per-stage latency histogram and in span records. Keeping them
-// centralized bounds the label cardinality.
+// Canonical predict-pipeline stage names. A span carrying one of these
+// names is a stage span: at request finish it feeds the "stage" label of
+// the per-stage latency histogram and the access log's spans group (see
+// IsStage). Keeping them centralized bounds the label cardinality.
 const (
 	StageSnapshot  = "snapshot"  // queue-state resolution (engine or trace scan)
 	StageFeaturize = "featurize" // engineered 33-feature row construction
@@ -56,103 +53,13 @@ func SanitizeTraceID(id string) string {
 	return id
 }
 
-type ctxKey int
-
-const (
-	traceIDKey ctxKey = iota
-	spansKey
-)
-
-// WithTraceID stores a trace ID in the context.
-func WithTraceID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, traceIDKey, id)
-}
-
-// TraceIDFrom returns the request's trace ID ("" outside an
-// instrumented request).
-func TraceIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(traceIDKey).(string)
-	return id
-}
-
-// Span is one timed stage of a request's pipeline.
-type Span struct {
-	Stage   string  `json:"stage"`
-	Seconds float64 `json:"seconds"`
-}
-
-// Spans collects the stage timings of one request. The zero value is
-// ready to use, and a nil *Spans is safe to record into (a no-op), so
-// pipeline code can time unconditionally. The mutex matters because the
-// deadline middleware runs handlers on a separate goroutine: a handler
-// racing its own 504 may still be appending while the access logger
-// reads.
-type Spans struct {
-	mu sync.Mutex
-	s  []Span
-	// Optional hierarchical-trace attachment (AttachTree): when set,
-	// every Observe also records a tree span under `parent`.
-	tb     *TraceBuf
-	parent uint64
-}
-
-// Observe appends one stage timing. Safe on a nil receiver. With a
-// trace tree attached, the stage additionally materializes as a child
-// span reconstructed as [now-seconds, now].
-func (sp *Spans) Observe(stage string, seconds float64) {
-	if sp == nil {
-		return
+// IsStage reports whether a span name is one of the canonical pipeline
+// stages — the spans the stage histogram and access log are derived from.
+func IsStage(name string) bool {
+	switch name {
+	case StageSnapshot, StageFeaturize, StageScale, StageClassify,
+		StageRegress, StageFallback, StageBatchNN:
+		return true
 	}
-	sp.mu.Lock()
-	sp.s = append(sp.s, Span{Stage: stage, Seconds: seconds})
-	tb, parent := sp.tb, sp.parent
-	sp.mu.Unlock()
-	if tb != nil {
-		tb.observed(parent, stage, seconds)
-	}
-}
-
-// Time starts a stage timer; the returned func stops it and records the
-// span. Safe on a nil receiver.
-//
-//	defer sp.Time(obs.StageFeaturize)()
-func (sp *Spans) Time(stage string) func() {
-	if sp == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { sp.Observe(stage, time.Since(start).Seconds()) }
-}
-
-// Snapshot copies the recorded spans. Safe on a nil receiver.
-func (sp *Spans) Snapshot() []Span {
-	if sp == nil {
-		return nil
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return append([]Span(nil), sp.s...)
-}
-
-// LogValue renders the spans as a structured log attribute: one group
-// member per stage, seconds as the value.
-func (sp *Spans) LogValue() slog.Value {
-	spans := sp.Snapshot()
-	attrs := make([]slog.Attr, len(spans))
-	for i, s := range spans {
-		attrs[i] = slog.Float64(s.Stage, s.Seconds)
-	}
-	return slog.GroupValue(attrs...)
-}
-
-// WithSpans stores a span recorder in the context.
-func WithSpans(ctx context.Context, sp *Spans) context.Context {
-	return context.WithValue(ctx, spansKey, sp)
-}
-
-// SpansFrom returns the request's span recorder, or nil outside an
-// instrumented request (every recorder method is nil-safe).
-func SpansFrom(ctx context.Context) *Spans {
-	sp, _ := ctx.Value(spansKey).(*Spans)
-	return sp
+	return false
 }

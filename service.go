@@ -79,20 +79,6 @@ type ServiceConfig struct {
 	// architecture cannot compile onto the f32 path logs a warning and
 	// keeps serving on float64.
 	FastInference bool
-	// Coalesce collects concurrent single /predict requests into
-	// micro-batches served through the bundle's batch path (one serving-
-	// bundle load, one mini-batched NN pass). Answers are bit-identical
-	// to the uncoalesced path; the cost is up to CoalesceWindow of added
-	// latency per request. Off by default.
-	Coalesce bool
-	// CoalesceWindow is how long the first request of a micro-batch waits
-	// for company before the batch flushes. 0 means 200µs; the useful
-	// range is roughly 100–500µs (well under a scheduling quantum, far
-	// above a batched forward pass).
-	CoalesceWindow time.Duration
-	// CoalesceMax flushes a micro-batch early once it holds this many
-	// requests. 0 means 32.
-	CoalesceMax int
 	// Tracer, when set, is a prebuilt hierarchical tracer shared with
 	// other subsystems (the daemon builds one and hands it to the WAL
 	// store and the service alike). Nil builds one from Tracing.
@@ -121,12 +107,6 @@ func (c *ServiceConfig) defaults() {
 	}
 	if c.MaxBatchJobs == 0 {
 		c.MaxBatchJobs = 256
-	}
-	if c.CoalesceWindow == 0 {
-		c.CoalesceWindow = 200 * time.Microsecond
-	}
-	if c.CoalesceMax == 0 {
-		c.CoalesceMax = 32
 	}
 }
 
@@ -201,15 +181,10 @@ type Service struct {
 	admission *resilience.Admission
 	admTotal  *obs.CounterVec // trout_admission_total{decision}
 
-	// Serving hot-path machinery: the shared snapshot cache (always on;
-	// keyed by the engine's mutation version, so every ingest/reseed/
-	// replay invalidates it implicitly) and the optional /predict
-	// coalescer (nil unless cfg.Coalesce).
-	snapCache   *snapCache
-	coal        *coalescer
-	cacheOps    *obs.CounterVec // trout_snapshot_cache_requests_total{result}
-	coalDepth   *obs.Histogram  // trout_coalesce_batch_size
-	coalFlushes *obs.CounterVec // trout_coalesce_flushes_total{reason}
+	// The shared snapshot cache: always on, keyed by the engine's mutation
+	// version, so every ingest/reseed/replay invalidates it implicitly.
+	snapCache *snapCache
+	cacheOps  *obs.CounterVec // trout_snapshot_cache_requests_total{result}
 
 	// state is the legacy whole-trace queue state, read lock-free on the
 	// request path (the engine-or-scan decision needs no lock: each
@@ -284,9 +259,6 @@ func NewServiceWith(b *Bundle, initial *Trace, cfg ServiceConfig) (*Service, err
 	}
 	s.initTelemetry()
 	s.snapCache = newSnapCache(s.live.Engine(), s.cacheOps)
-	if cfg.Coalesce {
-		s.coal = newCoalescer(s, cfg.CoalesceWindow, cfg.CoalesceMax)
-	}
 	adm := cfg.Admission
 	if adm.OnDecision == nil {
 		adm.OnDecision = func(d string) { s.admTotal.Inc(d) }
@@ -439,15 +411,9 @@ func (s *Service) initTelemetry() {
 		"Ingest requests currently queued for an admission slot.",
 		func() float64 { return float64(s.admission.Queued()) })
 
-	// Serving hot path: snapshot cache effectiveness and coalescing
-	// behavior. The coalesce families stay at zero unless cfg.Coalesce.
+	// Serving hot path: snapshot cache effectiveness.
 	s.cacheOps = r.CounterVec("trout_snapshot_cache_requests_total",
 		"Shared snapshot cache lookups, by result (hit, miss, stale retry, bypass).", "result")
-	s.coalDepth = r.Histogram("trout_coalesce_batch_size",
-		"Single /predict requests flushed per coalesced micro-batch.",
-		[]float64{1, 2, 4, 8, 16, 32, 64})
-	s.coalFlushes = r.CounterVec("trout_coalesce_flushes_total",
-		"Coalescer micro-batch flushes, by trigger (window expiry vs batch full).", "reason")
 
 	// Leader-side replication counters (what this node shipped to
 	// followers), sampled at scrape time.
@@ -926,7 +892,7 @@ func (s *Service) snapshotBatch(at int64, jobs []trace.Job) ([]*Snapshot, string
 }
 
 func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
-	sp := obs.SpansFrom(r.Context())
+	root := obs.TraceFrom(r.Context()).Root()
 	var snap *Snapshot
 	var source string
 	switch r.Method {
@@ -936,9 +902,9 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 			resilience.WriteError(w, http.StatusBadRequest, fmt.Sprintf("predict: %v", err))
 			return
 		}
-		done := sp.Time(obs.StageSnapshot)
+		sp := root.StartChild(obs.StageSnapshot)
 		sn, src, err := s.snapshotForJob(jobID)
-		done()
+		sp.End()
 		if err != nil {
 			resilience.WriteError(w, http.StatusNotFound, err.Error())
 			return
@@ -983,9 +949,9 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 		if req.Job.Submit == 0 {
 			req.Job.Submit = req.At
 		}
-		done := sp.Time(obs.StageSnapshot)
+		sp := root.StartChild(obs.StageSnapshot)
 		snap, source = s.snapshotAt(req.At, req.Job)
-		done()
+		sp.End()
 	default:
 		resilience.WriteError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
@@ -994,33 +960,9 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	// One serving-bundle load covers the whole request: prediction,
 	// message cutoff, and response attribution all come from the same
-	// version even if a hot-swap lands mid-request. Under coalescing the
-	// load happens in the flusher and arrives with the reply, so the
-	// attribution names the bundle that actually computed the answer.
-	var sb *servingBundle
-	var pred TieredPrediction
-	var err error
-	if s.coal != nil {
-		// The flush runs on another goroutine under its own trace; the
-		// member wraps the wait in a "coalesce" span linked to the shared
-		// flush span, and copies the flush's stage timings into its own
-		// recorder so coalesced requests still feed the batch_nn/fallback
-		// histograms and show the pipeline stages in their span tree.
-		csp := obs.StartSpan(r.Context(), "coalesce")
-		rep := s.coal.do(snap)
-		for _, st := range rep.stages {
-			sp.Observe(st.Stage, st.Seconds)
-		}
-		if rep.flushTrace != "" {
-			csp.Link(rep.flushTrace, rep.flushSpan)
-			csp.SetAttr("flush_trace", rep.flushTrace)
-		}
-		csp.End()
-		sb, pred, err = rep.sb, rep.res.TieredPrediction, rep.res.Err
-	} else {
-		sb = s.serving.Load()
-		pred, err = sb.b.PredictWithFallbackSpans(snap, sp)
-	}
+	// version even if a hot-swap lands mid-request.
+	sb := s.serving.Load()
+	pred, err := sb.b.predictWithFallback(snap, root)
 	if err != nil {
 		s.tiers.Inc(resilience.TierError)
 		resilience.WriteError(w, http.StatusBadRequest, err.Error())
@@ -1134,18 +1076,16 @@ func (s *Service) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	sp := obs.SpansFrom(r.Context())
-	done := sp.Time(obs.StageSnapshot)
+	root := obs.TraceFrom(r.Context()).Root()
+	sp := root.StartChild(obs.StageSnapshot)
 	snaps, source := s.snapshotBatch(req.At, req.Jobs)
-	done()
+	sp.End()
 	s.batchSize.Observe(float64(len(req.Jobs)))
-	for range req.Jobs {
-		s.sources.Inc(source)
-	}
+	s.sources.With(source).Add(uint64(len(req.Jobs)))
 
 	sb := s.serving.Load()
 	ctl := s.ctl.Load()
-	results := sb.b.PredictBatchWithFallbackSpans(snaps, sp)
+	results := sb.b.predictBatchWithFallback(snaps, root)
 	resp := predictBatchResponse{
 		At: req.At, Source: source,
 		Results:      make([]batchItem, len(results)),
@@ -1351,7 +1291,7 @@ func (s *Service) writeJSON(w http.ResponseWriter, r *http.Request, code int, v 
 		if s.logger != nil {
 			s.logger.Error("response encode failed",
 				slog.String("path", r.URL.Path),
-				slog.String("trace_id", obs.TraceIDFrom(r.Context())),
+				slog.String("trace_id", obs.TraceFrom(r.Context()).TraceID()),
 				slog.String("error", err.Error()))
 		}
 		resilience.WriteError(w, http.StatusInternalServerError,

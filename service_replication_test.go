@@ -264,6 +264,7 @@ func TestIngestAdmissionSheds(t *testing.T) {
 
 	// Hold the only slot with an /events upload whose body never ends.
 	pr, pw := io.Pipe()
+	defer pw.Close() // a failed assertion must not leave the upload (and srv.Close) hanging
 	firstDone := make(chan int, 1)
 	go func() {
 		resp, err := http.Post(lsrv.URL+"/events", "application/jsonl", pr)
@@ -275,8 +276,25 @@ func TestIngestAdmissionSheds(t *testing.T) {
 		resp.Body.Close()
 		firstDone <- resp.StatusCode
 	}()
-	// Wait until the slot is actually held, then expect an immediate shed.
+	// Wait until the slot is actually held (probing with /events before
+	// that could itself take the slot and shed the upload instead), then
+	// expect an immediate shed.
 	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mresp, err := http.Get(lsrv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb, _ := io.ReadAll(mresp.Body)
+		mresp.Body.Close()
+		if strings.Contains(string(mb), "trout_admission_in_flight 1\n") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("upload never took the admission slot")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	var shed *http.Response
 	for {
 		resp, err := http.Post(lsrv.URL+"/events", "application/jsonl", strings.NewReader(""))

@@ -3,7 +3,7 @@
 // under the strict fault-window contract, the hard error rate must be
 // exactly zero, and p99 must stay under a deliberately generous bound —
 // this is a correctness tripwire for the serving hot path (snapshot
-// cache, coalescer, zero-alloc JSON), not a performance gate (that is
+// cache, zero-alloc JSON), not a performance gate (that is
 // BENCH_serving.json + benchjson -check).
 package trout_test
 
@@ -16,16 +16,13 @@ import (
 	"repro/internal/loadgen"
 )
 
-func runServingSmoke(t *testing.T, cfg trout.ServiceConfig) *loadgen.Scorecard {
-	t.Helper()
+func TestServingSmoke(t *testing.T) {
 	e := sharedExperiment(t)
 	bundle := resilientBundle(t)
-	if cfg.FastInference {
-		// resilientBundle is shared across the package's tests; revert the
-		// float32 compile so later tests see the f64 reference path.
-		t.Cleanup(bundle.DisableFastInference)
-	}
-	svc, err := trout.NewServiceWith(bundle, e.Trace, cfg)
+	// resilientBundle is shared across the package's tests; revert the
+	// float32 compile so later tests see the f64 reference path.
+	t.Cleanup(bundle.DisableFastInference)
+	svc, err := trout.NewServiceWith(bundle, e.Trace, trout.ServiceConfig{FastInference: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,13 +51,4 @@ func runServingSmoke(t *testing.T, cfg trout.ServiceConfig) *loadgen.Scorecard {
 	if sc.P99 > 2*time.Second {
 		t.Fatalf("p99 %s exceeds generous 2s bound", sc.P99)
 	}
-	return sc
-}
-
-func TestServingSmoke(t *testing.T) {
-	runServingSmoke(t, trout.ServiceConfig{FastInference: true})
-}
-
-func TestServingSmokeCoalesce(t *testing.T) {
-	runServingSmoke(t, trout.ServiceConfig{FastInference: true, Coalesce: true})
 }

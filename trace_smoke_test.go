@@ -1,18 +1,20 @@
 // Trace smoke (make trace-smoke, part of make ci): run the serving stack
-// with tracing fully on (head sampling 1.0, coalescing enabled) and
-// validate every line the JSONL exporter wrote — IDs well-formed, parent
-// references resolving within the line, children nested inside their
-// parents' intervals, links structurally sound. Plus the acceptance pin:
-// a slow (over-threshold) request exports one trace whose tree runs
-// middleware → snapshot → coalesce (with a link to the shared flush) →
-// batch stage spans, and the same trace ID is retrievable from
-// GET /debug/requests.
+// with tracing fully on (head sampling 1.0) and validate every line the
+// JSONL exporter wrote — IDs well-formed, parent references resolving
+// within the line, children nested inside their parents' intervals, links
+// structurally sound. Plus two pins: a slow (over-threshold) request
+// exports one trace whose tree runs middleware → snapshot → featurize →
+// scale → classify and the same trace ID is retrievable from
+// GET /debug/requests; and the stage histogram and access log agree with
+// the exported tree's stage spans, tracer or no tracer.
 package trout_test
 
 import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -112,8 +114,8 @@ func validateTraceLine(t *testing.T, line obs.TraceJSON) {
 	}
 }
 
-// TestTraceSmoke floods the coalescing serving stack with everything-
-// sampled tracing and schema-checks the entire export file.
+// TestTraceSmoke floods the serving stack with everything-sampled tracing
+// and schema-checks the entire export file.
 func TestTraceSmoke(t *testing.T) {
 	e := sharedExperiment(t)
 	bundle := resilientBundle(t)
@@ -121,7 +123,6 @@ func TestTraceSmoke(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "traces.jsonl")
 	svc, err := trout.NewServiceWith(bundle, e.Trace, trout.ServiceConfig{
 		FastInference: true,
-		Coalesce:      true,
 		Tracing:       obs.TracerConfig{SampleRate: 1, Path: file, QueueLen: 4096},
 	})
 	if err != nil {
@@ -144,28 +145,12 @@ func TestTraceSmoke(t *testing.T) {
 	svc.Tracer().Flush()
 
 	lines := readTraceFile(t, file)
-	// Head sampling at 1.0 keeps every request; 600 requests plus flush
-	// traces must all be here.
+	// Head sampling at 1.0 keeps every request.
 	if len(lines) < 600 {
 		t.Fatalf("exported %d traces, want >= 600", len(lines))
 	}
-	var sawCoalesceLink, sawFlushRoot bool
 	for _, line := range lines {
 		validateTraceLine(t, line)
-		if line.Root == "coalesce_flush" {
-			sawFlushRoot = true
-		}
-		for _, s := range line.Spans {
-			if s.Name == "coalesce" && s.Link != nil {
-				sawCoalesceLink = true
-			}
-		}
-	}
-	if !sawFlushRoot {
-		t.Fatal("no coalesce_flush root trace exported")
-	}
-	if !sawCoalesceLink {
-		t.Fatal("no request trace carries a coalesce span linking to its flush")
 	}
 	if st := svc.Tracer().Stats(); st.ExportDropped > 0 {
 		t.Logf("note: %d traces dropped at the export queue", st.ExportDropped)
@@ -174,9 +159,9 @@ func TestTraceSmoke(t *testing.T) {
 
 // TestTraceSlowRequestRecorded is the acceptance pin: with the slow
 // threshold floored, a /predict request is tail-kept as slow, its
-// exported tree runs middleware root → snapshot → coalesce (linked to
-// the shared flush, whose own trace carries the batch stages), and the
-// identical trace ID is retrievable from GET /debug/requests.
+// exported tree runs middleware root → snapshot → featurize → scale →
+// classify, and the identical trace ID is retrievable from
+// GET /debug/requests.
 func TestTraceSlowRequestRecorded(t *testing.T) {
 	const traceID = "cafe0123deadbeef"
 	e := sharedExperiment(t)
@@ -185,7 +170,6 @@ func TestTraceSlowRequestRecorded(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "traces.jsonl")
 	svc, err := trout.NewServiceWith(bundle, e.Trace, trout.ServiceConfig{
 		FastInference: true,
-		Coalesce:      true,
 		Tracing: obs.TracerConfig{
 			SampleRate:    -1, // head sampling off: only the slow rule can export
 			SlowThreshold: time.Nanosecond,
@@ -219,14 +203,10 @@ func TestTraceSlowRequestRecorded(t *testing.T) {
 
 	lines := readTraceFile(t, file)
 	var mine *obs.TraceJSON
-	flushRoots := map[string]bool{}
 	for i := range lines {
 		validateTraceLine(t, lines[i])
 		if lines[i].TraceID == traceID {
 			mine = &lines[i]
-		}
-		if lines[i].Root == "coalesce_flush" {
-			flushRoots[lines[i].TraceID] = true
 		}
 	}
 	if mine == nil {
@@ -239,19 +219,10 @@ func TestTraceSlowRequestRecorded(t *testing.T) {
 	if _, ok := names["POST /predict"]; !ok {
 		t.Fatalf("no middleware root span: %v", spanNames(mine.Spans))
 	}
-	if _, ok := names["snapshot"]; !ok {
-		t.Fatalf("no snapshot stage span: %v", spanNames(mine.Spans))
-	}
-	co, ok := names["coalesce"]
-	if !ok || co.Link == nil {
-		t.Fatalf("no coalesce span with a flush link: %v", spanNames(mine.Spans))
-	}
-	if !flushRoots[co.Link.TraceID] {
-		t.Fatalf("coalesce links to flush trace %s, which was not exported", co.Link.TraceID)
-	}
-	if _, nn := names["batch_nn"]; !nn {
-		if _, fb := names["fallback"]; !fb {
-			t.Fatalf("neither batch_nn nor fallback stage span present: %v", spanNames(mine.Spans))
+	root := names["POST /predict"]
+	for _, stage := range []string{obs.StageSnapshot, obs.StageFeaturize, obs.StageScale, obs.StageClassify} {
+		if sp, ok := names[stage]; !ok || sp.ParentID != root.SpanID {
+			t.Fatalf("no %s stage span under the root: %v", stage, spanNames(mine.Spans))
 		}
 	}
 
@@ -277,6 +248,148 @@ func TestTraceSlowRequestRecorded(t *testing.T) {
 		}
 	}
 	t.Fatalf("trace %s not in /debug/requests slowest ring (%d entries)", traceID, len(dbg.Slowest))
+}
+
+// TestStageMetricsMatchTree pins the single span model: for a POST
+// /predict and a 3-job /predict/batch, the stage names and counts on
+// /metrics equal the stage children of the exported trees (each nested in
+// its root), the access log's spans group carries the same stages, and
+// the identical histograms and log groups fill with the tracer disabled.
+func TestStageMetricsMatchTree(t *testing.T) {
+	allStages := []string{obs.StageSnapshot, obs.StageFeaturize, obs.StageScale,
+		obs.StageClassify, obs.StageRegress, obs.StageFallback, obs.StageBatchNN}
+	for _, disabled := range []bool{false, true} {
+		t.Run(map[bool]string{false: "traced", true: "tracing-disabled"}[disabled], func(t *testing.T) {
+			e := sharedExperiment(t)
+			var sb syncBuf
+			logger, err := obs.NewLogger(&sb, "info", "json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			file := filepath.Join(t.TempDir(), "traces.jsonl")
+			svc, err := trout.NewServiceWith(resilientBundle(t), e.Trace, trout.ServiceConfig{
+				Logger:  logger,
+				Tracing: obs.TracerConfig{Disabled: disabled, SampleRate: 1, Path: file},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(svc.Handler())
+			t.Cleanup(srv.Close)
+
+			at := jsonInt(e.Trace.Jobs[len(e.Trace.Jobs)-1].End + 100)
+			job := `{"user":3,"partition":"shared","req_cpus":8,"req_mem_gb":16,"req_nodes":1,"time_limit":7200,"priority":3000}`
+			post := func(traceID, path, body string, out any) {
+				t.Helper()
+				req, err := http.NewRequest(http.MethodPost, srv.URL+path, strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set(obs.TraceIDHeader, traceID)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s = %d", path, resp.StatusCode)
+				}
+				if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const singleID, batchID = "aaaa0000aaaa0000", "bbbb1111bbbb1111"
+			var pr struct {
+				Long bool   `json:"long"`
+				Tier string `json:"tier"`
+			}
+			post(singleID, "/predict", `{"at":`+at+`,"job":`+job+`}`, &pr)
+			var br struct {
+				Results []struct {
+					Tier string `json:"tier"`
+				} `json:"results"`
+			}
+			post(batchID, "/predict/batch", `{"at":`+at+`,"jobs":[`+job+`,`+job+`,`+job+`]}`, &br)
+			if pr.Tier != "nn" || len(br.Results) != 3 || br.Results[0].Tier != "nn" {
+				t.Fatalf("expected healthy nn answers, got %+v %+v", pr, br)
+			}
+
+			// What a healthy request records, one span per stage.
+			want := map[string]map[string]int{
+				singleID: {obs.StageSnapshot: 1, obs.StageFeaturize: 1, obs.StageScale: 1, obs.StageClassify: 1},
+				batchID:  {obs.StageSnapshot: 1, obs.StageFeaturize: 1, obs.StageBatchNN: 1},
+			}
+			if pr.Long {
+				want[singleID][obs.StageRegress] = 1
+			}
+
+			// The exported trees (tracer on) hold exactly those stage spans,
+			// each inside its root's interval.
+			svc.Tracer().Flush()
+			if disabled {
+				if _, err := os.Stat(file); err == nil {
+					t.Fatal("a disabled tracer wrote a trace file")
+				}
+			} else {
+				found := 0
+				for _, line := range readTraceFile(t, file) {
+					wantStages, ok := want[line.TraceID]
+					if !ok {
+						continue
+					}
+					found++
+					validateTraceLine(t, line)
+					root := line.Spans[0]
+					got := map[string]int{}
+					for _, s := range line.Spans[1:] {
+						if s.StartUnixNs < root.StartUnixNs || s.EndUnixNs > root.EndUnixNs {
+							t.Fatalf("trace %s: span %s escapes the root interval", line.TraceID, s.Name)
+						}
+						if obs.IsStage(s.Name) {
+							got[s.Name]++
+						}
+					}
+					if !maps.Equal(got, wantStages) {
+						t.Fatalf("trace %s: tree stages %v, want %v", line.TraceID, got, wantStages)
+					}
+				}
+				if found != len(want) {
+					t.Fatalf("%d of %d request traces exported", found, len(want))
+				}
+			}
+
+			// The access log's spans groups name the same stages.
+			for _, m := range accessLogs(t, &sb, 2) {
+				id, _ := m["trace_id"].(string)
+				wantStages, ok := want[id]
+				if !ok {
+					continue
+				}
+				spans, _ := m["spans"].(map[string]any)
+				got := map[string]int{}
+				for stage := range spans {
+					got[stage]++
+				}
+				if !maps.Equal(got, wantStages) {
+					t.Fatalf("access log %s: spans %v, want stages %v", id, spans, wantStages)
+				}
+			}
+
+			// And /metrics counts one observation per stage span.
+			text, _ := scrape(t, srv.URL)
+			for _, stage := range allStages {
+				wantN := want[singleID][stage] + want[batchID][stage]
+				series := fmt.Sprintf(`trout_predict_stage_duration_seconds_count{stage=%q}`, stage)
+				gotN := 0
+				if strings.Contains(text, series) {
+					gotN = int(metricValue(t, text, series))
+				}
+				if gotN != wantN {
+					t.Fatalf("%s = %d, want %d", series, gotN, wantN)
+				}
+			}
+		})
+	}
 }
 
 func spanNames(spans []obs.SpanJSON) []string {
