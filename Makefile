@@ -5,7 +5,7 @@ BENCH_JOBS ?= 50000
 # Repetitions per benchmark; pipe the output into benchstat to compare runs.
 BENCH_COUNT ?= 5
 
-.PHONY: all build test race vet fmt-check fuzz-smoke metrics-smoke replication-smoke controlplane-smoke serving-smoke trace-smoke bench bench-json bench-smoke bench-check ci clean
+.PHONY: all build test race vet fmt-check fuzz-smoke metrics-smoke replication-smoke controlplane-smoke serving-smoke trace-smoke bench-module bench bench-json bench-smoke bench-check ci clean
 
 all: build
 
@@ -76,6 +76,14 @@ serving-smoke:
 trace-smoke:
 	$(GO) test -run 'TestTraceSmoke$$|TestTraceSlowRequestRecorded$$|TestStageMetricsMatchTree$$|TestWriteProxyTraceContinuity$$' -count=1 .
 
+# The repo benchmark (BENCHMARK.json) lives in bench/, a module of its own
+# that imports this one through a replace directive, so the root
+# `go build ./...` and `go test ./...` never compile it: this is what
+# notices a root API change that breaks the benchmark's build. Its tests
+# are an in-process quick pass (~10 s, no child process).
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Legacy O(N) snapshot scan vs the livestate engine's indexed extraction,
 # in benchstat-friendly form:
 #   make bench > new.txt && benchstat old.txt new.txt
@@ -132,7 +140,7 @@ bench-check:
 	$(GO) run ./cmd/benchjson -check BENCH_serving.json bench_check.txt
 	rm -f bench_check.txt
 
-ci: fmt-check vet build race fuzz-smoke metrics-smoke replication-smoke controlplane-smoke serving-smoke trace-smoke bench-smoke bench-check
+ci: fmt-check vet build race fuzz-smoke metrics-smoke replication-smoke controlplane-smoke serving-smoke trace-smoke bench-module bench-smoke bench-check
 
 clean:
 	$(GO) clean ./...

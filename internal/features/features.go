@@ -10,7 +10,6 @@ package features
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -410,24 +409,9 @@ func buildRow(jobs []trace.Job, i int, totals map[string]slurmsim.PartitionTotal
 	return row
 }
 
-// runtimeFeatureRow builds the request-time-only inputs of the runtime
-// predictor (no queue state — these must be computable for a job the moment
-// it is submitted).
-func runtimeFeatureRow(j *trace.Job, tot slurmsim.PartitionTotals) []float64 {
-	return []float64{
-		math.Log1p(float64(j.TimeLimit)),
-		math.Log1p(float64(j.ReqCPUs)),
-		math.Log1p(j.ReqMemGB),
-		float64(j.ReqNodes),
-		float64(j.ReqGPUs),
-		float64(j.QOS),
-		float64(j.Priority),
-		float64(tot.CPUs),
-		float64(tot.GPUs),
-	}
-}
-
 // predictRuntimes applies the runtime predictor to every job in parallel.
+// It visits each job once, so it evaluates the forest directly and leaves
+// the predictor's memo to the serving path.
 func predictRuntimes(rp *RuntimePredictor, jobs []trace.Job, totals map[string]slurmsim.PartitionTotals, workers int) []float64 {
 	n := len(jobs)
 	out := make([]float64, n)
@@ -446,7 +430,8 @@ func predictRuntimes(rp *RuntimePredictor, jobs []trace.Job, totals map[string]s
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				out[i] = rp.PredictSeconds(&jobs[i], totals[jobs[i].Partition])
+				in := runtimeInputsOf(&jobs[i], totals[jobs[i].Partition])
+				out[i] = rp.evaluate(&in)
 			}
 		}(lo, hi)
 	}

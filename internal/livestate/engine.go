@@ -488,11 +488,23 @@ func (e *Engine) SnapshotAt(target trace.Job, at int64) *features.Snapshot {
 // pendingRunningLocked reads the cluster-wide pending/running sets at an
 // instant off the sorted partition indexes. Callers hold e.mu.
 func (e *Engine) pendingRunningLocked(at int64) (pending, running []trace.Job) {
+	// Nearly every indexed job is live at a current instant, so the index
+	// lengths size both results once instead of re-copying 152-byte
+	// records through append's doublings.
+	var np, nr int
 	names := make([]string, 0, len(e.parts))
-	for nm := range e.parts {
+	for nm, p := range e.parts {
 		names = append(names, nm)
+		np += len(p.pending)
+		nr += len(p.running)
 	}
 	sort.Strings(names)
+	if np > 0 {
+		pending = make([]trace.Job, 0, np)
+	}
+	if nr > 0 {
+		running = make([]trace.Job, 0, nr)
+	}
 	for _, nm := range names {
 		p := e.parts[nm]
 		for _, js := range p.pending {
