@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
@@ -353,42 +354,46 @@ func (b *Bundle) tryPredictBatch(rows [][]float64) (preds []core.Prediction, ok 
 	return b.Model.PredictBatch(rows), true
 }
 
-// SnapshotFromTrace reconstructs the queue state a trace job observed at
-// its eligibility instant — what the CLI does when pointed at an accounting
-// file and a job ID.
-func SnapshotFromTrace(tr *Trace, jobID int) (*Snapshot, error) {
-	var target *Job
-	for i := range tr.Jobs {
-		if tr.Jobs[i].ID == jobID {
-			target = &tr.Jobs[i]
-			break
-		}
-	}
-	if target == nil {
-		return nil, fmt.Errorf("trout: job %d not found in trace", jobID)
-	}
-	t := target.Eligible
-	snap := &Snapshot{Now: t, Target: *target}
+// SnapshotAtInstant reconstructs queue state at an arbitrary instant by
+// scanning the whole trace, with target as the job being predicted for —
+// the offline O(N) path (cmd/trout, the examples, experiments) and the
+// oracle the livestate engine's indexed extraction is tested against.
+// Open intervals are honored: a job with Start == 0 is still pending and
+// End == 0 still running, so live traces keep their genuinely-queued jobs.
+func SnapshotAtInstant(tr *Trace, at int64, target Job) *Snapshot {
+	snap := &Snapshot{Now: at, Target: target}
 	for i := range tr.Jobs {
 		j := tr.Jobs[i]
-		if j.ID != jobID {
-			// Phase classification honors open intervals: Start == 0 means
-			// still pending, End == 0 still running — live traces must not
-			// drop their genuinely-queued jobs.
-			switch livestate.PhaseAt(&j, t) {
-			case livestate.PhasePending:
-				snap.Pending = append(snap.Pending, j)
-			case livestate.PhaseRunning:
-				snap.Running = append(snap.Running, j)
-			}
+		switch livestate.PhaseAt(&j, at) {
+		case livestate.PhasePending:
+			snap.Pending = append(snap.Pending, j)
+		case livestate.PhaseRunning:
+			snap.Running = append(snap.Running, j)
 		}
-		// The target's own submission belongs in its user history when
-		// it predates the prediction instant (dependency-held jobs).
-		if j.Submit >= t-86400 && j.Submit < t {
+		if j.Submit >= at-86400 && j.Submit < at {
 			snap.History = append(snap.History, j)
 		}
 	}
-	return snap, nil
+	return snap
+}
+
+// SnapshotFromTrace reconstructs the queue state a trace job observed at
+// its eligibility instant — what the CLI does when pointed at an accounting
+// file and a job ID. The job is not part of its own queue, but its own
+// submission stays in its user history when it predates the instant
+// (dependency-held jobs).
+func SnapshotFromTrace(tr *Trace, jobID int) (*Snapshot, error) {
+	for i := range tr.Jobs {
+		if tr.Jobs[i].ID != jobID {
+			continue
+		}
+		snap := SnapshotAtInstant(tr, tr.Jobs[i].Eligible, tr.Jobs[i])
+		isSelf := func(j Job) bool { return j.ID == jobID }
+		snap.Pending = slices.DeleteFunc(snap.Pending, isSelf)
+		snap.Running = slices.DeleteFunc(snap.Running, isSelf)
+		return snap, nil
+	}
+	return nil, fmt.Errorf("trout: job %d not found in trace", jobID)
 }
 
 // bundleDTO is the gob wire form of a Bundle. The fallback fields are

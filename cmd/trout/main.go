@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	trout "repro"
@@ -90,32 +91,16 @@ func main() {
 }
 
 // hypotheticalSnapshot reconstructs queue state at an arbitrary instant and
-// injects the hypothetical job as the target.
+// injects the hypothetical job as the target; a job with no priority of
+// its own gets the median of the jobs it would queue behind.
 func hypotheticalSnapshot(tr *trout.Trace, at int64, target trace.Job) *trout.Snapshot {
-	snap := &trout.Snapshot{Now: at, Target: target}
-	var prios []int64
-	for i := range tr.Jobs {
-		j := tr.Jobs[i]
-		switch {
-		case j.Eligible <= at && at < j.Start:
-			snap.Pending = append(snap.Pending, j)
-			prios = append(prios, j.Priority)
-		case j.Start <= at && at < j.End:
-			snap.Running = append(snap.Running, j)
+	snap := trout.SnapshotAtInstant(tr, at, target)
+	if target.Priority == 0 && len(snap.Pending) > 0 {
+		prios := make([]int64, len(snap.Pending))
+		for i := range snap.Pending {
+			prios[i] = snap.Pending[i].Priority
 		}
-		if j.Submit >= at-86400 && j.Submit < at {
-			snap.History = append(snap.History, j)
-		}
-	}
-	if target.Priority == 0 && len(prios) > 0 {
-		// Default a fresh job's priority to the pending median.
-		for i := range prios {
-			for k := i + 1; k < len(prios); k++ {
-				if prios[k] < prios[i] {
-					prios[i], prios[k] = prios[k], prios[i]
-				}
-			}
-		}
+		slices.Sort(prios)
 		snap.Target.Priority = prios[len(prios)/2]
 	}
 	return snap

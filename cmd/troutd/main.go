@@ -27,10 +27,10 @@
 // Read-scale replication: a -wal-dir leader serves its log on
 // /replication/wal, and `troutd -follow http://leader:8642` runs a
 // follower that replays it into its own engine, answers /predict from the
-// replica, and forwards /events and /state to the leader (307 by default,
-// transparent with -proxy-writes). A follower reports 503 on /ready until
-// first catch-up and whenever lag crosses -replication-lag-events; leader
-// ingest sheds bursts with 429 + Retry-After past the -admit-* bounds.
+// replica, and reverse-proxies /events and /state to the leader. A
+// follower reports 503 on /ready until first catch-up and whenever lag
+// crosses -replication-lag-events; leader ingest sheds bursts with 429 +
+// Retry-After past the -admit-* bounds.
 //
 // All daemon output is structured (log/slog): -log-format selects json
 // (default, machine-shippable) or text, -log-level sets the threshold.
@@ -82,16 +82,14 @@ func main() {
 		maxBadRows     = flag.Int("max-bad-rows", 100, "malformed-record budget for trace ingestion (-1 = unlimited)")
 		maxBatch       = flag.Int("max-batch", 256, "maximum jobs per /predict/batch request (-1 = unlimited)")
 		shutdownGrace  = flag.Duration("shutdown-grace", 15*time.Second, "drain window after SIGINT/SIGTERM")
-		fastInference  = flag.Bool("fast-inference", true, "serve NN predictions from the float32 kernel path (falls back to float64 if the model cannot compile)")
 
 		walDir     = flag.String("wal-dir", "", "live-state durability directory (WAL + checkpoints); empty = memory-only")
 		ckptEvery  = flag.Duration("checkpoint-interval", 5*time.Minute, "periodic live-state checkpoint cadence (0 disables)")
 		segBytes   = flag.Int64("segment-bytes", 4<<20, "seal the WAL into a sealed segment past this size; followers catch up from sealed segments (-1 = rotate only on checkpoint)")
 		retainSegs = flag.Int("retain-segments", 4, "sealed WAL segments kept for follower catch-up (-1 = keep all)")
 
-		follow      = flag.String("follow", "", "follower mode: replicate live state from this leader troutd URL (e.g. http://leader:8642); /events and /state are forwarded to it")
-		proxyWrites = flag.Bool("proxy-writes", false, "follower: transparently proxy write requests to the leader instead of 307-redirecting")
-		replLag     = flag.Uint64("replication-lag-events", 4096, "follower: /ready turns 503 and /health degraded past this many events of lag")
+		follow  = flag.String("follow", "", "follower mode: replicate live state from this leader troutd URL (e.g. http://leader:8642); /events and /state are reverse-proxied to it")
+		replLag = flag.Uint64("replication-lag-events", 4096, "follower: /ready turns 503 and /health degraded past this many events of lag")
 
 		registryDir    = flag.String("registry-dir", "", "model registry directory; enables the continual-learning control plane (drift-triggered retrain, shadow scoring, hot-swap)")
 		registryRetain = flag.Int("registry-retain", 5, "non-active model blobs kept in the registry before pruning (-1 = keep all)")
@@ -193,12 +191,13 @@ func main() {
 		Live:            store,
 		Logger:          logger,
 		LeaderURL:       *follow,
-		ProxyWrites:     *proxyWrites,
 		Replication:     replication.FollowerConfig{LagEvents: *replLag},
 		Admission: resilience.AdmissionConfig{
 			MaxInFlight: *admitInflight, MaxQueue: *admitQueue, QueueTimeout: *admitTimeout,
 		},
-		FastInference: *fastInference,
+		// The float32 kernel path; a model that cannot compile onto it
+		// logs a warning and serves float64.
+		FastInference: true,
 		Tracer:        tracer,
 		Tracing:       tcfg,
 		SLO:           scfg,
@@ -258,7 +257,7 @@ func main() {
 	}
 	if *follow != "" {
 		logger.Info("following leader", slog.String("leader", *follow),
-			slog.Bool("proxy_writes", *proxyWrites), slog.Uint64("lag_threshold", *replLag))
+			slog.Uint64("lag_threshold", *replLag))
 	}
 	if tracer.Enabled() && *traceFile != "" {
 		logger.Info("trace export enabled", slog.String("file", *traceFile),
@@ -316,7 +315,6 @@ func main() {
 	logger.Info("serving",
 		slog.String("addr", *addr),
 		slog.Float64("cutoff_minutes", b.Model.Cfg.CutoffMinutes),
-		slog.Int("queue_jobs", queueLen(tr)),
 		slog.Int("live_tracked", store.Engine().Stats().Tracked),
 	)
 
@@ -387,11 +385,4 @@ func loadState(logger *slog.Logger, path string, maxBadRows int) (*trout.Trace, 
 		)
 	}
 	return tr, nil
-}
-
-func queueLen(tr *trout.Trace) int {
-	if tr == nil {
-		return 0
-	}
-	return len(tr.Jobs)
 }

@@ -182,12 +182,16 @@ func (h *cpHarness) health() cpHealth {
 
 // attributionLoad hammers POST /predict and POST /predict/batch from n
 // goroutines until stop closes, recording every failure and every
-// (model_version, model_id) attribution pair it observes.
+// (model_version, model_id) attribution pair it observes. A 422 is not a
+// failure: the harness clock leaps hours per pumped job, so an instant
+// read just before a leap is stale by the time the request lands, the
+// service says so, and the loop re-reads the clock.
 type attributionLoad struct {
 	wg       sync.WaitGroup
 	stop     chan struct{}
 	requests atomic.Uint64
 	failures atomic.Uint64
+	stale    atomic.Uint64
 	mu       sync.Mutex
 	pairs    map[string]int
 }
@@ -205,6 +209,10 @@ func startAttributionLoad(srv *httptest.Server, now *atomic.Int64, n int) *attri
 			return
 		}
 		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusUnprocessableEntity {
+			l.stale.Add(1)
+			return
+		}
 		if resp.StatusCode != http.StatusOK {
 			l.failures.Add(1)
 			return
@@ -304,8 +312,8 @@ func TestControlPlaneEndToEnd(t *testing.T) {
 	if n := load.failures.Load(); n != 0 {
 		t.Fatalf("%d of %d concurrent requests failed across the hot-swap", n, load.requests.Load())
 	}
-	if load.requests.Load() == 0 {
-		t.Fatal("attribution load never ran")
+	if load.requests.Load() == 0 || len(pairs) == 0 {
+		t.Fatalf("attribution load never got an answer (%d requests, %d stale)", load.requests.Load(), load.stale.Load())
 	}
 	valid := map[string]bool{
 		fmt.Sprintf("0/%s", baseline.Fingerprint): true,
@@ -476,7 +484,8 @@ func TestHotSwapHammer(t *testing.T) {
 	<-ingestDone
 	pairs := load.halt()
 
-	if n := load.failures.Load(); n != 0 {
+	// The clock here moves seconds per ingest, so nothing may go stale either.
+	if n := load.failures.Load() + load.stale.Load(); n != 0 {
 		t.Fatalf("%d of %d requests failed during hot-swap hammer", n, load.requests.Load())
 	}
 	valid := map[string]bool{

@@ -69,14 +69,19 @@ func main() {
 		msg     string
 	}
 	var ranked []advice
+	// Every candidate faces the same queue: reconstruct it once and stamp
+	// each request shape onto a copy.
+	queue := trout.SnapshotAtInstant(tr, at, trace.Job{})
+	prio := medianPriority(queue.Pending)
 	for _, c := range candidates {
-		snap := snapshotAt(tr, at, trace.Job{
+		snap := *queue
+		snap.Target = trace.Job{
 			ID: -1, User: 5, Partition: c.partition,
 			Submit: at, Eligible: at,
 			ReqCPUs: c.cpus, ReqMemGB: c.memGB, ReqNodes: c.nodes,
-			TimeLimit: c.limitMin * 60, Priority: medianPriority(tr, at),
-		})
-		pred, err := bundle.PredictSnapshot(snap)
+			TimeLimit: c.limitMin * 60, Priority: prio,
+		}
+		pred, err := bundle.PredictSnapshot(&snap)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -111,34 +116,14 @@ func congestedInstant(tr *trout.Trace) int64 {
 }
 
 // medianPriority estimates a fresh job's priority from the pending queue.
-func medianPriority(tr *trout.Trace, at int64) int64 {
-	var prios []int64
-	for i := range tr.Jobs {
-		j := &tr.Jobs[i]
-		if j.Eligible <= at && at < j.Start {
-			prios = append(prios, j.Priority)
-		}
-	}
-	if len(prios) == 0 {
+func medianPriority(pending []trace.Job) int64 {
+	if len(pending) == 0 {
 		return 10000
+	}
+	prios := make([]int64, len(pending))
+	for i := range pending {
+		prios[i] = pending[i].Priority
 	}
 	sort.Slice(prios, func(a, b int) bool { return prios[a] < prios[b] })
 	return prios[len(prios)/2]
-}
-
-func snapshotAt(tr *trout.Trace, at int64, target trace.Job) *trout.Snapshot {
-	snap := &trout.Snapshot{Now: at, Target: target}
-	for i := range tr.Jobs {
-		j := tr.Jobs[i]
-		switch {
-		case j.Eligible <= at && at < j.Start:
-			snap.Pending = append(snap.Pending, j)
-		case j.Start <= at && at < j.End:
-			snap.Running = append(snap.Running, j)
-		}
-		if j.Submit >= at-86400 && j.Submit < at {
-			snap.History = append(snap.History, j)
-		}
-	}
-	return snap
 }

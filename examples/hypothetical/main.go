@@ -53,7 +53,7 @@ func main() {
 	// Sweep the hypothetical job's requested wall time.
 	fmt.Println("hypothetical 16-CPU job in `shared`, sweeping requested time limit:")
 	for _, limitMin := range []int64{30, 120, 480, 1440, 2880} {
-		snap := snapshotAt(tr, at, trace.Job{
+		snap := trout.SnapshotAtInstant(tr, at, trace.Job{
 			ID: -1, User: worst.User, Partition: "shared",
 			Submit: at, Eligible: at,
 			ReqCPUs: 16, ReqMemGB: 32, ReqNodes: 1,
@@ -80,30 +80,11 @@ func main() {
 			spec.ReqCPUs = 128
 			spec.ReqMemGB = 256
 		}
-		snap := snapshotAt(tr, at, spec)
+		snap := trout.SnapshotAtInstant(tr, at, spec)
 		pred, err := bundle.PredictSnapshot(snap)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-10s -> P(long wait) %.3f  %s\n", part, pred.Prob, pred.Message(m.Cfg.CutoffMinutes))
 	}
-}
-
-// snapshotAt reconstructs queue state at an instant with the hypothetical
-// job injected as target.
-func snapshotAt(tr *trout.Trace, at int64, target trace.Job) *trout.Snapshot {
-	snap := &trout.Snapshot{Now: at, Target: target}
-	for i := range tr.Jobs {
-		j := tr.Jobs[i]
-		switch {
-		case j.Eligible <= at && at < j.Start:
-			snap.Pending = append(snap.Pending, j)
-		case j.Start <= at && at < j.End:
-			snap.Running = append(snap.Running, j)
-		}
-		if j.Submit >= at-86400 && j.Submit < at {
-			snap.History = append(snap.History, j)
-		}
-	}
-	return snap
 }

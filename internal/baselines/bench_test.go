@@ -27,7 +27,7 @@ func benchData(b *testing.B) ([][]float64, []float64) {
 
 // BenchmarkForestFit compares histogram split finding (shared binning,
 // parent−sibling subtraction) against the exact per-node sort search at
-// the acceptance size. Feeds BENCH_train.json via `make bench-json`.
+// the acceptance size.
 func BenchmarkForestFit(b *testing.B) {
 	X, y := benchData(b)
 	for _, mode := range []struct {

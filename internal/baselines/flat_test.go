@@ -348,9 +348,7 @@ func FuzzForestGob(f *testing.F) {
 }
 
 // BenchmarkForestPredict measures one 64-row predict pass over a trained
-// forest, flat SoA walk vs the pointer-chasing walk. Feeds
-// BENCH_inference.json; the flat/pointer ratio is the tentpole's >=4x
-// acceptance evidence.
+// forest, flat SoA walk vs the pointer-chasing walk.
 func BenchmarkForestPredict(b *testing.B) {
 	X, y := benchData(b)
 	fo := NewForest(ForestConfig{Trees: 50, Tree: TreeConfig{MaxDepth: 8}, Seed: 3})

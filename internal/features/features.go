@@ -85,11 +85,7 @@ type Options struct {
 	// Workers bounds the per-job parallel feature computation; 0 means
 	// GOMAXPROCS.
 	Workers int
-	// ExactTrees trains the runtime forest with the exact per-node split
-	// search instead of the default histogram learner (much slower; kept
-	// for quality comparisons and ablations).
-	ExactTrees bool
-	Seed       int64
+	Seed    int64
 }
 
 func (o *Options) defaults() {
@@ -171,7 +167,7 @@ func Build(tr *trace.Trace, cluster *slurmsim.ClusterSpec, opt Options) (*Datase
 	if trainN < 10 {
 		trainN = len(jobs)
 	}
-	rp, err := TrainRuntimePredictor(jobs[:trainN], totals, opt.RuntimeTrees, opt.Seed, opt.ExactTrees)
+	rp, err := TrainRuntimePredictor(jobs[:trainN], totals, opt.RuntimeTrees, opt.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -127,10 +127,9 @@ func (r *RuntimePredictor) evaluate(in *runtimeInputs) float64 {
 }
 
 // TrainRuntimePredictor fits the forest on the given (time-ordered) jobs.
-// Targets are log-seconds of actual runtime. Trees train on histogram-binned
-// features (the fast default); exact flips to the per-node exact split
-// search, kept for quality comparisons against the histogram learner.
-func TrainRuntimePredictor(jobs []trace.Job, totals map[string]slurmsim.PartitionTotals, trees int, seed int64, exact bool) (*RuntimePredictor, error) {
+// Targets are log-seconds of actual runtime; trees train on
+// histogram-binned features.
+func TrainRuntimePredictor(jobs []trace.Job, totals map[string]slurmsim.PartitionTotals, trees int, seed int64) (*RuntimePredictor, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("features: no jobs to train runtime predictor")
 	}
@@ -148,7 +147,7 @@ func TrainRuntimePredictor(jobs []trace.Job, totals map[string]slurmsim.Partitio
 	}
 	forest := baselines.NewForest(baselines.ForestConfig{
 		Trees: trees,
-		Tree:  baselines.TreeConfig{MaxDepth: 10, MinLeaf: 10, Exact: exact},
+		Tree:  baselines.TreeConfig{MaxDepth: 10, MinLeaf: 10},
 		Seed:  seed,
 	})
 	if err := forest.Fit(X, y); err != nil {

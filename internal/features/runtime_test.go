@@ -17,7 +17,7 @@ func trainedPredictor(t *testing.T, seed int64) (*RuntimePredictor, slurmsim.Par
 	cluster := tinyCluster()
 	tot := cluster.Totals("shared")
 	tr := randomTrace(rand.New(rand.NewSource(seed)), 600)
-	rp, err := TrainRuntimePredictor(tr.Jobs, map[string]slurmsim.PartitionTotals{"shared": tot}, 20, seed, false)
+	rp, err := TrainRuntimePredictor(tr.Jobs, map[string]slurmsim.PartitionTotals{"shared": tot}, 20, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

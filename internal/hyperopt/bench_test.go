@@ -26,8 +26,7 @@ func trainLikeObjective(tr *Trial, budget int) float64 {
 // on a synthetic regression task — the shape of a production tree-baseline
 // tune, where trial cost is dominated by histogram Fit throughput. The
 // budget scales boosting rounds, mirroring how the halving scheduler spends
-// cheap low-fidelity trials before promoting. Feeds BENCH_train.json via
-// `make bench-json`.
+// cheap low-fidelity trials before promoting.
 func BenchmarkHyperoptGBDTSearch(b *testing.B) {
 	const rows, feats = 4000, 12
 	rng := rand.New(rand.NewSource(33))
@@ -82,8 +81,7 @@ func BenchmarkHyperoptGBDTSearch(b *testing.B) {
 }
 
 // BenchmarkHyperoptSearch measures the successive-halving search loop,
-// serial vs worker-pool, on a training-shaped objective. Feeds
-// BENCH_train.json via `make bench-json`.
+// serial vs worker-pool, on a training-shaped objective.
 func BenchmarkHyperoptSearch(b *testing.B) {
 	space := []Param{
 		Uniform("x", -10, 10),

@@ -460,14 +460,15 @@ func (e *Engine) Now() int64 {
 	return e.now
 }
 
-// Ready reports whether the engine can answer a prediction at instant at:
-// it tracks some state and at is not so far in the past that pruned
-// history would make the answer wrong. Instants at or beyond the engine
-// clock are always fine — that is the live-prediction case.
-func (e *Engine) Ready(at int64) bool {
+// Ready reports whether the engine can answer a prediction at instant at —
+// at is not so far behind the clock that pruned history would make the
+// answer wrong — and returns the clock it judged against. Instants at or
+// beyond the clock are always fine (the live-prediction case), and an empty
+// engine answers with an empty queue.
+func (e *Engine) Ready(at int64) (now int64, ok bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return len(e.jobs) > 0 && at >= e.now-3600
+	return e.now, at >= e.now-3600
 }
 
 // SnapshotAt extracts a features.Snapshot for a target job against the
@@ -571,7 +572,7 @@ func (e *Engine) SnapshotBatch(targets []trace.Job, at int64) []*features.Snapsh
 
 // SnapshotForJob extracts a snapshot for a tracked pending job at the
 // engine clock. Jobs the engine does not track — or that already started —
-// are the legacy trace-scan path's business, so they return an error.
+// have no queue wait left to predict, so they return an error.
 func (e *Engine) SnapshotForJob(id int) (*features.Snapshot, error) {
 	target, now, err := e.TargetForJob(id)
 	if err != nil {

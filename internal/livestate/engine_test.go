@@ -54,6 +54,24 @@ func TestEngineLifecycle(t *testing.T) {
 	}
 }
 
+// TestEngineReadyWindow pins which instants the engine answers for: any
+// instant on an empty engine (the queue really is empty), and on a running
+// one anything from an hour behind its clock onward.
+func TestEngineReadyWindow(t *testing.T) {
+	e := NewEngine()
+	if now, ok := e.Ready(12345); !ok || now != 0 {
+		t.Fatalf("empty engine: Ready = %d, %v, want 0, true", now, ok)
+	}
+	if err := e.ApplyEvent(submitEvent(mkJob(1, 7, "shared", 10000, 0, 0, 0))); err != nil {
+		t.Fatal(err)
+	}
+	for at, want := range map[int64]bool{20000: true, 10000: true, 6400: true, 6399: false, 1: false} {
+		if now, ok := e.Ready(at); ok != want || now != 10000 {
+			t.Errorf("Ready(%d) = %d, %v, want 10000, %v", at, now, ok, want)
+		}
+	}
+}
+
 func TestEngineRejectsBadOrdering(t *testing.T) {
 	e := NewEngine()
 	j := mkJob(1, 7, "shared", 100, 0, 0, 0)

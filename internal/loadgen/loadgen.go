@@ -33,8 +33,8 @@ const (
 	KindEvents  Kind = "events"
 )
 
-// Config shapes one load run. The zero value needs at least BaseURL and
-// either Duration or Requests.
+// Config shapes one load run. The zero value needs at least BaseURL (or
+// Handler), At, and either Duration or Requests.
 type Config struct {
 	// BaseURL of the target service (no trailing slash).
 	BaseURL string
@@ -62,8 +62,10 @@ type Config struct {
 	PredictWeight, BatchWeight, EventsWeight int
 	// BatchSize is the jobs per /predict/batch request. 0 means 8.
 	BatchSize int
-	// At is the prediction instant sent with predict/batch bodies. 0 means
-	// 2000 (matches the small test fixtures).
+	// At is the prediction instant (unix seconds) sent with predict/batch
+	// bodies and stamped on submitted events. Required: the target answers
+	// from its live engine, so callers pass its clock — an instant more
+	// than an hour behind it is refused with a 422.
 	At int64
 	// JobIDBase namespaces the synthetic job IDs this run submits via
 	// /events so concurrent or repeated runs do not collide. 0 means 10^6.
@@ -93,9 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 8
-	}
-	if c.At == 0 {
-		c.At = 2000
 	}
 	if c.JobIDBase == 0 {
 		c.JobIDBase = 1_000_000
@@ -252,6 +251,9 @@ func Run(ctx context.Context, cfg Config) (*Scorecard, error) {
 	}
 	if cfg.Duration <= 0 && cfg.Requests <= 0 {
 		return nil, fmt.Errorf("loadgen: need Duration or Requests")
+	}
+	if cfg.At <= 0 {
+		return nil, fmt.Errorf("loadgen: At (prediction instant, unix seconds) required")
 	}
 	if cfg.Duration > 0 {
 		var cancel context.CancelFunc

@@ -30,7 +30,7 @@ func TestRunMixedWorkloadScorecard(t *testing.T) {
 	defer srv.Close()
 
 	sc, err := Run(context.Background(), Config{
-		BaseURL: srv.URL, Requests: 200, Concurrency: 4,
+		BaseURL: srv.URL, Requests: 200, Concurrency: 4, At: 2000,
 		Validate: StrictValidate,
 	})
 	if err != nil {
@@ -111,7 +111,7 @@ func TestRunCountsFailures(t *testing.T) {
 	defer srv.Close()
 
 	sc, err := Run(context.Background(), Config{
-		BaseURL: srv.URL, Requests: 50, Concurrency: 2, Validate: StrictValidate,
+		BaseURL: srv.URL, Requests: 50, Concurrency: 2, At: 2000, Validate: StrictValidate,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestRunOpenLoopPacing(t *testing.T) {
 	start := time.Now()
 	sc, err := Run(context.Background(), Config{
 		BaseURL: srv.URL, Duration: 300 * time.Millisecond,
-		Concurrency: 2, RatePerSec: 50,
+		Concurrency: 2, RatePerSec: 50, At: 2000,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -152,7 +152,7 @@ func TestBatchStepAllocFree(t *testing.T) {
 
 // BenchmarkTrainEpoch measures one full training epoch of a paper-shaped
 // regressor (33 features, 64/32 hidden, smooth-L1, Adam) on the serial
-// path. Feeds BENCH_train.json via `make bench-json`.
+// path.
 func BenchmarkTrainEpoch(b *testing.B) {
 	const rows = 8192
 	rng := rand.New(rand.NewSource(51))

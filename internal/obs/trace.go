@@ -10,7 +10,7 @@ import (
 // the per-stage latency histogram and the access log's spans group (see
 // IsStage). Keeping them centralized bounds the label cardinality.
 const (
-	StageSnapshot  = "snapshot"  // queue-state resolution (engine or trace scan)
+	StageSnapshot  = "snapshot"  // queue-state resolution (engine extraction via the snapshot cache)
 	StageFeaturize = "featurize" // engineered 33-feature row construction
 	StageScale     = "scale"     // scaler transform
 	StageClassify  = "classify"  // classifier head forward pass

@@ -1,7 +1,7 @@
-// Tests for the live-state engine's contract with the legacy trace-scan
-// path: event-replayed snapshots must reproduce the scan's feature vectors
-// bit-for-bit, and the scan itself must honor open intervals (pending jobs
-// with no start, running jobs with no end).
+// Tests for the live-state engine's contract with the offline trace scan,
+// its oracle: event-replayed snapshots must reproduce the scan's feature
+// vectors bit-for-bit, and the scan itself must honor open intervals
+// (pending jobs with no start, running jobs with no end).
 package trout_test
 
 import (
@@ -22,8 +22,8 @@ import (
 
 // TestLiveStateEquivalence replays the shared experiment's trace as an
 // event stream and checks that at sampled instants the engine's indexed
-// snapshot produces feature vectors byte-identical to the legacy whole-
-// trace scan. Float sums are order-dependent, so the trace copy is sorted
+// snapshot produces feature vectors byte-identical to the whole-trace
+// scan. Float sums are order-dependent, so the trace copy is sorted
 // by job ID — the order accounting dumps arrive in, and the order the
 // engine emits.
 func TestLiveStateEquivalence(t *testing.T) {
@@ -137,8 +137,8 @@ func TestSnapshotAtInstantOpenIntervals(t *testing.T) {
 
 // TestServiceEventsEndpoint streams lifecycle events into a running
 // service and checks the live engine answers the subsequent prediction
-// (snapshot_source "live"), while historical jobs still fall back to the
-// legacy scan.
+// (snapshot_source "live"), while a job the events have not made pending
+// is the engine's 404.
 func TestServiceEventsEndpoint(t *testing.T) {
 	srv, e := testService(t)
 	now := e.Trace.Jobs[len(e.Trace.Jobs)-1].End + 100
@@ -176,13 +176,31 @@ func TestServiceEventsEndpoint(t *testing.T) {
 		t.Fatalf("tracked pending job answered by %q, want live", p.Source)
 	}
 
-	// A completed mid-trace job is not pending in the engine: scan answers.
+	// A completed mid-trace job is not pending in the engine, and there is
+	// no second state to dig it out of.
 	histID := e.Trace.Jobs[len(e.Trace.Jobs)/2].ID
-	if code := getJSON(t, fmt.Sprintf("%s/predict?job=%d", srv.URL, histID), &p); code != 200 {
-		t.Fatalf("historical predict status %d", code)
+	if code := getJSON(t, fmt.Sprintf("%s/predict?job=%d", srv.URL, histID), &p); code != http.StatusNotFound {
+		t.Fatalf("historical predict status %d, want 404", code)
 	}
-	if p.Source != "scan" {
-		t.Fatalf("historical job answered by %q, want scan", p.Source)
+}
+
+// TestServiceEventsLineLimits pins the /events line scanner's two limits:
+// its buffer must grow for a line longer than its initial 1 MiB, and a line
+// over the 4 MiB cap is a structured 400, not a truncated apply.
+func TestServiceEventsLineLimits(t *testing.T) {
+	srv, e := testService(t)
+	now := e.Trace.Jobs[len(e.Trace.Jobs)-1].End + 100
+	submit := fmt.Sprintf(`{"type":"submit","time":%d,"job":{"id":9000002,"user":3,"partition":"shared","submit":%d,"req_cpus":8,"req_mem_gb":16,"req_nodes":1,"time_limit":7200,"priority":3000}}`, now, now)
+
+	padded := submit + strings.Repeat(" ", 2<<20-len(submit)) + "\n"
+	if ack := postEvents(t, srv.URL, padded); ack.Applied != 1 || ack.BadLines != 0 {
+		t.Fatalf("2 MiB line: ack %+v, want 1 applied", ack)
+	}
+
+	over := submit + strings.Repeat(" ", 4<<20) + "\n"
+	code, eb := errorReply(t, srv.URL+"/events", over)
+	if code != http.StatusBadRequest || !strings.Contains(eb.Error, "token too long") {
+		t.Fatalf("line over 4 MiB gave %d %q, want 400 token too long", code, eb.Error)
 	}
 }
 

@@ -391,20 +391,20 @@ func metricValue(t *testing.T, body, series string) float64 {
 // histogram buckets with +Inf, and identical family/series ordering
 // across two scrapes.
 func TestMetricsExposition(t *testing.T) {
-	srv, e := testService(t)
+	srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{})
+	q := liveQueueFixture(t)
 	// Exercise: health, a by-ID predict (stage spans), a batch predict
 	// (batch-size histogram), and a 404 (error-path counter).
 	if code := getJSON(t, srv.URL+"/health", &struct{}{}); code != 200 {
 		t.Fatalf("health %d", code)
 	}
-	jobID := e.Trace.Jobs[len(e.Trace.Jobs)/2].ID
 	var pr struct {
 		Long bool `json:"long"`
 	}
-	if code := getJSON(t, fmt.Sprintf("%s/predict?job=%d", srv.URL, jobID), &pr); code != 200 {
+	if code := getJSON(t, fmt.Sprintf("%s/predict?job=%d", srv.URL, q.Pending[0].ID), &pr); code != 200 {
 		t.Fatalf("predict %d", code)
 	}
-	at := e.Trace.Jobs[len(e.Trace.Jobs)/2].Eligible
+	at := q.Now
 	body := fmt.Sprintf(`{"at":%d,"jobs":[{"user":3,"partition":"shared","req_cpus":8},{"user":4,"partition":"shared","req_cpus":4}]}`, at)
 	resp, err := http.Post(srv.URL+"/predict/batch", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -428,7 +428,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	for name, typ := range map[string]string{
 		"trout_predictions_total":              "counter",
-		"trout_snapshot_source_total":          "counter",
+		"trout_snapshot_cache_requests_total":  "counter",
 		"trout_http_requests_total":            "counter",
 		"trout_http_request_duration_seconds":  "histogram",
 		"trout_predict_stage_duration_seconds": "histogram",
@@ -561,20 +561,14 @@ func accessLogs(t *testing.T, sb *syncBuf, n int) []map[string]any {
 // log with per-stage spans; a missing or malformed one is replaced by a
 // generated ID.
 func TestTraceIDPropagation(t *testing.T) {
-	e := sharedExperiment(t)
+	q := liveQueueFixture(t)
 	var sb syncBuf
 	logger, err := obs.NewLogger(&sb, "info", "json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := trout.NewServiceWith(resilientBundle(t), e.Trace, trout.ServiceConfig{Logger: logger})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(svc.Handler())
-	t.Cleanup(srv.Close)
-
-	jobID := e.Trace.Jobs[len(e.Trace.Jobs)/2].ID
+	srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{Logger: logger})
+	jobID := q.Pending[0].ID
 	get := func(traceID string) *http.Response {
 		req, err := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/predict?job=%d", srv.URL, jobID), nil)
 		if err != nil {

@@ -61,11 +61,6 @@ type PipelineConfig struct {
 	Sim *slurmsim.Config
 	// Features overrides feature engineering options.
 	Features features.Options
-	// ExactTrees trains the runtime-predictor forest with the exact
-	// per-node split search instead of the default histogram learner
-	// (an order of magnitude slower on paper-sized traces; kept for
-	// quality comparisons). Equivalent to setting Features.ExactTrees.
-	ExactTrees bool
 	// Model configures TROUT training.
 	Model ModelConfig
 	// Folds and TestFraction configure time-series cross-validation
@@ -120,9 +115,6 @@ func (p *PipelineConfig) BuildDataset(tr *Trace, cluster *ClusterSpec) (*Dataset
 	opt := p.Features
 	if opt.Seed == 0 {
 		opt.Seed = p.Seed
-	}
-	if p.ExactTrees {
-		opt.ExactTrees = true
 	}
 	return features.Build(tr, cluster, opt)
 }

@@ -57,13 +57,9 @@ type ServiceConfig struct {
 	// LeaderURL switches the service into follower mode: the live store
 	// replicates from the leader troutd at this base URL, /predict and
 	// friends serve from the replica, and the write endpoints (/events,
-	// /state) are forwarded to the leader instead of handled locally.
-	// Empty means leader (normal) mode.
+	// /state) are reverse-proxied to the leader instead of handled
+	// locally. Empty means leader (normal) mode.
 	LeaderURL string
-	// ProxyWrites makes a follower transparently reverse-proxy write
-	// requests to the leader. False (the default) answers writes with a
-	// 307 redirect instead, keeping the follower out of the write path.
-	ProxyWrites bool
 	// Replication tunes the follower pull loop (poll window, retry
 	// policy, lag thresholds). Ignored in leader mode; LeaderURL and the
 	// live store are filled in by the service.
@@ -115,7 +111,7 @@ func (c *ServiceConfig) defaults() {
 //
 //	GET  /health          — liveness + model metadata + fallback-tier counters
 //	GET  /ready           — readiness (503 while draining or not yet serving)
-//	GET  /predict?job=ID  — Algorithm 1 for a known job in the queue state
+//	GET  /predict?job=ID  — Algorithm 1 for a job pending in the queue state
 //	POST /predict         — Algorithm 1 for a hypothetical job (JSON spec)
 //	POST /predict/batch   — Algorithm 1 for many hypothetical jobs at one
 //	                        instant (snapshot resolved once, mini-batched NN)
@@ -129,11 +125,14 @@ func (c *ServiceConfig) defaults() {
 // body-limit middleware; predictions go through the bundle's fallback
 // chain, so a poisoned model degrades answers instead of availability.
 //
-// Snapshots come from two sources: the event-sourced livestate engine
-// (O(log n + k) indexed extraction, the "live" source) when it can answer,
-// falling back to the legacy whole-trace scan ("scan") for historical
-// instants or jobs the engine does not track. State updates, event
-// ingestion, and predictions are safe for concurrent use.
+// The event-sourced livestate engine is the only queue state: /state and
+// the initial trace seed it, /events and replication advance it, and every
+// snapshot is an O(log n + k) indexed extraction from it. What it cannot
+// answer is refused rather than guessed: an instant more than an hour
+// behind its clock is a 422, a job it does not track as pending a 404 —
+// on leader, follower and recovered daemon alike. Historical what-ifs are
+// the offline scan's job (cmd/trout -trace ... -job/-at). State updates,
+// event ingestion, and predictions are safe for concurrent use.
 type Service struct {
 	// serving is the bundle answering predictions right now, paired with
 	// its registry identity and replaced atomically as one unit by
@@ -164,7 +163,6 @@ type Service struct {
 	// rendered by GET /metrics.
 	reg          *obs.Registry
 	tiers        *obs.CounterVec   // trout_predictions_total{tier}
-	sources      *obs.CounterVec   // trout_snapshot_source_total{source}
 	batchSize    *obs.Histogram    // trout_predict_batch_size
 	httpReqs     *obs.CounterVec   // trout_http_requests_total{path,code}
 	httpLatency  *obs.Histogram    // trout_http_request_duration_seconds
@@ -185,15 +183,6 @@ type Service struct {
 	// version, so every ingest/reseed/replay invalidates it implicitly.
 	snapCache *snapCache
 	cacheOps  *obs.CounterVec // trout_snapshot_cache_requests_total{result}
-
-	// state is the legacy whole-trace queue state, read lock-free on the
-	// request path (the engine-or-scan decision needs no lock: each
-	// request serves from exactly one internally-consistent source, so
-	// the only requirement is that the pointer swap is atomic). stateMu
-	// serializes writers — POST /state swaps the trace and reseeds the
-	// engine as one unit relative to other uploads.
-	stateMu sync.Mutex
-	state   atomic.Pointer[Trace]
 }
 
 // NewService wraps a bundle with an initial queue state (may be empty)
@@ -204,13 +193,10 @@ func NewService(b *Bundle, initial *Trace) (*Service, error) {
 
 // NewServiceWith is NewService with an explicit resilience configuration.
 // When the live store's engine is empty (fresh store, or a WAL directory
-// with nothing to recover), the initial trace seeds it.
+// with nothing to recover), the initial trace (may be nil) seeds it.
 func NewServiceWith(b *Bundle, initial *Trace, cfg ServiceConfig) (*Service, error) {
 	if b == nil {
 		return nil, fmt.Errorf("trout: service needs a bundle")
-	}
-	if initial == nil {
-		initial = &Trace{}
 	}
 	cfg.defaults()
 	if cfg.Live == nil {
@@ -237,7 +223,6 @@ func NewServiceWith(b *Bundle, initial *Trace, cfg ServiceConfig) (*Service, err
 		s.tracer = tr
 	}
 	s.slo = obs.NewSLOTracker(cfg.SLO)
-	s.state.Store(initial)
 	s.applyFastInference(b)
 	s.serving.Store(&servingBundle{b: b})
 	s.repLeader = replication.NewLeader(s.live, replication.LeaderOptions{})
@@ -266,7 +251,7 @@ func NewServiceWith(b *Bundle, initial *Trace, cfg ServiceConfig) (*Service, err
 	s.admission = resilience.NewAdmission(adm)
 	// A follower's replica is fed by the leader's stream, never by a local
 	// seed — seeding would just diverge it and force a re-snapshot.
-	if s.follower == nil && len(initial.Jobs) > 0 && s.live.Engine().Stats().Tracked == 0 {
+	if s.follower == nil && initial != nil && len(initial.Jobs) > 0 && s.live.Engine().Stats().Tracked == 0 {
 		if _, err := s.live.Seed(initial); err != nil {
 			return nil, fmt.Errorf("trout: seeding live state: %w", err)
 		}
@@ -313,8 +298,6 @@ func (s *Service) initTelemetry() {
 	s.reg = r
 	s.tiers = r.CounterVec("trout_predictions_total",
 		"Predictions answered, by fallback tier.", "tier")
-	s.sources = r.CounterVec("trout_snapshot_source_total",
-		"Queue snapshots produced, by source (live engine vs trace scan).", "source")
 	s.batchSize = r.Histogram("trout_predict_batch_size",
 		"Jobs per POST /predict/batch request.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
@@ -545,7 +528,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("/predict/batch", s.handlePredictBatch)
 	if s.follower != nil {
 		// Followers own no write path: /events and /state belong to the
-		// leader, reached by 307 redirect or transparent proxy.
+		// leader, reached through a transparent reverse proxy.
 		fw := s.forwardWrites()
 		mux.Handle("/state", fw)
 		mux.Handle("/events", fw)
@@ -653,11 +636,10 @@ type replicationHealth struct {
 }
 
 type liveHealth struct {
-	Now     int64             `json:"now"`
-	Pending int               `json:"pending"`
-	Running int               `json:"running"`
-	Tracked int               `json:"tracked"`
-	Sources map[string]uint64 `json:"snapshot_sources"`
+	Now     int64 `json:"now"`
+	Pending int   `json:"pending"`
+	Running int   `json:"running"`
+	Tracked int   `json:"tracked"`
 }
 
 func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -665,7 +647,6 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 		resilience.WriteError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
-	n := len(s.state.Load().Jobs)
 	sb := s.serving.Load()
 	st := s.live.Engine().Stats()
 	tiers := s.tiers.Snapshot()
@@ -705,7 +686,7 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Status:        status,
 		CutoffMinutes: sb.b.Model.Cfg.CutoffMinutes,
 		NumFeatures:   sb.b.Model.NumInputs,
-		QueueJobs:     n,
+		QueueJobs:     st.Tracked,
 		Partitions:    len(sb.b.Cluster.Partitions),
 		FallbackTiers: tiers,
 		Degraded:      degraded,
@@ -716,8 +697,7 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 		},
 		ControlPlane: cpStatus,
 		Live: liveHealth{
-			Now: st.Now, Pending: st.Pending, Running: st.Running,
-			Tracked: st.Tracked, Sources: s.sources.Snapshot(),
+			Now: st.Now, Pending: st.Pending, Running: st.Running, Tracked: st.Tracked,
 		},
 		Replication: rep,
 		SLO:         sloStatus,
@@ -765,22 +745,15 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 }
 
 // forwardWrites returns the follower-mode handler for the write endpoints:
-// a transparent reverse proxy to the leader when ProxyWrites is set, a 307
-// redirect (method-preserving) otherwise.
+// a transparent reverse proxy to the leader, which carries the inbound
+// X-Request-ID and X-Trout-Parent-Span across the hop without a client
+// round trip.
 func (s *Service) forwardWrites() http.Handler {
 	target, err := url.Parse(s.cfg.LeaderURL)
 	if err != nil || target.Scheme == "" || target.Host == "" {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			resilience.WriteError(w, http.StatusBadGateway,
 				fmt.Sprintf("follower: bad leader URL %q", s.cfg.LeaderURL))
-		})
-	}
-	if !s.cfg.ProxyWrites {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			dest := *target
-			dest.Path = r.URL.Path
-			dest.RawQuery = r.URL.RawQuery
-			http.Redirect(w, r, dest.String(), http.StatusTemporaryRedirect)
 		})
 	}
 	proxy := httputil.NewSingleHostReverseProxy(target)
@@ -817,9 +790,9 @@ type predictRequest struct {
 }
 
 // predictResponse is the /predict payload. Tier names the fallback tier
-// that answered ("nn" when the neural network is healthy); Source names
-// where the queue snapshot came from ("live" = indexed engine, "scan" =
-// legacy whole-trace reconstruction).
+// that answered ("nn" when the neural network is healthy). Source is
+// always "live" — the engine is the only snapshot source — and stays on
+// the wire because bench/check.go requires the field.
 type predictResponse struct {
 	Long    bool    `json:"long"`
 	Prob    float64 `json:"prob"`
@@ -836,71 +809,33 @@ type predictResponse struct {
 	ModelID      string `json:"model_id,omitempty"`
 }
 
-// Snapshot-source names for counters and response tags.
-const (
-	sourceLive = "live"
-	sourceScan = "scan"
-)
+// sourceLive is the snapshot_source every response carries.
+const sourceLive = "live"
 
-// snapshotForJob resolves a known job's queue snapshot: the live engine
-// answers for jobs it tracks as pending (O(log n + k), amortized further
-// by the shared snapshot cache); anything else — historical, running, or
-// unknown to the event stream — falls back to the legacy trace scan.
-//
-// The resolvers below take no service-level lock. Each request serves
-// from exactly one source, and both sources are internally consistent on
-// their own (the engine under its lock + version counter, the trace via
-// atomic pointer swap), so the old pattern of holding s.mu across the
-// engine-or-scan decision and the extraction bought nothing but
-// contention: a request that decided "engine" never touches the trace,
-// and vice versa. POST /state's linearization point is the engine reseed
-// (which bumps the engine version and thereby invalidates the snapshot
-// cache); requests racing the upload serve either the complete old state
-// or the complete new one.
-func (s *Service) snapshotForJob(jobID int) (*Snapshot, string, error) {
-	if target, at, err := s.live.Engine().TargetForJob(jobID); err == nil {
-		return s.snapCache.snapshotAt(target, at), sourceLive, nil
+// snapshotForJob resolves a tracked pending job's queue snapshot at the
+// engine clock (or the job's eligibility instant, if later) through the
+// shared snapshot cache. Any other job — finished, running, or unknown to
+// the event stream — is the engine's not-found error.
+func (s *Service) snapshotForJob(jobID int) (*Snapshot, error) {
+	target, at, err := s.live.Engine().TargetForJob(jobID)
+	if err != nil {
+		return nil, err
 	}
-	snap, err := SnapshotFromTrace(s.state.Load(), jobID)
-	return snap, sourceScan, err
+	return s.snapCache.snapshotAt(target, at), nil
 }
 
-// snapshotAt resolves a hypothetical job's snapshot at an instant: the
-// live engine answers when it tracks state and the instant is at (or past)
-// its clock — the deployment case of predicting for a submission happening
-// now — while historical instants scan the legacy trace.
-func (s *Service) snapshotAt(at int64, target trace.Job) (*Snapshot, string) {
-	if eng := s.live.Engine(); eng.Ready(at) {
-		return s.snapCache.snapshotAt(target, at), sourceLive
-	}
-	return SnapshotAtInstant(s.state.Load(), at, target), sourceScan
-}
-
-// snapshotBatch resolves snapshots for many hypothetical jobs at one
-// instant, amortizing the queue reconstruction: the live engine computes
-// pending/running once and shares them across targets (and, through the
-// snapshot cache, across requests); the legacy scan reconstructs the
-// instant once and stamps each target onto a copy. Either way each
-// element is identical to what snapshotAt would return for that job
-// alone.
-func (s *Service) snapshotBatch(at int64, jobs []trace.Job) ([]*Snapshot, string) {
-	if eng := s.live.Engine(); eng.Ready(at) {
-		return s.snapCache.snapshotBatch(jobs, at), sourceLive
-	}
-	base := SnapshotAtInstant(s.state.Load(), at, trace.Job{})
-	snaps := make([]*Snapshot, len(jobs))
-	for i, j := range jobs {
-		sc := *base
-		sc.Target = j
-		snaps[i] = &sc
-	}
-	return snaps, sourceScan
+// writeStaleAt refuses a hypothetical prediction at an instant the engine
+// has pruned past: an answer from whatever queue remains would be a
+// confident forecast of the wrong state.
+func writeStaleAt(w http.ResponseWriter, at, now int64) {
+	resilience.WriteError(w, http.StatusUnprocessableEntity, fmt.Sprintf(
+		"predict: at %d is more than an hour behind the engine clock %d; replay history offline with cmd/trout -trace ... -at",
+		at, now))
 }
 
 func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 	root := obs.TraceFrom(r.Context()).Root()
 	var snap *Snapshot
-	var source string
 	switch r.Method {
 	case http.MethodGet:
 		jobID, err := parseJobID(r)
@@ -909,13 +844,12 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		sp := root.StartChild(obs.StageSnapshot)
-		sn, src, err := s.snapshotForJob(jobID)
+		snap, err = s.snapshotForJob(jobID)
 		sp.End()
 		if err != nil {
 			resilience.WriteError(w, http.StatusNotFound, err.Error())
 			return
 		}
-		snap, source = sn, src
 	case http.MethodPost:
 		rb := getRespBuf()
 		defer putRespBuf(rb)
@@ -956,13 +890,19 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 			req.Job.Submit = req.At
 		}
 		sp := root.StartChild(obs.StageSnapshot)
-		snap, source = s.snapshotAt(req.At, req.Job)
+		now, ok := s.live.Engine().Ready(req.At)
+		if ok {
+			snap = s.snapCache.snapshotAt(req.Job, req.At)
+		}
 		sp.End()
+		if !ok {
+			writeStaleAt(w, req.At, now)
+			return
+		}
 	default:
 		resilience.WriteError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
-	s.sources.Inc(source)
 
 	// One serving-bundle load covers the whole request: prediction,
 	// message cutoff, and response attribution all come from the same
@@ -987,7 +927,7 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 		Long: pred.Long, Prob: pred.Prob, Minutes: pred.Minutes,
 		Message: pred.Message(sb.b.Model.Cfg.CutoffMinutes),
 		Tier:    pred.Tier,
-		Source:  source,
+		Source:  sourceLive,
 		Pending: len(snap.Pending), Running: len(snap.Running),
 		ModelVersion: sb.version, ModelID: sb.b.Fingerprint,
 	})
@@ -1013,8 +953,9 @@ type batchItem struct {
 }
 
 // predictBatchResponse is the /predict/batch payload. The snapshot is
-// resolved once for the whole batch, so Source/Pending/Running are
-// batch-level; Results is index-aligned with the request's Jobs.
+// resolved once for the whole batch, so Source (always "live", as on
+// predictResponse) and Pending/Running are batch-level; Results is
+// index-aligned with the request's Jobs.
 type predictBatchResponse struct {
 	At      int64       `json:"at"`
 	Source  string      `json:"snapshot_source"`
@@ -1084,16 +1025,23 @@ func (s *Service) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 
 	root := obs.TraceFrom(r.Context()).Root()
 	sp := root.StartChild(obs.StageSnapshot)
-	snaps, source := s.snapshotBatch(req.At, req.Jobs)
+	var snaps []*Snapshot
+	now, ok := s.live.Engine().Ready(req.At)
+	if ok {
+		snaps = s.snapCache.snapshotBatch(req.Jobs, req.At)
+	}
 	sp.End()
+	if !ok {
+		writeStaleAt(w, req.At, now)
+		return
+	}
 	s.batchSize.Observe(float64(len(req.Jobs)))
-	s.sources.With(source).Add(uint64(len(req.Jobs)))
 
 	sb := s.serving.Load()
 	ctl := s.ctl.Load()
 	results := sb.b.predictBatchWithFallback(snaps, root)
 	resp := predictBatchResponse{
-		At: req.At, Source: source,
+		At: req.At, Source: sourceLive,
 		Results:      make([]batchItem, len(results)),
 		ModelVersion: sb.version, ModelID: sb.b.Fingerprint,
 	}
@@ -1142,26 +1090,20 @@ func (s *Service) handleState(w http.ResponseWriter, r *http.Request) {
 		resilience.WriteError(w, resilience.BodyErrorStatus(err), fmt.Sprintf("state: %v", err))
 		return
 	}
-	// Swap the legacy trace and reseed the live engine as one unit
-	// relative to other uploads (stateMu serializes writers). Readers are
-	// lock-free: each serves wholly from the engine or wholly from the
-	// trace, so the only linearization point that matters is the engine
-	// reseed, which bumps the engine version and invalidates every cached
-	// snapshot at once.
-	s.stateMu.Lock()
-	s.state.Store(tr)
-	n := len(tr.Jobs)
+	// The reseed is the upload's linearization point: it replaces the
+	// engine state under the engine lock and bumps the engine version,
+	// which invalidates every cached snapshot at once. Requests racing the
+	// upload serve either the complete old state or the complete new one.
 	seed, err := s.live.Seed(tr)
-	s.stateMu.Unlock()
 	if err != nil {
-		// The legacy trace swap already succeeded; a failed checkpoint is
+		// The engine already holds the new state; a failed checkpoint is
 		// degraded durability, not a failed upload.
 		if s.cfg.Logf != nil {
 			s.cfg.Logf("state: live seed checkpoint: %v", err)
 		}
 	}
 	s.writeJSON(w, r, http.StatusOK, stateResponse{
-		Jobs: n, Skipped: rep.Skipped,
+		Jobs: len(tr.Jobs), Skipped: rep.Skipped,
 		LiveActive: seed.Active, LiveHistory: seed.History,
 	})
 }
@@ -1183,6 +1125,9 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc := bufio.NewScanner(r.Body)
+	// A 64 KiB start would do (the scanner grows on demand up to the 4 MiB
+	// line cap) and saves a megabyte of zeroed garbage per request, but the
+	// in-process quick pass in bench/ only holds with it: see ROADMAP item 1.
 	sc.Buffer(make([]byte, 1<<20), 4<<20)
 	var resp eventsResponse
 	budget := s.cfg.MaxBadStateRows
@@ -1232,12 +1177,11 @@ func (s *Service) handleFeatures(w http.ResponseWriter, r *http.Request) {
 		resilience.WriteError(w, http.StatusBadRequest, fmt.Sprintf("features: %v", err))
 		return
 	}
-	snap, source, err := s.snapshotForJob(jobID)
+	snap, err := s.snapshotForJob(jobID)
 	if err != nil {
 		resilience.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	s.sources.Inc(source)
 	row, err := s.serving.Load().b.FeatureRow(snap)
 	if err != nil {
 		resilience.WriteError(w, http.StatusBadRequest, err.Error())
@@ -1248,29 +1192,6 @@ func (s *Service) handleFeatures(w http.ResponseWriter, r *http.Request) {
 		out[FeatureNames[i]] = v
 	}
 	s.writeJSON(w, r, http.StatusOK, out)
-}
-
-// SnapshotAtInstant reconstructs queue state at an arbitrary time by
-// scanning the whole trace, with the hypothetical job injected as target —
-// the legacy O(N) path the livestate engine replaces for live instants,
-// kept as the fallback tier for historical reconstruction. Open intervals
-// are honored: a job with Start == 0 is still pending and End == 0 still
-// running, so live traces keep their genuinely-queued jobs.
-func SnapshotAtInstant(tr *Trace, at int64, target trace.Job) *Snapshot {
-	snap := &Snapshot{Now: at, Target: target}
-	for i := range tr.Jobs {
-		j := tr.Jobs[i]
-		switch livestate.PhaseAt(&j, at) {
-		case livestate.PhasePending:
-			snap.Pending = append(snap.Pending, j)
-		case livestate.PhaseRunning:
-			snap.Running = append(snap.Running, j)
-		}
-		if j.Submit >= at-86400 && j.Submit < at {
-			snap.History = append(snap.History, j)
-		}
-	}
-	return snap
 }
 
 // writeBody commits a fully-marshaled JSON body: Content-Length is exact,

@@ -116,25 +116,19 @@ func checkBatchMatchesSequential(t *testing.T, url string, at int64, jobs []trac
 }
 
 // TestServiceBatchMatchesSequential is the equivalence guarantee for the
-// batch endpoint, exercised through both snapshot sources: a historical
-// instant (legacy trace scan) and a live instant (indexed engine).
+// batch endpoint on a queue with pending and running jobs, at both ends of
+// the instants the engine answers: its clock, and the far edge of the
+// one-hour window behind it.
 func TestServiceBatchMatchesSequential(t *testing.T) {
-	srv, e := testService(t)
-	jobs := batchFixtureJobs(e, 12)
+	srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{})
+	jobs := batchFixtureJobs(sharedExperiment(t), 12)
+	now := liveQueueFixture(t).Now
 
-	histAt := e.Trace.Jobs[len(e.Trace.Jobs)/2].Eligible
-	t.Run("scan", func(t *testing.T) {
-		checkBatchMatchesSequential(t, srv.URL, histAt, jobs)
+	t.Run("behind-clock", func(t *testing.T) {
+		checkBatchMatchesSequential(t, srv.URL, now-3600, jobs)
 	})
-
-	liveAt := int64(0)
-	for _, j := range e.Trace.Jobs {
-		if j.End > liveAt {
-			liveAt = j.End
-		}
-	}
 	t.Run("live", func(t *testing.T) {
-		checkBatchMatchesSequential(t, srv.URL, liveAt, jobs)
+		checkBatchMatchesSequential(t, srv.URL, now, jobs)
 	})
 }
 
@@ -146,7 +140,7 @@ func TestServiceBatchFallbackMatchesSequential(t *testing.T) {
 	e := sharedExperiment(t)
 	srv, svc := resilientServer(t, poisonedClassifier(t, resilientBundle(t)), trout.ServiceConfig{})
 	jobs := batchFixtureJobs(e, 6)
-	at := e.Trace.Jobs[len(e.Trace.Jobs)/2].Eligible
+	at := liveQueueFixture(t).Now
 	checkBatchMatchesSequential(t, srv.URL, at, jobs)
 
 	var got batchReply
@@ -165,9 +159,9 @@ func TestServiceBatchFallbackMatchesSequential(t *testing.T) {
 
 // TestServiceBatchValidation pins the endpoint's input checks.
 func TestServiceBatchValidation(t *testing.T) {
-	srv, e := testService(t)
-	job := batchFixtureJobs(e, 1)[0]
-	at := e.Trace.Jobs[len(e.Trace.Jobs)/2].Eligible
+	srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{})
+	job := batchFixtureJobs(sharedExperiment(t), 1)[0]
+	at := liveQueueFixture(t).Now
 
 	cases := []struct {
 		name string
@@ -200,7 +194,7 @@ func TestServiceBatchSizeLimit(t *testing.T) {
 	e := sharedExperiment(t)
 	srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{MaxBatchJobs: 4})
 	jobs := batchFixtureJobs(e, 5)
-	at := e.Trace.Jobs[len(e.Trace.Jobs)/2].Eligible
+	at := liveQueueFixture(t).Now
 	if code := postJSON(t, srv.URL+"/predict/batch", map[string]any{"at": at, "jobs": jobs}, nil); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize batch status %d, want 413", code)
 	}
@@ -242,13 +236,15 @@ func TestServicePredictNegativeInputs(t *testing.T) {
 
 // TestServiceConcurrentStateSwapAndBatch drives POST /state swaps against
 // GET/POST /predict and /predict/batch concurrently; under -race this
-// validates the single-critical-section state swap (trace and live engine
-// reseeded atomically under s.mu).
+// validates that an engine reseed is one atomic step for readers. The GET
+// target is pending in the full upload and absent from the truncated one,
+// so it legitimately answers 200 or 404 depending on which state it meets.
 func TestServiceConcurrentStateSwapAndBatch(t *testing.T) {
-	srv, e := testService(t)
-	jobs := batchFixtureJobs(e, 4)
-	jobID := e.Trace.Jobs[len(e.Trace.Jobs)/3].ID
-	at := e.Trace.Jobs[len(e.Trace.Jobs)/2].Eligible
+	srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{})
+	q := liveQueueFixture(t)
+	jobs := batchFixtureJobs(sharedExperiment(t), 4)
+	jobID := q.Pending[len(q.Pending)-1].ID
+	at := q.Now
 
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -279,12 +275,12 @@ func TestServiceConcurrentStateSwapAndBatch(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
 			// Alternate between a truncated and the full trace so swaps
-			// genuinely change both the legacy state and the engine seed.
-			n := len(e.Trace.Jobs)
+			// genuinely change the engine seed.
+			n := len(q.Trace.Jobs)
 			if i%2 == 0 {
 				n = 100
 			}
-			sub := &trout.Trace{Jobs: e.Trace.Jobs[:n]}
+			sub := &trout.Trace{Jobs: q.Trace.Jobs[:n]}
 			var buf bytes.Buffer
 			if err := sub.WriteJSONL(&buf); err != nil {
 				return
@@ -307,7 +303,7 @@ func TestServiceBatchMetrics(t *testing.T) {
 	e := sharedExperiment(t)
 	srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{})
 	jobs := batchFixtureJobs(e, 3)
-	at := e.Trace.Jobs[len(e.Trace.Jobs)/2].Eligible
+	at := liveQueueFixture(t).Now
 	if code := postJSON(t, srv.URL+"/predict/batch", map[string]any{"at": at, "jobs": jobs}, nil); code != http.StatusOK {
 		t.Fatalf("batch status %d", code)
 	}

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -106,7 +107,7 @@ func TestFollowerReadyReflectsReplicationLag(t *testing.T) {
 		t.Fatalf("503 without structured error body: %s", body)
 	}
 
-	// /predict still answers, tier-tagged, from the scan fallback.
+	// /predict still answers, tier-tagged, from the (still empty) replica.
 	at := e.Trace.Jobs[len(e.Trace.Jobs)-1].End + 100
 	preq := fmt.Sprintf(`{"at":%d,"job":{"user":3,"partition":"shared","req_cpus":8,"req_mem_gb":16,"req_nodes":1,"time_limit":7200,"priority":3000}}`, at)
 	var pr struct {
@@ -167,8 +168,9 @@ func TestFollowerReadyReflectsReplicationLag(t *testing.T) {
 
 // TestLeaderFollowerIdenticalAnswers is the convergence acceptance at the
 // API surface: after events flow leader→follower, both nodes produce the
-// same 33-feature vector and the same prediction for a probe job, and the
-// follower forwards writes to the leader.
+// same 33-feature vector and the same prediction for a probe job, refuse
+// the same requests with the same bodies, and the follower forwards writes
+// to the leader.
 func TestLeaderFollowerIdenticalAnswers(t *testing.T) {
 	lsrv, lsvc, e := leaderService(t, trout.ServiceConfig{})
 	fsrv, fsvc := followerService(t, lsrv.URL)
@@ -235,21 +237,45 @@ func TestLeaderFollowerIdenticalAnswers(t *testing.T) {
 		t.Fatalf("predictions diverged:\nleader:   %s\nfollower: %s", lp, fp)
 	}
 
-	// Writes on the follower are not handled locally: 307 to the leader.
-	noRedirect := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	wresp, err := noRedirect.Post(fsrv.URL+"/events", "application/jsonl", strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
+	// One state, one behaviour: what the engine cannot answer is refused
+	// identically on the leader (booted from a trace) and the follower
+	// (which never saw that trace, only the replicated engine) — a stale
+	// instant is a 422 on single and batch, a finished or unknown job a
+	// 404 on /predict and /features.
+	stale := now - 7200
+	job := `{"user":5,"partition":"shared","req_cpus":16,"req_mem_gb":32,"req_nodes":1,"time_limit":14400}`
+	finished := e.Trace.Jobs[len(e.Trace.Jobs)-1].ID
+	for _, c := range []struct {
+		path, body string // GET when body is empty
+		want       int
+	}{
+		{"/predict", fmt.Sprintf(`{"at":%d,"job":%s}`, stale, job), http.StatusUnprocessableEntity},
+		{"/predict/batch", fmt.Sprintf(`{"at":%d,"jobs":[%s,%s]}`, stale, job, job), http.StatusUnprocessableEntity},
+		{fmt.Sprintf("/predict?job=%d", finished), "", http.StatusNotFound},
+		{fmt.Sprintf("/features?job=%d", finished), "", http.StatusNotFound},
+		{"/predict?job=99999999", "", http.StatusNotFound},
+		{"/features?job=99999999", "", http.StatusNotFound},
+	} {
+		lcode, lbody := errorReply(t, lsrv.URL+c.path, c.body)
+		fcode, fbody := errorReply(t, fsrv.URL+c.path, c.body)
+		if lcode != c.want || fcode != c.want || lbody != fbody {
+			t.Fatalf("%s: leader %d %+v, follower %d %+v, want identical %d",
+				c.path, lcode, lbody, fcode, fbody, c.want)
+		}
 	}
-	io.Copy(io.Discard, wresp.Body)
-	wresp.Body.Close()
-	if wresp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("follower write = %d, want 307", wresp.StatusCode)
+
+	// Writes on the follower are not handled locally: an event posted to
+	// it lands in the leader's engine and replicates back.
+	const viaFollower = 9200002
+	ack := postEvents(t, fsrv.URL, cacheEventsBody(viaFollower, now+20))
+	if ack.Applied != 2 {
+		t.Fatalf("write through the follower: ack %+v", ack)
 	}
-	if loc := wresp.Header.Get("Location"); !strings.HasPrefix(loc, lsrv.URL) {
-		t.Fatalf("redirect points at %q, not the leader", loc)
+	waitReplicated(t, lsvc, fsvc)
+	for _, url := range []string{lsrv.URL, fsrv.URL} {
+		if code := getJSON(t, fmt.Sprintf("%s/predict?job=%d", url, viaFollower), &struct{}{}); code != 200 {
+			t.Fatalf("job written through the follower: %s answers %d", url, code)
+		}
 	}
 }
 
@@ -385,77 +411,107 @@ func jsonDecode(r io.Reader, out any) error {
 }
 
 // TestWriteProxyTraceContinuity pins the cross-node trace contract for
-// follower write forwarding: one X-Request-ID must survive both forwarding
-// modes — the 307 redirect (the client re-sends the request, headers
-// included, to the leader) and the transparent reverse proxy (the follower
-// forwards the inbound headers itself) — so the leader's and follower's
-// access logs tell one story about one write.
+// follower write forwarding: one X-Request-ID must survive the reverse
+// proxy hop (the follower forwards the inbound headers itself), so the
+// leader's and follower's access logs tell one story about one write —
+// and a follower pointed at an unparseable leader answers writes with a
+// structured 502 instead of proxying nowhere.
 func TestWriteProxyTraceContinuity(t *testing.T) {
 	const traceID = "feedfacecafef00d"
 	eventsBody := `{"type":"submit","time":3000,"job":{"id":777001,"user":1,"partition":"shared","submit":3000,"req_cpus":1,"time_limit":600}}` + "\n"
-
-	for _, proxy := range []bool{false, true} {
-		name := "redirect307"
-		if proxy {
-			name = "reverseproxy"
+	// follower builds a follower of leaderURL that logs to sb and exports
+	// every trace to file.
+	follower := func(t *testing.T, leaderURL string, sb *syncBuf, file string) (*httptest.Server, *trout.Service) {
+		t.Helper()
+		flog, err := obs.NewLogger(sb, "info", "json")
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			var lsb, fsb syncBuf
-			llog, err := obs.NewLogger(&lsb, "info", "json")
-			if err != nil {
-				t.Fatal(err)
-			}
-			lsrv, _, e := leaderService(t, trout.ServiceConfig{Logger: llog})
-
-			flog, err := obs.NewLogger(&fsb, "info", "json")
-			if err != nil {
-				t.Fatal(err)
-			}
-			fsvc, err := trout.NewServiceWith(resilientBundle(t), e.Trace, trout.ServiceConfig{
-				LeaderURL:   lsrv.URL,
-				ProxyWrites: proxy,
-				Logger:      flog,
-				Replication: replication.FollowerConfig{
-					Retry: replTestRetry, PollWait: 100 * time.Millisecond,
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fsrv := httptest.NewServer(fsvc.Handler())
-			t.Cleanup(fsrv.Close)
-
-			req, err := http.NewRequest(http.MethodPost, fsrv.URL+"/events", strings.NewReader(eventsBody))
-			if err != nil {
-				t.Fatal(err)
-			}
-			req.Header.Set("Content-Type", "application/x-ndjson")
-			req.Header.Set(obs.TraceIDHeader, traceID)
-			// The default client follows the 307 (re-sending method, body,
-			// and headers); on the proxy path there is nothing to follow.
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("forwarded write = %d, want 200", resp.StatusCode)
-			}
-			if got := resp.Header.Get(obs.TraceIDHeader); got != traceID {
-				t.Fatalf("final response echoes trace ID %q, want %q", got, traceID)
-			}
-
-			// Both hops logged the write under the SAME trace ID.
-			for side, sb := range map[string]*syncBuf{"leader": &lsb, "follower": &fsb} {
-				entry := accessLogs(t, sb, 1)[0]
-				if entry["trace_id"] != traceID {
-					t.Fatalf("%s access log trace_id = %v, want %q", side, entry["trace_id"], traceID)
-				}
-				if entry["path"] != "/events" || entry["method"] != "POST" {
-					t.Fatalf("%s logged %v %v, want POST /events", side, entry["method"], entry["path"])
-				}
-			}
+		fsvc, err := trout.NewServiceWith(resilientBundle(t), nil, trout.ServiceConfig{
+			LeaderURL: leaderURL,
+			Logger:    flog,
+			Tracing:   obs.TracerConfig{SampleRate: 1, Path: file},
+			Replication: replication.FollowerConfig{
+				Retry: replTestRetry, PollWait: 100 * time.Millisecond,
+			},
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fsrv := httptest.NewServer(fsvc.Handler())
+		t.Cleanup(fsrv.Close)
+		return fsrv, fsvc
 	}
+	// rootOf returns the root span of traceID in an export file.
+	rootOf := func(t *testing.T, file string) obs.SpanJSON {
+		t.Helper()
+		for _, line := range readTraceFile(t, file) {
+			if line.TraceID == traceID {
+				return line.Spans[0]
+			}
+		}
+		t.Fatalf("trace %s not exported to %s", traceID, file)
+		return obs.SpanJSON{}
+	}
+
+	t.Run("reverseproxy", func(t *testing.T) {
+		var lsb, fsb syncBuf
+		llog, err := obs.NewLogger(&lsb, "info", "json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lfile, ffile := filepath.Join(t.TempDir(), "leader.jsonl"), filepath.Join(t.TempDir(), "follower.jsonl")
+		lsrv, lsvc, _ := leaderService(t, trout.ServiceConfig{
+			Logger: llog, Tracing: obs.TracerConfig{SampleRate: 1, Path: lfile},
+		})
+		fsrv, fsvc := follower(t, lsrv.URL, &fsb, ffile)
+
+		req, err := http.NewRequest(http.MethodPost, fsrv.URL+"/events", strings.NewReader(eventsBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/x-ndjson")
+		req.Header.Set(obs.TraceIDHeader, traceID)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("forwarded write = %d, want 200", resp.StatusCode)
+		}
+		if got := resp.Header.Get(obs.TraceIDHeader); got != traceID {
+			t.Fatalf("final response echoes trace ID %q, want %q", got, traceID)
+		}
+
+		// Both hops logged the write under the SAME trace ID.
+		for side, sb := range map[string]*syncBuf{"leader": &lsb, "follower": &fsb} {
+			entry := accessLogs(t, sb, 1)[0]
+			if entry["trace_id"] != traceID {
+				t.Fatalf("%s access log trace_id = %v, want %q", side, entry["trace_id"], traceID)
+			}
+			if entry["path"] != "/events" || entry["method"] != "POST" {
+				t.Fatalf("%s logged %v %v, want POST /events", side, entry["method"], entry["path"])
+			}
+		}
+
+		// And the span trees join up: the proxy carried the follower's root
+		// span across as X-Trout-Parent-Span, so the leader's root links to it.
+		lsvc.Tracer().Flush()
+		fsvc.Tracer().Flush()
+		froot, lroot := rootOf(t, ffile), rootOf(t, lfile)
+		if lroot.Link == nil || lroot.Link.TraceID != traceID || lroot.Link.SpanID != froot.SpanID {
+			t.Fatalf("leader root link %+v does not point at the follower's root span %s", lroot.Link, froot.SpanID)
+		}
+	})
+
+	t.Run("bad-leader-url", func(t *testing.T) {
+		var sb syncBuf
+		fsrv, _ := follower(t, "not a url", &sb, filepath.Join(t.TempDir(), "follower.jsonl"))
+		code, eb := errorReply(t, fsrv.URL+"/events", eventsBody)
+		if code != http.StatusBadGateway || !strings.Contains(eb.Error, "bad leader URL") {
+			t.Fatalf("write through a follower with a bad leader URL gave %d %q, want 502", code, eb.Error)
+		}
+	})
 }

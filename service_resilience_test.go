@@ -65,10 +65,11 @@ func poisonedClassifier(t *testing.T, b *trout.Bundle) *trout.Bundle {
 	return &bCopy
 }
 
+// resilientServer boots a service from liveQueueFixture's cut trace: the
+// engine clock sits mid-trace and the queue holds pending and running jobs.
 func resilientServer(t *testing.T, b *trout.Bundle, cfg trout.ServiceConfig) (*httptest.Server, *trout.Service) {
 	t.Helper()
-	e := sharedExperiment(t)
-	svc, err := trout.NewServiceWith(b, e.Trace, cfg)
+	svc, err := trout.NewServiceWith(b, liveQueueFixture(t).Trace, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +82,10 @@ func resilientServer(t *testing.T, b *trout.Bundle, cfg trout.ServiceConfig) (*h
 // with NaN classifier weights the service must still answer 2xx via a
 // lower tier, and /health must report the degradation.
 func TestServiceFallbackOnPoisonedNN(t *testing.T) {
-	e := sharedExperiment(t)
+	q := liveQueueFixture(t)
 	srv, _ := resilientServer(t, poisonedClassifier(t, resilientBundle(t)), trout.ServiceConfig{})
 
-	jobID := e.Trace.Jobs[len(e.Trace.Jobs)/2].ID
+	jobID := q.Pending[0].ID
 	var p struct {
 		Prob    float64 `json:"prob"`
 		Tier    string  `json:"tier"`
@@ -104,9 +105,9 @@ func TestServiceFallbackOnPoisonedNN(t *testing.T) {
 	}
 
 	// POST /predict (hypothetical job) must degrade the same way.
-	tmpl := e.Trace.Jobs[len(e.Trace.Jobs)/2]
+	tmpl := q.Pending[0]
 	body, err := json.Marshal(map[string]any{
-		"at": tmpl.Eligible,
+		"at": q.Now,
 		"job": map[string]any{
 			"user": tmpl.User, "partition": tmpl.Partition,
 			"req_cpus": tmpl.ReqCPUs, "req_mem_gb": tmpl.ReqMemGB,
@@ -149,12 +150,11 @@ func TestServiceFallbackOnPoisonedNN(t *testing.T) {
 // TestServiceHeuristicTier strips the baseline too: the partition-median
 // tier must answer.
 func TestServiceHeuristicTier(t *testing.T) {
-	e := sharedExperiment(t)
 	b := poisonedClassifier(t, resilientBundle(t))
 	b.Fallback.Baseline = nil
 	srv, svc := resilientServer(t, b, trout.ServiceConfig{})
 
-	jobID := e.Trace.Jobs[len(e.Trace.Jobs)/2].ID
+	jobID := liveQueueFixture(t).Pending[0].ID
 	var p struct {
 		Tier string `json:"tier"`
 	}
@@ -240,9 +240,8 @@ func TestFallbackOnPoisonedInput(t *testing.T) {
 // TestServiceHealthyTierIsNN pins the happy path: an intact bundle answers
 // from the primary tier and reports no degradation.
 func TestServiceHealthyTierIsNN(t *testing.T) {
-	e := sharedExperiment(t)
 	srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{})
-	jobID := e.Trace.Jobs[len(e.Trace.Jobs)/2].ID
+	jobID := liveQueueFixture(t).Pending[0].ID
 	var p struct {
 		Tier string `json:"tier"`
 	}

@@ -117,11 +117,11 @@ func validateTraceLine(t *testing.T, line obs.TraceJSON) {
 // TestTraceSmoke floods the serving stack with everything-sampled tracing
 // and schema-checks the entire export file.
 func TestTraceSmoke(t *testing.T) {
-	e := sharedExperiment(t)
+	q := liveQueueFixture(t)
 	bundle := resilientBundle(t)
 	t.Cleanup(bundle.DisableFastInference)
 	file := filepath.Join(t.TempDir(), "traces.jsonl")
-	svc, err := trout.NewServiceWith(bundle, e.Trace, trout.ServiceConfig{
+	svc, err := trout.NewServiceWith(bundle, q.Trace, trout.ServiceConfig{
 		FastInference: true,
 		Tracing:       obs.TracerConfig{SampleRate: 1, Path: file, QueueLen: 4096},
 	})
@@ -134,13 +134,14 @@ func TestTraceSmoke(t *testing.T) {
 		Handler:     svc.Handler(),
 		Requests:    600,
 		Concurrency: 8,
+		At:          q.Now,
 		Validate:    loadgen.StrictValidate,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.ErrorRate != 0 {
-		t.Fatalf("error rate %.4f with tracing on: %v", sc.ErrorRate, sc.InvalidSamples)
+	if sc.ErrorRate != 0 || sc.Status[http.StatusOK] != sc.Total {
+		t.Fatalf("error rate %.4f, statuses %v with tracing on: %v", sc.ErrorRate, sc.Status, sc.InvalidSamples)
 	}
 	svc.Tracer().Flush()
 
