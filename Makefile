@@ -25,12 +25,14 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Short fuzz of the event decoder, the WAL segment reader, the model
-# registry manifest decoder, and the forest gob decoder (corpus seeds +
-# 5s of mutation each; Go allows one -fuzz target per run).
+# Short fuzz of the event decoder, the WAL segment reader, the WAL record
+# encoder against json.Marshal, the model registry manifest decoder, and
+# the forest gob decoder (corpus seeds + 5s of mutation each; Go allows one
+# -fuzz target per run).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 5s ./internal/livestate
 	$(GO) test -run '^$$' -fuzz FuzzReadSegment -fuzztime 5s ./internal/livestate
+	$(GO) test -run '^$$' -fuzz FuzzWALEncode -fuzztime 5s ./internal/livestate
 	$(GO) test -run '^$$' -fuzz FuzzManifestDecode -fuzztime 5s ./internal/controlplane
 	$(GO) test -run '^$$' -fuzz FuzzForestGob -fuzztime 5s ./internal/baselines
 

@@ -3,12 +3,9 @@ package livestate
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -80,7 +77,6 @@ func (s *Store) rotateLocked() error {
 	s.walW.Reset(f)
 	s.walBytes = 0
 	s.syncedBytes = 0
-	s.unsynced = 0
 	s.activeFirst = s.lsn + 1
 	return nil
 }
@@ -126,7 +122,6 @@ func (s *Store) wipeWALLocked() error {
 	}
 	s.walBytes = 0
 	s.syncedBytes = 0
-	s.unsynced = 0
 	s.activeFirst = s.lsn + 1
 	return nil
 }
@@ -175,22 +170,17 @@ func (s *Store) ApplyAt(lsn uint64, ev Event) error {
 	return s.applyLocked(lsn, ev)
 }
 
-// applyLocked appends the record and applies it to the engine. Caller
+// applyLocked appends the record and applies it to the engine. It never
+// fsyncs: Sync is the commit point (rotation syncs what it seals). Caller
 // holds s.mu and has already assigned lsn (== s.lsn+1).
 func (s *Store) applyLocked(lsn uint64, ev Event) error {
 	s.lsn = lsn
 	if s.walW != nil {
-		n, err := writeWALRecord(s.walW, walRecord{LSN: lsn, Event: ev})
+		n, err := writeWALRecord(s.walW, &s.walScratch, lsn, &ev)
 		if err != nil {
 			return fmt.Errorf("livestate: wal append: %w", err)
 		}
 		s.walBytes += n
-		s.unsynced++
-		if s.opt.SyncEvery < 0 || s.unsynced >= s.opt.SyncEvery {
-			if err := s.sync(); err != nil {
-				return fmt.Errorf("livestate: wal sync: %w", err)
-			}
-		}
 		if s.opt.SegmentBytes > 0 && s.walBytes >= s.opt.SegmentBytes {
 			if err := s.rotateLocked(); err != nil {
 				return err
@@ -365,38 +355,6 @@ func copyFrames(r io.Reader, w io.Writer, from uint64, budget, limit int64) (n i
 		last = rec.LSN
 	}
 	return n, last, nil
-}
-
-// readWALFrame reads one record plus its raw encoded frame (reconstructed
-// byte-for-byte: uvarint length, payload, CRC trailer).
-func readWALFrame(br *bufio.Reader) (walRecord, []byte, error) {
-	ln, err := binary.ReadUvarint(br)
-	if err != nil {
-		if err == io.EOF {
-			return walRecord{}, nil, io.EOF
-		}
-		return walRecord{}, nil, fmt.Errorf("length prefix: %w", err)
-	}
-	if ln == 0 || ln > maxWALRecordBytes {
-		return walRecord{}, nil, fmt.Errorf("implausible record length %d", ln)
-	}
-	var hdr [binary.MaxVarintLen64]byte
-	hn := binary.PutUvarint(hdr[:], ln)
-	frame := make([]byte, hn+int(ln)+4)
-	copy(frame, hdr[:hn])
-	if _, err := io.ReadFull(br, frame[hn:]); err != nil {
-		return walRecord{}, nil, fmt.Errorf("payload: %w", err)
-	}
-	payload := frame[hn : hn+int(ln)]
-	crc := binary.LittleEndian.Uint32(frame[hn+int(ln):])
-	if crc != crc32.ChecksumIEEE(payload) {
-		return walRecord{}, nil, fmt.Errorf("crc mismatch")
-	}
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return walRecord{}, nil, fmt.Errorf("decode: %w", err)
-	}
-	return rec, frame, nil
 }
 
 // WALScanner decodes a stream of length-prefixed WAL frames — the follower

@@ -39,7 +39,7 @@ func applyAll(t *testing.T, dst *Store, stream []byte) int {
 func TestSegmentRotationAndRead(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force several rotations over a small stream.
-	s, err := OpenStore(StoreOptions{Dir: dir, SyncEvery: -1, SegmentBytes: 512, RetainSegments: -1})
+	s, err := OpenStore(StoreOptions{Dir: dir, SegmentBytes: 512, RetainSegments: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSegmentRotationAndRead(t *testing.T) {
 		t.Fatalf("oldest LSN %d, want 1 (nothing pruned)", m.OldestLSN)
 	}
 	if m.DurableLSN != m.LSN {
-		t.Fatalf("durable %d != lsn %d with SyncEvery=-1", m.DurableLSN, m.LSN)
+		t.Fatalf("durable %d != lsn %d after the body's Sync", m.DurableLSN, m.LSN)
 	}
 
 	// A follower replaying the shipped stream must converge bit for bit.
@@ -89,7 +89,7 @@ func TestSegmentRotationAndRead(t *testing.T) {
 
 func TestReadWALFromMiddleAndLongTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(StoreOptions{Dir: dir, SyncEvery: -1, SegmentBytes: 256, RetainSegments: -1})
+	s, err := OpenStore(StoreOptions{Dir: dir, SegmentBytes: 256, RetainSegments: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestReadWALFromMiddleAndLongTail(t *testing.T) {
 
 func TestReadWALSubsumedAfterPrune(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(StoreOptions{Dir: dir, SyncEvery: -1, SegmentBytes: 256, RetainSegments: 1})
+	s, err := OpenStore(StoreOptions{Dir: dir, SegmentBytes: 256, RetainSegments: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSnapshotShipAndRestore(t *testing.T) {
 	streamEvents(t, leader, 1, 25)
 
 	dir := t.TempDir()
-	follower, err := OpenStore(StoreOptions{Dir: dir, SyncEvery: -1})
+	follower, err := OpenStore(StoreOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestGenSurvivesRestart(t *testing.T) {
 
 func TestCorruptSealedSegmentRefusesRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(StoreOptions{Dir: dir, SyncEvery: -1, SegmentBytes: 256, RetainSegments: -1})
+	s, err := OpenStore(StoreOptions{Dir: dir, SegmentBytes: 256, RetainSegments: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestCorruptSealedSegmentRefusesRecovery(t *testing.T) {
 // the follower heals through the re-snapshot path when it sees the gap.
 func TestReadWALSkipsCorruptSealedSegment(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(StoreOptions{Dir: dir, SyncEvery: -1, SegmentBytes: 256, RetainSegments: -1})
+	s, err := OpenStore(StoreOptions{Dir: dir, SegmentBytes: 256, RetainSegments: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func FuzzReadSegment(f *testing.F) {
 		1: submitEvent(mkJob(1, 1, "shared", 1000, 0, 0, 0)),
 		2: {Type: EventEligible, Time: 1001, JobID: 1},
 	} {
-		if _, err := writeWALRecord(w, walRecord{LSN: lsn, Event: ev}); err != nil {
+		if _, err := writeWALRecord(w, new([]byte), lsn, &ev); err != nil {
 			f.Fatal(err)
 		}
 	}

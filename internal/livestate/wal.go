@@ -45,9 +45,6 @@ type StoreOptions struct {
 	// Dir is the WAL/checkpoint directory. Empty means memory-only: the
 	// engine works but nothing persists and Checkpoint is a no-op.
 	Dir string
-	// SyncEvery fsyncs the WAL every N appends (checkpoint and Close always
-	// sync). 0 means 64; negative syncs every append.
-	SyncEvery int
 	// SegmentBytes rotates the active WAL into a sealed, immutable segment
 	// once it grows past this size; sealed segments are what replication
 	// streams to followers. 0 means 4 MiB; negative disables size-based
@@ -117,7 +114,7 @@ type Store struct {
 	lsn         uint64
 	ckptLSN     uint64
 	walBytes    int64
-	unsynced    int
+	walScratch  []byte // reused record payload, see writeWALRecord
 	checkpoints uint64
 	recovered   RecoverReport
 	closed      bool
@@ -137,9 +134,6 @@ type Store struct {
 // OpenStore opens (or creates) a store, recovering engine state from the
 // newest checkpoint plus the WAL tail when Dir holds any.
 func OpenStore(opt StoreOptions) (*Store, error) {
-	if opt.SyncEvery == 0 {
-		opt.SyncEvery = 64
-	}
 	if opt.SegmentBytes == 0 {
 		opt.SegmentBytes = 4 << 20
 	}
@@ -171,7 +165,7 @@ func OpenStore(opt StoreOptions) (*Store, error) {
 		return nil, err
 	}
 	s.wal = f
-	s.walW = bufio.NewWriter(f)
+	s.walW = bufio.NewWriterSize(f, walBufBytes)
 	// Everything recovered is on disk already, so it is all durable.
 	s.durableLSN = s.lsn
 	s.syncedBytes = s.walBytes
@@ -224,7 +218,7 @@ func (s *Store) recover() error {
 		br := bufio.NewReader(f)
 		var first, last uint64
 		for {
-			rec, _, rerr := readWALRecord(br)
+			rec, _, rerr := readWALFrame(br)
 			if rerr == io.EOF {
 				break
 			}
@@ -261,7 +255,7 @@ func (s *Store) recover() error {
 	br := bufio.NewReader(f)
 	var good int64
 	for {
-		rec, n, rerr := readWALRecord(br)
+		rec, frame, rerr := readWALFrame(br)
 		if rerr != nil {
 			if rerr != io.EOF {
 				s.recovered.TruncatedBytes = walSize(f) - good
@@ -270,7 +264,7 @@ func (s *Store) recover() error {
 			}
 			break
 		}
-		good += n
+		good += int64(len(frame))
 		if s.activeFirst == 0 {
 			s.activeFirst = rec.LSN
 		}
@@ -318,10 +312,12 @@ func (s *Store) Recovered() RecoverReport {
 func (s *Store) Engine() *Engine { return s.eng }
 
 // Apply logs the event then applies it to the engine (write-ahead order).
-// Events the engine rejects are still logged — replay rejects them
-// identically, so recovery stays deterministic — and their error is
-// returned for the caller's accounting. The store mutex is held across
-// both steps so engine order always matches WAL (LSN) order.
+// The record is only buffered: it is neither durable nor visible to
+// replication until the next Sync. Events the engine rejects are still
+// logged — replay rejects them identically, so recovery stays
+// deterministic — and their error is returned for the caller's accounting.
+// The store mutex is held across both steps so engine order always matches
+// WAL (LSN) order.
 func (s *Store) Apply(ev Event) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -332,9 +328,10 @@ func (s *Store) Apply(ev Event) error {
 }
 
 // Sync flushes buffered WAL records and fsyncs, making every event applied
-// so far durable. Apply group-commits (every SyncEvery appends), so batch
-// ingest paths call this once per batch before acknowledging the batch —
-// a crash can then only lose events that were never acknowledged.
+// so far durable and advancing the LSN replication may serve. It is the
+// write path's only commit point — Apply never fsyncs — so ingest paths
+// call it once per batch before acknowledging the batch: a crash can then
+// only lose events that were never acknowledged.
 func (s *Store) Sync() error {
 	if s.opt.Dir == "" {
 		// Memory-only store: sync is a no-op; don't emit phantom
@@ -368,7 +365,6 @@ func (s *Store) sync() error {
 	if err := s.wal.Sync(); err != nil {
 		return err
 	}
-	s.unsynced = 0
 	s.bumpDurableLocked()
 	return nil
 }
@@ -496,14 +492,21 @@ func (s *Store) Close() error {
 	return s.wal.Close()
 }
 
+// walBufBytes sizes the WAL's bufio.Writer so that a whole /events body
+// (≈34 KB for 256 events) reaches the file as one write at Sync.
+const walBufBytes = 64 << 10
+
 // writeWALRecord appends one length-prefixed record:
 //
 //	uvarint(len(payload)) | payload (JSON walRecord) | crc32(payload) LE
-func writeWALRecord(w *bufio.Writer, rec walRecord) (int64, error) {
-	payload, err := json.Marshal(&rec)
+//
+// The payload is built in *scratch, which is kept (grown) for reuse.
+func writeWALRecord(w *bufio.Writer, scratch *[]byte, lsn uint64, ev *Event) (int64, error) {
+	payload, err := appendWALRecord((*scratch)[:0], lsn, ev)
 	if err != nil {
 		return 0, err
 	}
+	*scratch = payload
 	var hdr [binary.MaxVarintLen64]byte
 	hn := binary.PutUvarint(hdr[:], uint64(len(payload)))
 	if _, err := w.Write(hdr[:hn]); err != nil {
@@ -524,43 +527,36 @@ func writeWALRecord(w *bufio.Writer, rec walRecord) (int64, error) {
 // cannot trigger a giant allocation.
 const maxWALRecordBytes = 16 << 20
 
-// readWALRecord reads one record, returning its encoded size. io.EOF means
-// a clean end; any other error means a torn or corrupt tail.
-func readWALRecord(br *bufio.Reader) (walRecord, int64, error) {
+// readWALFrame reads one record plus its raw encoded frame (reconstructed
+// byte-for-byte: uvarint length, payload, CRC trailer). It is the only
+// frame reader: recovery, ReadWAL and WALScanner all go through it. io.EOF
+// means a clean end; any other error means a torn or corrupt tail.
+func readWALFrame(br *bufio.Reader) (walRecord, []byte, error) {
 	ln, err := binary.ReadUvarint(br)
 	if err != nil {
 		if err == io.EOF {
-			return walRecord{}, 0, io.EOF
+			return walRecord{}, nil, io.EOF
 		}
-		return walRecord{}, 0, fmt.Errorf("length prefix: %w", err)
+		return walRecord{}, nil, fmt.Errorf("length prefix: %w", err)
 	}
 	if ln == 0 || ln > maxWALRecordBytes {
-		return walRecord{}, 0, fmt.Errorf("implausible record length %d", ln)
+		return walRecord{}, nil, fmt.Errorf("implausible record length %d", ln)
 	}
-	payload := make([]byte, ln)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return walRecord{}, 0, fmt.Errorf("payload: %w", err)
+	var hdr [binary.MaxVarintLen64]byte
+	hn := binary.PutUvarint(hdr[:], ln)
+	frame := make([]byte, hn+int(ln)+4)
+	copy(frame, hdr[:hn])
+	if _, err := io.ReadFull(br, frame[hn:]); err != nil {
+		return walRecord{}, nil, fmt.Errorf("payload: %w", err)
 	}
-	var crc [4]byte
-	if _, err := io.ReadFull(br, crc[:]); err != nil {
-		return walRecord{}, 0, fmt.Errorf("crc: %w", err)
-	}
-	if binary.LittleEndian.Uint32(crc[:]) != crc32.ChecksumIEEE(payload) {
-		return walRecord{}, 0, fmt.Errorf("crc mismatch")
+	payload := frame[hn : hn+int(ln)]
+	crc := binary.LittleEndian.Uint32(frame[hn+int(ln):])
+	if crc != crc32.ChecksumIEEE(payload) {
+		return walRecord{}, nil, fmt.Errorf("crc mismatch")
 	}
 	var rec walRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {
-		return walRecord{}, 0, fmt.Errorf("decode: %w", err)
+		return walRecord{}, nil, fmt.Errorf("decode: %w", err)
 	}
-	n := int64(uvarintLen(ln)) + int64(ln) + 4
-	return rec, n, nil
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	return rec, frame, nil
 }

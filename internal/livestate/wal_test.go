@@ -1,6 +1,7 @@
 package livestate
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,8 +9,19 @@ import (
 	"repro/internal/trace"
 )
 
-// streamEvents drives a realistic little workload through a store.
+// streamEvents drives a realistic little workload through a store as one
+// acknowledged body: applied, then committed by the one Sync.
 func streamEvents(t *testing.T, s *Store, firstID, n int) {
+	t.Helper()
+	applyEvents(t, s, firstID, n)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// applyEvents is streamEvents without the commit: the records are applied
+// to the engine but only buffered in the WAL.
+func applyEvents(t *testing.T, s *Store, firstID, n int) {
 	t.Helper()
 	for i := firstID; i < firstID+n; i++ {
 		j := mkJob(i, i%3, "shared", int64(1000+10*i), 0, 0, 0)
@@ -57,12 +69,12 @@ func TestStoreMemoryOnly(t *testing.T) {
 // reopened store must rebuild identical state purely from the WAL.
 func TestStoreRecoverFromWALOnly(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(StoreOptions{Dir: dir, SyncEvery: -1})
+	s, err := OpenStore(StoreOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	streamEvents(t, s, 1, 25)
-	// No Close: simulate a crash (the WAL is synced every append).
+	// No Close: simulate a crash after the body was committed.
 	s2, err := OpenStore(StoreOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -75,25 +87,31 @@ func TestStoreRecoverFromWALOnly(t *testing.T) {
 	assertEnginesEqual(t, s.Engine(), s2.Engine())
 }
 
-// TestStoreSyncMakesBatchDurable is the group-commit contract: with the
-// default SyncEvery (64), a short batch sits in the bufio buffer and a
-// kill -9 would lose it — but after Sync (what /events calls before
-// acknowledging) a crash-reopen must recover every applied event.
+// TestStoreSyncMakesBatchDurable is the group-commit contract: an applied
+// batch sits in the bufio buffer and a kill -9 would lose it — but after
+// Sync (what /events calls before acknowledging) a crash-reopen must
+// recover every applied event.
 func TestStoreSyncMakesBatchDurable(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(StoreOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamEvents(t, s, 1, 5) // ~13 records, well under SyncEvery=64
+	walSizeOnDisk := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, walFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	applyEvents(t, s, 1, 5) // ~13 records
+	if n := walSizeOnDisk(); n != 0 {
+		t.Fatalf("%d WAL bytes on disk before Sync", n)
+	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(filepath.Join(dir, walFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() == 0 {
+	if walSizeOnDisk() == 0 {
 		t.Fatal("WAL still empty on disk after Sync")
 	}
 	// No Close: simulate kill -9 after the batch was acknowledged.
@@ -108,12 +126,100 @@ func TestStoreSyncMakesBatchDurable(t *testing.T) {
 	assertEnginesEqual(t, s.Engine(), s2.Engine())
 }
 
+// TestStoreSyncIsTheOnlyCommitPoint: no number of Apply calls makes a
+// record durable or visible to replication (the old cadence fsynced every
+// 64); one Sync commits them all.
+func TestStoreSyncIsTheOnlyCommitPoint(t *testing.T) {
+	s, err := OpenStore(StoreOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	streamEvents(t, s, 1, 3)
+	acked := s.DurableLSN()
+	if acked == 0 || acked != s.Metrics().LSN {
+		t.Fatalf("after Sync durable %d, lsn %d", acked, s.Metrics().LSN)
+	}
+	for i := 0; i < 256; i++ {
+		if err := s.Apply(submitEvent(mkJob(100+i, 1, "shared", int64(5000+i), 0, 0, 0))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.DurableLSN(); got != acked {
+		t.Fatalf("durable LSN moved %d -> %d without a Sync", acked, got)
+	}
+	var buf bytes.Buffer
+	if last, _, err := s.ReadWAL(0, 1<<30, &buf); err != nil || last != acked {
+		t.Fatalf("ReadWAL served up to %d (err %v), want the durable %d", last, err, acked)
+	}
+	if _, n, err := s.ReadWAL(acked, 1<<30, &buf); err != nil || n != 0 {
+		t.Fatalf("ReadWAL served %d uncommitted bytes (err %v)", n, err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	lsn := s.Metrics().LSN
+	if lsn != acked+256 || s.DurableLSN() != lsn {
+		t.Fatalf("after Sync durable %d, lsn %d, want both %d", s.DurableLSN(), lsn, acked+256)
+	}
+	if last, _, err := s.ReadWAL(acked, 1<<30, &buf); err != nil || last != lsn {
+		t.Fatalf("ReadWAL after Sync reached %d (err %v), want %d", last, err, lsn)
+	}
+}
+
+// TestStoreAbandonedMidBodyRecoversPrefix kills a store mid-body, after
+// the buffer overflowed a torn record onto disk: recovery truncates the
+// tail without error, keeps every acknowledged record, and what survives
+// of the unacknowledged body is a clean prefix of it.
+func TestStoreAbandonedMidBodyRecoversPrefix(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(StoreOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := OpenStore(StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body []Event
+	for i := 0; i < 600; i++ { // ≈140 KB: the 64 KiB buffer spills twice
+		body = append(body, submitEvent(mkJob(100+i, 1, "shared", int64(5000+i), 0, 0, 0)))
+	}
+	streamEvents(t, s, 1, 10)
+	streamEvents(t, ref, 1, 10)
+	acked := s.DurableLSN()
+	for _, ev := range body {
+		if err := s.Apply(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// No Sync, no Close: kill -9 mid-body.
+	s2, err := OpenStore(StoreOptions{Dir: dir})
+	if err != nil {
+		t.Fatalf("recovery over a torn tail: %v", err)
+	}
+	defer s2.Close()
+	rep, got := s2.Recovered(), s2.Metrics().LSN
+	if rep.TruncatedBytes == 0 || rep.ApplyErrors != 0 {
+		t.Fatalf("recover report %+v, want a truncated torn tail and no apply errors", rep)
+	}
+	if got <= acked || got >= s.Metrics().LSN {
+		t.Fatalf("recovered LSN %d, want the %d acknowledged plus part of the body (%d)", got, acked, s.Metrics().LSN)
+	}
+	for _, ev := range body[:got-acked] {
+		if err := ref.Apply(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertEnginesEqual(t, ref.Engine(), s2.Engine())
+}
+
 // TestStoreRecoverCheckpointPlusTail is the acceptance scenario: restart
 // mid-stream with a checkpoint taken partway recovers identical state from
 // checkpoint + WAL tail.
 func TestStoreRecoverCheckpointPlusTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(StoreOptions{Dir: dir, SyncEvery: -1})
+	s, err := OpenStore(StoreOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +261,7 @@ func TestStoreRecoverCheckpointPlusTail(t *testing.T) {
 // reopened store drops it and keeps every intact record.
 func TestStoreTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(StoreOptions{Dir: dir, SyncEvery: -1})
+	s, err := OpenStore(StoreOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +325,7 @@ func TestStoreSeedCheckpointSurvivesRestart(t *testing.T) {
 // writes; both recoveries must agree.
 func TestStoreReplayIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(StoreOptions{Dir: dir, SyncEvery: -1})
+	s, err := OpenStore(StoreOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,8 @@ func mkJob(id, user int, part string, submit int64) trace.Job {
 	}
 }
 
+// feed applies a submit+eligible pair per job and commits them with one
+// Sync, as /events does per body.
 func feed(t *testing.T, s *livestate.Store, firstID, n int) {
 	t.Helper()
 	for i := firstID; i < firstID+n; i++ {
@@ -32,6 +34,9 @@ func feed(t *testing.T, s *livestate.Store, firstID, n int) {
 		if err := s.Apply(livestate.Event{Type: livestate.EventEligible, Time: int64(1001 + 10*i), JobID: i}); err != nil {
 			t.Fatalf("eligible %d: %v", i, err)
 		}
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -88,7 +93,7 @@ func waitConverged(t *testing.T, what string, leader func() *livestate.Store, fo
 // outage on retry/backoff and converges to the recovered leader with no
 // acknowledged event lost.
 func TestCrashRestartSmoke(t *testing.T) {
-	h := NewHarness(t, livestate.StoreOptions{SyncEvery: -1, SegmentBytes: 4096})
+	h := NewHarness(t, livestate.StoreOptions{SegmentBytes: 4096})
 	_, fs := startFollower(t, h.URL(), nil)
 
 	feed(t, h.Store(), 1, 25)
@@ -135,7 +140,7 @@ func TestCrashRestartSmoke(t *testing.T) {
 // the follower, which must detect divergence (409) and heal by
 // re-snapshotting down to the leader's truth.
 func TestTornSegmentForcesResnapshot(t *testing.T) {
-	h := NewHarness(t, livestate.StoreOptions{SyncEvery: -1})
+	h := NewHarness(t, livestate.StoreOptions{})
 	f, fs := startFollower(t, h.URL(), nil)
 
 	feed(t, h.Store(), 1, 20)
@@ -158,7 +163,7 @@ func TestTornSegmentForcesResnapshot(t *testing.T) {
 // transport that injects hard errors, timeouts, slow reads, and mid-body
 // failures, and requires exact convergence anyway.
 func TestFollowerConvergesOverFaultyNetwork(t *testing.T) {
-	h := NewHarness(t, livestate.StoreOptions{SyncEvery: -1, SegmentBytes: 2048})
+	h := NewHarness(t, livestate.StoreOptions{SegmentBytes: 2048})
 	ft := &FlakyTransport{
 		FailEveryN:     3,
 		TimeoutEveryN:  7,
@@ -187,7 +192,7 @@ func TestFollowerConvergesOverFaultyNetwork(t *testing.T) {
 // parked on the updated channel; the follower must notice the dead
 // connection, back off, and resume after restart.
 func TestKillDuringLongPoll(t *testing.T) {
-	h := NewHarness(t, livestate.StoreOptions{SyncEvery: -1})
+	h := NewHarness(t, livestate.StoreOptions{})
 	_, fs := startFollower(t, h.URL(), nil)
 	feed(t, h.Store(), 1, 5)
 	waitConverged(t, "catch-up", h.Store, fs)
@@ -207,7 +212,7 @@ func TestKillDuringLongPoll(t *testing.T) {
 // TestHarnessStatusRoundTrip sanity-checks the harness serving path itself
 // so fault tests fail for replication reasons, not harness bugs.
 func TestHarnessStatusRoundTrip(t *testing.T) {
-	h := NewHarness(t, livestate.StoreOptions{SyncEvery: -1})
+	h := NewHarness(t, livestate.StoreOptions{})
 	feed(t, h.Store(), 1, 2)
 	resp, err := http.Get(h.URL() + "/replication/status")
 	if err != nil {

@@ -109,7 +109,7 @@ func requireSameState(t *testing.T, leader, follower *livestate.Store) {
 }
 
 func TestFollowerCatchUpAndLiveTail(t *testing.T) {
-	ls, err := livestate.OpenStore(livestate.StoreOptions{Dir: t.TempDir(), SyncEvery: -1, SegmentBytes: 2048})
+	ls, err := livestate.OpenStore(livestate.StoreOptions{Dir: t.TempDir(), SegmentBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestFollowerCatchUpAndLiveTail(t *testing.T) {
 
 func TestFollowerResnapshotsWhenBehindRetention(t *testing.T) {
 	ls, err := livestate.OpenStore(livestate.StoreOptions{
-		Dir: t.TempDir(), SyncEvery: -1, SegmentBytes: 1024, RetainSegments: 1,
+		Dir: t.TempDir(), SegmentBytes: 1024, RetainSegments: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestFollowerResnapshotsWhenBehindRetention(t *testing.T) {
 }
 
 func TestFollowerResnapshotsOnGenChange(t *testing.T) {
-	ls, err := livestate.OpenStore(livestate.StoreOptions{Dir: t.TempDir(), SyncEvery: -1})
+	ls, err := livestate.OpenStore(livestate.StoreOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestFollowerResnapshotsOnGenChange(t *testing.T) {
 }
 
 func TestLeaderLongPollAndStatus(t *testing.T) {
-	ls, err := livestate.OpenStore(livestate.StoreOptions{Dir: t.TempDir(), SyncEvery: -1})
+	ls, err := livestate.OpenStore(livestate.StoreOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestFollowerNotReadyBeforeFirstContact(t *testing.T) {
 // -race exercise ISSUE 6 asks for. Both replicas must converge to the
 // leader's exact engine state.
 func TestReplicationRace(t *testing.T) {
-	ls, err := livestate.OpenStore(livestate.StoreOptions{Dir: t.TempDir(), SyncEvery: 8, SegmentBytes: 4096})
+	ls, err := livestate.OpenStore(livestate.StoreOptions{Dir: t.TempDir(), SegmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,6 +312,11 @@ func TestReplicationRace(t *testing.T) {
 				// identically on every node, which is what convergence needs.
 				_ = ls.Apply(livestate.Event{Type: livestate.EventSubmit, Time: j.Submit, Job: &j})
 				_ = ls.Apply(livestate.Event{Type: livestate.EventEligible, Time: j.Submit + 1, JobID: id})
+				if i%4 == 3 { // commit as /events does per body, so followers tail mid-run
+					if err := ls.Sync(); err != nil {
+						t.Error(err)
+					}
+				}
 			}
 		}(w)
 	}

@@ -1130,6 +1130,8 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// in-process quick pass in bench/ only holds with it: see ROADMAP item 1.
 	sc.Buffer(make([]byte, 1<<20), 4<<20)
 	var resp eventsResponse
+	var failCode int
+	var failMsg string
 	budget := s.cfg.MaxBadStateRows
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -1140,9 +1142,9 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			resp.BadLines++
 			if budget >= 0 && resp.BadLines > budget {
-				resilience.WriteError(w, http.StatusBadRequest,
-					fmt.Sprintf("events: more than %d undecodable lines (last: %v)", budget, err))
-				return
+				failCode = http.StatusBadRequest
+				failMsg = fmt.Sprintf("events: more than %d undecodable lines (last: %v)", budget, err)
+				break
 			}
 			continue
 		}
@@ -1153,14 +1155,18 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		resp.Applied++
 	}
 	if err := sc.Err(); err != nil {
-		resilience.WriteError(w, resilience.BodyErrorStatus(err), fmt.Sprintf("events: %v", err))
-		return
+		failCode, failMsg = resilience.BodyErrorStatus(err), fmt.Sprintf("events: %v", err)
 	}
-	// Group-commit: the WAL fsyncs every SyncEvery appends, so force one
-	// sync per batch before acknowledging — a 200 means every applied event
-	// is durable, and a crash can only lose unacknowledged in-flight lines.
+	// The body's one commit point: Apply only buffers, so fsync before any
+	// reply. A 200 means every applied event is durable, and the prefix a
+	// refused body (400, 413, timeout) left in the engine is on disk too —
+	// a crash can only lose lines that were never applied.
 	if err := s.live.Sync(); err != nil {
 		resilience.WriteError(w, http.StatusInternalServerError, fmt.Sprintf("events: wal sync: %v", err))
+		return
+	}
+	if failCode != 0 {
+		resilience.WriteError(w, failCode, failMsg)
 		return
 	}
 	resp.Now = s.live.Engine().Now()

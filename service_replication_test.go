@@ -35,7 +35,7 @@ func leaderService(t *testing.T, cfg trout.ServiceConfig) (*httptest.Server, *tr
 	e := sharedExperiment(t)
 	if cfg.Live == nil {
 		st, err := livestate.OpenStore(livestate.StoreOptions{
-			Dir: t.TempDir(), SyncEvery: -1, SegmentBytes: 64 << 10,
+			Dir: t.TempDir(), SegmentBytes: 64 << 10,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -276,6 +276,42 @@ func TestLeaderFollowerIdenticalAnswers(t *testing.T) {
 		if code := getJSON(t, fmt.Sprintf("%s/predict?job=%d", url, viaFollower), &struct{}{}); code != 200 {
 			t.Fatalf("job written through the follower: %s answers %d", url, code)
 		}
+	}
+}
+
+// TestEventsRefusedBodyIsDurable: a body refused partway (here the
+// bad-line budget's 400) leaves its applied prefix in the engine, where
+// /predict serves it — so that prefix must be fsynced before the reply. The
+// store is abandoned without Close, as kill -9 would leave it; what reopens
+// from the directory must equal the live engine.
+func TestEventsRefusedBodyIsDurable(t *testing.T) {
+	dir := t.TempDir()
+	st, err := livestate.OpenStore(livestate.StoreOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsrv, lsvc, e := leaderService(t, trout.ServiceConfig{Live: st, MaxBadStateRows: 2})
+	now := e.Trace.Jobs[len(e.Trace.Jobs)-1].End + 100
+	body := cacheEventsBody(9300001, now) + cacheEventsBody(9300002, now+10) + "bad\nbad\nbad\n"
+	code, eb := errorReply(t, lsrv.URL+"/events", body)
+	if code != http.StatusBadRequest || !strings.Contains(eb.Error, "undecodable") {
+		t.Fatalf("over-budget body gave %d %q, want the bad-line 400", code, eb.Error)
+	}
+	if code := getJSON(t, fmt.Sprintf("%s/predict?job=%d", lsrv.URL, 9300002), &struct{}{}); code != 200 {
+		t.Fatalf("applied prefix of the refused body answers %d, want 200", code)
+	}
+
+	reopened, err := livestate.OpenStore(livestate.StoreOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	live := lsvc.LiveStore()
+	if got, want := reopened.Metrics().LSN, live.Metrics().LSN; got != want || want == 0 {
+		t.Fatalf("reopened store at LSN %d, live store at %d", got, want)
+	}
+	if got, want := reopened.Engine().Fingerprint(), live.Engine().Fingerprint(); got != want {
+		t.Fatalf("reopened engine %x != live engine %x: served events were not on disk", got, want)
 	}
 }
 
