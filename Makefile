@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check fuzz-smoke metrics-smoke replication-smoke controlplane-smoke serving-smoke trace-smoke bench-module ci clean
+.PHONY: all build test race vet fmt-check loc fuzz-smoke metrics-smoke replication-smoke controlplane-smoke serving-smoke trace-smoke bench-module ci clean
 
 all: build
 
@@ -24,6 +24,11 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# Non-test Go outside bench/: the line count ROADMAP item 4 and every
+# CHANGES.md entry track.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Short fuzz of the event decoder, the WAL segment reader, the WAL record
 # encoder against json.Marshal, the model registry manifest decoder, and
@@ -57,11 +62,11 @@ controlplane-smoke:
 	$(GO) test -count=1 ./internal/controlplane
 	$(GO) test -run 'TestControlPlane|TestHotSwapHammer|TestAdminSwapCompatGuard' -count=1 .
 
-# Short in-process loadgen run against the serving hot path (snapshot
-# cache, zero-alloc JSON) at the engine clock: every response must be a
-# 200 that passes strict validation, the cache must hit, the queue must
-# not be empty, and p99 must stay under a generous bound. Correctness
-# tripwire, not a perf gate (that is bench/).
+# Short mixed-request run (smokeLoad, smoke_driver_test.go) against the
+# serving hot path (snapshot cache, zero-alloc JSON) at the engine clock:
+# every response must be a 200 that passes strict validation, the cache
+# must hit, the queue must not be empty, and p99 must stay under a
+# generous bound. Correctness tripwire, not a perf gate (that is bench/).
 serving-smoke:
 	$(GO) test -run 'TestServingSmoke$$' -count=1 .
 

@@ -39,7 +39,7 @@ func TestBenchModuleVets(t *testing.T) {
 // benchmark boots, the bytes bench/check.go and bench/layers.go search
 // responses and /metrics for.
 func TestBenchWireContract(t *testing.T) {
-	svc, err := trout.NewService(resilientBundle(t), nil)
+	svc, err := trout.NewServiceWith(resilientBundle(t), nil, trout.ServiceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

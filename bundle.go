@@ -121,19 +121,6 @@ func (b *Bundle) EnableFastInference() bool {
 	return b.Model != nil && b.Model.EnableFastInference()
 }
 
-// DisableFastInference reverts the model to the float64 reference path.
-func (b *Bundle) DisableFastInference() {
-	if b.Model != nil {
-		b.Model.DisableFastInference()
-	}
-}
-
-// FastInferenceEnabled reports whether the model serves from the float32
-// path.
-func (b *Bundle) FastInferenceEnabled() bool {
-	return b.Model != nil && b.Model.FastInferenceEnabled()
-}
-
 // PredictSnapshot runs Algorithm 1 on a live queue snapshot.
 func (b *Bundle) PredictSnapshot(snap *Snapshot) (Prediction, error) {
 	row, err := features.SnapshotRow(snap, &b.Cluster, b.Runtime)
@@ -215,7 +202,7 @@ func (b *Bundle) predictWithFallback(snap *Snapshot, parent obs.SpanHandle) (Tie
 		},
 		Check: checkPrediction,
 	}}, b.degradedSteps(row, snap.Target.Partition, cutoff, parent)...)
-	pred, tier, err := resilience.Run(steps, nil)
+	pred, tier, err := resilience.Run(steps)
 	if err != nil {
 		return TieredPrediction{}, err
 	}
@@ -328,7 +315,7 @@ func (b *Bundle) predictBatchWithFallback(snaps []*Snapshot, parent obs.SpanHand
 	cutoff := b.cutoffMinutes()
 	for _, k := range fellBack {
 		i := rowOf[k]
-		pred, tier, err := resilience.Run(b.degradedSteps(rows[k], snaps[i].Target.Partition, cutoff, obs.SpanHandle{}), nil)
+		pred, tier, err := resilience.Run(b.degradedSteps(rows[k], snaps[i].Target.Partition, cutoff, obs.SpanHandle{}))
 		if err != nil {
 			results[i].Err = err
 			continue

@@ -8,7 +8,7 @@
 //	experiments -run fig6,fig8 -jobs 30000
 //
 // Experiment names: table1 table2 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
-// classifier regression cutoff leakage smote activation scaling importance
+// classifier regression cutoff leakage smote activation scaling shap
 package main
 
 import (
@@ -26,7 +26,7 @@ import (
 var allExperiments = []string{
 	"table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
 	"fig8", "fig9", "classifier", "regression", "cutoff", "leakage",
-	"smote", "activation", "scaling", "importance", "shap", "errorbybin",
+	"smote", "activation", "scaling", "shap", "errorbybin",
 	"featuregroups", "online", "partitions", "runtimesource", "intervals",
 	"calibration", "transfer", "scheduler", "simeta",
 }
@@ -78,7 +78,7 @@ func main() {
 		{"classifier", runClassifier}, {"regression", runRegression},
 		{"cutoff", runCutoff}, {"leakage", runLeakage},
 		{"smote", runSMOTE}, {"activation", runActivation},
-		{"scaling", runScaling}, {"importance", runImportance},
+		{"scaling", runScaling},
 		{"errorbybin", runErrorByBin}, {"featuregroups", runFeatureGroups},
 		{"online", runOnline}, {"partitions", runPartitions},
 		{"runtimesource", runRuntimeSource}, {"shap", runSHAP},
@@ -453,21 +453,6 @@ func runRuntimeSource(e *trout.Experiment) error {
 	fmt.Println("runtime-feature source ablation (paper §V: a better runtime model as future work):")
 	for _, r := range res {
 		fmt.Printf("  %-10s MAPE %8.2f%%  (n=%d)\n", r.Source, r.MAPE, r.N)
-	}
-	return nil
-}
-
-func runImportance(e *trout.Experiment) error {
-	imps, err := e.RunFeatureImportance(2000)
-	if err != nil {
-		return err
-	}
-	fmt.Println("permutation importance (SHAP stand-in), top 15:")
-	for i, im := range imps {
-		if i >= 15 {
-			break
-		}
-		fmt.Printf("  %-28s %+.4f\n", im.Feature, im.Score)
 	}
 	return nil
 }

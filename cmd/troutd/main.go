@@ -43,7 +43,7 @@
 // service address.
 //
 // SIGINT/SIGTERM mark /ready unavailable and drain in-flight requests for
-// up to -shutdown-grace before exiting; a final checkpoint makes the next
+// up to 15 s before exiting; a final checkpoint makes the next
 // boot replay-free.
 package main
 
@@ -70,6 +70,16 @@ import (
 	"repro/internal/trace"
 )
 
+const (
+	// idleTimeout closes keep-alive connections nothing has used.
+	idleTimeout = 2 * time.Minute
+	// maxBadRows is the malformed-record budget for the -state file, the
+	// same 100 the service allows a POST /state upload.
+	maxBadRows = 100
+	// shutdownGrace is the drain window after SIGINT/SIGTERM.
+	shutdownGrace = 15 * time.Second
+)
+
 func main() {
 	var (
 		bundlePath = flag.String("bundle", "trout.bundle", "trained bundle")
@@ -77,11 +87,8 @@ func main() {
 		addr       = flag.String("addr", ":8642", "listen address")
 
 		requestTimeout = flag.Duration("request-timeout", 10*time.Second, "per-request deadline (504 past it)")
-		idleTimeout    = flag.Duration("idle-timeout", 2*time.Minute, "keep-alive connection idle timeout")
 		maxBody        = flag.Int64("max-body", 8<<20, "maximum POST body bytes (413 past it)")
-		maxBadRows     = flag.Int("max-bad-rows", 100, "malformed-record budget for trace ingestion (-1 = unlimited)")
 		maxBatch       = flag.Int("max-batch", 256, "maximum jobs per /predict/batch request (-1 = unlimited)")
-		shutdownGrace  = flag.Duration("shutdown-grace", 15*time.Second, "drain window after SIGINT/SIGTERM")
 
 		walDir     = flag.String("wal-dir", "", "live-state durability directory (WAL + checkpoints); empty = memory-only")
 		ckptEvery  = flag.Duration("checkpoint-interval", 5*time.Minute, "periodic live-state checkpoint cadence (0 disables)")
@@ -97,11 +104,7 @@ func main() {
 		retrainMAE     = flag.Float64("retrain-mae", 0, "online MAE (minutes) that triggers a retrain (0 disables)")
 		retrainWindow  = flag.Int("retrain-min-window", 64, "joined online outcomes required before drift triggers fire")
 		retrainEvery   = flag.Duration("retrain-interval", 30*time.Minute, "minimum spacing between automatic retrains (manual POST /admin/retrain bypasses it)")
-		retrainCheck   = flag.Duration("retrain-check", 15*time.Second, "drift evaluation cadence")
-		retrainMinJobs = flag.Int("retrain-min-jobs", 500, "completed jobs the engine must hold before a retrain can build a training set")
-		retrainTune    = flag.Int("retrain-tune-trials", 0, "hyperparameter search trials per retrain (0 reuses the incumbent configuration)")
 		shadowWindow   = flag.Int("shadow-window", 32, "joined outcomes each shadow tracker needs before a candidate is judged")
-		shadowTimeout  = flag.Duration("shadow-timeout", time.Hour, "reject a candidate whose shadow window never fills within this")
 
 		admitInflight = flag.Int("admit-inflight", 16, "concurrent ingest requests admitted on /events and /state (-1 disables admission control)")
 		admitQueue    = flag.Int("admit-queue", 64, "ingest requests allowed to queue for an admission slot; beyond it requests shed with 429")
@@ -140,7 +143,7 @@ func main() {
 	if err != nil {
 		fatal("load bundle", err)
 	}
-	tr, err := loadState(logger, *statePath, *maxBadRows)
+	tr, err := loadState(logger, *statePath)
 	if err != nil {
 		fatal("load state", err)
 	}
@@ -184,14 +187,13 @@ func main() {
 		)
 	}
 	svc, err := trout.NewServiceWith(b, tr, trout.ServiceConfig{
-		RequestTimeout:  *requestTimeout,
-		MaxBodyBytes:    *maxBody,
-		MaxBadStateRows: *maxBadRows,
-		MaxBatchJobs:    *maxBatch,
-		Live:            store,
-		Logger:          logger,
-		LeaderURL:       *follow,
-		Replication:     replication.FollowerConfig{LagEvents: *replLag},
+		RequestTimeout: *requestTimeout,
+		MaxBodyBytes:   *maxBody,
+		MaxBatchJobs:   *maxBatch,
+		Live:           store,
+		Logger:         logger,
+		LeaderURL:      *follow,
+		Replication:    replication.FollowerConfig{LagEvents: *replLag},
 		Admission: resilience.AdmissionConfig{
 			MaxInFlight: *admitInflight, MaxQueue: *admitQueue, QueueTimeout: *admitTimeout,
 		},
@@ -221,11 +223,7 @@ func main() {
 			MAEThreshold:   *retrainMAE,
 			MinWindow:      *retrainWindow,
 			MinInterval:    *retrainEvery,
-			CheckInterval:  *retrainCheck,
 			ShadowWindow:   *shadowWindow,
-			ShadowTimeout:  *shadowTimeout,
-			MinTrainJobs:   *retrainMinJobs,
-			TuneTrials:     *retrainTune,
 			Logger:         logger,
 		})
 		if err != nil {
@@ -239,7 +237,7 @@ func main() {
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      *requestTimeout + 5*time.Second,
-		IdleTimeout:       *idleTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -326,8 +324,8 @@ func main() {
 		stop() // restore default signal handling: a second signal kills immediately
 		svc.SetReady(false)
 		logger.Info("signal received; draining in-flight requests",
-			slog.Duration("grace", *shutdownGrace))
-		sctx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
+			slog.Duration("grace", shutdownGrace))
+		sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
 		if err := srv.Shutdown(sctx); err != nil {
 			logger.Error("shutdown", slog.Any("error", err))
@@ -357,7 +355,7 @@ func main() {
 
 // loadState reads the initial queue state with the tolerant codecs,
 // logging (rather than dying on) corrupt rows within the budget.
-func loadState(logger *slog.Logger, path string, maxBadRows int) (*trout.Trace, error) {
+func loadState(logger *slog.Logger, path string) (*trout.Trace, error) {
 	if path == "" {
 		return nil, nil
 	}

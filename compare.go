@@ -53,29 +53,10 @@ func (c *CompareConfig) defaults() {
 	}
 }
 
-// CompareModels trains the paper's four regression models on each fold's
+// CompareFold trains the paper's four regression models on one fold's
 // long-job subset (identical features, log-scaled, log targets) and scores
 // them on the fold's truly-long test jobs — the experiment behind
-// Figs 6–9. Fold numbering matches CrossValidate (1-based).
-func CompareModels(ds *Dataset, nnCfg ModelConfig, cmp CompareConfig, folds int, testFraction float64) ([]ModelScore, error) {
-	cmp.defaults()
-	splits, err := tscv.Split(ds.Len(), folds, testFraction)
-	if err != nil {
-		return nil, err
-	}
-	var out []ModelScore
-	for fi, fold := range splits {
-		scores, err := compareFold(ds, nnCfg, cmp, fold, fi+1)
-		if err != nil {
-			return nil, fmt.Errorf("trout: compare fold %d: %w", fi+1, err)
-		}
-		out = append(out, scores...)
-	}
-	return out, nil
-}
-
-// CompareFold runs the comparison for a single fold (1-based index into the
-// same splits CompareModels uses).
+// Figs 6–9. fold is a 1-based index into the same splits CrossValidate uses.
 func CompareFold(ds *Dataset, nnCfg ModelConfig, cmp CompareConfig, folds int, testFraction float64, fold int) ([]ModelScore, error) {
 	cmp.defaults()
 	splits, err := tscv.Split(ds.Len(), folds, testFraction)

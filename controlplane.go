@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -114,10 +113,9 @@ type ControlPlaneConfig struct {
 	MinInterval    time.Duration
 	CheckInterval  time.Duration
 
-	// ShadowWindow / ShadowTimeout / ShadowQueue shape candidate scoring.
-	ShadowWindow  int
-	ShadowTimeout time.Duration
-	ShadowQueue   int
+	// ShadowWindow / ShadowQueue shape candidate scoring.
+	ShadowWindow int
+	ShadowQueue  int
 
 	// MAERatio / HitRateSlack are the promotion gate; RollbackWindow /
 	// RollbackFactor the post-promotion probation.
@@ -126,14 +124,6 @@ type ControlPlaneConfig struct {
 	RollbackWindow int
 	RollbackFactor float64
 
-	// MinTrainJobs is the smallest completed-job corpus the default
-	// trainer accepts (0 = 500). The livestate engine retains ~25h of
-	// history, so this also bounds staleness of what a retrain can see.
-	MinTrainJobs int
-	// TuneTrials > 0 runs the parallel hyperparameter search over the
-	// regressor space before the final fit (expensive; 0 reuses the
-	// incumbent's configuration).
-	TuneTrials int
 	// TestFraction is the most-recent holdout used for offline eval
 	// scores recorded in the manifest (0 = 1/6, the paper's protocol).
 	TestFraction float64
@@ -230,7 +220,6 @@ func (s *Service) AttachControlPlane(cfg ControlPlaneConfig) (*ControlPlane, err
 		MinInterval:    cfg.MinInterval,
 		CheckInterval:  cfg.CheckInterval,
 		ShadowWindow:   cfg.ShadowWindow,
-		ShadowTimeout:  cfg.ShadowTimeout,
 		ShadowQueue:    cfg.ShadowQueue,
 		MAERatio:       cfg.MAERatio,
 		HitRateSlack:   cfg.HitRateSlack,
@@ -260,14 +249,14 @@ func finiteOr(v, fallback float64) float64 {
 // defaultTrainer is the production retrain path: rebuild the training set
 // from the livestate engine's realized waits (jobs that completed the
 // submit→start→end lifecycle inside the retention window), re-engineer
-// the 33 features, optionally re-run the parallel hyperparameter search,
-// fit the hierarchical model plus its fallback tiers (histogram-GBDT
-// baseline, partition medians), and serialize the bundle for the registry.
+// the 33 features, fit the hierarchical model under the incumbent's
+// configuration plus its fallback tiers (histogram-GBDT baseline, partition
+// medians), and serialize the bundle for the registry.
 func (s *Service) defaultTrainer(cfg ControlPlaneConfig) func(ctx context.Context) (*controlplane.Candidate, error) {
-	minJobs := cfg.MinTrainJobs
-	if minJobs <= 0 {
-		minJobs = 500
-	}
+	// minTrainJobs is the smallest completed-job corpus a retrain accepts.
+	// The livestate engine retains ~25h of history, so this also bounds
+	// the staleness of what a retrain can see.
+	const minTrainJobs = 500
 	testFraction := cfg.TestFraction
 	if testFraction <= 0 {
 		testFraction = 1.0 / 6.0
@@ -293,8 +282,8 @@ func (s *Service) defaultTrainer(cfg ControlPlaneConfig) func(ctx context.Contex
 			s.logger.Warn("controlplane: retrain skipping jobs on partitions unknown to the serving cluster spec",
 				slog.Int("skipped", skipped), slog.Int("usable", len(jobs)))
 		}
-		if len(jobs) < minJobs {
-			return nil, fmt.Errorf("trout: retrain needs %d completed jobs in the engine window, have %d usable", minJobs, len(jobs))
+		if len(jobs) < minTrainJobs {
+			return nil, fmt.Errorf("trout: retrain needs %d completed jobs in the engine window, have %d usable", minTrainJobs, len(jobs))
 		}
 
 		tr := &Trace{Jobs: jobs}
@@ -303,17 +292,6 @@ func (s *Service) defaultTrainer(cfg ControlPlaneConfig) func(ctx context.Contex
 			return nil, fmt.Errorf("trout: retrain features: %w", err)
 		}
 		modelCfg := incumbent.Model.Cfg
-		tuned := false
-		if cfg.TuneTrials > 0 {
-			res, err := TuneRegressor(ds, modelCfg, TuneConfig{
-				Trials: cfg.TuneTrials, Seed: modelCfg.Seed + 1,
-				Workers: runtime.GOMAXPROCS(0),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("trout: retrain tuning: %w", err)
-			}
-			modelCfg, tuned = res.Best, true
-		}
 		fold, err := tscv.HoldoutRecent(ds.Len(), testFraction)
 		if err != nil {
 			return nil, fmt.Errorf("trout: retrain holdout: %w", err)
@@ -341,7 +319,7 @@ func (s *Service) defaultTrainer(cfg ControlPlaneConfig) func(ctx context.Contex
 				MAPE:       finiteOr(regEval.MAPE, 0),
 				HitRate:    finiteOr(clsEval.Accuracy(), 0),
 			},
-			Hyperparams: hyperparamMap(modelCfg, tuned),
+			Hyperparams: hyperparamMap(modelCfg),
 			Samples:     ds.Len(),
 			Watermark:   watermark,
 		}, nil
@@ -350,7 +328,7 @@ func (s *Service) defaultTrainer(cfg ControlPlaneConfig) func(ctx context.Contex
 
 // hyperparamMap flattens the training configuration into the manifest's
 // schema-stable string map.
-func hyperparamMap(cfg ModelConfig, tuned bool) map[string]string {
+func hyperparamMap(cfg ModelConfig) map[string]string {
 	ints := func(hidden []int) string {
 		parts := make([]string, len(hidden))
 		for i, h := range hidden {
@@ -362,7 +340,6 @@ func hyperparamMap(cfg ModelConfig, tuned bool) map[string]string {
 		"cutoff_minutes": strconv.FormatFloat(cfg.CutoffMinutes, 'g', -1, 64),
 		"scaler":         string(cfg.Scaler),
 		"seed":           strconv.FormatInt(cfg.Seed, 10),
-		"tuned":          strconv.FormatBool(tuned),
 		"cls_hidden":     ints(cfg.Classifier.Hidden),
 		"cls_lr":         strconv.FormatFloat(cfg.Classifier.LearnRate, 'g', -1, 64),
 		"cls_epochs":     strconv.Itoa(cfg.Classifier.Epochs),

@@ -69,7 +69,7 @@ type cpHarness struct {
 func newCPHarness(t *testing.T, cfg trout.ControlPlaneConfig) *cpHarness {
 	t.Helper()
 	e := sharedExperiment(t)
-	svc, err := trout.NewService(resilientBundle(t), e.Trace)
+	svc, err := trout.NewServiceWith(resilientBundle(t), e.Trace, trout.ServiceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,8 +416,8 @@ func TestControlPlaneRejectsWorseCandidate(t *testing.T) {
 	if hr.Model.Version != 0 {
 		t.Fatalf("incumbent displaced: health model = %+v", hr.Model)
 	}
-	if m, ok := h.cp.Registry().Manifest(1); !ok || m.Status != controlplane.StatusRejected || m.Note == "" {
-		t.Fatalf("rejected manifest = %+v (ok=%v)", m, ok)
+	if l := h.cp.Registry().List(); len(l) != 1 || l[0].Version != 1 || l[0].Status != controlplane.StatusRejected || l[0].Note == "" {
+		t.Fatalf("rejected manifest list = %+v", l)
 	}
 	if h.cp.Registry().ActiveVersion() != 0 {
 		t.Fatalf("registry active = %d", h.cp.Registry().ActiveVersion())

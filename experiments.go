@@ -3,8 +3,6 @@ package trout
 import (
 	"fmt"
 	"io"
-	"math"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -393,47 +391,4 @@ func (e *Experiment) RunScalingAblation() ([]VariantResult, error) {
 		out = append(out, VariantResult{Name: string(k), MAPE: ev.MAPE, N: ev.N})
 	}
 	return out, nil
-}
-
-// --- Feature importance (the paper's SHAP-style analysis) ---
-
-// RunFeatureImportance ranks features by permutation importance of the
-// trained regression head on the holdout's long jobs.
-func (e *Experiment) RunFeatureImportance(maxRows int) ([]ImportanceRow, error) {
-	m, fold, err := TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
-	if err != nil {
-		return nil, err
-	}
-	var X [][]float64
-	var y []float64
-	for _, i := range fold.Test {
-		if e.Data.QueueMinutes[i] >= m.Cfg.CutoffMinutes {
-			X = append(X, e.Data.X[i])
-			y = append(y, math.Log1p(e.Data.QueueMinutes[i]))
-		}
-	}
-	if maxRows > 0 && len(X) > maxRows {
-		X, y = X[:maxRows], y[:maxRows]
-	}
-	predict := func(row []float64) float64 {
-		return math.Log1p(m.RegressMinutes(row))
-	}
-	imps := importanceOf(predict, X, y)
-	sort.Slice(imps, func(a, b int) bool { return imps[a].Score > imps[b].Score })
-	return imps, nil
-}
-
-// ImportanceRow is one feature's permutation-importance score.
-type ImportanceRow struct {
-	Feature string
-	Score   float64
-}
-
-func importanceOf(predict func([]float64) float64, X [][]float64, y []float64) []ImportanceRow {
-	raw := permImportance(predict, X, y)
-	out := make([]ImportanceRow, len(raw))
-	for i, r := range raw {
-		out[i] = ImportanceRow{Feature: r.Feature, Score: r.Score}
-	}
-	return out
 }

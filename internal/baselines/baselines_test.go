@@ -22,6 +22,46 @@ func synthData(rng *rand.Rand, n, dim int, f func([]float64) float64, noise floa
 	return X, y
 }
 
+// predictAll applies a regressor to every row.
+func predictAll(r Regressor, X [][]float64) []float64 {
+	out := make([]float64, len(X))
+	for i, x := range X {
+		out[i] = r.Predict(x)
+	}
+	return out
+}
+
+// r2 is the coefficient of determination, 1 − SSE/SST.
+func r2(pred, y []float64) float64 {
+	var mean, sse, sst float64
+	for _, v := range y {
+		mean += v / float64(len(y))
+	}
+	for i, v := range y {
+		sse += (v - pred[i]) * (v - pred[i])
+		sst += (v - mean) * (v - mean)
+	}
+	return 1 - sse/sst
+}
+
+// Depth returns the tree's height.
+func (t *Tree) Depth() int { return splitDepth(t.root) }
+
+// NumLeaves returns the leaf count.
+func (t *Tree) NumLeaves() int {
+	var walk func(n *treeNode) int
+	walk = func(n *treeNode) int {
+		if n == nil {
+			return 0
+		}
+		if n.leaf {
+			return 1
+		}
+		return walk(n.left) + walk(n.right)
+	}
+	return walk(t.root)
+}
+
 func stepFn(x []float64) float64 {
 	if x[0] > 0 {
 		return 10
@@ -112,10 +152,10 @@ func TestForestBeatsSingleTreeOnNoisy(t *testing.T) {
 	if err := fo.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	mseTree := metrics.RMSE(PredictAll(tr, Xt), yt)
-	mseForest := metrics.RMSE(PredictAll(fo, Xt), yt)
-	if mseForest >= mseTree {
-		t.Fatalf("forest RMSE %v >= single tree %v", mseForest, mseTree)
+	maeTree := metrics.MAE(predictAll(tr, Xt), yt)
+	maeForest := metrics.MAE(predictAll(fo, Xt), yt)
+	if maeForest >= maeTree {
+		t.Fatalf("forest MAE %v >= single tree %v", maeForest, maeTree)
 	}
 }
 
@@ -127,7 +167,7 @@ func TestForestDeterministic(t *testing.T) {
 		if err := fo.Fit(X, y); err != nil {
 			t.Fatal(err)
 		}
-		return PredictAll(fo, X[:20])
+		return predictAll(fo, X[:20])
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -145,9 +185,8 @@ func TestGBDTFitsLinear(t *testing.T) {
 	if err := g.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	r2 := metrics.R2(PredictAll(g, Xt), yt)
-	if r2 < 0.85 {
-		t.Fatalf("GBDT R² = %v, want > 0.85", r2)
+	if got := r2(predictAll(g, Xt), yt); got < 0.85 {
+		t.Fatalf("GBDT R² = %v, want > 0.85", got)
 	}
 }
 
@@ -163,7 +202,7 @@ func TestGBDTImprovesWithRounds(t *testing.T) {
 	if err := many.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if metrics.RMSE(PredictAll(many, Xt), yt) >= metrics.RMSE(PredictAll(few, Xt), yt) {
+	if metrics.MAE(predictAll(many, Xt), yt) >= metrics.MAE(predictAll(few, Xt), yt) {
 		t.Fatal("more boosting rounds did not help on train-like data")
 	}
 }
@@ -175,8 +214,8 @@ func TestGBDTSubsample(t *testing.T) {
 	if err := g.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if r2 := metrics.R2(PredictAll(g, X), y); r2 < 0.7 {
-		t.Fatalf("stochastic GBDT R² = %v", r2)
+	if got := r2(predictAll(g, X), y); got < 0.7 {
+		t.Fatalf("stochastic GBDT R² = %v", got)
 	}
 }
 
@@ -265,7 +304,7 @@ func TestKNNStandardizeMatters(t *testing.T) {
 		Xt[i] = []float64{x0, rng.Float64() * 1e6}
 		yt[i] = 100 * x0
 	}
-	if metrics.RMSE(PredictAll(std, Xt), yt) >= metrics.RMSE(PredictAll(raw, Xt), yt) {
+	if metrics.MAE(predictAll(std, Xt), yt) >= metrics.MAE(predictAll(raw, Xt), yt) {
 		t.Fatal("standardization should help when scales differ")
 	}
 }
@@ -280,21 +319,6 @@ func TestKNNErrorsAndDefaults(t *testing.T) {
 	}
 	if k.Predict([]float64{1}) != 0 {
 		t.Fatal("unfitted predict should be 0")
-	}
-}
-
-func TestClassifyProbClamps(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	X, y := synthData(rng, 200, 2, func(x []float64) float64 { return 5 * x[0] }, 0)
-	tr := NewTree(TreeConfig{})
-	if err := tr.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range [][]float64{{2, 0}, {-2, 0}} {
-		p := ClassifyProb(tr, q)
-		if p < 0 || p > 1 {
-			t.Fatalf("probability %v out of range", p)
-		}
 	}
 }
 

@@ -25,51 +25,28 @@ func benchData(b *testing.B) ([][]float64, []float64) {
 	return synthData(rng, benchRows, benchFeats, f, 0.5)
 }
 
-// BenchmarkForestFit compares histogram split finding (shared binning,
-// parent−sibling subtraction) against the exact per-node sort search at
-// the acceptance size.
+// BenchmarkForestFit measures histogram split finding (shared binning,
+// parent−sibling subtraction) at the acceptance size.
 func BenchmarkForestFit(b *testing.B) {
 	X, y := benchData(b)
-	for _, mode := range []struct {
-		name  string
-		exact bool
-	}{{"hist", false}, {"exact", true}} {
-		b.Run("mode="+mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fo := NewForest(ForestConfig{
-					Trees: 8,
-					Tree:  TreeConfig{MaxDepth: 8, Exact: mode.exact},
-					Seed:  1,
-				})
-				if err := fo.Fit(X, y); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fo := NewForest(ForestConfig{Trees: 8, Tree: TreeConfig{MaxDepth: 8}, Seed: 1})
+		if err := fo.Fit(X, y); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkGBDTFit is the boosting counterpart: sequential rounds over one
-// shared binned matrix and reused histogram scratch vs exact mode.
+// shared binned matrix and reused histogram scratch.
 func BenchmarkGBDTFit(b *testing.B) {
 	X, y := benchData(b)
-	for _, mode := range []struct {
-		name  string
-		exact bool
-	}{{"hist", false}, {"exact", true}} {
-		b.Run("mode="+mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g := NewGBDT(GBDTConfig{
-					Rounds: 20,
-					Tree:   TreeConfig{MaxDepth: 4, Exact: mode.exact},
-					Seed:   2,
-				})
-				if err := g.Fit(X, y); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g := NewGBDT(GBDTConfig{Rounds: 20, Tree: TreeConfig{MaxDepth: 4}, Seed: 2})
+		if err := g.Fit(X, y); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

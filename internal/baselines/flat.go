@@ -22,9 +22,9 @@ type flatTreeNode struct {
 // flag-to-increment instead of a mispredictable branch.
 //
 // The flat form is rebuilt from the pointer tree after every Fit and gob
-// load; the pointer tree remains the single source of truth for training,
-// serialization, and the exact-mode comparisons, and predictNode keeps
-// serving-identical semantics for the bit-identity tests.
+// load; the pointer tree remains the single source of truth for training
+// and serialization, and predictNode keeps serving-identical semantics for
+// the bit-identity tests.
 type flatTree struct {
 	nodes []flatTreeNode
 	// nan is the index of a sentinel leaf holding NaN, where the batch
@@ -335,17 +335,6 @@ func (fe *flatEnsemble) addRow(x []float64, scale float64, acc float64) float64 
 	return acc
 }
 
-// lane8 returns the root for lane i of the group starting at t, or the
-// dummy parked leaf (the array's final sentinel, a self-loop) for lanes
-// past the last tree — letting a partial final group run the same
-// eight-lane lockstep walk with the spare lanes doing harmless work.
-func lane8(roots []int32, t, i int, dummy int32) int32 {
-	if t+i < len(roots) {
-		return roots[t+i]
-	}
-	return dummy
-}
-
 // walkLeaf walks a single tree of the concatenated array for one NaN-free
 // row, returning the leaf's node index (leaves are self-loops, detected
 // by left == index).
@@ -359,150 +348,6 @@ func walkLeaf(nodes []ensNode, n int32, x []float64) int32 {
 		n = nd.left
 		if v > nd.threshold {
 			n++
-		}
-	}
-}
-
-// addBatch accumulates out[i] += scale*tree0(rows[i]) + ... for every
-// row, same per-row order and rounding as addRow, but iterated lane-group
-// outer and row inner: one group of eight trees is only a few KB of
-// nodes, so it stays cache-hot while every row walks it, where addRow per
-// row cycles the full ensemble through cache. Rows must be NaN-free.
-func (fe *flatEnsemble) addBatch(rows [][]float64, scale float64, out []float64) {
-	nodes := fe.nodes
-	values := fe.values
-	roots := fe.roots
-	t := 0
-	for ; t+8 <= len(roots); t += 8 {
-		r0, r1, r2, r3 := roots[t], roots[t+1], roots[t+2], roots[t+3]
-		r4, r5, r6, r7 := roots[t+4], roots[t+5], roots[t+6], roots[t+7]
-		iters := int(fe.iters[t>>3])
-		for ri, x := range rows {
-			n0, n1, n2, n3, n4, n5, n6, n7 := r0, r1, r2, r3, r4, r5, r6, r7
-			for d := 0; d < iters; d++ {
-				nd0, nd1, nd2, nd3 := nodes[n0], nodes[n1], nodes[n2], nodes[n3]
-				nd4, nd5, nd6, nd7 := nodes[n4], nodes[n5], nodes[n6], nodes[n7]
-				v0 := x[nd0.feature]
-				v1 := x[nd1.feature]
-				v2 := x[nd2.feature]
-				v3 := x[nd3.feature]
-				v4 := x[nd4.feature]
-				v5 := x[nd5.feature]
-				v6 := x[nd6.feature]
-				v7 := x[nd7.feature]
-				var i0, i1, i2, i3, i4, i5, i6, i7 int32
-				if v0 > nd0.threshold {
-					i0 = 1
-				}
-				if v1 > nd1.threshold {
-					i1 = 1
-				}
-				if v2 > nd2.threshold {
-					i2 = 1
-				}
-				if v3 > nd3.threshold {
-					i3 = 1
-				}
-				if v4 > nd4.threshold {
-					i4 = 1
-				}
-				if v5 > nd5.threshold {
-					i5 = 1
-				}
-				if v6 > nd6.threshold {
-					i6 = 1
-				}
-				if v7 > nd7.threshold {
-					i7 = 1
-				}
-				n0, n1, n2, n3 = nd0.left+i0, nd1.left+i1, nd2.left+i2, nd3.left+i3
-				n4, n5, n6, n7 = nd4.left+i4, nd5.left+i5, nd6.left+i6, nd7.left+i7
-			}
-			acc := out[ri]
-			acc += scale * values[n0]
-			acc += scale * values[n1]
-			acc += scale * values[n2]
-			acc += scale * values[n3]
-			acc += scale * values[n4]
-			acc += scale * values[n5]
-			acc += scale * values[n6]
-			acc += scale * values[n7]
-			out[ri] = acc
-		}
-	}
-	if rem := len(roots) - t; rem > 0 {
-		// Partial final group: spare lanes park on the dummy sentinel
-		// leaf and their values are simply not accumulated, so the
-		// per-row sum order stays exactly tree order.
-		dummy := int32(len(nodes) - 1)
-		r0, r1, r2, r3 := lane8(roots, t, 0, dummy), lane8(roots, t, 1, dummy), lane8(roots, t, 2, dummy), lane8(roots, t, 3, dummy)
-		r4, r5, r6, r7 := lane8(roots, t, 4, dummy), lane8(roots, t, 5, dummy), lane8(roots, t, 6, dummy), lane8(roots, t, 7, dummy)
-		iters := int(fe.iters[t>>3])
-		for ri, x := range rows {
-			n0, n1, n2, n3, n4, n5, n6, n7 := r0, r1, r2, r3, r4, r5, r6, r7
-			for d := 0; d < iters; d++ {
-				nd0, nd1, nd2, nd3 := nodes[n0], nodes[n1], nodes[n2], nodes[n3]
-				nd4, nd5, nd6, nd7 := nodes[n4], nodes[n5], nodes[n6], nodes[n7]
-				v0 := x[nd0.feature]
-				v1 := x[nd1.feature]
-				v2 := x[nd2.feature]
-				v3 := x[nd3.feature]
-				v4 := x[nd4.feature]
-				v5 := x[nd5.feature]
-				v6 := x[nd6.feature]
-				v7 := x[nd7.feature]
-				var i0, i1, i2, i3, i4, i5, i6, i7 int32
-				if v0 > nd0.threshold {
-					i0 = 1
-				}
-				if v1 > nd1.threshold {
-					i1 = 1
-				}
-				if v2 > nd2.threshold {
-					i2 = 1
-				}
-				if v3 > nd3.threshold {
-					i3 = 1
-				}
-				if v4 > nd4.threshold {
-					i4 = 1
-				}
-				if v5 > nd5.threshold {
-					i5 = 1
-				}
-				if v6 > nd6.threshold {
-					i6 = 1
-				}
-				if v7 > nd7.threshold {
-					i7 = 1
-				}
-				n0, n1, n2, n3 = nd0.left+i0, nd1.left+i1, nd2.left+i2, nd3.left+i3
-				n4, n5, n6, n7 = nd4.left+i4, nd5.left+i5, nd6.left+i6, nd7.left+i7
-			}
-			acc := out[ri]
-			acc += scale * values[n0]
-			if rem > 1 {
-				acc += scale * values[n1]
-			}
-			if rem > 2 {
-				acc += scale * values[n2]
-			}
-			if rem > 3 {
-				acc += scale * values[n3]
-			}
-			if rem > 4 {
-				acc += scale * values[n4]
-			}
-			if rem > 5 {
-				acc += scale * values[n5]
-			}
-			if rem > 6 {
-				acc += scale * values[n6]
-			}
-			if rem > 7 {
-				acc += scale * values[n7]
-			}
-			out[ri] = acc
 		}
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // TestFlatMatchesPointer pins the serving contract introduced by the SoA
-// flattening: for randomized forests and boosters (histogram and exact
-// mode), the flat walk, the pointer walk, and the flat walk after a gob
-// round-trip all produce bit-identical predictions.
+// flattening: for randomized forests and boosters, the flat walk, the
+// pointer walk, and the flat walk after a gob round-trip all produce
+// bit-identical predictions.
 func TestFlatMatchesPointer(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	f := func(x []float64) float64 { return 2*x[0] - x[1]*x[2] + math.Abs(x[3]) }
@@ -25,73 +25,84 @@ func TestFlatMatchesPointer(t *testing.T) {
 		queries[i] = q
 	}
 
-	for _, exact := range []bool{false, true} {
-		fo := NewForest(ForestConfig{
-			Trees: 12,
-			Tree:  TreeConfig{MaxDepth: 7, MinLeaf: 3, Exact: exact},
-			Seed:  5,
-		})
-		if err := fo.Fit(X, y); err != nil {
-			t.Fatal(err)
-		}
-		g := NewGBDT(GBDTConfig{
-			Rounds: 15,
-			Tree:   TreeConfig{MaxDepth: 4, Exact: exact},
-			Seed:   6,
-		})
-		if err := g.Fit(X, y); err != nil {
-			t.Fatal(err)
-		}
+	fo := NewForest(ForestConfig{
+		Trees: 12,
+		Tree:  TreeConfig{MaxDepth: 7, MinLeaf: 3},
+		Seed:  5,
+	})
+	if err := fo.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	g := NewGBDT(GBDTConfig{
+		Rounds: 15,
+		Tree:   TreeConfig{MaxDepth: 4},
+		Seed:   6,
+	})
+	if err := g.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
 
-		blob, err := fo.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fo2 := &Forest{}
-		if err := fo2.UnmarshalBinary(blob); err != nil {
-			t.Fatal(err)
-		}
-		gblob, err := g.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		g2 := &GBDT{}
-		if err := g2.UnmarshalBinary(gblob); err != nil {
-			t.Fatal(err)
-		}
+	blob, err := fo.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fo2 := &Forest{}
+	if err := fo2.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	gblob, err := g.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2 := &GBDT{}
+	if err := g2.UnmarshalBinary(gblob); err != nil {
+		t.Fatal(err)
+	}
 
-		for qi, q := range queries {
-			for ti, tr := range fo.trees {
-				if tr.flat == nil {
-					t.Fatalf("exact=%v: tree %d has no flat form after Fit", exact, ti)
-				}
-				a, b := tr.Predict(q), tr.predictNode(q)
-				if math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("exact=%v tree %d query %d: flat %v vs pointer %v", exact, ti, qi, a, b)
-				}
+	for qi, q := range queries {
+		for ti, tr := range fo.trees {
+			if tr.flat == nil {
+				t.Fatalf("tree %d has no flat form after Fit", ti)
 			}
-			if a, b := fo.Predict(q), fo2.Predict(q); math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("exact=%v query %d: forest diverged after gob round-trip: %v vs %v", exact, qi, a, b)
-			}
-			if a, b := g.Predict(q), g2.Predict(q); math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("exact=%v query %d: gbdt diverged after gob round-trip: %v vs %v", exact, qi, a, b)
+			a, b := tr.Predict(q), tr.predictNode(q)
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("tree %d query %d: flat %v vs pointer %v", ti, qi, a, b)
 			}
 		}
+		if a, b := fo.Predict(q), fo2.Predict(q); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("query %d: forest diverged after gob round-trip: %v vs %v", qi, a, b)
+		}
+		if a, b := g.Predict(q), g2.Predict(q); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("query %d: gbdt diverged after gob round-trip: %v vs %v", qi, a, b)
+		}
+		// The eight-lane ensemble walk sums in tree order, like the chain
+		// of pointer walks.
+		var fsum float64
+		for _, tr := range fo.trees {
+			fsum += tr.predictNode(q)
+		}
+		if a, b := fo.Predict(q), fsum/float64(len(fo.trees)); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("query %d: forest ensemble walk %v vs pointer chain %v", qi, a, b)
+		}
+		gsum := g.base
+		for _, tr := range g.trees {
+			gsum += g.Cfg.LearnRate * tr.predictNode(q)
+		}
+		if a := g.Predict(q); math.Float64bits(a) != math.Float64bits(gsum) {
+			t.Fatalf("query %d: gbdt ensemble walk %v vs pointer chain %v", qi, a, gsum)
+		}
+	}
 
-		// The four-lane batch walk must match per-row Predict bit for bit
-		// (batch sizes straddle the lane width to cover the scalar tail).
-		for _, nrows := range []int{1, 3, 4, 7, 64, 200} {
-			sub := queries[:nrows]
-			fb := make([]float64, nrows)
-			gb := make([]float64, nrows)
-			fo.PredictBatch(sub, fb)
-			g.PredictBatch(sub, gb)
-			for i, q := range sub {
-				if a, b := fo.Predict(q), fb[i]; math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("exact=%v n=%d row %d: forest batch %v vs scalar %v", exact, nrows, i, b, a)
-				}
-				if a, b := g.Predict(q), gb[i]; math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("exact=%v n=%d row %d: gbdt batch %v vs scalar %v", exact, nrows, i, b, a)
+	// The four-row lockstep walk GBDT.Fit updates residuals with must match
+	// the per-row walk bit for bit (sizes straddle the lane width to cover
+	// the scalar tail).
+	for _, nrows := range []int{1, 3, 4, 7, 64, 200} {
+		for ti, tr := range g.trees {
+			out := make([]float64, nrows)
+			tr.flat.addMany(queries[:nrows], g.Cfg.LearnRate, out)
+			for i, q := range queries[:nrows] {
+				if want := g.Cfg.LearnRate * tr.Predict(q); math.Float64bits(out[i]) != math.Float64bits(want) {
+					t.Fatalf("n=%d tree %d row %d: lockstep %v vs scalar %v", nrows, ti, i, out[i], want)
 				}
 			}
 		}
@@ -161,30 +172,25 @@ func TestTreeNaNPropagates(t *testing.T) {
 		t.Error("forest on clean input returned NaN")
 	}
 
-	// Batch walk: a poisoned row must go NaN without contaminating its
+	// Lockstep walk: a poisoned row must go NaN without contaminating its
 	// lane-mates.
 	batch := [][]float64{clean, poisoned, clean, clean, poisoned}
-	out := make([]float64, len(batch))
-	fo.PredictBatch(batch, out)
-	for i, v := range out {
-		wantNaN := i == 1 || i == 4
-		if math.IsNaN(v) != wantNaN {
-			t.Errorf("forest batch row %d: got %v, wantNaN=%v", i, v, wantNaN)
-		}
-	}
-	g.PredictBatch(batch, out)
-	for i, v := range out {
-		wantNaN := i == 1 || i == 4
-		if math.IsNaN(v) != wantNaN {
-			t.Errorf("gbdt batch row %d: got %v, wantNaN=%v", i, v, wantNaN)
+	for ti, tr := range g.trees {
+		out := make([]float64, len(batch))
+		tr.flat.addMany(batch, 1, out)
+		for i, v := range out {
+			wantNaN := i == 1 || i == 4
+			if math.IsNaN(v) != wantNaN {
+				t.Errorf("tree %d lockstep row %d: got %v, wantNaN=%v", ti, i, v, wantNaN)
+			}
 		}
 	}
 }
 
-// TestExactSplitAdjacentFloats is the regression test for the midpoint
-// rounding bug: with feature values one ulp apart, (a+b)/2 can round up to
-// b itself, which silently leaks every b-row into the left partition. The
-// Nextafter guard must keep the threshold strictly below the right value.
+// TestExactSplitAdjacentFloats: with feature values one ulp apart, a
+// midpoint threshold (a+b)/2 can round up to b itself and leak every b-row
+// into the left partition. The learner's thresholds are data values, so the
+// split must land on a and separate the two exactly.
 func TestExactSplitAdjacentFloats(t *testing.T) {
 	a := math.Nextafter(1, 2)
 	b := math.Nextafter(a, 2)
@@ -197,7 +203,7 @@ func TestExactSplitAdjacentFloats(t *testing.T) {
 		X, y = append(X, []float64{a}), append(y, 0)
 		X, y = append(X, []float64{b}), append(y, 1)
 	}
-	tr := NewTree(TreeConfig{MaxDepth: 2, MinLeaf: 2, Exact: true})
+	tr := NewTree(TreeConfig{MaxDepth: 2, MinLeaf: 2})
 	if err := tr.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +221,9 @@ func TestExactSplitAdjacentFloats(t *testing.T) {
 	}
 }
 
-// TestHistThresholdsAreDataValues pins the property that exempts the
-// histogram learner from the midpoint guard: every trained threshold is an
-// exact value from the split feature's column, never a computed midpoint.
+// TestHistThresholdsAreDataValues pins the property that makes a midpoint
+// guard unnecessary: every trained threshold is an exact value from the
+// split feature's column, never a computed midpoint.
 func TestHistThresholdsAreDataValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	X, y := synthData(rng, 500, 6, func(x []float64) float64 { return x[0]*x[1] + x[2] }, 0.2)
@@ -360,7 +366,9 @@ func BenchmarkForestPredict(b *testing.B) {
 	b.Run("mode=flat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			fo.PredictBatch(rows, out)
+			for r, row := range rows {
+				out[r] = fo.Predict(row)
+			}
 		}
 		sinkF64 = out[0]
 	})
@@ -391,7 +399,9 @@ func BenchmarkGBDTPredict(b *testing.B) {
 	b.Run("mode=flat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			g.PredictBatch(rows, out)
+			for r, row := range rows {
+				out[r] = g.Predict(row)
+			}
 		}
 		sinkF64 = out[0]
 	})

@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -63,10 +62,9 @@ func NewForest(cfg ForestConfig) *Forest { return &Forest{Cfg: cfg} }
 
 // Fit implements Regressor. Trees train concurrently on bootstrap samples;
 // per-tree RNGs are seeded deterministically so results are reproducible
-// regardless of worker interleaving. In histogram mode (the default) the
-// feature matrix is quantized once here and shared read-only by every tree,
-// so the per-feature sort cost is paid once per forest instead of once per
-// node; each worker keeps its own histogram scratch.
+// regardless of worker interleaving. The feature matrix is quantized once
+// here and shared read-only by every tree, so the per-feature sort cost is
+// paid once per forest; each worker keeps its own histogram scratch.
 func (f *Forest) Fit(X [][]float64, y []float64) error {
 	if len(X) == 0 || len(X) != len(y) {
 		return fmt.Errorf("baselines: forest fit with %d samples, %d targets", len(X), len(y))
@@ -77,10 +75,7 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 	if sampleN < 1 {
 		sampleN = 1
 	}
-	var bm *binned
-	if !f.Cfg.Tree.Exact {
-		bm = newBinned(X, f.Cfg.Tree.Bins)
-	}
+	bm := newBinned(X, f.Cfg.Tree.Bins)
 	f.trees = make([]*Tree, f.Cfg.Trees)
 	sem := make(chan struct{}, f.Cfg.Workers)
 	var wg sync.WaitGroup
@@ -89,9 +84,7 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 	// slot trains (the free-listed node histograms are the big buffers).
 	scratch := make(chan *histScratch, f.Cfg.Workers)
 	for w := 0; w < f.Cfg.Workers; w++ {
-		if bm != nil {
-			scratch <- newHistScratch(bm, y, 1)
-		}
+		scratch <- newHistScratch(bm, y, 1)
 	}
 	for ti := 0; ti < f.Cfg.Trees; ti++ {
 		wg.Add(1)
@@ -108,13 +101,9 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 			tcfg.Seed = f.Cfg.Seed + int64(ti)
 			tcfg.Workers = 1 // trees already run in parallel
 			tree := NewTree(tcfg)
-			if bm != nil {
-				sc := <-scratch
-				errs[ti] = tree.fitShared(sc, idx, rng)
-				scratch <- sc
-			} else {
-				errs[ti] = tree.FitIndices(X, y, idx, rng)
-			}
+			sc := <-scratch
+			errs[ti] = tree.fitShared(sc, idx, rng)
+			scratch <- sc
 			f.trees[ti] = tree
 		}(ti)
 	}
@@ -144,32 +133,6 @@ func (f *Forest) Predict(x []float64) float64 {
 		s += t.Predict(x)
 	}
 	return s / float64(len(f.trees))
-}
-
-// PredictBatch implements BatchRegressor; predictions are bit-identical
-// to per-row Predict. Batches take the group-outer addBatch walk (better
-// node locality than per-row addRow); rows containing NaN are recomputed
-// through the scalar chain afterwards.
-func (f *Forest) PredictBatch(X [][]float64, out []float64) {
-	if f.ens == nil {
-		for i, x := range X {
-			out[i] = f.Predict(x)
-		}
-		return
-	}
-	for i := range out {
-		out[i] = 0
-	}
-	f.ens.addBatch(X, 1, out)
-	inv := float64(len(f.trees))
-	for i := range out {
-		out[i] /= inv
-	}
-	for i, x := range X {
-		if rowHasNaN(x) {
-			out[i] = f.Predict(x)
-		}
-	}
 }
 
 // GBDTConfig controls gradient-boosted tree construction — the stand-in for
@@ -246,14 +209,11 @@ func (g *GBDT) Fit(X [][]float64, y []float64) error {
 	for i := range all {
 		all[i] = i
 	}
-	var sc *histScratch
-	if !g.Cfg.Tree.Exact {
-		workers := g.Cfg.Tree.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		sc = newHistScratch(newBinned(X, g.Cfg.Tree.Bins), resid, workers)
+	workers := g.Cfg.Tree.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	sc := newHistScratch(newBinned(X, g.Cfg.Tree.Bins), resid, workers)
 	for round := 0; round < g.Cfg.Rounds; round++ {
 		for i := range resid {
 			resid[i] = y[i] - pred[i]
@@ -265,15 +225,9 @@ func (g *GBDT) Fit(X [][]float64, y []float64) error {
 		}
 		tcfg := g.Cfg.Tree
 		tcfg.Seed = g.Cfg.Seed + int64(round)
-		if sc != nil {
-			tcfg.Workers = sc.workers
-		}
+		tcfg.Workers = sc.workers
 		tree := NewTree(tcfg)
-		if sc != nil {
-			if err := tree.fitShared(sc, idx, rng); err != nil {
-				return err
-			}
-		} else if err := tree.FitIndices(X, resid, idx, rng); err != nil {
+		if err := tree.fitShared(sc, idx, rng); err != nil {
 			return err
 		}
 		g.trees = append(g.trees, tree)
@@ -342,30 +296,4 @@ func (g *GBDT) Predict(x []float64) float64 {
 		out += g.Cfg.LearnRate * t.Predict(x)
 	}
 	return out
-}
-
-// PredictBatch implements BatchRegressor; predictions are bit-identical
-// to per-row Predict. See Forest.PredictBatch.
-func (g *GBDT) PredictBatch(X [][]float64, out []float64) {
-	if g.ens == nil {
-		for i, x := range X {
-			out[i] = g.Predict(x)
-		}
-		return
-	}
-	for i := range out {
-		out[i] = g.base
-	}
-	g.ens.addBatch(X, g.Cfg.LearnRate, out)
-	for i, x := range X {
-		if rowHasNaN(x) {
-			out[i] = g.Predict(x)
-		}
-	}
-}
-
-// ClassifyProb adapts a regressor trained on 0/1 labels to a probability by
-// clamping its output to [0, 1] — used for tree-based classifier ablations.
-func ClassifyProb(r Regressor, x []float64) float64 {
-	return math.Min(1, math.Max(0, r.Predict(x)))
 }

@@ -25,10 +25,9 @@ type binned struct {
 	// raw-value split "v <= edges[f][b]", which is what lets trained trees
 	// keep float thresholds (Predict and serialization are unchanged).
 	// Because every edge is an exact value from the column — never a
-	// computed midpoint — histogram thresholds cannot suffer the
-	// adjacent-float rounding hazard the exact-mode search guards against
-	// with Nextafter (see bestSplit); TestHistThresholdsAreDataValues
-	// pins this.
+	// computed midpoint — a threshold cannot round up onto the next
+	// value and leak its row left; TestHistThresholdsAreDataValues pins
+	// this.
 	edges [][]float64
 }
 
@@ -259,8 +258,7 @@ func meanHist(y []float64, idx []int) float64 {
 
 // bestSplitHist scans each candidate feature's histogram for the bin
 // boundary with the greatest variance reduction. With k bins this is O(k)
-// per feature after the O(rows) accumulation already done — against exact
-// mode's per-node, per-feature sort.
+// per feature after the O(rows) accumulation already done.
 func (t *Tree) bestSplitHist(sc *histScratch, h *nodeHist, nRows int, rng *rand.Rand) (feat int, bin uint8, ok bool) {
 	dim := sc.bm.cols
 	feats := sc.feats[:dim]

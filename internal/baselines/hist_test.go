@@ -114,46 +114,38 @@ func workloadMatrix(t testing.TB, n int) ([][]float64, []float64) {
 	return X, y
 }
 
-// TestHistogramMatchesExactQuality is the tentpole equivalence test: on the
-// workload generator's job stream, histogram-mode GBDT and forest must land
-// within 5% test MAE of exact mode (the acceptance tolerance).
+// TestHistogramMatchesExactQuality: on the workload generator's job stream
+// the deleted exact-split learner scored 0.8788 (GBDT) and 1.1975 (forest)
+// held-out MAE in log-seconds; the histogram learner scored 0.6590 and
+// 0.6809 on the same split, and is held to that. Training is
+// deterministic, so the bounds leave only ~5% for a deliberate change.
 func TestHistogramMatchesExactQuality(t *testing.T) {
 	X, y := workloadMatrix(t, 6000)
 	cut := len(X) * 4 / 5
 	trainX, trainY := X[:cut], y[:cut]
 	testX, testY := X[cut:], y[cut:]
 
-	check := func(name string, hist, exact Regressor) {
+	check := func(name string, r Regressor, bound float64) {
 		t.Helper()
-		if err := hist.Fit(trainX, trainY); err != nil {
+		if err := r.Fit(trainX, trainY); err != nil {
 			t.Fatal(err)
 		}
-		if err := exact.Fit(trainX, trainY); err != nil {
-			t.Fatal(err)
+		mae := metrics.MAE(predictAll(r, testX), testY)
+		if mae > bound {
+			t.Errorf("%s: held-out MAE %.4f, want <= %.2f", name, mae, bound)
 		}
-		maeH := metrics.MAE(PredictAll(hist, testX), testY)
-		maeE := metrics.MAE(PredictAll(exact, testX), testY)
-		if maeH > maeE*1.05 {
-			t.Errorf("%s: histogram MAE %.4f vs exact %.4f (> 5%% worse)", name, maeH, maeE)
-		}
-		t.Logf("%s: histogram MAE %.4f, exact MAE %.4f", name, maeH, maeE)
+		t.Logf("%s: held-out MAE %.4f", name, mae)
 	}
-
-	check("gbdt",
-		NewGBDT(GBDTConfig{Rounds: 60, Seed: 3}),
-		NewGBDT(GBDTConfig{Rounds: 60, Seed: 3, Tree: TreeConfig{Exact: true}}))
-	check("forest",
-		NewForest(ForestConfig{Trees: 30, Seed: 4}),
-		NewForest(ForestConfig{Trees: 30, Seed: 4, Tree: TreeConfig{Exact: true}}))
+	check("gbdt", NewGBDT(GBDTConfig{Rounds: 60, Seed: 3}), 0.69)
+	check("forest", NewForest(ForestConfig{Trees: 30, Seed: 4}), 0.72)
 }
 
-// TestHistogramLearnsStep mirrors the exact-mode smoke tests on the
-// histogram path explicitly (the default path is histogram, but this pins
-// it even if the default ever flips).
+// TestHistogramLearnsStep: a depth-3 tree recovers a step function from
+// binned features.
 func TestHistogramLearnsStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	X, y := synthData(rng, 500, 3, stepFn, 0.1)
-	tr := NewTree(TreeConfig{MaxDepth: 3, MinLeaf: 5, Exact: false})
+	tr := NewTree(TreeConfig{MaxDepth: 3, MinLeaf: 5})
 	if err := tr.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +169,7 @@ func TestGBDTWorkerInvariance(t *testing.T) {
 		if err := g.Fit(X, y); err != nil {
 			t.Fatal(err)
 		}
-		return PredictAll(g, X[:50])
+		return predictAll(g, X[:50])
 	}
 	a, b := fit(1), fit(4)
 	for i := range a {

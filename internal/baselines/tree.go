@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Regressor is the common fit/predict interface all baselines implement.
@@ -21,48 +20,15 @@ type Regressor interface {
 	Predict(x []float64) float64
 }
 
-// BatchRegressor is implemented by regressors with a batched predict path
-// (Forest and GBDT walk their flattened trees four rows in lockstep, which
-// overlaps the per-level load latencies a one-row walk serializes).
-type BatchRegressor interface {
-	Regressor
-	// PredictBatch fills out[i] with the prediction for X[i]; len(out)
-	// must equal len(X). Results are bit-identical to calling Predict
-	// per row.
-	PredictBatch(X [][]float64, out []float64)
-}
-
-// PredictAll applies a regressor to every row, using the batched path
-// when the regressor provides one.
-func PredictAll(r Regressor, X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	if br, ok := r.(BatchRegressor); ok {
-		br.PredictBatch(X, out)
-		return out
-	}
-	for i, x := range X {
-		out[i] = r.Predict(x)
-	}
-	return out
-}
-
 // TreeConfig controls CART construction.
 type TreeConfig struct {
 	MaxDepth    int // 0 means 10
 	MinLeaf     int // minimum samples per leaf; 0 means 5
 	MaxFeatures int // features considered per split; 0 means all
-	// MaxThresholds bounds candidate split points per feature in exact
-	// mode (quantile candidates); 0 means 32.
-	MaxThresholds int
-	// Exact selects the original exact split search: per node and feature,
-	// sort the node's rows and scan MaxThresholds quantile candidates. The
-	// default (false) is histogram mode: features are quantized once per
-	// Fit into at most Bins uint8 bins and splits are found by scanning
-	// per-bin count/sum histograms with parent−sibling subtraction —
-	// LightGBM-style, several times faster at equal quality. Exact mode
-	// remains for bit-for-bit comparison against the pre-histogram learner.
-	Exact bool
 	// Bins is the histogram resolution per feature; 0 or >256 means 256.
+	// Features are quantized once per Fit into at most Bins uint8 bins and
+	// splits are found by scanning per-bin count/sum histograms with
+	// parent−sibling subtraction, LightGBM-style (see hist.go).
 	Bins int
 	// Workers enables feature-parallel split search inside a single tree;
 	// 0 or 1 is serial. Forests keep this at 1 (they parallelize across
@@ -77,9 +43,6 @@ func (c *TreeConfig) defaults() {
 	}
 	if c.MinLeaf <= 0 {
 		c.MinLeaf = 5
-	}
-	if c.MaxThresholds <= 0 {
-		c.MaxThresholds = 32
 	}
 	if c.Bins <= 1 || c.Bins > maxBins {
 		c.Bins = maxBins
@@ -123,29 +86,8 @@ func (t *Tree) Fit(X [][]float64, y []float64) error {
 		idx[i] = i
 	}
 	rng := rand.New(rand.NewSource(t.Cfg.Seed))
-	if t.Cfg.Exact {
-		t.root = t.build(X, y, idx, 0, newExactScratch(len(X), t.dim), rng)
-	} else {
-		sc := newHistScratch(newBinned(X, t.Cfg.Bins), y, t.Cfg.Workers)
-		t.root = t.fitBinned(sc, idx, rng)
-	}
-	t.flat = flattenTree(t.root)
-	return nil
-}
-
-// FitIndices trains on a subset of rows (used by bagging).
-func (t *Tree) FitIndices(X [][]float64, y []float64, idx []int, rng *rand.Rand) error {
-	if len(X) == 0 || len(X) != len(y) || len(idx) == 0 {
-		return fmt.Errorf("baselines: tree fit with %d samples, %d indices", len(X), len(idx))
-	}
-	t.dim = len(X[0])
-	own := append([]int(nil), idx...)
-	if t.Cfg.Exact {
-		t.root = t.build(X, y, own, 0, newExactScratch(len(idx), t.dim), rng)
-	} else {
-		sc := newHistScratch(newBinned(X, t.Cfg.Bins), y, t.Cfg.Workers)
-		t.root = t.fitBinned(sc, own, rng)
-	}
+	sc := newHistScratch(newBinned(X, t.Cfg.Bins), y, t.Cfg.Workers)
+	t.root = t.fitBinned(sc, idx, rng)
 	t.flat = flattenTree(t.root)
 	return nil
 }
@@ -163,147 +105,6 @@ func (t *Tree) fitShared(sc *histScratch, idx []int, rng *rand.Rand) error {
 	t.root = t.fitBinned(sc, own, rng)
 	t.flat = flattenTree(t.root)
 	return nil
-}
-
-func mean(y []float64, idx []int) float64 {
-	var s float64
-	for _, i := range idx {
-		s += y[i]
-	}
-	return s / float64(len(idx))
-}
-
-// exactPair is one (feature value, target) element of the exact-mode
-// per-node sort.
-type exactPair struct{ v, y float64 }
-
-// exactScratch holds exact mode's per-node sort buffers, hoisted out of
-// bestSplit so one Fit allocates them once instead of at every node (the
-// allocation churn previously visible in BenchmarkForestFit).
-type exactScratch struct {
-	pairs []exactPair
-	feats []int
-}
-
-func newExactScratch(rows, dim int) *exactScratch {
-	return &exactScratch{pairs: make([]exactPair, rows), feats: make([]int, dim)}
-}
-
-// build recursively grows the tree (exact mode). idx is owned by the call
-// and may be permuted.
-func (t *Tree) build(X [][]float64, y []float64, idx []int, depth int, sc *exactScratch, rng *rand.Rand) *treeNode {
-	if depth >= t.Cfg.MaxDepth || len(idx) < 2*t.Cfg.MinLeaf {
-		return &treeNode{leaf: true, value: mean(y, idx)}
-	}
-	feat, thr, ok := t.bestSplit(X, y, idx, sc, rng)
-	if !ok {
-		return &treeNode{leaf: true, value: mean(y, idx)}
-	}
-	// Partition idx in place.
-	lo, hi := 0, len(idx)
-	for lo < hi {
-		if X[idx[lo]][feat] <= thr {
-			lo++
-		} else {
-			hi--
-			idx[lo], idx[hi] = idx[hi], idx[lo]
-		}
-	}
-	if lo < t.Cfg.MinLeaf || len(idx)-lo < t.Cfg.MinLeaf {
-		return &treeNode{leaf: true, value: mean(y, idx)}
-	}
-	n := &treeNode{feature: feat, threshold: thr}
-	n.left = t.build(X, y, idx[:lo], depth+1, sc, rng)
-	n.right = t.build(X, y, idx[lo:], depth+1, sc, rng)
-	return n
-}
-
-// bestSplit searches candidate thresholds for the split with the greatest
-// variance reduction (exact mode: per-node, per-feature sort).
-func (t *Tree) bestSplit(X [][]float64, y []float64, idx []int, sc *exactScratch, rng *rand.Rand) (feat int, thr float64, ok bool) {
-	dim := t.dim
-	feats := sc.feats[:dim]
-	for i := range feats {
-		feats[i] = i
-	}
-	if t.Cfg.MaxFeatures > 0 && t.Cfg.MaxFeatures < dim {
-		rng.Shuffle(dim, func(i, j int) { feats[i], feats[j] = feats[j], feats[i] })
-		feats = feats[:t.Cfg.MaxFeatures]
-	}
-
-	var totalSum, totalSq float64
-	for _, i := range idx {
-		totalSum += y[i]
-		totalSq += y[i] * y[i]
-	}
-	n := float64(len(idx))
-	baseSSE := totalSq - totalSum*totalSum/n
-
-	bestGain := 1e-12
-	ok = false
-
-	pairs := sc.pairs[:len(idx)]
-	for _, f := range feats {
-		for k, i := range idx {
-			pairs[k] = exactPair{X[i][f], y[i]}
-		}
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a].v < pairs[b].v })
-		if pairs[0].v == pairs[len(pairs)-1].v {
-			continue // constant feature
-		}
-		// Candidate thresholds at quantile positions.
-		nCand := t.Cfg.MaxThresholds
-		if nCand > len(pairs)-1 {
-			nCand = len(pairs) - 1
-		}
-		// Prefix sums over the sorted order.
-		var leftSum, leftSq float64
-		leftN := 0
-		cand := 1
-		nextBoundary := func(c int) int { return c * len(pairs) / (nCand + 1) }
-		boundary := nextBoundary(cand)
-		for k := 0; k < len(pairs)-1; k++ {
-			leftSum += pairs[k].y
-			leftSq += pairs[k].y * pairs[k].y
-			leftN++
-			if k+1 < boundary {
-				continue
-			}
-			for cand <= nCand && nextBoundary(cand) <= k+1 {
-				cand++
-			}
-			boundary = nextBoundary(cand)
-			if pairs[k].v == pairs[k+1].v {
-				continue // cannot split between equal values
-			}
-			rightN := len(pairs) - leftN
-			if leftN < t.Cfg.MinLeaf || rightN < t.Cfg.MinLeaf {
-				continue
-			}
-			rightSum := totalSum - leftSum
-			rightSq := totalSq - leftSq
-			sse := (leftSq - leftSum*leftSum/float64(leftN)) +
-				(rightSq - rightSum*rightSum/float64(rightN))
-			gain := baseSSE - sse
-			if gain > bestGain {
-				bestGain = gain
-				feat = f
-				// Midpoint between the adjacent sorted values. For values
-				// one ulp apart (or huge values whose sum overflows) the
-				// halved sum can round up to pairs[k+1].v itself, which
-				// would leak the right-side row into the left partition
-				// (v <= thr); clamp to the largest float below it. The
-				// histogram learner is immune: its thresholds are exact
-				// data values (bin upper edges), never midpoints.
-				thr = (pairs[k].v + pairs[k+1].v) / 2
-				if thr >= pairs[k+1].v {
-					thr = math.Nextafter(pairs[k+1].v, math.Inf(-1))
-				}
-				ok = true
-			}
-		}
-	}
-	return feat, thr, ok
 }
 
 // Predict implements Regressor, serving from the flattened form (see
@@ -337,35 +138,4 @@ func (t *Tree) predictNode(x []float64) float64 {
 		}
 	}
 	return n.value
-}
-
-// Depth returns the tree's height (for tests).
-func (t *Tree) Depth() int {
-	var walk func(n *treeNode) int
-	walk = func(n *treeNode) int {
-		if n == nil || n.leaf {
-			return 0
-		}
-		l, r := walk(n.left), walk(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return walk(t.root)
-}
-
-// NumLeaves returns the leaf count (for tests).
-func (t *Tree) NumLeaves() int {
-	var walk func(n *treeNode) int
-	walk = func(n *treeNode) int {
-		if n == nil {
-			return 0
-		}
-		if n.leaf {
-			return 1
-		}
-		return walk(n.left) + walk(n.right)
-	}
-	return walk(t.root)
 }

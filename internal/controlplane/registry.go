@@ -66,9 +66,6 @@ func OpenRegistry(dir string, retain int) (*Registry, error) {
 	return r, nil
 }
 
-// Dir returns the registry root.
-func (r *Registry) Dir() string { return r.dir }
-
 // sweep removes crash leftovers: temp files from interrupted writes and
 // blob files the manifest does not reference (a publish that died between
 // blob rename and manifest rename).
@@ -229,16 +226,6 @@ func (r *Registry) ActiveVersion() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.set.Active
-}
-
-// Manifest returns one version's entry.
-func (r *Registry) Manifest(version int) (Manifest, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m := r.findLocked(version); m != nil {
-		return *m, true
-	}
-	return Manifest{}, false
 }
 
 func (r *Registry) findLocked(version int) *Manifest {

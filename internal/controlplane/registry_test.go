@@ -14,6 +14,16 @@ func blobFor(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// Manifest returns one version's entry.
+func (r *Registry) Manifest(version int) (Manifest, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m := r.findLocked(version); m != nil {
+		return *m, true
+	}
+	return Manifest{}, false
+}
+
 func TestRegistryPublishListActive(t *testing.T) {
 	dir := t.TempDir()
 	r, err := OpenRegistry(dir, -1)

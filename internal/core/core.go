@@ -15,7 +15,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -329,18 +328,6 @@ func (m *Model) EnableFastInference() bool {
 	return true
 }
 
-// DisableFastInference reverts both heads to the float64 path.
-func (m *Model) DisableFastInference() {
-	m.Classifier.DisableFloat32()
-	m.Regressor.DisableFloat32()
-}
-
-// FastInferenceEnabled reports whether both heads serve from the float32
-// path.
-func (m *Model) FastInferenceEnabled() bool {
-	return m.Classifier.Float32Enabled() && m.Regressor.Float32Enabled()
-}
-
 // batchChunk bounds the rows one worker processes per PredictBatch chunk:
 // small enough to spread a 64-job batch across ≥4 cores, large enough that
 // the mini-batch matmuls amortize their loop overhead.
@@ -500,27 +487,4 @@ func Load(r io.Reader) (*Model, error) {
 		return nil, err
 	}
 	return &Model{Cfg: dto.Cfg, Scaler: scaler, Classifier: cls, Regressor: reg, NumInputs: dto.NumInputs}, nil
-}
-
-// SaveFile and LoadFile are path conveniences for the CLI tools.
-func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := m.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a bundle from disk.
-func LoadFile(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }

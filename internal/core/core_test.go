@@ -125,17 +125,6 @@ func TestRegressorCorrelates(t *testing.T) {
 	}
 }
 
-func TestHierarchicalEval(t *testing.T) {
-	m, ds, fold := sharedModel(t)
-	ev := EvaluateHierarchical(m, ds, fold.Test)
-	if ev.N != len(fold.Test) {
-		t.Fatalf("N = %d", ev.N)
-	}
-	if ev.MisroutedLong >= ev.N {
-		t.Fatal("every long job misrouted")
-	}
-}
-
 func TestPredictContract(t *testing.T) {
 	m, ds, fold := sharedModel(t)
 	for _, i := range fold.Test[:200] {
@@ -188,28 +177,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveLoadFile(t *testing.T) {
-	m, ds, fold := sharedModel(t)
-	path := t.TempDir() + "/model.gob"
-	if err := m.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := fold.Test[0]
-	if loaded.Predict(ds.X[i]) != m.Predict(ds.X[i]) {
-		t.Fatal("file round trip mismatch")
-	}
-}
-
 func TestLoadGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a model"))); err == nil {
 		t.Fatal("garbage accepted")
-	}
-	if _, err := LoadFile("/nonexistent/model.gob"); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 

@@ -60,41 +60,3 @@ func EvaluateClassifier(m *Model, ds *features.Dataset, testIdx []int) Classifie
 		AUC:       metrics.AUC(probs, labels),
 	}
 }
-
-// HierarchicalEval scores the full Algorithm 1 pipeline end-to-end: every
-// test job gets a prediction (cutoff/2 minutes when classified quick-start),
-// measured against the true queue time.
-type HierarchicalEval struct {
-	N         int
-	MAPE      float64
-	Within100 float64
-	// MisroutedLong counts truly-long jobs the classifier sent to the
-	// quick-start branch (the hierarchical design's main failure mode).
-	MisroutedLong int
-}
-
-// EvaluateHierarchical runs Algorithm 1 over a test slice.
-func EvaluateHierarchical(m *Model, ds *features.Dataset, testIdx []int) HierarchicalEval {
-	pred := make([]float64, len(testIdx))
-	actual := make([]float64, len(testIdx))
-	misrouted := 0
-	for k, i := range testIdx {
-		p := m.Predict(ds.X[i])
-		if p.Long {
-			pred[k] = p.Minutes
-		} else {
-			// A "less than cutoff" verdict is scored at the midpoint.
-			pred[k] = m.Cfg.CutoffMinutes / 2
-			if ds.QueueMinutes[i] >= m.Cfg.CutoffMinutes {
-				misrouted++
-			}
-		}
-		actual[k] = ds.QueueMinutes[i]
-	}
-	return HierarchicalEval{
-		N:             len(testIdx),
-		MAPE:          metrics.MAPE(pred, actual),
-		Within100:     metrics.WithinPercent(pred, actual, 100),
-		MisroutedLong: misrouted,
-	}
-}

@@ -122,16 +122,6 @@ type Dataset struct {
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.X) }
 
-// Labels returns the classifier labels for the given cutoff: true when the
-// job queued at least cutoffMinutes (a "long" job).
-func (d *Dataset) Labels(cutoffMinutes float64) []bool {
-	out := make([]bool, len(d.QueueMinutes))
-	for i, q := range d.QueueMinutes {
-		out[i] = q >= cutoffMinutes
-	}
-	return out
-}
-
 // Build engineers features for every job in the trace.
 func Build(tr *trace.Trace, cluster *slurmsim.ClusterSpec, opt Options) (*Dataset, error) {
 	opt.defaults()

@@ -126,20 +126,6 @@ func TestFirstJobSeesEmptyQueue(t *testing.T) {
 	}
 }
 
-func TestLabels(t *testing.T) {
-	cluster := tinyCluster()
-	ds, err := Build(handTrace(), &cluster, Options{Workers: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := ds.Labels(5) // 5-minute cutoff
-	// Queue times: job1 0 min, job2 350/60 ≈ 5.83 min, job3 6.67 min.
-	want := []bool{false, true, true}
-	if !reflect.DeepEqual(labels, want) {
-		t.Fatalf("labels = %v, want %v", labels, want)
-	}
-}
-
 // randomTrace produces a consistent random trace for differential tests.
 func randomTrace(rng *rand.Rand, n int) *trace.Trace {
 	tr := &trace.Trace{}
@@ -272,37 +258,6 @@ func TestUnsortedTraceHandled(t *testing.T) {
 	}
 	if ds.Jobs[0].ID != 1 || ds.Jobs[2].ID != 3 {
 		t.Fatal("dataset not sorted by eligibility")
-	}
-}
-
-func TestPermutationImportance(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	n := 500
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range X {
-		X[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
-		y[i] = 10 * X[i][0] // feature 0 carries all signal
-	}
-	predict := func(row []float64) float64 { return 10 * row[0] }
-	imps := PermutationImportance(predict, X, y, []string{"signal", "noise"}, metrics.RMSE, 9)
-	if len(imps) != 2 {
-		t.Fatalf("%d importances", len(imps))
-	}
-	if imps[0].Feature != "signal" {
-		t.Fatalf("top feature %q, want signal", imps[0].Feature)
-	}
-	if imps[0].Score <= imps[1].Score {
-		t.Fatal("signal feature not more important than noise")
-	}
-	if math.Abs(imps[1].Score) > 1e-9 {
-		t.Fatalf("noise importance %v, want ≈0", imps[1].Score)
-	}
-}
-
-func TestPermutationImportanceEmpty(t *testing.T) {
-	if PermutationImportance(func([]float64) float64 { return 0 }, nil, nil, nil, metrics.RMSE, 1) != nil {
-		t.Fatal("empty input should return nil")
 	}
 }
 

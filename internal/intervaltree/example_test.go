@@ -9,17 +9,14 @@ import (
 
 // Stab queries answer "which jobs were pending/running at instant t" — the
 // primitive behind the paper's Table II feature engineering.
-func ExampleTree_Stab() {
+func ExampleTree_StabVisit() {
 	tree := intervaltree.Build([]intervaltree.Interval{
 		{Lo: 0, Hi: 100, ID: 1},  // job 1 runs [0, 100)
 		{Lo: 50, Hi: 150, ID: 2}, // job 2 runs [50, 150)
 		{Lo: 200, Hi: 300, ID: 3},
 	})
-	hits := tree.Stab(nil, 75)
-	ids := make([]int, len(hits))
-	for i, iv := range hits {
-		ids[i] = iv.ID
-	}
+	var ids []int
+	tree.StabVisit(75, func(iv intervaltree.Interval) { ids = append(ids, iv.ID) })
 	sort.Ints(ids)
 	fmt.Println(ids)
 	// Output:

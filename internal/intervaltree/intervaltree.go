@@ -4,14 +4,10 @@
 // queries of the form "which jobs overlap instant t" drive the Table II
 // partition-state features. The paper builds trees over chunks of 100 000
 // jobs with a 10 000-job overlap and merges them; BuildChunked reproduces
-// that construction. A naive linear scanner is included for differential
-// testing and for the interval-tree-vs-naive ablation (A6).
+// that construction.
 package intervaltree
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Interval is a half-open interval [Lo, Hi) tagged with the index of the job
 // it belongs to. Hi must be >= Lo; zero-length intervals never match a stab.
@@ -23,10 +19,7 @@ type Interval struct {
 // Contains reports whether t lies inside the half-open interval.
 func (iv Interval) Contains(t int64) bool { return iv.Lo <= t && t < iv.Hi }
 
-// Overlaps reports whether [lo,hi) intersects the interval.
-func (iv Interval) Overlaps(lo, hi int64) bool { return iv.Lo < hi && lo < iv.Hi }
-
-// node is an AVL node augmented with the subtree's maximum Hi endpoint.
+// node is a tree node augmented with the subtree's maximum Hi endpoint.
 type node struct {
 	iv          Interval
 	maxHi       int64
@@ -34,7 +27,8 @@ type node struct {
 	left, right *node
 }
 
-// Tree is an AVL-balanced interval tree. The zero value is an empty tree.
+// Tree is a balanced interval tree, built once from a slice (Build,
+// BuildChunked, Merge). The zero value is an empty tree.
 type Tree struct {
 	root *node
 	size int
@@ -45,16 +39,6 @@ func New() *Tree { return &Tree{} }
 
 // Size returns the number of stored intervals.
 func (t *Tree) Size() int { return t.size }
-
-// Insert adds an interval. Duplicate intervals (even with the same ID) are
-// allowed; the tree is a multiset.
-func (t *Tree) Insert(iv Interval) {
-	if iv.Hi < iv.Lo {
-		panic(fmt.Sprintf("intervaltree: inverted interval [%d,%d)", iv.Lo, iv.Hi))
-	}
-	t.root = insert(t.root, iv)
-	t.size++
-}
 
 func height(n *node) int {
 	if n == nil {
@@ -81,42 +65,6 @@ func (n *node) update() {
 	}
 }
 
-func rotateRight(y *node) *node {
-	x := y.left
-	y.left = x.right
-	x.right = y
-	y.update()
-	x.update()
-	return x
-}
-
-func rotateLeft(x *node) *node {
-	y := x.right
-	x.right = y.left
-	y.left = x
-	x.update()
-	y.update()
-	return y
-}
-
-func rebalance(n *node) *node {
-	n.update()
-	bf := height(n.left) - height(n.right)
-	switch {
-	case bf > 1:
-		if height(n.left.left) < height(n.left.right) {
-			n.left = rotateLeft(n.left)
-		}
-		return rotateRight(n)
-	case bf < -1:
-		if height(n.right.right) < height(n.right.left) {
-			n.right = rotateRight(n.right)
-		}
-		return rotateLeft(n)
-	}
-	return n
-}
-
 // less orders intervals by (Lo, Hi, ID) so the tree shape is deterministic.
 func less(a, b Interval) bool {
 	if a.Lo != b.Lo {
@@ -126,59 +74,6 @@ func less(a, b Interval) bool {
 		return a.Hi < b.Hi
 	}
 	return a.ID < b.ID
-}
-
-func insert(n *node, iv Interval) *node {
-	if n == nil {
-		nd := &node{iv: iv, height: 1, maxHi: iv.Hi}
-		return nd
-	}
-	if less(iv, n.iv) {
-		n.left = insert(n.left, iv)
-	} else {
-		n.right = insert(n.right, iv)
-	}
-	return rebalance(n)
-}
-
-// Stab appends to dst all intervals containing instant t and returns it.
-// Results are in no particular order.
-func (t *Tree) Stab(dst []Interval, at int64) []Interval {
-	return stab(t.root, at, dst)
-}
-
-func stab(n *node, at int64, dst []Interval) []Interval {
-	if n == nil || n.maxHi <= at {
-		// No interval in this subtree extends past `at`.
-		return dst
-	}
-	dst = stab(n.left, at, dst)
-	if n.iv.Contains(at) {
-		dst = append(dst, n.iv)
-	}
-	if n.iv.Lo <= at {
-		dst = stab(n.right, at, dst)
-	}
-	return dst
-}
-
-// Overlap appends to dst all intervals intersecting [lo, hi) and returns it.
-func (t *Tree) Overlap(dst []Interval, lo, hi int64) []Interval {
-	return overlap(t.root, lo, hi, dst)
-}
-
-func overlap(n *node, lo, hi int64, dst []Interval) []Interval {
-	if n == nil || n.maxHi <= lo {
-		return dst
-	}
-	dst = overlap(n.left, lo, hi, dst)
-	if n.iv.Overlaps(lo, hi) {
-		dst = append(dst, n.iv)
-	}
-	if n.iv.Lo < hi {
-		dst = overlap(n.right, lo, hi, dst)
-	}
-	return dst
 }
 
 // StabVisit calls visit for each interval containing t, avoiding the
@@ -214,9 +109,6 @@ func (t *Tree) All(dst []Interval) []Interval {
 	walk(t.root)
 	return dst
 }
-
-// Height returns the root height (for balance tests).
-func (t *Tree) Height() int { return height(t.root) }
 
 // Build constructs a balanced tree from a slice of intervals in O(n log n).
 func Build(ivs []Interval) *Tree {
@@ -292,37 +184,3 @@ func Merge(trees ...*Tree) *Tree {
 	out.size = len(dedup)
 	return out
 }
-
-// NaiveScan is the O(n)-per-query baseline the paper's interval trees
-// replace: a flat slice scanned on every stab.
-type NaiveScan struct{ Intervals []Interval }
-
-// Stab appends all intervals containing t.
-func (s *NaiveScan) Stab(dst []Interval, at int64) []Interval {
-	for _, iv := range s.Intervals {
-		if iv.Contains(at) {
-			dst = append(dst, iv)
-		}
-	}
-	return dst
-}
-
-// StabVisit calls visit for each interval containing t.
-func (s *NaiveScan) StabVisit(at int64, visit func(Interval)) {
-	for _, iv := range s.Intervals {
-		if iv.Contains(at) {
-			visit(iv)
-		}
-	}
-}
-
-// Stabber is the query interface shared by Tree and NaiveScan so feature
-// engineering can be benchmarked against both backends.
-type Stabber interface {
-	StabVisit(at int64, visit func(Interval))
-}
-
-var (
-	_ Stabber = (*Tree)(nil)
-	_ Stabber = (*NaiveScan)(nil)
-)

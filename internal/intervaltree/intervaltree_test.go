@@ -45,136 +45,85 @@ func randomIntervals(rng *rand.Rand, n int, span int64) []Interval {
 	return ivs
 }
 
+// stab collects every interval StabVisit reports at instant at.
+func stab(t *Tree, at int64) []Interval {
+	var out []Interval
+	t.StabVisit(at, func(iv Interval) { out = append(out, iv) })
+	return out
+}
+
+// naiveStab is the O(n)-per-query scan the tree replaces: the reference
+// every stab result is checked against.
+func naiveStab(ivs []Interval, at int64) []Interval {
+	var out []Interval
+	for _, iv := range ivs {
+		if iv.Contains(at) {
+			out = append(out, iv)
+		}
+	}
+	return out
+}
+
 func TestContainsOverlapsHalfOpen(t *testing.T) {
 	iv := Interval{Lo: 5, Hi: 10}
 	if iv.Contains(4) || !iv.Contains(5) || !iv.Contains(9) || iv.Contains(10) {
 		t.Fatal("Contains wrong at boundaries")
 	}
-	if !iv.Overlaps(9, 12) || iv.Overlaps(10, 12) || iv.Overlaps(0, 5) || !iv.Overlaps(0, 6) {
-		t.Fatal("Overlaps wrong at boundaries")
-	}
 }
 
 func TestInsertAndStabSimple(t *testing.T) {
-	tr := New()
-	tr.Insert(Interval{0, 10, 1})
-	tr.Insert(Interval{5, 15, 2})
-	tr.Insert(Interval{20, 30, 3})
-	got := tr.Stab(nil, 7)
+	tr := Build([]Interval{{0, 10, 1}, {5, 15, 2}, {20, 30, 3}})
+	got := stab(tr, 7)
 	want := []Interval{{0, 10, 1}, {5, 15, 2}}
 	if !sameIvs(got, want) {
-		t.Fatalf("Stab(7) = %v", got)
+		t.Fatalf("stab(7) = %v", got)
 	}
-	if len(tr.Stab(nil, 16)) != 0 {
-		t.Fatal("Stab(16) should be empty")
+	if len(stab(tr, 16)) != 0 {
+		t.Fatal("stab(16) should be empty")
 	}
 	if tr.Size() != 3 {
 		t.Fatalf("Size = %d", tr.Size())
 	}
 }
 
-func TestInvertedIntervalPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New().Insert(Interval{Lo: 5, Hi: 1})
-}
-
 func TestZeroLengthIntervalNeverStabs(t *testing.T) {
-	tr := New()
-	tr.Insert(Interval{7, 7, 1})
-	if len(tr.Stab(nil, 7)) != 0 {
+	tr := Build([]Interval{{7, 7, 1}})
+	if len(stab(tr, 7)) != 0 {
 		t.Fatal("zero-length interval must not contain its endpoint")
 	}
 }
 
 // TestStabMatchesNaive is the core differential test: random trees against
-// the linear scanner at random stab points.
+// the linear scan at random stab points.
 func TestStabMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ivs := randomIntervals(rng, 500, 10000)
-	tr := New()
-	for _, iv := range ivs {
-		tr.Insert(iv)
-	}
-	naive := &NaiveScan{Intervals: ivs}
+	tr := Build(ivs)
 	for q := 0; q < 200; q++ {
 		at := rng.Int63n(12000) - 1000
-		if !sameIvs(tr.Stab(nil, at), naive.Stab(nil, at)) {
-			t.Fatalf("Stab(%d) differs from naive", at)
+		if !sameIvs(stab(tr, at), naiveStab(ivs, at)) {
+			t.Fatalf("stab(%d) differs from naive", at)
 		}
 	}
 }
 
-func TestOverlapMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	ivs := randomIntervals(rng, 300, 5000)
-	tr := Build(ivs)
-	for q := 0; q < 100; q++ {
-		lo := rng.Int63n(6000)
-		hi := lo + rng.Int63n(1000)
-		got := tr.Overlap(nil, lo, hi)
-		var want []Interval
-		for _, iv := range ivs {
-			if iv.Overlaps(lo, hi) {
-				want = append(want, iv)
-			}
-		}
-		if !sameIvs(got, want) {
-			t.Fatalf("Overlap(%d,%d) differs from naive", lo, hi)
-		}
-	}
-}
-
-func TestStabVisitMatchesStab(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ivs := randomIntervals(rng, 200, 2000)
-	tr := Build(ivs)
-	for q := 0; q < 50; q++ {
-		at := rng.Int63n(2500)
-		var visited []Interval
-		tr.StabVisit(at, func(iv Interval) { visited = append(visited, iv) })
-		if !sameIvs(visited, tr.Stab(nil, at)) {
-			t.Fatalf("StabVisit(%d) differs from Stab", at)
-		}
-	}
-}
-
-// TestAVLBalanced: height must stay O(log n) under sequential insertion
-// (the worst case for unbalanced BSTs).
+// TestAVLBalanced: Build and Merge lay sorted input out perfectly balanced
+// (the worst case for an unbalanced BST), so a stab descends O(log n).
 func TestAVLBalanced(t *testing.T) {
-	tr := New()
 	n := 4096
-	for i := 0; i < n; i++ {
-		tr.Insert(Interval{int64(i), int64(i + 5), i})
+	ivs := make([]Interval, n)
+	for i := range ivs {
+		ivs[i] = Interval{int64(i), int64(i + 5), i}
 	}
-	// AVL height bound: 1.44*log2(n+2). For n=4096 that's ≈ 18.
-	if h := tr.Height(); h > 19 {
-		t.Fatalf("height %d too large for AVL with %d nodes", h, n)
-	}
-	if tr.Size() != n {
-		t.Fatalf("Size = %d", tr.Size())
-	}
-}
-
-func TestBuildMatchesInsert(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	ivs := randomIntervals(rng, 400, 3000)
-	built := Build(ivs)
-	inserted := New()
-	for _, iv := range ivs {
-		inserted.Insert(iv)
-	}
-	for q := 0; q < 100; q++ {
-		at := rng.Int63n(3500)
-		if !sameIvs(built.Stab(nil, at), inserted.Stab(nil, at)) {
-			t.Fatalf("Build tree differs from inserted tree at %d", at)
+	for name, tr := range map[string]*Tree{
+		"build": Build(ivs), "chunked": BuildChunked(ivs, 1000, 100),
+	} {
+		if h := height(tr.root); h > 13 { // ceil(log2(4096+1))
+			t.Fatalf("%s: height %d too large for %d nodes", name, h, n)
 		}
-	}
-	if built.Height() > inserted.Height() {
-		t.Fatal("Build should be at least as balanced as AVL insertion")
+		if tr.Size() != n {
+			t.Fatalf("%s: Size = %d", name, tr.Size())
+		}
 	}
 }
 
@@ -190,7 +139,7 @@ func TestBuildChunkedEquivalence(t *testing.T) {
 	}
 	for q := 0; q < 300; q++ {
 		at := rng.Int63n(22000)
-		if !sameIvs(chunked.Stab(nil, at), whole.Stab(nil, at)) {
+		if !sameIvs(stab(chunked, at), stab(whole, at)) {
 			t.Fatalf("chunked differs at %d", at)
 		}
 	}
@@ -224,8 +173,8 @@ func TestMergeDeduplicates(t *testing.T) {
 	if m.Size() != 3 {
 		t.Fatalf("merged size %d, want 3", m.Size())
 	}
-	if got := m.Stab(nil, 6); len(got) != 2 {
-		t.Fatalf("Stab(6) after merge = %v", got)
+	if got := stab(m, 6); len(got) != 2 {
+		t.Fatalf("stab(6) after merge = %v", got)
 	}
 }
 
@@ -253,9 +202,7 @@ func TestStabProperty(t *testing.T) {
 		ivs := randomIntervals(rng, n, 200)
 		tr := Build(ivs)
 		at := rng.Int63n(250)
-		got := tr.Stab(nil, at)
-		want := (&NaiveScan{Intervals: ivs}).Stab(nil, at)
-		return sameIvs(got, want)
+		return sameIvs(stab(tr, at), naiveStab(ivs, at))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -276,11 +223,10 @@ func BenchmarkTreeStab10k(b *testing.B) {
 func BenchmarkNaiveStab10k(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	ivs := randomIntervals(rng, 10000, 1<<20)
-	sc := &NaiveScan{Intervals: ivs}
 	b.ResetTimer()
 	count := 0
 	for i := 0; i < b.N; i++ {
-		sc.StabVisit(rng.Int63n(1<<20), func(Interval) { count++ })
+		count += len(naiveStab(ivs, rng.Int63n(1<<20)))
 	}
 }
 

@@ -97,42 +97,6 @@ func MAE(pred, actual []float64) float64 {
 	return s / float64(len(pred))
 }
 
-// RMSE returns the root mean squared error.
-func RMSE(pred, actual []float64) float64 {
-	mustSameLen(pred, actual)
-	if len(pred) == 0 {
-		return 0
-	}
-	var s float64
-	for i, p := range pred {
-		d := p - actual[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pred)))
-}
-
-// R2 returns the coefficient of determination.
-func R2(pred, actual []float64) float64 {
-	mustSameLen(pred, actual)
-	if len(pred) == 0 {
-		return 0
-	}
-	var mean float64
-	for _, a := range actual {
-		mean += a
-	}
-	mean /= float64(len(actual))
-	var ssRes, ssTot float64
-	for i, p := range pred {
-		ssRes += (actual[i] - p) * (actual[i] - p)
-		ssTot += (actual[i] - mean) * (actual[i] - mean)
-	}
-	if ssTot == 0 {
-		return 0
-	}
-	return 1 - ssRes/ssTot
-}
-
 // Confusion is a binary-classification confusion matrix.
 type Confusion struct {
 	TP, TN, FP, FN int

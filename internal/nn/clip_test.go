@@ -75,7 +75,7 @@ func TestClipTamesOutlierGradient(t *testing.T) {
 	step := func(clip float64) float64 {
 		net, x, y := build()
 		before := net.Layers[0].(*Dense).W.At(0, 0)
-		tr := Trainer{Net: net, Opt: NewSGD(1e-6, 0), Cfg: TrainConfig{
+		tr := Trainer{Net: net, Opt: &sgd{lr: 1e-6}, Cfg: TrainConfig{
 			Loss: MSE, Epochs: 1, BatchSize: 2, Workers: 1, Seed: 2, ClipNorm: clip}}
 		tr.Fit(x, y)
 		return math.Abs(net.Layers[0].(*Dense).W.At(0, 0) - before)
@@ -99,46 +99,5 @@ func TestLRDecaySchedule(t *testing.T) {
 	want := 0.1 * math.Pow(0.5, 5)
 	if math.Abs(opt.LR()-want) > 1e-12 {
 		t.Fatalf("LR after decay = %v, want %v", opt.LR(), want)
-	}
-}
-
-func TestAdamWShrinksUnusedWeights(t *testing.T) {
-	// With zero gradients, AdamW decay must still shrink weights; plain
-	// Adam must not.
-	run := func(decay float64) float64 {
-		rng := rand.New(rand.NewSource(61))
-		net := NewNetwork(rng, DenseSpec(1, 1))
-		d := net.Layers[0].(*Dense)
-		d.W.Set(0, 0, 1)
-		opt := NewAdamW(0.1, decay)
-		// Ten steps with zero gradient.
-		for i := 0; i < 10; i++ {
-			opt.Step(net.Params())
-		}
-		return d.W.At(0, 0)
-	}
-	if w := run(0); w != 1 {
-		t.Fatalf("Adam with zero grad moved weight to %v", w)
-	}
-	if w := run(0.5); w >= 1 {
-		t.Fatalf("AdamW did not decay weight: %v", w)
-	}
-}
-
-func TestAdamWStillConverges(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	net := NewNetwork(rng, DenseSpec(1, 1))
-	x := tensor.New(32, 1)
-	y := tensor.New(32, 1)
-	for i := 0; i < 32; i++ {
-		v := rng.Float64()*2 - 1
-		x.Set(i, 0, v)
-		y.Set(i, 0, 2*v)
-	}
-	tr := Trainer{Net: net, Opt: NewAdamW(0.05, 1e-3), Cfg: TrainConfig{
-		Loss: MSE, Epochs: 300, BatchSize: 32, Workers: 1, Seed: 2}}
-	tr.Fit(x, y)
-	if w := net.Layers[0].(*Dense).W.At(0, 0); math.Abs(w-2) > 0.1 {
-		t.Fatalf("AdamW fit w = %v, want ≈2", w)
 	}
 }

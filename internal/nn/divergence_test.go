@@ -46,7 +46,7 @@ func TestFitDivergenceRollsBack(t *testing.T) {
 	initial := snapshotWeights(net)
 	tr := Trainer{
 		Net: net,
-		Opt: NewSGD(1e6, 0),
+		Opt: &sgd{lr: 1e6},
 		Cfg: TrainConfig{Loss: MSE, Epochs: 20, BatchSize: 32, Workers: 1, Seed: 5, DivergencePatience: 2},
 	}
 	res, err := tr.FitCtx(context.Background(), x, y)
@@ -83,7 +83,7 @@ func TestFitDivergenceParallelWorkers(t *testing.T) {
 	net := NewNetwork(rand.New(rand.NewSource(9)), MLPSpecs(4, []int{16}, 1, ReLU, Identity, 0)...)
 	tr := Trainer{
 		Net: net,
-		Opt: NewSGD(1e6, 0),
+		Opt: &sgd{lr: 1e6},
 		Cfg: TrainConfig{Loss: MSE, Epochs: 20, BatchSize: 128, Workers: 4, Seed: 5, DivergencePatience: 1},
 	}
 	_, err := tr.FitCtx(context.Background(), x, y)
@@ -151,7 +151,7 @@ func TestFitDivergenceDisabled(t *testing.T) {
 	net := NewNetwork(rand.New(rand.NewSource(7)), MLPSpecs(4, []int{16}, 1, ReLU, Identity, 0)...)
 	tr := Trainer{
 		Net: net,
-		Opt: NewSGD(1e6, 0),
+		Opt: &sgd{lr: 1e6},
 		Cfg: TrainConfig{Loss: MSE, Epochs: 3, BatchSize: 32, Workers: 1, Seed: 5, DivergencePatience: -1},
 	}
 	if _, err := tr.FitCtx(context.Background(), x, y); err != nil {

@@ -116,7 +116,7 @@ func TestFitRollbackHook(t *testing.T) {
 	var rolls []rb
 	tr := Trainer{
 		Net: net,
-		Opt: NewSGD(1e6, 0),
+		Opt: &sgd{lr: 1e6},
 		Cfg: TrainConfig{
 			Loss: MSE, Epochs: 20, BatchSize: 32, Workers: 1, Seed: 5,
 			DivergencePatience: 2,

@@ -91,9 +91,6 @@ func (n *Network) EnableFloat32() bool {
 // DisableFloat32 reverts inference to the float64 path.
 func (n *Network) DisableFloat32() { n.f32.Store(nil) }
 
-// Float32Enabled reports whether the float32 program is active.
-func (n *Network) Float32Enabled() bool { return n.f32.Load() != nil }
-
 // compileProg32 builds the step list, or returns nil for unsupported
 // architectures.
 func compileProg32(layers []Layer) *prog32 {

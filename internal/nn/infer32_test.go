@@ -142,15 +142,8 @@ func TestFloat32TrainingInvalidates(t *testing.T) {
 	tws := n.NewTrainWorkspace()
 	in := tensor.New(2, 4)
 	n.ForwardTrain(tws, in)
-	if n.Float32Enabled() {
+	if n.f32.Load() != nil {
 		t.Fatal("ForwardTrain left the f32 program active")
-	}
-	if !n.EnableFloat32() {
-		t.Fatal("re-enable failed")
-	}
-	n.Forward(in, true)
-	if n.Float32Enabled() {
-		t.Fatal("Forward(train) left the f32 program active")
 	}
 }
 
@@ -191,7 +184,7 @@ func TestFloat32GobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Float32Enabled() {
+	if m.f32.Load() != nil {
 		t.Fatal("loaded network unexpectedly has an f32 program")
 	}
 	n.EnableFloat32()

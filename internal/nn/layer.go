@@ -2,26 +2,20 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/tensor"
 )
 
-// Layer is one differentiable stage of a network. Forward consumes a batch
-// (rows = samples) and returns the layer output; Backward consumes ∂L/∂out
-// and returns ∂L/∂in, accumulating parameter gradients internally.
+// Layer is one differentiable stage of a network: *Dense, *Activation,
+// *Dropout or *BatchNorm. The forward and backward arithmetic of all four
+// lives in the network's type switches (PredictInto for inference,
+// ForwardTrain/BackwardTrain for training), which write into caller-owned
+// workspaces; a layer itself only holds its parameters.
 type Layer interface {
-	// Forward runs the layer. train toggles training-only behaviour
-	// (dropout masks, batch-norm batch statistics).
-	Forward(in *tensor.Matrix, train bool) *tensor.Matrix
-	// Backward propagates the output gradient to the input gradient.
-	Backward(gradOut *tensor.Matrix) *tensor.Matrix
 	// Params returns parameter/gradient pairs for the optimizer
 	// (nil-safe: parameter-free layers return nothing).
 	Params() []Param
-	// OutDim reports the layer's output width given its input width.
-	OutDim(inDim int) int
 }
 
 // Param couples a parameter matrix with its accumulated gradient.
@@ -37,7 +31,6 @@ type Dense struct {
 	B       *tensor.Matrix // 1 x Out
 	gradW   *tensor.Matrix
 	gradB   *tensor.Matrix
-	lastIn  *tensor.Matrix
 }
 
 // NewDense builds a dense layer with He initialization (appropriate for the
@@ -57,45 +50,14 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 	return d
 }
 
-// Forward implements Layer.
-func (d *Dense) Forward(in *tensor.Matrix, train bool) *tensor.Matrix {
-	if in.Cols != d.In {
-		panic(fmt.Sprintf("nn: dense expected %d inputs, got %d", d.In, in.Cols))
-	}
-	// Backward-pass caches are only written in training mode, which keeps
-	// inference forward passes read-only — Predict is safe to call from
-	// concurrent goroutines (the serving path relies on this).
-	if train {
-		d.lastIn = in
-	}
-	out := tensor.MatMul(in, d.W)
-	out.AddRowVector(d.B.Data)
-	return out
-}
-
-// Backward implements Layer.
-func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	// dW += inᵀ·gradOut ; db += colsum(gradOut) ; dIn = gradOut·Wᵀ
-	tensor.AddInPlace(d.gradW, tensor.MatMul(d.lastIn.T(), gradOut))
-	for j, s := range gradOut.ColSums() {
-		d.gradB.Data[j] += s
-	}
-	return tensor.MatMulTransB(gradOut, d.W)
-}
-
 // Params implements Layer.
 func (d *Dense) Params() []Param {
 	return []Param{{d.W, d.gradW}, {d.B, d.gradB}}
 }
 
-// OutDim implements Layer.
-func (d *Dense) OutDim(int) int { return d.Out }
-
 // Activation applies an element-wise nonlinearity.
 type Activation struct {
-	Kind    ActivationKind
-	lastIn  *tensor.Matrix
-	lastOut *tensor.Matrix
+	Kind ActivationKind
 }
 
 // NewActivation returns an activation layer of the given kind.
@@ -106,39 +68,14 @@ func NewActivation(kind ActivationKind) *Activation {
 	return &Activation{Kind: kind}
 }
 
-// Forward implements Layer.
-func (a *Activation) Forward(in *tensor.Matrix, train bool) *tensor.Matrix {
-	out := tensor.New(in.Rows, in.Cols)
-	for i, v := range in.Data {
-		out.Data[i] = activate(a.Kind, v)
-	}
-	if train { // keep inference read-only (concurrent Predict)
-		a.lastIn, a.lastOut = in, out
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (a *Activation) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(gradOut.Rows, gradOut.Cols)
-	for i, g := range gradOut.Data {
-		out.Data[i] = g * activateGrad(a.Kind, a.lastIn.Data[i], a.lastOut.Data[i])
-	}
-	return out
-}
-
 // Params implements Layer.
 func (a *Activation) Params() []Param { return nil }
-
-// OutDim implements Layer.
-func (a *Activation) OutDim(in int) int { return in }
 
 // Dropout zeroes a fraction Rate of activations during training and scales
 // the survivors by 1/(1−Rate) (inverted dropout), so inference is a no-op.
 type Dropout struct {
 	Rate float64
 	rng  *rand.Rand
-	mask []float64
 }
 
 // NewDropout returns a dropout layer with the given drop probability.
@@ -149,45 +86,8 @@ func NewDropout(rate float64, rng *rand.Rand) *Dropout {
 	return &Dropout{Rate: rate, rng: rng}
 }
 
-// Forward implements Layer.
-func (d *Dropout) Forward(in *tensor.Matrix, train bool) *tensor.Matrix {
-	if !train { // no state write: inference stays read-only
-		return in
-	}
-	if d.Rate == 0 {
-		d.mask = nil
-		return in
-	}
-	keep := 1 - d.Rate
-	scale := 1 / keep
-	d.mask = make([]float64, len(in.Data))
-	out := tensor.New(in.Rows, in.Cols)
-	for i, v := range in.Data {
-		if d.rng.Float64() < keep {
-			d.mask[i] = scale
-			out.Data[i] = v * scale
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (d *Dropout) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	if d.mask == nil {
-		return gradOut
-	}
-	out := tensor.New(gradOut.Rows, gradOut.Cols)
-	for i, g := range gradOut.Data {
-		out.Data[i] = g * d.mask[i]
-	}
-	return out
-}
-
 // Params implements Layer.
 func (d *Dropout) Params() []Param { return nil }
-
-// OutDim implements Layer.
-func (d *Dropout) OutDim(in int) int { return in }
 
 // BatchNorm normalizes each feature over the batch and applies a learned
 // scale (gamma) and shift (beta). The paper tested batch normalization on the
@@ -204,8 +104,6 @@ type BatchNorm struct {
 
 	gradGamma *tensor.Matrix
 	gradBeta  *tensor.Matrix
-	lastXhat  *tensor.Matrix
-	lastStd   []float64
 }
 
 // NewBatchNorm returns a batch-norm layer over dim features.
@@ -228,78 +126,7 @@ func NewBatchNorm(dim int) *BatchNorm {
 	return bn
 }
 
-// Forward implements Layer.
-func (b *BatchNorm) Forward(in *tensor.Matrix, train bool) *tensor.Matrix {
-	if in.Cols != b.Dim {
-		panic(fmt.Sprintf("nn: batchnorm expected %d features, got %d", b.Dim, in.Cols))
-	}
-	var mean, variance []float64
-	if train && in.Rows > 1 {
-		mean = in.ColMeans()
-		variance = in.ColVariances(mean)
-		for j := range mean {
-			b.RunMean[j] = b.Momentum*b.RunMean[j] + (1-b.Momentum)*mean[j]
-			b.RunVar[j] = b.Momentum*b.RunVar[j] + (1-b.Momentum)*variance[j]
-		}
-	} else {
-		mean, variance = b.RunMean, b.RunVar
-	}
-	std := make([]float64, b.Dim)
-	for j := range std {
-		std[j] = math.Sqrt(variance[j] + b.Eps)
-	}
-	xhat := tensor.New(in.Rows, in.Cols)
-	out := tensor.New(in.Rows, in.Cols)
-	for i := 0; i < in.Rows; i++ {
-		row := in.Row(i)
-		xr := xhat.Row(i)
-		or := out.Row(i)
-		for j, v := range row {
-			xr[j] = (v - mean[j]) / std[j]
-			or[j] = b.Gamma.Data[j]*xr[j] + b.Beta.Data[j]
-		}
-	}
-	if train { // keep inference read-only (concurrent Predict)
-		b.lastXhat, b.lastStd = xhat, std
-	}
-	return out
-}
-
-// Backward implements Layer. Uses the standard batch-norm gradient with
-// batch statistics (valid for the training path).
-func (b *BatchNorm) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	n := float64(gradOut.Rows)
-	out := tensor.New(gradOut.Rows, gradOut.Cols)
-	// Per-column sums of g and g*xhat.
-	sumG := make([]float64, b.Dim)
-	sumGX := make([]float64, b.Dim)
-	for i := 0; i < gradOut.Rows; i++ {
-		gr := gradOut.Row(i)
-		xr := b.lastXhat.Row(i)
-		for j, g := range gr {
-			sumG[j] += g
-			sumGX[j] += g * xr[j]
-		}
-	}
-	for j := 0; j < b.Dim; j++ {
-		b.gradGamma.Data[j] += sumGX[j]
-		b.gradBeta.Data[j] += sumG[j]
-	}
-	for i := 0; i < gradOut.Rows; i++ {
-		gr := gradOut.Row(i)
-		xr := b.lastXhat.Row(i)
-		or := out.Row(i)
-		for j, g := range gr {
-			or[j] = (b.Gamma.Data[j] / b.lastStd[j]) * (g - sumG[j]/n - xr[j]*sumGX[j]/n)
-		}
-	}
-	return out
-}
-
 // Params implements Layer.
 func (b *BatchNorm) Params() []Param {
 	return []Param{{b.Gamma, b.gradGamma}, {b.Beta, b.gradBeta}}
 }
-
-// OutDim implements Layer.
-func (b *BatchNorm) OutDim(in int) int { return in }

@@ -92,26 +92,6 @@ func MLPSpecs(in int, hidden []int, out int, act, outAct ActivationKind, dropout
 	return specs
 }
 
-// Forward runs the full stack. Always float64: with train=false this is
-// the allocating reference inference path, regardless of EnableFloat32.
-func (n *Network) Forward(in *tensor.Matrix, train bool) *tensor.Matrix {
-	if train {
-		n.f32.Store(nil) // weights are about to change; drop the f32 snapshot
-	}
-	x := in
-	for _, l := range n.Layers {
-		x = l.Forward(x, train)
-	}
-	return x
-}
-
-// Backward propagates grad through the stack, accumulating parameter grads.
-func (n *Network) Backward(grad *tensor.Matrix) {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].Backward(grad)
-	}
-}
-
 // Params returns every parameter/gradient pair in deterministic order.
 func (n *Network) Params() []Param {
 	var ps []Param
@@ -144,15 +124,6 @@ func (n *Network) Predict1(features []float64) float64 {
 	ws.in.Data = nil // do not retain the caller's slice in the pool
 	n.ReleaseWorkspace(ws)
 	return v
-}
-
-// NumParams returns the total number of scalar parameters.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += len(p.Value.Data)
-	}
-	return total
 }
 
 // CloneFor returns a structurally identical network with freshly initialized

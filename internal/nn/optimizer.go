@@ -17,58 +17,12 @@ type Optimizer interface {
 	LR() float64
 }
 
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LRValue  float64
-	Momentum float64
-	velocity map[*tensor.Matrix]*tensor.Matrix
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	if lr <= 0 {
-		panic(fmt.Sprintf("nn: non-positive learning rate %v", lr))
-	}
-	return &SGD{LRValue: lr, Momentum: momentum, velocity: map[*tensor.Matrix]*tensor.Matrix{}}
-}
-
-// SetLR implements Optimizer.
-func (s *SGD) SetLR(lr float64) { s.LRValue = lr }
-
-// LR implements Optimizer.
-func (s *SGD) LR() float64 { return s.LRValue }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []Param) {
-	for _, p := range params {
-		if s.Momentum > 0 {
-			v := s.velocity[p.Value]
-			if v == nil {
-				v = tensor.New(p.Value.Rows, p.Value.Cols)
-				s.velocity[p.Value] = v
-			}
-			for i := range v.Data {
-				v.Data[i] = s.Momentum*v.Data[i] - s.LRValue*p.Grad.Data[i]
-				p.Value.Data[i] += v.Data[i]
-			}
-		} else {
-			for i := range p.Value.Data {
-				p.Value.Data[i] -= s.LRValue * p.Grad.Data[i]
-			}
-		}
-		p.Grad.Zero()
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba 2017), the optimizer both of the
 // paper's models use.
 type Adam struct {
 	LRValue, Beta1, Beta2, Eps float64
-	// WeightDecay applies decoupled L2 regularization (AdamW): parameters
-	// shrink by LR·WeightDecay each step before the gradient update.
-	WeightDecay float64
-	t           int
-	m, v        map[*tensor.Matrix]*tensor.Matrix
+	t                          int
+	m, v                       map[*tensor.Matrix]*tensor.Matrix
 }
 
 // NewAdam returns an Adam optimizer with the canonical defaults
@@ -82,13 +36,6 @@ func NewAdam(lr float64) *Adam {
 		m: map[*tensor.Matrix]*tensor.Matrix{},
 		v: map[*tensor.Matrix]*tensor.Matrix{},
 	}
-}
-
-// NewAdamW returns Adam with decoupled weight decay.
-func NewAdamW(lr, weightDecay float64) *Adam {
-	a := NewAdam(lr)
-	a.WeightDecay = weightDecay
-	return a
 }
 
 // SetLR implements Optimizer.
@@ -114,9 +61,6 @@ func (a *Adam) Step(params []Param) {
 			a.v[p.Value] = v
 		}
 		for i := range p.Value.Data {
-			if a.WeightDecay > 0 {
-				p.Value.Data[i] -= a.LRValue * a.WeightDecay * p.Value.Data[i]
-			}
 			g := p.Grad.Data[i]
 			m.Data[i] = a.Beta1*m.Data[i] + (1-a.Beta1)*g
 			v.Data[i] = a.Beta2*v.Data[i] + (1-a.Beta2)*g*g

@@ -6,7 +6,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// TrainWorkspace holds every buffer a Forward(train=true)+Backward pass
+// TrainWorkspace holds every buffer a ForwardTrain+BackwardTrain pass
 // writes: per-layer activations, per-layer input gradients, dropout masks,
 // batch-norm statistics, the loss gradient, and the SelectRows gather
 // scratch. On a warm trainer the whole batch step — gather, forward, loss,
@@ -84,12 +84,10 @@ func growFloats(s *[]float64, n int) []float64 {
 }
 
 // ForwardTrain runs a training-mode forward pass (dropout active, batch-norm
-// batch statistics) writing every activation into ws. It is arithmetically
-// identical to Forward(in, true) — same kernels, same accumulation order,
-// same RNG draw sequence for dropout — without its per-layer allocations.
-// The returned matrix is owned by ws and must be consumed before the
-// workspace's next use; backward state lives in ws, so pair it with
-// BackwardTrain on the same workspace.
+// batch statistics) writing every activation into ws. The returned matrix
+// is owned by ws and must be consumed before the workspace's next use;
+// backward state lives in ws, so pair it with BackwardTrain on the same
+// workspace.
 func (n *Network) ForwardTrain(ws *TrainWorkspace, in *tensor.Matrix) *tensor.Matrix {
 	// Training is about to mutate weights, so any compiled float32
 	// inference program is a stale snapshot: drop it. Re-enable with
@@ -135,18 +133,14 @@ func (n *Network) ForwardTrain(ws *TrainWorkspace, in *tensor.Matrix) *tensor.Ma
 			x = out
 		case *BatchNorm:
 			x = ll.forwardTrainInto(ws, i, x)
-		default:
-			// Unknown layer kinds fall back to their own allocating path
-			// (they cache backward state internally).
-			x = l.Forward(x, true)
 		}
 	}
 	return x
 }
 
-// forwardTrainInto is BatchNorm's training forward into workspace buffers,
-// mirroring Forward(in, true) exactly: batch statistics (and running-stat
-// updates) for multi-row batches, running statistics for single rows.
+// forwardTrainInto is BatchNorm's training forward into workspace buffers:
+// batch statistics (and running-stat updates) for multi-row batches,
+// running statistics for single rows.
 func (b *BatchNorm) forwardTrainInto(ws *TrainWorkspace, i int, in *tensor.Matrix) *tensor.Matrix {
 	if in.Cols != b.Dim {
 		panic("nn: batchnorm input width mismatch")
@@ -156,8 +150,6 @@ func (b *BatchNorm) forwardTrainInto(ws *TrainWorkspace, i int, in *tensor.Matri
 	if in.Rows > 1 {
 		mean = growFloats(&aux.mean, b.Dim)
 		variance = growFloats(&aux.vari, b.Dim)
-		// Same summation order as ColMeans/ColVariances (row-major, rows
-		// outer) so results match the allocating path bit for bit.
 		for j := range mean {
 			mean[j], variance[j] = 0, 0
 		}
@@ -205,9 +197,9 @@ func (b *BatchNorm) forwardTrainInto(ws *TrainWorkspace, i int, in *tensor.Matri
 }
 
 // BackwardTrain propagates the loss gradient through the stack using ws's
-// cached forward state, accumulating parameter gradients exactly like
-// Backward — the dense weight gradient streams through MatMulTransAAccum
-// instead of materializing inᵀ and a product matrix.
+// cached forward state, accumulating parameter gradients — the dense weight
+// gradient streams through MatMulTransAAccum instead of materializing inᵀ
+// and a product matrix.
 func (n *Network) BackwardTrain(ws *TrainWorkspace, grad *tensor.Matrix) {
 	g := grad
 	for i := len(n.Layers) - 1; i >= 0; i-- {
@@ -241,14 +233,12 @@ func (n *Network) BackwardTrain(ws *TrainWorkspace, grad *tensor.Matrix) {
 			g = out
 		case *BatchNorm:
 			g = ll.backwardInto(ws, i, g)
-		default:
-			g = n.Layers[i].Backward(g)
 		}
 	}
 }
 
-// backwardInto is BatchNorm's backward pass over workspace state, matching
-// Backward's arithmetic exactly.
+// backwardInto is BatchNorm's backward pass over workspace state: the
+// standard batch-norm gradient with batch statistics.
 func (b *BatchNorm) backwardInto(ws *TrainWorkspace, i int, gradOut *tensor.Matrix) *tensor.Matrix {
 	aux := &ws.aux[i]
 	n := float64(gradOut.Rows)

@@ -71,11 +71,8 @@ func (n *Network) ReleaseWorkspace(ws *Workspace) {
 // PredictInto runs an inference forward pass (no dropout, running batch-norm
 // stats) writing every intermediate activation into ws. The returned matrix
 // is owned by ws: it is valid until the workspace's next use or release, so
-// copy anything that must outlive it. On the default float64 path results
-// are bit-identical to Forward(in, false) — the kernels and their
-// accumulation order are the same — without its per-layer allocations;
-// with EnableFloat32 active the compiled float32 program runs instead
-// (see infer32.go for its precision policy).
+// copy anything that must outlive it. With EnableFloat32 active the compiled
+// float32 program runs instead (see infer32.go for its precision policy).
 func (n *Network) PredictInto(ws *Workspace, in *tensor.Matrix) *tensor.Matrix {
 	if p := n.f32.Load(); p != nil {
 		return p.predictInto(n, ws, in)
@@ -101,16 +98,13 @@ func (n *Network) PredictInto(ws *Workspace, in *tensor.Matrix) *tensor.Matrix {
 			// Inverted dropout is the identity at inference time.
 		case *BatchNorm:
 			x = ll.inferInto(x, ws.buf(i, x.Rows, x.Cols))
-		default:
-			// Unknown layer kinds fall back to the allocating path.
-			x = l.Forward(x, false)
 		}
 	}
 	return x
 }
 
 // inferInto is BatchNorm's inference forward (running statistics) into a
-// caller-provided destination, mirroring Forward's arithmetic exactly.
+// caller-provided destination.
 func (b *BatchNorm) inferInto(in, out *tensor.Matrix) *tensor.Matrix {
 	if in.Cols != b.Dim {
 		panic("nn: batchnorm input width mismatch")

@@ -10,11 +10,10 @@ import (
 
 // wsTestNet builds a network exercising every inference-path layer kind:
 // dense, activation, dropout (identity at inference), and batch-norm.
-func wsTestNet(t testing.TB) *Network {
-	t.Helper()
+func wsTestNet(dropout float64) *Network {
 	rng := rand.New(rand.NewSource(11))
 	n := NewNetwork(rng,
-		DenseSpec(33, 64), BatchNormSpec(64), ActivationSpec(ELU), DropoutSpec(0.2),
+		DenseSpec(33, 64), BatchNormSpec(64), ActivationSpec(ELU), DropoutSpec(dropout),
 		DenseSpec(64, 16), ActivationSpec(ReLU),
 		DenseSpec(16, 1), ActivationSpec(Sigmoid),
 	)
@@ -30,46 +29,65 @@ func wsTestNet(t testing.TB) *Network {
 	return n
 }
 
-// TestPredictIntoMatchesForward: the workspace path must be bit-identical
-// to the allocating Forward(in, false) path for every batch shape.
+// TestPredictIntoMatchesForward: on a net without active dropout, inference
+// (PredictInto) and the training forward (ForwardTrain, which
+// gradcheck_test.go ties to BackwardTrain) are the same function bit for bit
+// — for every layer kind and activation, single- and multi-row. Batch-norm
+// is compared row by row: a one-row training batch takes the running-stats
+// branch inference always takes, a multi-row one normalizes by the batch.
 func TestPredictIntoMatchesForward(t *testing.T) {
-	n := wsTestNet(t)
 	rng := rand.New(rand.NewSource(12))
-	ws := n.NewWorkspace()
-	for _, rows := range []int{1, 3, 64, 7} { // shrinking batch reuses big buffers
-		in := tensor.New(rows, 33)
-		for i := range in.Data {
-			in.Data[i] = rng.NormFloat64()
-		}
-		want := n.Forward(in, false)
-		got := n.PredictInto(ws, in)
-		if got.Rows != want.Rows || got.Cols != want.Cols {
-			t.Fatalf("rows=%d: shape %dx%d want %dx%d", rows, got.Rows, got.Cols, want.Rows, want.Cols)
-		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("rows=%d: PredictInto[%d]=%v differs from Forward=%v", rows, i, got.Data[i], want.Data[i])
+	everyActivation := []LayerSpec{DenseSpec(33, 24)}
+	for _, k := range []ActivationKind{ReLU, ELU, LeakyReLU, Tanh, Identity} {
+		everyActivation = append(everyActivation, ActivationSpec(k), DenseSpec(24, 24))
+	}
+	everyActivation = append(everyActivation, DropoutSpec(0), DenseSpec(24, 2), ActivationSpec(Sigmoid))
+	for _, tc := range []struct {
+		name      string
+		net       *Network
+		batchNorm bool
+	}{
+		{"every-activation", NewNetwork(rng, everyActivation...), false},
+		{"batch-norm", wsTestNet(0), true},
+	} {
+		ws, tws := tc.net.NewWorkspace(), tc.net.NewTrainWorkspace()
+		for _, rows := range []int{1, 3, 64, 7} { // shrinking batch reuses big buffers
+			in := tensor.New(rows, 33)
+			in.RandN(rng, 1)
+			got := tc.net.PredictInto(ws, in)
+			if !tc.batchNorm {
+				if want := tc.net.ForwardTrain(tws, in); !matEqual(got, want, 0) {
+					t.Fatalf("%s rows=%d: PredictInto differs from ForwardTrain", tc.name, rows)
+				}
 			}
-		}
-		// Predict (pooled workspace + clone) agrees too.
-		if out := n.Predict(in); !out.Equal(want, 0) {
-			t.Fatalf("rows=%d: Predict differs from Forward", rows)
+			for r := 0; r < rows; r++ {
+				want := tc.net.ForwardTrain(tws, in.SelectRows([]int{r}))
+				for j, w := range want.Data {
+					if g := got.At(r, j); g != w {
+						t.Fatalf("%s rows=%d: PredictInto[%d,%d]=%v, ForwardTrain on that row alone=%v", tc.name, rows, r, j, g, w)
+					}
+				}
+			}
+			// Predict (pooled workspace + clone) agrees too.
+			if out := tc.net.Predict(in); !matEqual(out, got, 0) {
+				t.Fatalf("%s rows=%d: Predict differs from PredictInto", tc.name, rows)
+			}
 		}
 	}
 }
 
 // TestPredict1MatchesForward: the zero-alloc scalar path returns the same
-// first unit as the matrix path.
+// first unit as the training forward on that row.
 func TestPredict1MatchesForward(t *testing.T) {
-	n := wsTestNet(t)
+	n := wsTestNet(0)
 	rng := rand.New(rand.NewSource(13))
 	row := make([]float64, 33)
 	for i := range row {
 		row[i] = rng.Float64() * 5
 	}
-	want := n.Forward(tensor.FromSlice(1, 33, row), false).Data[0]
+	want := n.ForwardTrain(n.NewTrainWorkspace(), tensor.FromRows([][]float64{row})).Data[0]
 	if got := n.Predict1(row); got != want {
-		t.Fatalf("Predict1 = %v, Forward = %v", got, want)
+		t.Fatalf("Predict1 = %v, ForwardTrain = %v", got, want)
 	}
 }
 
@@ -80,7 +98,7 @@ func TestPredictSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
-	n := wsTestNet(t)
+	n := wsTestNet(0.2)
 	row := make([]float64, 33)
 	for i := range row {
 		row[i] = float64(i)
@@ -109,7 +127,7 @@ func TestPredictSteadyStateAllocs(t *testing.T) {
 // TestPredictConcurrent drives pooled inference from many goroutines; run
 // with -race this is the workspace-sharing safety check.
 func TestPredictConcurrent(t *testing.T) {
-	n := wsTestNet(t)
+	n := wsTestNet(0.2)
 	rng := rand.New(rand.NewSource(14))
 	rows := make([][]float64, 16)
 	want := make([]float64, len(rows))

@@ -131,17 +131,8 @@ type Counter struct{ s *series }
 // Inc adds one.
 func (c *Counter) Inc() { c.s.bits.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.s.bits.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.s.bits.Load() }
-
-// Counter registers an unlabelled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.register(&family{name: name, help: help, kind: kindCounter})
-	return &Counter{s: f.get(nil)}
-}
 
 // CounterVec is a counter family with one or more label dimensions.
 type CounterVec struct{ f *family }
@@ -186,12 +177,6 @@ func (g *Gauge) Set(v float64) { g.s.bits.Store(math.Float64bits(v)) }
 
 // Value returns the stored value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.s.bits.Load()) }
-
-// Gauge registers an unlabelled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(&family{name: name, help: help, kind: kindGauge})
-	return &Gauge{s: f.get(nil)}
-}
 
 // GaugeVec is a gauge family with label dimensions.
 type GaugeVec struct{ f *family }

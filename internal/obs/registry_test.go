@@ -7,14 +7,12 @@ import (
 
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_ops_total", "Operations.")
-	c.Add(3)
+	r.CounterFunc("test_ops_total", "Operations.", func() float64 { return 3 })
 	cv := r.CounterVec("test_requests_total", "Requests.", "path", "code")
 	cv.Inc("/b", "200")
 	cv.Inc("/a", "200")
 	cv.Inc("/a", "500")
-	g := r.Gauge("test_temp", "Temperature.")
-	g.Set(1.5)
+	r.GaugeFunc("test_temp", "Temperature.", func() float64 { return 1.5 })
 	h := r.Histogram("test_size", "Sizes.", []float64{1, 2, 4})
 	h.Observe(3)
 	h.Observe(100)
@@ -89,13 +87,13 @@ func TestRegistryEscaping(t *testing.T) {
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_dup_total", "First.")
+	r.CounterVec("test_dup_total", "First.", "k")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r.Counter("test_dup_total", "Second.")
+	r.CounterVec("test_dup_total", "Second.", "k")
 }
 
 func TestCounterVecSnapshot(t *testing.T) {

@@ -313,8 +313,16 @@ func (f *Follower) resnapshot(ctx context.Context) (err error) {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("replication: snapshot fetch returned %d", resp.StatusCode)
 	}
+	// Counted before RestoreSnapshot publishes the new state, so whoever
+	// sees the healed replica also sees the re-snapshot that healed it.
+	f.mu.Lock()
+	f.resnapshots++
+	f.mu.Unlock()
 	lsn, err := f.cfg.Store.RestoreSnapshot(resp.Body)
 	if err != nil {
+		f.mu.Lock()
+		f.resnapshots--
+		f.mu.Unlock()
 		return fmt.Errorf("replication: snapshot restore: %w", err)
 	}
 	leaderLSN, _ := strconv.ParseUint(resp.Header.Get(HeaderLeaderLSN), 10, 64)
@@ -324,7 +332,6 @@ func (f *Follower) resnapshot(ctx context.Context) (err error) {
 	root.SetAttrInt("gen", int64(gen))
 
 	f.mu.Lock()
-	f.resnapshots++
 	f.leaderGen = gen
 	f.haveGen = true
 	f.mu.Unlock()

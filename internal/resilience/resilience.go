@@ -1,7 +1,7 @@
 // Package resilience provides the fault-tolerance primitives behind the
-// dashboard service and training stack: a tiered fallback prediction chain
-// with per-tier hit counters, numeric sanity helpers, and HTTP middleware
-// for panic recovery, per-request deadlines, and request-body limits.
+// dashboard service and training stack: a tiered fallback prediction chain,
+// numeric sanity helpers, and HTTP middleware for panic recovery,
+// per-request deadlines, and request-body limits.
 //
 // The design target is graceful degradation (Brown et al., arXiv:2204.13543):
 // a queue-time predictor embedded in a long-running service must keep
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // Canonical tier names used by the prediction fallback chain. TierError is
@@ -25,57 +24,9 @@ const (
 	TierError     = "error"
 )
 
-// Counters is a concurrency-safe counter keyed by tier name, exported on
-// the service's /health endpoint so operators can alert on degradation.
-type Counters struct {
-	mu sync.RWMutex
-	m  map[string]uint64
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters { return &Counters{m: map[string]uint64{}} }
-
-// Inc adds one to the named tier's counter.
-func (c *Counters) Inc(tier string) {
-	c.mu.Lock()
-	c.m[tier]++
-	c.mu.Unlock()
-}
-
-// Get returns the named tier's count.
-func (c *Counters) Get(tier string) uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.m[tier]
-}
-
-// Snapshot returns a copy of all counters.
-func (c *Counters) Snapshot() map[string]uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[string]uint64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
-	}
-	return out
-}
-
-// Degraded reports whether any tier other than primary (or the error
-// pseudo-tier) has answered at least once.
-func (c *Counters) Degraded(primary string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for k, v := range c.m {
-		if k != primary && v > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Step is one tier of a fallback chain.
 type Step[T any] struct {
-	// Tier names the step for counters and response tags.
+	// Tier names the step for metrics and response tags.
 	Tier string
 	// Predict produces a candidate answer. A panic inside Predict is
 	// recovered and treated as an error, so a corrupt model cannot take
@@ -87,10 +38,9 @@ type Step[T any] struct {
 
 // Run tries steps in order and returns the first answer whose Predict
 // succeeds (no error, no panic) and whose Check passes, together with the
-// tier that produced it. When counters is non-nil the answering tier is
-// recorded — or TierError when every step fails, in which case the last
-// error is returned.
-func Run[T any](steps []Step[T], counters *Counters) (T, string, error) {
+// tier that produced it — or TierError and the last error when every step
+// fails.
+func Run[T any](steps []Step[T]) (T, string, error) {
 	var zero T
 	var lastErr error
 	for _, s := range steps {
@@ -102,13 +52,7 @@ func Run[T any](steps []Step[T], counters *Counters) (T, string, error) {
 			lastErr = fmt.Errorf("resilience: tier %s: %w", s.Tier, err)
 			continue
 		}
-		if counters != nil {
-			counters.Inc(s.Tier)
-		}
 		return v, s.Tier, nil
-	}
-	if counters != nil {
-		counters.Inc(TierError)
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("resilience: empty fallback chain")

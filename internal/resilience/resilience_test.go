@@ -13,19 +13,12 @@ import (
 )
 
 func TestRunFirstTierWins(t *testing.T) {
-	c := NewCounters()
 	v, tier, err := Run([]Step[float64]{
 		{Tier: TierNN, Predict: func() (float64, error) { return 7, nil }},
 		{Tier: TierBaseline, Predict: func() (float64, error) { t.Fatal("should not run"); return 0, nil }},
-	}, c)
+	})
 	if err != nil || v != 7 || tier != TierNN {
 		t.Fatalf("got v=%v tier=%q err=%v", v, tier, err)
-	}
-	if c.Get(TierNN) != 1 || c.Get(TierBaseline) != 0 {
-		t.Fatalf("counters %v", c.Snapshot())
-	}
-	if c.Degraded(TierNN) {
-		t.Fatal("primary-only traffic reported degraded")
 	}
 }
 
@@ -36,33 +29,25 @@ func TestRunFallsThroughOnNaNErrorAndPanic(t *testing.T) {
 		}
 		return nil
 	}
-	c := NewCounters()
 	v, tier, err := Run([]Step[float64]{
 		{Tier: TierNN, Predict: func() (float64, error) { return math.NaN(), nil }, Check: finite},
 		{Tier: "panicky", Predict: func() (float64, error) { panic("corrupt weights") }},
 		{Tier: "erroring", Predict: func() (float64, error) { return 0, fmt.Errorf("no model") }},
 		{Tier: TierHeuristic, Predict: func() (float64, error) { return 42, nil }, Check: finite},
-	}, c)
+	})
 	if err != nil || v != 42 || tier != TierHeuristic {
 		t.Fatalf("got v=%v tier=%q err=%v", v, tier, err)
-	}
-	if !c.Degraded(TierNN) {
-		t.Fatal("fallback traffic not reported degraded")
 	}
 }
 
 func TestRunAllTiersFail(t *testing.T) {
-	c := NewCounters()
 	_, tier, err := Run([]Step[int]{
 		{Tier: TierNN, Predict: func() (int, error) { return 0, fmt.Errorf("down") }},
-	}, c)
+	})
 	if err == nil || tier != TierError {
 		t.Fatalf("got tier=%q err=%v", tier, err)
 	}
-	if c.Get(TierError) != 1 {
-		t.Fatalf("counters %v", c.Snapshot())
-	}
-	if _, _, err := Run[int](nil, nil); err == nil {
+	if _, _, err := Run[int](nil); err == nil {
 		t.Fatal("empty chain must error")
 	}
 }

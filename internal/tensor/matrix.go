@@ -29,14 +29,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromSlice wraps data (row-major) in a rows x cols matrix without copying.
-func FromSlice(rows, cols int, data []float64) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: FromSlice got %d values for %dx%d", len(data), rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
-}
-
 // FromRows builds a matrix by copying a slice of equal-length rows.
 func FromRows(rows [][]float64) *Matrix {
 	if len(rows) == 0 {
@@ -83,31 +75,6 @@ func (m *Matrix) Fill(v float64) {
 	}
 }
 
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.Data[j*t.Cols+i] = v
-		}
-	}
-	return t
-}
-
-// Equal reports whether m and o have identical shape and elements within tol.
-func (m *Matrix) Equal(o *Matrix, tol float64) bool {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		if math.Abs(v-o.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders small matrices for debugging.
 func (m *Matrix) String() string {
 	s := fmt.Sprintf("Matrix(%dx%d)[", m.Rows, m.Cols)
@@ -127,20 +94,13 @@ func (m *Matrix) String() string {
 	return s + "]"
 }
 
-// parallelThreshold is the number of multiply-adds below which MatMul stays
-// serial; spawning goroutines for tiny products costs more than it saves.
+// parallelThreshold is the number of multiply-adds below which a product
+// stays serial; spawning goroutines for tiny products costs more than it saves.
 const parallelThreshold = 64 * 64 * 64
 
-// MatMul returns a*b, parallelizing across row blocks when the product is
-// large enough to amortize goroutine startup.
-func MatMul(a, b *Matrix) *Matrix {
-	return MatMulInto(a, b, New(a.Rows, b.Cols))
-}
-
 // MatMulInto computes out = a*b into an existing destination, overwriting
-// its contents, and returns out. It is the allocation-free sibling of MatMul
-// for hot loops that reuse workspaces; the same row-block parallel split
-// applies. out must be a.Rows x b.Cols and must not alias a or b.
+// its contents, and returns out, parallelizing across row blocks when the
+// product is large enough to amortize goroutine startup. out must be a.Rows x b.Cols and must not alias a or b.
 func MatMulInto(a, b, out *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -215,13 +175,9 @@ func matMulRange(a, b, out *Matrix, lo, hi int) {
 	}
 }
 
-// MatMulTransB returns a * bᵀ without materializing the transpose.
-func MatMulTransB(a, b *Matrix) *Matrix {
-	return MatMulTransBInto(a, b, New(a.Rows, b.Rows))
-}
-
-// MatMulTransBInto computes out = a * bᵀ into an existing destination,
-// overwriting its contents, and returns out. Like MatMulInto it splits
+// MatMulTransBInto computes out = a * bᵀ into an existing destination
+// without materializing the transpose, overwriting its contents, and
+// returns out. Like MatMulInto it splits
 // across row blocks when the product is large. out must be a.Rows x b.Rows
 // and must not alias a or b.
 func MatMulTransBInto(a, b, out *Matrix) *Matrix {
@@ -261,8 +217,7 @@ func matMulTransBRange(a, b, out *Matrix, lo, hi int) {
 // MatMulTransAAccum accumulates out += aᵀ*b without materializing the
 // transpose — the dense-layer weight-gradient kernel (dW += inᵀ·gradOut).
 // out must be a.Cols x b.Cols and must not alias a or b. Accumulation per
-// destination element runs over a's rows in ascending order, matching
-// AddInPlace(out, MatMul(a.T(), b)) bit for bit when out starts zeroed.
+// destination element runs over a's rows in ascending order.
 func MatMulTransAAccum(a, b, out *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransAAccum shape mismatch (%dx%d)T * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -283,59 +238,6 @@ func MatMulTransAAccum(a, b, out *Matrix) {
 	}
 }
 
-// Add returns a+b element-wise.
-func Add(a, b *Matrix) *Matrix { return zipNew(a, b, func(x, y float64) float64 { return x + y }) }
-
-// Sub returns a-b element-wise.
-func Sub(a, b *Matrix) *Matrix { return zipNew(a, b, func(x, y float64) float64 { return x - y }) }
-
-// Mul returns the element-wise (Hadamard) product a⊙b.
-func Mul(a, b *Matrix) *Matrix { return zipNew(a, b, func(x, y float64) float64 { return x * y }) }
-
-func zipNew(a, b *Matrix, f func(x, y float64) float64) *Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		out.Data[i] = f(v, b.Data[i])
-	}
-	return out
-}
-
-// AddInPlace accumulates b into a.
-func AddInPlace(a, b *Matrix) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	for i, v := range b.Data {
-		a.Data[i] += v
-	}
-}
-
-// Scale multiplies every element of m by s in place.
-func (m *Matrix) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// Apply returns f applied element-wise as a new matrix.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = f(v)
-	}
-	return out
-}
-
-// ApplyInPlace applies f element-wise in place.
-func (m *Matrix) ApplyInPlace(f func(float64) float64) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-}
-
 // AddRowVector adds vec to every row of m in place. vec must have m.Cols
 // elements; this is the bias-broadcast used by dense layers.
 func (m *Matrix) AddRowVector(vec []float64) {
@@ -348,49 +250,6 @@ func (m *Matrix) AddRowVector(vec []float64) {
 			row[j] += v
 		}
 	}
-}
-
-// ColSums returns the per-column sums (length m.Cols).
-func (m *Matrix) ColSums() []float64 {
-	sums := make([]float64, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for j, v := range m.Row(i) {
-			sums[j] += v
-		}
-	}
-	return sums
-}
-
-// ColMeans returns the per-column means (length m.Cols).
-func (m *Matrix) ColMeans() []float64 {
-	sums := m.ColSums()
-	if m.Rows == 0 {
-		return sums
-	}
-	inv := 1.0 / float64(m.Rows)
-	for j := range sums {
-		sums[j] *= inv
-	}
-	return sums
-}
-
-// ColVariances returns the biased per-column variances given the means.
-func (m *Matrix) ColVariances(means []float64) []float64 {
-	vars := make([]float64, m.Cols)
-	if m.Rows == 0 {
-		return vars
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j, v := range m.Row(i) {
-			d := v - means[j]
-			vars[j] += d * d
-		}
-	}
-	inv := 1.0 / float64(m.Rows)
-	for j := range vars {
-		vars[j] *= inv
-	}
-	return vars
 }
 
 // Sum returns the sum of all elements.
@@ -430,15 +289,6 @@ func (m *Matrix) SelectRowsInto(idx []int, out *Matrix) *Matrix {
 func (m *Matrix) RandN(rng *rand.Rand, std float64) {
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat64() * std
-	}
-}
-
-// XavierInit fills m with the Glorot-uniform initialization for a layer with
-// fanIn inputs and fanOut outputs.
-func (m *Matrix) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
-	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
-	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * limit
 	}
 }
 

@@ -16,13 +16,6 @@ type Matrix32 struct {
 // PadTo4 rounds n up to the next multiple of four, the kernel lane width.
 func PadTo4(n int) int { return (n + 3) &^ 3 }
 
-// NewMatrix32 allocates a zeroed rows x cols matrix whose stride is cols
-// rounded up to the kernel lane width.
-func NewMatrix32(rows, cols int) *Matrix32 {
-	stride := PadTo4(cols)
-	return &Matrix32{Rows: rows, Cols: cols, Stride: stride, Data: make([]float32, rows*stride)}
-}
-
 // Row returns the i-th row including its padding lanes.
 func (m *Matrix32) Row(i int) []float32 {
 	return m.Data[i*m.Stride : i*m.Stride+m.Stride]

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// NewMatrix32 allocates a zeroed rows x cols matrix whose stride is cols
+// rounded up to the kernel lane width.
+func NewMatrix32(rows, cols int) *Matrix32 {
+	stride := PadTo4(cols)
+	return &Matrix32{Rows: rows, Cols: cols, Stride: stride, Data: make([]float32, rows*stride)}
+}
+
 func randMatrix32(rows, cols int, rng *rand.Rand) *Matrix32 {
 	m := NewMatrix32(rows, cols)
 	for r := 0; r < rows; r++ {

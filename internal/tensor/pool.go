@@ -24,13 +24,6 @@ func Get(rows, cols int) *Matrix {
 	return New(rows, cols)
 }
 
-// GetZeroed is Get with every element cleared.
-func GetZeroed(rows, cols int) *Matrix {
-	m := Get(rows, cols)
-	m.Zero()
-	return m
-}
-
 // Put returns a matrix obtained from Get to the pool. The caller must not
 // use m (or any row view of it) afterwards. nil is a no-op, so deferred
 // cleanup of conditionally-acquired buffers stays branch-free.

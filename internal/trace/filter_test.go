@@ -20,19 +20,6 @@ func TestFilterPartition(t *testing.T) {
 	}
 }
 
-func TestWindow(t *testing.T) {
-	tr := &Trace{Jobs: []Job{
-		{ID: 1, Eligible: 10}, {ID: 2, Eligible: 20}, {ID: 3, Eligible: 30},
-	}}
-	w := tr.Window(15, 30)
-	if len(w.Jobs) != 1 || w.Jobs[0].ID != 2 {
-		t.Fatalf("Window = %+v", w.Jobs)
-	}
-	if len(tr.Window(100, 200).Jobs) != 0 {
-		t.Fatal("empty window should be empty")
-	}
-}
-
 func TestSpan(t *testing.T) {
 	tr := &Trace{Jobs: []Job{
 		{Submit: 50, End: 100}, {Submit: 10, End: 80}, {Submit: 30, End: 200},

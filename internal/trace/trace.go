@@ -132,17 +132,6 @@ func (t *Trace) FilterPartition(name string) *Trace {
 	return out
 }
 
-// Window returns the jobs whose eligibility time falls in [from, to).
-func (t *Trace) Window(from, to int64) *Trace {
-	out := &Trace{}
-	for i := range t.Jobs {
-		if e := t.Jobs[i].Eligible; e >= from && e < to {
-			out.Jobs = append(out.Jobs, t.Jobs[i])
-		}
-	}
-	return out
-}
-
 // Span returns the earliest submit and latest end in the trace (0, 0 for an
 // empty trace).
 func (t *Trace) Span() (first, last int64) {

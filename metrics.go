@@ -8,12 +8,12 @@ import (
 )
 
 // handleMetrics renders every family in the service's obs.Registry in
-// Prometheus text exposition format 0.0.4: prediction tier counters,
-// snapshot-source split, HTTP request counters and latency, per-stage
-// predict pipeline latency, livestate engine gauges (queue depth by
-// partition follows the prometheus-slurm-exporter convention), WAL
-// durability gauges, online accuracy, and training telemetry. Output is
-// deterministically ordered so scrapes diff cleanly.
+// Prometheus text exposition format 0.0.4: prediction tier counters, HTTP
+// request counters and latency, per-stage predict pipeline latency,
+// livestate engine gauges (queue depth by partition follows the
+// prometheus-slurm-exporter convention), WAL durability gauges, online
+// accuracy, and training telemetry. Output is deterministically ordered so
+// scrapes diff cleanly.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		resilience.WriteError(w, http.StatusMethodNotAllowed, "method not allowed")

@@ -34,16 +34,10 @@ type (
 // FeatureNames lists the 33 model features in column order.
 var FeatureNames = features.Names
 
-// DefaultModelConfig mirrors the paper's architecture.
-func DefaultModelConfig() ModelConfig { return core.DefaultConfig() }
-
 // AnvilLikeCluster returns the scaled-down Anvil-shaped cluster the default
 // pipeline simulates (seven partitions over shared CPU, high-memory and
 // isolated GPU pools).
 func AnvilLikeCluster(scale int) ClusterSpec { return slurmsim.AnvilLike(scale) }
-
-// LoadModelFile reads a trained bundle from disk.
-func LoadModelFile(path string) (*Model, error) { return core.LoadFile(path) }
 
 // PipelineConfig wires the full reproduction pipeline: synthesize a
 // workload, push it through the cluster simulator, engineer features, and

@@ -185,15 +185,10 @@ type Service struct {
 	cacheOps  *obs.CounterVec // trout_snapshot_cache_requests_total{result}
 }
 
-// NewService wraps a bundle with an initial queue state (may be empty)
-// under the default resilience configuration.
-func NewService(b *Bundle, initial *Trace) (*Service, error) {
-	return NewServiceWith(b, initial, ServiceConfig{})
-}
-
-// NewServiceWith is NewService with an explicit resilience configuration.
-// When the live store's engine is empty (fresh store, or a WAL directory
-// with nothing to recover), the initial trace (may be nil) seeds it.
+// NewServiceWith wraps a bundle in the HTTP service; the zero ServiceConfig
+// is the default resilience configuration. When the live store's engine is
+// empty (fresh store, or a WAL directory with nothing to recover), the
+// initial trace (may be nil) seeds it.
 func NewServiceWith(b *Bundle, initial *Trace, cfg ServiceConfig) (*Service, error) {
 	if b == nil {
 		return nil, fmt.Errorf("trout: service needs a bundle")
@@ -706,7 +701,7 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // handleDebugRequests serves the flight recorder: the N slowest and the
 // N most recent errored requests, full span trees included, so a trace
-// ID from a log line or the loadgen scorecard can be inspected without
+// ID from a log line or a response's X-Request-ID can be inspected without
 // any external tracing backend.
 func (s *Service) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {

@@ -20,7 +20,6 @@ import (
 
 	trout "repro"
 	"repro/internal/livestate"
-	"repro/internal/loadgen"
 	"repro/internal/obs"
 	"repro/internal/replication"
 	"repro/internal/resilience"
@@ -404,7 +403,7 @@ func TestIngestAdmissionSheds(t *testing.T) {
 	}
 }
 
-// TestFaultWindowResponsesAreValid drives a mixed loadgen workload at a
+// TestFaultWindowResponsesAreValid drives a mixed smokeLoad workload at a
 // leader whose admission gate is deliberately tiny, then applies ISSUE 6's
 // acceptance: every response in the window is a valid prediction, a
 // structured error, or a 429 with Retry-After — never a hang, an empty
@@ -415,25 +414,12 @@ func TestFaultWindowResponsesAreValid(t *testing.T) {
 			MaxInFlight: 1, MaxQueue: 1, QueueTimeout: 5 * time.Millisecond,
 		},
 	})
-	sc, err := loadgen.Run(context.Background(), loadgen.Config{
-		BaseURL:     lsrv.URL,
-		Requests:    300,
-		Concurrency: 8,
-		At:          e.Trace.Jobs[len(e.Trace.Jobs)-1].End + 100,
-		JobIDBase:   9_300_000,
-		Validate:    loadgen.StrictValidate,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := smokeLoad(t, lsrv.URL, 300, 8, e.Trace.Jobs[len(e.Trace.Jobs)-1].End+100, 9_300_000)
 	if sc.Total != 300 {
-		t.Fatalf("loadgen issued %d requests, want 300", sc.Total)
+		t.Fatalf("smokeLoad issued %d requests, want 300", sc.Total)
 	}
-	if sc.Invalid != 0 {
-		t.Fatalf("%d invalid responses: %v", sc.Invalid, sc.InvalidSamples)
-	}
-	if sc.NetErrors != 0 {
-		t.Fatalf("%d network errors against a live server", sc.NetErrors)
+	if len(sc.Invalid) != 0 {
+		t.Fatalf("%d invalid responses or transport errors: %v", len(sc.Invalid), sc.Invalid)
 	}
 	for code := range sc.Status {
 		if code != http.StatusOK && code != http.StatusTooManyRequests {

@@ -46,6 +46,22 @@ func resilientBundle(t *testing.T) *trout.Bundle {
 	return rbMemo
 }
 
+// fastBundle returns a private gob round-trip of the shared bundle for tests
+// that serve with FastInference: compiling onto the float32 path is one-way,
+// and the other tests compare against the shared bundle's f64 answers.
+func fastBundle(t *testing.T) *trout.Bundle {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := resilientBundle(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b, err := trout.LoadBundle(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // poisonedClassifier returns a copy of the bundle whose classifier weights
 // are all NaN — the "corrupted bundle" from the acceptance criteria —
 // without touching the shared original.

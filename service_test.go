@@ -81,7 +81,7 @@ func liveQueueFixture(t *testing.T) *liveQueue {
 func testService(t *testing.T) (*httptest.Server, *trout.Experiment) {
 	t.Helper()
 	e := sharedExperiment(t)
-	svc, err := trout.NewService(resilientBundle(t), e.Trace)
+	svc, err := trout.NewServiceWith(resilientBundle(t), e.Trace, trout.ServiceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestServiceHealth(t *testing.T) {
 
 	// An events-fed service never saw a bulk upload: queue_jobs used to
 	// read 0 beside live.tracked 1.
-	fed, err := trout.NewService(resilientBundle(t), nil)
+	fed, err := trout.NewServiceWith(resilientBundle(t), nil, trout.ServiceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestServiceConcurrentAccess(t *testing.T) {
 }
 
 func TestNewServiceValidation(t *testing.T) {
-	if _, err := trout.NewService(nil, nil); err == nil {
+	if _, err := trout.NewServiceWith(nil, nil, trout.ServiceConfig{}); err == nil {
 		t.Fatal("nil bundle accepted")
 	}
 }

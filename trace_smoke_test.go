@@ -11,7 +11,6 @@ package trout_test
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -26,7 +25,6 @@ import (
 	"time"
 
 	trout "repro"
-	"repro/internal/loadgen"
 	"repro/internal/obs"
 )
 
@@ -118,30 +116,19 @@ func validateTraceLine(t *testing.T, line obs.TraceJSON) {
 // and schema-checks the entire export file.
 func TestTraceSmoke(t *testing.T) {
 	q := liveQueueFixture(t)
-	bundle := resilientBundle(t)
-	t.Cleanup(bundle.DisableFastInference)
 	file := filepath.Join(t.TempDir(), "traces.jsonl")
-	svc, err := trout.NewServiceWith(bundle, q.Trace, trout.ServiceConfig{
+	svc, err := trout.NewServiceWith(fastBundle(t), q.Trace, trout.ServiceConfig{
 		FastInference: true,
 		Tracing:       obs.TracerConfig{SampleRate: 1, Path: file, QueueLen: 4096},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	sc, err := loadgen.Run(ctx, loadgen.Config{
-		Handler:     svc.Handler(),
-		Requests:    600,
-		Concurrency: 8,
-		At:          q.Now,
-		Validate:    loadgen.StrictValidate,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.ErrorRate != 0 || sc.Status[http.StatusOK] != sc.Total {
-		t.Fatalf("error rate %.4f, statuses %v with tracing on: %v", sc.ErrorRate, sc.Status, sc.InvalidSamples)
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	sc := smokeLoad(t, srv.URL, 600, 8, q.Now, 1_000_000)
+	if len(sc.Invalid) != 0 || sc.Total != 600 || sc.Status[http.StatusOK] != sc.Total {
+		t.Fatalf("statuses %v with tracing on, invalid: %v", sc.Status, sc.Invalid)
 	}
 	svc.Tracer().Flush()
 
@@ -166,10 +153,8 @@ func TestTraceSmoke(t *testing.T) {
 func TestTraceSlowRequestRecorded(t *testing.T) {
 	const traceID = "cafe0123deadbeef"
 	e := sharedExperiment(t)
-	bundle := resilientBundle(t)
-	t.Cleanup(bundle.DisableFastInference)
 	file := filepath.Join(t.TempDir(), "traces.jsonl")
-	svc, err := trout.NewServiceWith(bundle, e.Trace, trout.ServiceConfig{
+	svc, err := trout.NewServiceWith(fastBundle(t), e.Trace, trout.ServiceConfig{
 		FastInference: true,
 		Tracing: obs.TracerConfig{
 			SampleRate:    -1, // head sampling off: only the slow rule can export

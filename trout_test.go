@@ -305,23 +305,6 @@ func TestScalingAblation(t *testing.T) {
 	}
 }
 
-func TestFeatureImportance(t *testing.T) {
-	e := sharedExperiment(t)
-	imps, err := e.RunFeatureImportance(300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(imps) != len(trout.FeatureNames) {
-		t.Fatalf("%d importances", len(imps))
-	}
-	// Sorted descending.
-	for i := 1; i < len(imps); i++ {
-		if imps[i].Score > imps[i-1].Score {
-			t.Fatal("importances not sorted")
-		}
-	}
-}
-
 func TestModelConfigVariantsTrain(t *testing.T) {
 	// Public config knobs must compose: ReLU + no dropout + MSE loss.
 	e := sharedExperiment(t)
