@@ -176,37 +176,10 @@ func minutesPrediction(minutes, cutoff float64) core.Prediction {
 // out-of-range value; the answer is tagged with the tier that produced it.
 // Only a snapshot whose feature row cannot be built (e.g. an unknown
 // partition) returns an error — that is a bad request, not a degraded
-// model.
+// model. It is PredictBatchWithFallback on a batch of one.
 func (b *Bundle) PredictWithFallback(snap *Snapshot) (TieredPrediction, error) {
-	return b.predictWithFallback(snap, obs.SpanHandle{})
-}
-
-// predictWithFallback is the one body of PredictWithFallback: it records
-// the featurize, scale, classify, regress and fallback stages as child
-// spans of parent (the zero handle records nothing and reads no clock).
-func (b *Bundle) predictWithFallback(snap *Snapshot, parent obs.SpanHandle) (TieredPrediction, error) {
-	sp := parent.StartChild(obs.StageFeaturize)
-	row, err := features.SnapshotRow(snap, &b.Cluster, b.Runtime)
-	sp.End()
-	if err != nil {
-		return TieredPrediction{}, err
-	}
-	cutoff := b.cutoffMinutes()
-	steps := append([]resilience.Step[core.Prediction]{{
-		Tier: resilience.TierNN,
-		Predict: func() (core.Prediction, error) {
-			if b.Model == nil {
-				return core.Prediction{}, fmt.Errorf("no model in bundle")
-			}
-			return b.Model.PredictTraced(row, parent), nil
-		},
-		Check: checkPrediction,
-	}}, b.degradedSteps(row, snap.Target.Partition, cutoff, parent)...)
-	pred, tier, err := resilience.Run(steps)
-	if err != nil {
-		return TieredPrediction{}, err
-	}
-	return TieredPrediction{Prediction: pred, Tier: tier}, nil
+	res := b.predictBatchWithFallback([]*Snapshot{snap}, obs.SpanHandle{})[0]
+	return res.TieredPrediction, res.Err
 }
 
 // cutoffMinutes is the Long-verdict threshold: a bundle with a corrupt
@@ -220,14 +193,12 @@ func (b *Bundle) cutoffMinutes() float64 {
 
 // degradedSteps are the tier-2 (bundled GBDT) and tier-3 (partition median)
 // fallback steps for one feature row — everything in the chain below the
-// neural network, shared between the single and batched prediction paths.
-// Each attempt records a "fallback" span under parent.
-func (b *Bundle) degradedSteps(row []float64, partition string, cutoff float64, parent obs.SpanHandle) []resilience.Step[core.Prediction] {
+// neural network.
+func (b *Bundle) degradedSteps(row []float64, partition string, cutoff float64) []resilience.Step[core.Prediction] {
 	return []resilience.Step[core.Prediction]{
 		{
 			Tier: resilience.TierBaseline,
 			Predict: func() (core.Prediction, error) {
-				defer parent.StartChild(obs.StageFallback).End()
 				if b.Fallback.Baseline == nil {
 					return core.Prediction{}, fmt.Errorf("no baseline predictor in bundle")
 				}
@@ -238,7 +209,6 @@ func (b *Bundle) degradedSteps(row []float64, partition string, cutoff float64, 
 		{
 			Tier: resilience.TierHeuristic,
 			Predict: func() (core.Prediction, error) {
-				defer parent.StartChild(obs.StageFallback).End()
 				med, ok := b.Fallback.PartitionMedianMinutes[partition]
 				if !ok {
 					med = b.Fallback.GlobalMedianMinutes
@@ -251,8 +221,9 @@ func (b *Bundle) degradedSteps(row []float64, partition string, cutoff float64, 
 }
 
 // BatchResult is one job's outcome from PredictBatchWithFallback: either a
-// tiered prediction or a per-job error (bad feature row, or every tier
-// refused) — one job's failure never fails the batch.
+// tiered prediction or a per-job error — one job's failure never fails the
+// batch. An error with an empty Tier is a feature row that could not be
+// built (a bad request); with Tier "error", every tier refused.
 type BatchResult struct {
 	TieredPrediction
 	Err error
@@ -260,20 +231,18 @@ type BatchResult struct {
 
 // PredictBatchWithFallback runs the tiered chain over many snapshots at
 // once. Healthy path: every feature row goes through the model's mini-batch
-// matmuls in one pass (classifier once, regressor once over the
+// matmuls (per chunk: classifier once, regressor once over the
 // long-classified subset). Rows whose NN answer fails the finite/range
-// check — or every row, when the model is absent or the batch pass
-// panics — drop to the same per-row tier-2/3 chain the single path uses, so
-// each result is identical (values and tier label) to PredictWithFallback
-// on that snapshot.
+// check — or every row, when the model is absent or the forward pass
+// panics — drop to the per-row tier-2/3 chain.
 func (b *Bundle) PredictBatchWithFallback(snaps []*Snapshot) []BatchResult {
 	return b.predictBatchWithFallback(snaps, obs.SpanHandle{})
 }
 
-// predictBatchWithFallback is the one body of PredictBatchWithFallback,
-// recording stage spans under parent: featurize covers row staging,
-// batch_nn the mini-batched forward passes, and fallback the degraded
-// per-row chains (one span around all fallen-back rows).
+// predictBatchWithFallback is the one body of the tiered chain, recording
+// stage spans under parent: featurize covers row staging, scale, classify
+// and regress each model chunk, and fallback the degraded per-row chains
+// (one span around all fallen-back rows).
 func (b *Bundle) predictBatchWithFallback(snaps []*Snapshot, parent obs.SpanHandle) []BatchResult {
 	results := make([]BatchResult, len(snaps))
 
@@ -296,13 +265,11 @@ func (b *Bundle) predictBatchWithFallback(snaps []*Snapshot, parent obs.SpanHand
 		return results
 	}
 
-	sp = parent.StartChild(obs.StageBatchNN)
-	preds, ok := b.tryPredictBatch(rows)
-	sp.End()
+	preds, ok := b.tryPredictBatch(rows, parent)
 	var fellBack []int // rows indices the NN tier could not answer
 	for k, i := range rowOf {
 		if ok && checkPrediction(preds[k]) == nil {
-			results[i] = BatchResult{TieredPrediction: TieredPrediction{Prediction: preds[k], Tier: resilience.TierNN}}
+			results[i].TieredPrediction = TieredPrediction{Prediction: preds[k], Tier: resilience.TierNN}
 			continue
 		}
 		fellBack = append(fellBack, k)
@@ -315,21 +282,17 @@ func (b *Bundle) predictBatchWithFallback(snaps []*Snapshot, parent obs.SpanHand
 	cutoff := b.cutoffMinutes()
 	for _, k := range fellBack {
 		i := rowOf[k]
-		pred, tier, err := resilience.Run(b.degradedSteps(rows[k], snaps[i].Target.Partition, cutoff, obs.SpanHandle{}))
-		if err != nil {
-			results[i].Err = err
-			continue
-		}
-		results[i] = BatchResult{TieredPrediction: TieredPrediction{Prediction: pred, Tier: tier}}
+		pred, tier, err := resilience.Run(b.degradedSteps(rows[k], snaps[i].Target.Partition, cutoff))
+		results[i] = BatchResult{TieredPrediction: TieredPrediction{Prediction: pred, Tier: tier}, Err: err}
 	}
 	sp.End()
 	return results
 }
 
-// tryPredictBatch is the NN tier of the batch path: it reports ok=false
-// when the model is missing or the mini-batch forward pass panics (the
-// batch equivalent of the single path's per-tier panic recovery).
-func (b *Bundle) tryPredictBatch(rows [][]float64) (preds []core.Prediction, ok bool) {
+// tryPredictBatch is the NN tier: it reports ok=false when the model is
+// missing or the forward pass panics (per-tier panic recovery, as
+// resilience.Run gives the tiers below).
+func (b *Bundle) tryPredictBatch(rows [][]float64, parent obs.SpanHandle) (preds []core.Prediction, ok bool) {
 	if b.Model == nil {
 		return nil, false
 	}
@@ -338,7 +301,7 @@ func (b *Bundle) tryPredictBatch(rows [][]float64) (preds []core.Prediction, ok 
 			preds, ok = nil, false
 		}
 	}()
-	return b.Model.PredictBatch(rows), true
+	return b.Model.PredictBatchTraced(rows, parent), true
 }
 
 // SnapshotAtInstant reconstructs queue state at an arbitrary instant by

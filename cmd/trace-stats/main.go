@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"sort"
 	"strings"
 
@@ -32,21 +31,7 @@ func main() {
 	if flag.NArg() != 1 {
 		log.Fatal("usage: trace-stats [-partition name] <trace.csv|trace.jsonl>")
 	}
-	path := flag.Arg(0)
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	var tr *trace.Trace
-	switch {
-	case strings.HasSuffix(path, ".jsonl"):
-		tr, err = trace.ReadJSONL(f)
-	case strings.HasSuffix(path, ".sacct"), strings.HasSuffix(path, ".txt"):
-		tr, err = trace.ReadSacct(f)
-	default:
-		tr, err = trace.ReadCSV(f)
-	}
+	tr, err := trace.ReadFile(flag.Arg(0))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,8 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"strings"
 
 	trout "repro"
 	"repro/internal/core"
@@ -55,7 +53,7 @@ func main() {
 		fmt.Printf("synthesizing %d jobs (seed %d)...\n", *jobs, *seed)
 		tr, cluster, err = p.GenerateTrace()
 	} else {
-		tr, err = readTrace(*tracePath)
+		tr, err = trace.ReadFile(*tracePath)
 		// Traces are replayed against the same cluster shape they were
 		// generated on.
 		c := trout.AnvilLikeCluster(*scale)
@@ -104,21 +102,4 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote bundle to %s\n", *out)
-}
-
-func readTrace(path string) (*trout.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	switch {
-	case strings.HasSuffix(path, ".jsonl"):
-		return trace.ReadJSONL(f)
-	case strings.HasSuffix(path, ".sacct"), strings.HasSuffix(path, ".txt"):
-		// Real Slurm accounting dumps: sacct --parsable2 output.
-		return trace.ReadSacct(f)
-	default:
-		return trace.ReadCSV(f)
-	}
 }

@@ -18,9 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"slices"
-	"strings"
 
 	trout "repro"
 	"repro/internal/trace"
@@ -53,7 +51,7 @@ func main() {
 	if *tracePath == "" {
 		log.Fatal("need -trace for queue state")
 	}
-	tr, err := readTrace(*tracePath)
+	tr, err := trace.ReadFile(*tracePath)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,21 +102,4 @@ func hypotheticalSnapshot(tr *trout.Trace, at int64, target trace.Job) *trout.Sn
 		snap.Target.Priority = prios[len(prios)/2]
 	}
 	return snap
-}
-
-func readTrace(path string) (*trout.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	switch {
-	case strings.HasSuffix(path, ".jsonl"):
-		return trace.ReadJSONL(f)
-	case strings.HasSuffix(path, ".sacct"), strings.HasSuffix(path, ".txt"):
-		// Real Slurm accounting dumps: sacct --parsable2 output.
-		return trace.ReadSacct(f)
-	default:
-		return trace.ReadCSV(f)
-	}
 }

@@ -55,3 +55,42 @@ func TestPredictBatchAllLongAllShort(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictWarmPathAllocatesNothing guards Predict's stack-staged chunk
+// of one, on the f64 and the f32 kernels, for a short row (classifier
+// only) and a long one (the all-long chunk hands the regressor the
+// classifier's matrix).
+func TestPredictWarmPathAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	m, ds, fold := sharedModel(t)
+	var long, short []float64
+	for _, i := range fold.Test {
+		if m.Predict(ds.X[i]).Long {
+			long = ds.X[i]
+		} else {
+			short = ds.X[i]
+		}
+	}
+	if long == nil || short == nil {
+		t.Fatal("holdout lacks a long or a short row")
+	}
+	check := func(kernel string) {
+		for name, row := range map[string][]float64{"long": long, "short": short} {
+			m.Predict(row) // warm the pools
+			if allocs := testing.AllocsPerRun(200, func() { m.Predict(row) }); allocs != 0 {
+				t.Errorf("%s Predict on a %s row: %v allocs/op, want 0", kernel, name, allocs)
+			}
+		}
+	}
+	check("f64")
+	if !m.EnableFastInference() {
+		t.Fatal("model did not compile onto the f32 path")
+	}
+	defer func() {
+		m.Classifier.DisableFloat32()
+		m.Regressor.DisableFloat32()
+	}()
+	check("f32")
+}

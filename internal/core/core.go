@@ -15,9 +15,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/features"
 	"repro/internal/nn"
@@ -277,40 +274,13 @@ func trainRegressor(ctx context.Context, X [][]float64, y []float64, dim int, cf
 	return net, nil
 }
 
-// Predict runs Algorithm 1 on one raw (unscaled) feature row. The scaled
-// row lives in a pooled matrix (TransformInto is bit-identical to
-// Transform), so the warm path performs zero heap allocations.
+// Predict runs Algorithm 1 on one raw (unscaled) feature row: a chunk of
+// one, staged in stack arrays, so the warm path performs zero heap
+// allocations.
 func (m *Model) Predict(raw []float64) Prediction {
-	return m.PredictTraced(raw, obs.SpanHandle{})
-}
-
-// PredictTraced is the one body of Predict: it additionally records the
-// scale, classify and regress stages as child spans of parent. The zero
-// parent records nothing and reads no clock.
-func (m *Model) PredictTraced(raw []float64, parent obs.SpanHandle) Prediction {
-	xm := tensor.Get(1, m.NumInputs)
-	defer tensor.Put(xm)
-	sp := parent.StartChild(obs.StageScale)
-	scaling.TransformInto(m.Scaler, xm.Data, raw)
-	sp.End()
-	x := xm.Data
-
-	sp = parent.StartChild(obs.StageClassify)
-	prob := m.Classifier.Predict1(x)
-	sp.End()
-
-	p := Prediction{Prob: prob, Long: prob >= 0.5}
-	if p.Long {
-		sp = parent.StartChild(obs.StageRegress)
-		p.Minutes = math.Expm1(m.Regressor.Predict1(x))
-		sp.End()
-		if p.Minutes < m.Cfg.CutoffMinutes {
-			// The hierarchical contract: the regressor only speaks for
-			// jobs past the cutoff.
-			p.Minutes = m.Cfg.CutoffMinutes
-		}
-	}
-	return p
+	rows, preds := [1][]float64{raw}, [1]Prediction{}
+	m.predictChunk(rows[:], preds[:], obs.SpanHandle{})
+	return preds[0]
 }
 
 // EnableFastInference compiles both heads onto the float32 inference path
@@ -328,69 +298,49 @@ func (m *Model) EnableFastInference() bool {
 	return true
 }
 
-// batchChunk bounds the rows one worker processes per PredictBatch chunk:
-// small enough to spread a 64-job batch across ≥4 cores, large enough that
-// the mini-batch matmuls amortize their loop overhead.
+// batchChunk bounds the rows of one predictChunk pass: large enough that
+// the mini-batch matmuls amortize their loop overhead, small enough that
+// the long-row index lives on the stack.
 const batchChunk = 16
 
-// PredictBatch runs Algorithm 1 on many raw feature rows as true mini-batch
-// matmuls: rows are scaled into a pooled matrix, the classifier runs once
-// per chunk, and the regressor runs once over the long-classified subset —
-// instead of len(rows) row-by-row passes. Chunks are spread across
-// GOMAXPROCS goroutines, each with its own pooled workspace. Results are
-// bit-identical to calling Predict on each row: the kernels, accumulation
-// order and clamping match exactly.
+// PredictBatch runs Algorithm 1 on many raw feature rows, batchChunk rows
+// per pass. Each result is what Predict returns for that row: both run
+// predictChunk, and the kernels treat rows independently.
 func (m *Model) PredictBatch(raw [][]float64) []Prediction {
+	return m.PredictBatchTraced(raw, obs.SpanHandle{})
+}
+
+// PredictBatchTraced is the one body of PredictBatch: every chunk
+// additionally records its scale, classify and regress stages as child
+// spans of parent. The zero parent records nothing and reads no clock.
+func (m *Model) PredictBatchTraced(raw [][]float64, parent obs.SpanHandle) []Prediction {
 	preds := make([]Prediction, len(raw))
-	if len(raw) == 0 {
-		return preds
+	for lo := 0; lo < len(raw); lo += batchChunk {
+		hi := min(lo+batchChunk, len(raw))
+		m.predictChunk(raw[lo:hi], preds[lo:hi], parent)
 	}
-	chunks := (len(raw) + batchChunk - 1) / batchChunk
-	workers := runtime.GOMAXPROCS(0)
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		m.predictChunk(raw, preds)
-		return preds
-	}
-	var wg sync.WaitGroup
-	next := int64(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(atomic.AddInt64(&next, 1))
-				if c >= chunks {
-					return
-				}
-				lo := c * batchChunk
-				hi := lo + batchChunk
-				if hi > len(raw) {
-					hi = len(raw)
-				}
-				m.predictChunk(raw[lo:hi], preds[lo:hi])
-			}
-		}()
-	}
-	wg.Wait()
 	return preds
 }
 
-// predictChunk fills preds for one contiguous slice of rows using pooled
-// buffers and workspaces; zero steady-state heap allocations per row.
-func (m *Model) predictChunk(raw [][]float64, preds []Prediction) {
+// predictChunk is the one body of Algorithm 1: it scales up to batchChunk
+// rows into a pooled matrix, classifies them in one mini-batch pass and
+// regresses the long-classified subset in another. Pooled buffers and
+// workspaces; zero steady-state heap allocations.
+func (m *Model) predictChunk(raw [][]float64, preds []Prediction, parent obs.SpanHandle) {
 	n := len(raw)
 	x := tensor.Get(n, m.NumInputs)
 	defer tensor.Put(x)
+	sp := parent.StartChild(obs.StageScale)
 	for i, r := range raw {
 		scaling.TransformInto(m.Scaler, x.Row(i), r)
 	}
+	sp.End()
 
+	sp = parent.StartChild(obs.StageClassify)
 	cws := m.Classifier.AcquireWorkspace()
 	probs := m.Classifier.PredictInto(cws, x)
-	longIdx := make([]int, 0, n)
+	var longBuf [batchChunk]int
+	longIdx := longBuf[:0]
 	for i := 0; i < n; i++ {
 		p := probs.At(i, 0)
 		preds[i] = Prediction{Prob: p, Long: p >= 0.5}
@@ -399,14 +349,19 @@ func (m *Model) predictChunk(raw [][]float64, preds []Prediction) {
 		}
 	}
 	m.Classifier.ReleaseWorkspace(cws)
+	sp.End()
 
 	if len(longIdx) == 0 {
 		return
 	}
-	rx := tensor.Get(len(longIdx), m.NumInputs)
-	defer tensor.Put(rx)
-	for k, i := range longIdx {
-		copy(rx.Row(k), x.Row(i))
+	sp = parent.StartChild(obs.StageRegress)
+	rx := x // an all-long chunk regresses the classifier's matrix as is
+	if len(longIdx) < n {
+		rx = tensor.Get(len(longIdx), m.NumInputs)
+		defer tensor.Put(rx)
+		for k, i := range longIdx {
+			copy(rx.Row(k), x.Row(i))
+		}
 	}
 	rws := m.Regressor.AcquireWorkspace()
 	mins := m.Regressor.PredictInto(rws, rx)
@@ -420,6 +375,7 @@ func (m *Model) predictChunk(raw [][]float64, preds []Prediction) {
 		preds[i].Minutes = v
 	}
 	m.Regressor.ReleaseWorkspace(rws)
+	sp.End()
 }
 
 // RegressMinutes applies only the regression head (used when the true label

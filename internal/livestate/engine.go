@@ -472,18 +472,9 @@ func (e *Engine) Ready(at int64) (now int64, ok bool) {
 }
 
 // SnapshotAt extracts a features.Snapshot for a target job against the
-// current indexed state: the target partition's pending/running sets are
-// read off the sorted indexes (every partition is included so snapshot
-// consumers see cluster-wide queue depth) and the target user's past-day
-// submissions come from the history index — O(log n + k) in the active-set
-// size, never O(trace).
+// current indexed state: SnapshotBatch of one.
 func (e *Engine) SnapshotAt(target trace.Job, at int64) *features.Snapshot {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	snap := &features.Snapshot{Now: at, Target: target}
-	snap.Pending, snap.Running = e.pendingRunningLocked(at)
-	snap.History = e.userHistoryLocked(target.User, at)
-	return snap
+	return e.SnapshotBatch([]trace.Job{target}, at)[0]
 }
 
 // pendingRunningLocked reads the cluster-wide pending/running sets at an
@@ -545,11 +536,11 @@ func (e *Engine) userHistoryLocked(user int, at int64) []trace.Job {
 }
 
 // SnapshotBatch extracts one snapshot per target, all at the same instant,
-// under a single lock acquisition: the cluster-wide pending/running sets are
-// computed once and shared (callers treat snapshots as read-only), and the
-// per-user history index is consulted once per distinct user. Each returned
-// snapshot is element-wise identical to SnapshotAt(target, at) — the batch
-// prediction path depends on that equivalence.
+// under a single lock acquisition: the cluster-wide pending/running sets
+// (every partition is included so snapshot consumers see cluster-wide queue
+// depth) are read off the sorted indexes once and shared (callers treat
+// snapshots as read-only), and the per-user history index is consulted once
+// per distinct user — O(log n + k) in the active-set size, never O(trace).
 func (e *Engine) SnapshotBatch(targets []trace.Job, at int64) []*features.Snapshot {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

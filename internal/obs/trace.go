@@ -12,11 +12,10 @@ import (
 const (
 	StageSnapshot  = "snapshot"  // queue-state resolution (engine extraction via the snapshot cache)
 	StageFeaturize = "featurize" // engineered 33-feature row construction
-	StageScale     = "scale"     // scaler transform
-	StageClassify  = "classify"  // classifier head forward pass
-	StageRegress   = "regress"   // regressor head forward pass
+	StageScale     = "scale"     // scaler transform, once per model chunk
+	StageClassify  = "classify"  // classifier head forward pass over a chunk
+	StageRegress   = "regress"   // regressor head forward pass over a chunk's long rows
 	StageFallback  = "fallback"  // degraded tiers (GBDT, partition median)
-	StageBatchNN   = "batch_nn"  // whole-batch mini-batched NN pass
 )
 
 // TraceIDHeader is the request/response header carrying the trace ID.
@@ -58,7 +57,7 @@ func SanitizeTraceID(id string) string {
 func IsStage(name string) bool {
 	switch name {
 	case StageSnapshot, StageFeaturize, StageScale, StageClassify,
-		StageRegress, StageFallback, StageBatchNN:
+		StageRegress, StageFallback:
 		return true
 	}
 	return false

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestTransformIntoMatchesTransform: the allocation-free path must be
-// bit-identical to Transform for every scaler, fitted and unfitted.
+// TestTransformIntoMatchesTransform pins the wrapper: Transform is
+// transformInto into a fresh slice, for every scaler, fitted and unfitted.
 func TestTransformIntoMatchesTransform(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rows := make([][]float64, 40)

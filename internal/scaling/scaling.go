@@ -23,11 +23,25 @@ const (
 )
 
 // Scaler transforms feature columns. Fit learns column statistics from the
-// training matrix (rows = samples); Transform applies them.
+// training matrix (rows = samples); Transform applies them into a fresh
+// slice, and transformInto — each scaler's one body — into the caller's.
 type Scaler interface {
 	Fit(rows [][]float64)
 	Transform(row []float64) []float64
 	Kind() Kind
+	transformInto(dst, row []float64)
+}
+
+// TransformInto writes s.Transform(row) into dst (which must be len(row)
+// long) without allocating: the hot inference paths scale straight into a
+// pooled workspace row.
+func TransformInto(s Scaler, dst, row []float64) { s.transformInto(dst, row) }
+
+// transform is every scaler's Transform: allocate, then transformInto.
+func transform(s Scaler, row []float64) []float64 {
+	out := make([]float64, len(row))
+	s.transformInto(out, row)
+	return out
 }
 
 // New returns a scaler of the given kind.
@@ -53,26 +67,24 @@ func Kinds() []Kind { return []Kind{None, Log1p, MinMax, Standard, BoxCox} }
 
 type noneScaler struct{}
 
-func (s *noneScaler) Fit([][]float64) {}
-func (s *noneScaler) Transform(row []float64) []float64 {
-	return append([]float64(nil), row...)
-}
-func (s *noneScaler) Kind() Kind { return None }
+func (s *noneScaler) Fit([][]float64)                   {}
+func (s *noneScaler) Transform(row []float64) []float64 { return transform(s, row) }
+func (s *noneScaler) transformInto(dst, row []float64)  { copy(dst, row) }
+func (s *noneScaler) Kind() Kind                        { return None }
 
 // logScaler applies ln(1+max(x,0)) element-wise; negative inputs (which the
 // queue features never produce) are clamped to 0.
 type logScaler struct{}
 
-func (s *logScaler) Fit([][]float64) {}
-func (s *logScaler) Transform(row []float64) []float64 {
-	out := make([]float64, len(row))
+func (s *logScaler) Fit([][]float64)                   {}
+func (s *logScaler) Transform(row []float64) []float64 { return transform(s, row) }
+func (s *logScaler) transformInto(dst, row []float64) {
 	for i, v := range row {
 		if v < 0 {
 			v = 0
 		}
-		out[i] = math.Log1p(v)
+		dst[i] = math.Log1p(v)
 	}
-	return out
 }
 func (s *logScaler) Kind() Kind { return Log1p }
 
@@ -110,16 +122,15 @@ func (s *minMaxScaler) Fit(rows [][]float64) {
 	}
 }
 
-func (s *minMaxScaler) Transform(row []float64) []float64 {
-	out := make([]float64, len(row))
+func (s *minMaxScaler) Transform(row []float64) []float64 { return transform(s, row) }
+func (s *minMaxScaler) transformInto(dst, row []float64) {
 	if s.min == nil {
-		copy(out, row)
-		return out
+		copy(dst, row)
+		return
 	}
 	for j, v := range row {
-		out[j] = (v - s.min[j]) / s.span[j]
+		dst[j] = (v - s.min[j]) / s.span[j]
 	}
-	return out
 }
 func (s *minMaxScaler) Kind() Kind { return MinMax }
 
@@ -157,16 +168,15 @@ func (s *standardScaler) Fit(rows [][]float64) {
 	}
 }
 
-func (s *standardScaler) Transform(row []float64) []float64 {
-	out := make([]float64, len(row))
+func (s *standardScaler) Transform(row []float64) []float64 { return transform(s, row) }
+func (s *standardScaler) transformInto(dst, row []float64) {
 	if s.mean == nil {
-		copy(out, row)
-		return out
+		copy(dst, row)
+		return
 	}
 	for j, v := range row {
-		out[j] = (v - s.mean[j]) / s.std[j]
+		dst[j] = (v - s.mean[j]) / s.std[j]
 	}
-	return out
 }
 func (s *standardScaler) Kind() Kind { return Standard }
 
@@ -242,20 +252,19 @@ func boxCoxLL(col []float64, shift, lambda float64) float64 {
 	return -n/2*math.Log(variance) + (lambda-1)*logSum
 }
 
-func (s *boxCoxScaler) Transform(row []float64) []float64 {
-	out := make([]float64, len(row))
+func (s *boxCoxScaler) Transform(row []float64) []float64 { return transform(s, row) }
+func (s *boxCoxScaler) transformInto(dst, row []float64) {
 	if s.lambda == nil {
-		copy(out, row)
-		return out
+		copy(dst, row)
+		return
 	}
 	for j, v := range row {
 		x := v + s.shift[j]
 		if x <= 0 {
 			x = 1e-9
 		}
-		out[j] = boxCox(x, s.lambda[j])
+		dst[j] = boxCox(x, s.lambda[j])
 	}
-	return out
 }
 func (s *boxCoxScaler) Kind() Kind { return BoxCox }
 

@@ -11,8 +11,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // JobState mirrors the Slurm terminal states that appear in accounting data.
@@ -386,4 +388,23 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 		t.Jobs = append(t.Jobs, j)
 	}
 	return t, nil
+}
+
+// ReadFile reads a trace file in the format its extension names: .jsonl is
+// ReadJSONL, .sacct and .txt are ReadSacct (real Slurm accounting dumps:
+// sacct --parsable2 output), anything else ReadCSV.
+func ReadFile(path string) (*Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	switch {
+	case strings.HasSuffix(path, ".jsonl"):
+		return ReadJSONL(f)
+	case strings.HasSuffix(path, ".sacct"), strings.HasSuffix(path, ".txt"):
+		return ReadSacct(f)
+	default:
+		return ReadCSV(f)
+	}
 }

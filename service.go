@@ -301,7 +301,7 @@ func (s *Service) initTelemetry() {
 	s.httpLatency = r.Histogram("trout_http_request_duration_seconds",
 		"HTTP request latency.", obs.DefaultLatencyBuckets)
 	s.stageLatency = r.HistogramVec("trout_predict_stage_duration_seconds",
-		"Prediction pipeline stage latency (snapshot, featurize, scale, classify, regress, fallback, batch_nn).",
+		"Prediction pipeline stage latency (snapshot, featurize, scale, classify, regress, fallback).",
 		obs.DefaultStageBuckets, "stage")
 
 	// Live-state engine and WAL families are sampled at scrape time — the
@@ -816,21 +816,112 @@ func (s *Service) snapshotForJob(jobID int) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.snapCache.snapshotAt(target, at), nil
+	return s.snapCache.snapshotBatch([]trace.Job{target}, at)[0], nil
 }
 
-// writeStaleAt refuses a hypothetical prediction at an instant the engine
-// has pruned past: an answer from whatever queue remains would be a
-// confident forecast of the wrong state.
-func writeStaleAt(w http.ResponseWriter, at, now int64) {
-	resilience.WriteError(w, http.StatusUnprocessableEntity, fmt.Sprintf(
-		"predict: at %d is more than an hour behind the engine clock %d; replay history offline with cmd/trout -trace ... -at",
-		at, now))
+// resolveWhatIf is the one request resolver behind POST /predict and POST
+// /predict/batch: it validates the instant, validates and defaults each
+// hypothetical job in place, and assembles every snapshot at once under the
+// snapshot span. It returns nil after writing a refusal. single drops the
+// jobs[i] prefix a batch puts on a bad job's message.
+func (s *Service) resolveWhatIf(w http.ResponseWriter, root obs.SpanHandle, at int64, jobs []trace.Job, single bool) []*Snapshot {
+	refuse := func(code int, format string, args ...any) []*Snapshot {
+		resilience.WriteError(w, code, "predict: "+fmt.Sprintf(format, args...))
+		return nil
+	}
+	if at == 0 {
+		return refuse(http.StatusBadRequest, "need at (unix seconds)")
+	}
+	if at < 0 {
+		return refuse(http.StatusBadRequest, "at must be positive unix seconds, got %d", at)
+	}
+	if len(jobs) == 0 {
+		return refuse(http.StatusBadRequest, "need at least one job")
+	}
+	if max := s.cfg.MaxBatchJobs; max > 0 && len(jobs) > max {
+		return refuse(http.StatusRequestEntityTooLarge, "batch of %d jobs exceeds limit %d", len(jobs), max)
+	}
+	for i := range jobs {
+		if jobs[i].ID < 0 {
+			where := fmt.Sprintf("jobs[%d]: ", i)
+			if single {
+				where = ""
+			}
+			return refuse(http.StatusBadRequest, "%sbad job id %d: must be non-negative", where, jobs[i].ID)
+		}
+		if jobs[i].Eligible == 0 {
+			jobs[i].Eligible = at
+		}
+		if jobs[i].Submit == 0 {
+			jobs[i].Submit = at
+		}
+	}
+	sp := root.StartChild(obs.StageSnapshot)
+	now, ok := s.live.Engine().Ready(at)
+	var snaps []*Snapshot
+	if ok {
+		snaps = s.snapCache.snapshotBatch(jobs, at)
+	}
+	sp.End()
+	if !ok {
+		// An answer from whatever queue the engine has not yet pruned would
+		// be a confident forecast of the wrong state.
+		return refuse(http.StatusUnprocessableEntity,
+			"at %d is more than an hour behind the engine clock %d; replay history offline with cmd/trout -trace ... -at", at, now)
+	}
+	return snaps
+}
+
+// serve answers resolved snapshots — every /predict and /predict/batch
+// job — from one serving-bundle load, so prediction, message cutoff and
+// response attribution come from the same version even if a hot-swap lands
+// mid-request. Each served answer counts under its tier, is remembered so
+// the online accuracy tracker can join it against the job's realized start
+// event, and is mirrored into the control plane's shadow scorer (no-op
+// unless a candidate is under evaluation; never blocks). A job whose
+// feature row could not be built is a bad request, not a tier outcome: only
+// fallback-tier answers and an exhausted chain may mark /health degraded.
+func (s *Service) serve(snaps []*Snapshot, root obs.SpanHandle) (*servingBundle, []BatchResult) {
+	sb := s.serving.Load()
+	ctl := s.ctl.Load()
+	results := sb.b.predictBatchWithFallback(snaps, root)
+	for i, res := range results {
+		if res.Tier != "" {
+			s.tiers.Inc(res.Tier)
+		}
+		if res.Err != nil {
+			continue
+		}
+		id := snaps[i].Target.ID
+		s.tracker.Record(id, res.Prob, res.Minutes, res.Long)
+		if ctl != nil {
+			ctl.ObserveServed(id, snaps[i], res.Prob, res.Minutes, res.Long)
+		}
+	}
+	return sb, results
+}
+
+// readPredictBody reads a POST /predict{,/batch} body into rb and decodes
+// it: fast is the jsonfast decoder for the endpoint's shape, and anything
+// outside its subset (or malformed) restarts from zero under encoding/json,
+// which rules — identical semantics and error text to the pre-fast-path
+// decoder. It reports false after writing the refusal.
+func readPredictBody[T any](w http.ResponseWriter, r *http.Request, rb *respBuf, fast func([]byte, *T) bool, req *T) bool {
+	body, err := readBody(rb, r.Body)
+	if err == nil && !fast(body, req) {
+		*req = *new(T)
+		err = json.NewDecoder(bytes.NewReader(body)).Decode(req)
+	}
+	if err != nil {
+		resilience.WriteError(w, resilience.BodyErrorStatus(err), fmt.Sprintf("predict: bad body: %v", err))
+		return false
+	}
+	return true
 }
 
 func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 	root := obs.TraceFrom(r.Context()).Root()
-	var snap *Snapshot
+	var snaps []*Snapshot
 	switch r.Method {
 	case http.MethodGet:
 		jobID, err := parseJobID(r)
@@ -839,59 +930,21 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		sp := root.StartChild(obs.StageSnapshot)
-		snap, err = s.snapshotForJob(jobID)
+		snap, err := s.snapshotForJob(jobID)
 		sp.End()
 		if err != nil {
 			resilience.WriteError(w, http.StatusNotFound, err.Error())
 			return
 		}
+		snaps = []*Snapshot{snap}
 	case http.MethodPost:
 		rb := getRespBuf()
 		defer putRespBuf(rb)
-		body, err := readBody(rb, r.Body)
-		if err != nil {
-			resilience.WriteError(w, resilience.BodyErrorStatus(err), fmt.Sprintf("predict: bad body: %v", err))
-			return
-		}
 		var req predictRequest
-		if !decodePredictRequest(body, &req) {
-			// Outside the fast subset (or malformed): restart from zero and
-			// let encoding/json rule — identical semantics and error text to
-			// the pre-fast-path decoder.
-			req = predictRequest{}
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-				resilience.WriteError(w, resilience.BodyErrorStatus(err), fmt.Sprintf("predict: bad body: %v", err))
-				return
-			}
-		}
-		if req.At == 0 {
-			resilience.WriteError(w, http.StatusBadRequest, "predict: need at (unix seconds)")
+		if !readPredictBody(w, r, rb, decodePredictRequest, &req) {
 			return
 		}
-		if req.At < 0 {
-			resilience.WriteError(w, http.StatusBadRequest,
-				fmt.Sprintf("predict: at must be positive unix seconds, got %d", req.At))
-			return
-		}
-		if req.Job.ID < 0 {
-			resilience.WriteError(w, http.StatusBadRequest,
-				fmt.Sprintf("predict: bad job id %d: must be non-negative", req.Job.ID))
-			return
-		}
-		if req.Job.Eligible == 0 {
-			req.Job.Eligible = req.At
-		}
-		if req.Job.Submit == 0 {
-			req.Job.Submit = req.At
-		}
-		sp := root.StartChild(obs.StageSnapshot)
-		now, ok := s.live.Engine().Ready(req.At)
-		if ok {
-			snap = s.snapCache.snapshotAt(req.Job, req.At)
-		}
-		sp.End()
-		if !ok {
-			writeStaleAt(w, req.At, now)
+		if snaps = s.resolveWhatIf(w, root, req.At, []trace.Job{req.Job}, true); snaps == nil {
 			return
 		}
 	default:
@@ -899,24 +952,11 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// One serving-bundle load covers the whole request: prediction,
-	// message cutoff, and response attribution all come from the same
-	// version even if a hot-swap lands mid-request.
-	sb := s.serving.Load()
-	pred, err := sb.b.predictWithFallback(snap, root)
-	if err != nil {
-		s.tiers.Inc(resilience.TierError)
-		resilience.WriteError(w, http.StatusBadRequest, err.Error())
+	sb, results := s.serve(snaps, root)
+	snap, pred := snaps[0], results[0]
+	if pred.Err != nil {
+		resilience.WriteError(w, http.StatusBadRequest, pred.Err.Error())
 		return
-	}
-	s.tiers.Inc(pred.Tier)
-	// Remember the served answer so the online accuracy tracker can join
-	// it against the job's realized start event, and mirror it into the
-	// control plane's shadow scorer (no-op unless a candidate is under
-	// evaluation; never blocks).
-	s.tracker.Record(snap.Target.ID, pred.Prob, pred.Minutes, pred.Long)
-	if ctl := s.ctl.Load(); ctl != nil {
-		ctl.ObserveServed(snap.Target.ID, snap, pred.Prob, pred.Minutes, pred.Long)
 	}
 	s.writePredictResponse(w, r, &predictResponse{
 		Long: pred.Long, Prob: pred.Prob, Minutes: pred.Minutes,
@@ -971,89 +1011,28 @@ func (s *Service) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	rb := getRespBuf()
 	defer putRespBuf(rb)
-	body, err := readBody(rb, r.Body)
-	if err != nil {
-		resilience.WriteError(w, resilience.BodyErrorStatus(err), fmt.Sprintf("predict: bad body: %v", err))
-		return
-	}
 	var req predictBatchRequest
-	if !decodePredictBatchRequest(body, &req) {
-		req = predictBatchRequest{}
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-			resilience.WriteError(w, resilience.BodyErrorStatus(err), fmt.Sprintf("predict: bad body: %v", err))
-			return
-		}
-	}
-	if req.At == 0 {
-		resilience.WriteError(w, http.StatusBadRequest, "predict: need at (unix seconds)")
+	if !readPredictBody(w, r, rb, decodePredictBatchRequest, &req) {
 		return
 	}
-	if req.At < 0 {
-		resilience.WriteError(w, http.StatusBadRequest,
-			fmt.Sprintf("predict: at must be positive unix seconds, got %d", req.At))
-		return
-	}
-	if len(req.Jobs) == 0 {
-		resilience.WriteError(w, http.StatusBadRequest, "predict: need at least one job")
-		return
-	}
-	if max := s.cfg.MaxBatchJobs; max > 0 && len(req.Jobs) > max {
-		resilience.WriteError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("predict: batch of %d jobs exceeds limit %d", len(req.Jobs), max))
-		return
-	}
-	for i := range req.Jobs {
-		if req.Jobs[i].ID < 0 {
-			resilience.WriteError(w, http.StatusBadRequest,
-				fmt.Sprintf("predict: jobs[%d]: bad job id %d: must be non-negative", i, req.Jobs[i].ID))
-			return
-		}
-		// Same defaulting as the single-job POST path, so a batch of one
-		// answers identically to POST /predict.
-		if req.Jobs[i].Eligible == 0 {
-			req.Jobs[i].Eligible = req.At
-		}
-		if req.Jobs[i].Submit == 0 {
-			req.Jobs[i].Submit = req.At
-		}
-	}
-
 	root := obs.TraceFrom(r.Context()).Root()
-	sp := root.StartChild(obs.StageSnapshot)
-	var snaps []*Snapshot
-	now, ok := s.live.Engine().Ready(req.At)
-	if ok {
-		snaps = s.snapCache.snapshotBatch(req.Jobs, req.At)
-	}
-	sp.End()
-	if !ok {
-		writeStaleAt(w, req.At, now)
+	snaps := s.resolveWhatIf(w, root, req.At, req.Jobs, false)
+	if snaps == nil {
 		return
 	}
 	s.batchSize.Observe(float64(len(req.Jobs)))
 
-	sb := s.serving.Load()
-	ctl := s.ctl.Load()
-	results := sb.b.predictBatchWithFallback(snaps, root)
+	sb, results := s.serve(snaps, root)
 	resp := predictBatchResponse{
 		At: req.At, Source: sourceLive,
+		Pending: len(snaps[0].Pending), Running: len(snaps[0].Running),
 		Results:      make([]batchItem, len(results)),
 		ModelVersion: sb.version, ModelID: sb.b.Fingerprint,
 	}
-	if len(snaps) > 0 {
-		resp.Pending = len(snaps[0].Pending)
-		resp.Running = len(snaps[0].Running)
-	}
 	for i, res := range results {
 		if res.Err != nil {
-			s.tiers.Inc(resilience.TierError)
 			resp.Results[i] = batchItem{Error: res.Err.Error()}
 			continue
-		}
-		s.tiers.Inc(res.Tier)
-		s.tracker.Record(req.Jobs[i].ID, res.Prob, res.Minutes, res.Long)
-		if ctl != nil {
-			ctl.ObserveServed(req.Jobs[i].ID, snaps[i], res.Prob, res.Minutes, res.Long)
 		}
 		resp.Results[i] = batchItem{
 			Long: res.Long, Prob: res.Prob, Minutes: res.Minutes,

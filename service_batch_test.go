@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -154,6 +155,86 @@ func TestServiceBatchFallbackMatchesSequential(t *testing.T) {
 	}
 	if c := svc.FallbackCounters(); c[resilience.TierBaseline] == 0 {
 		t.Fatalf("tier counters after batch: %v", c)
+	}
+}
+
+// TestServiceBatchChunkBoundaries covers what only a multi-chunk batch
+// reaches now that a single predict is a chunk of one: 40 jobs are three
+// model chunks (16 + 16 + 8), of both classifier verdicts, and the first
+// row of the second chunk names an unknown partition. Every other row must
+// answer exactly what it answers alone, and the bad row is an item error
+// there and a 400 alone.
+func TestServiceBatchChunkBoundaries(t *testing.T) {
+	srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{})
+	jobs := batchFixtureJobs(sharedExperiment(t), 40)
+	const bad = 16
+	jobs[bad].Partition = "no-such-partition"
+	at := liveQueueFixture(t).Now
+
+	var got batchReply
+	if code := postJSON(t, srv.URL+"/predict/batch", map[string]any{"at": at, "jobs": jobs}, &got); code != http.StatusOK {
+		t.Fatalf("batch predict status %d", code)
+	}
+	if len(got.Results) != len(jobs) {
+		t.Fatalf("batch returned %d results for %d jobs", len(got.Results), len(jobs))
+	}
+	var long, short int
+	for i, j := range jobs {
+		var w seqPredict
+		code := postJSON(t, srv.URL+"/predict", map[string]any{"at": at, "job": j}, &w)
+		g := got.Results[i]
+		if i == bad {
+			if code != http.StatusBadRequest || g.Error == "" || g.Tier != "" {
+				t.Fatalf("bad row: single status %d, batch item %+v", code, g)
+			}
+			continue
+		}
+		if code != http.StatusOK || g.Error != "" {
+			t.Fatalf("job %d: single status %d, batch error %q", i, code, g.Error)
+		}
+		if g.Long != w.Long || g.Prob != w.Prob || g.Minutes != w.Minutes ||
+			g.Message != w.Message || g.Tier != w.Tier {
+			t.Fatalf("job %d mismatch:\n batch: %+v\n  seq: %+v", i, g, w)
+		}
+		if g.Long {
+			long++
+		} else {
+			short++
+		}
+	}
+	if long == 0 || short == 0 {
+		t.Fatalf("fixture is one-sided (%d long, %d short); the regressor's subset copy is untested", long, short)
+	}
+}
+
+// TestBundleBatchPoisonedRow: one NaN feature row inside a 40-snapshot
+// batch drops alone to a lower tier — its chunk neighbours keep their NN
+// answers — and every result is what the snapshot gets on its own.
+func TestBundleBatchPoisonedRow(t *testing.T) {
+	e := sharedExperiment(t)
+	b := resilientBundle(t)
+	snaps := make([]*trout.Snapshot, 40)
+	for i := range snaps {
+		snap, err := trout.SnapshotFromTrace(e.Trace, e.Trace.Jobs[(i+1)*len(e.Trace.Jobs)/(len(snaps)+1)].ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps[i] = snap
+	}
+	const poisoned = 31 // last row of the second chunk
+	snaps[poisoned].Target.ReqMemGB = math.NaN()
+
+	for i, got := range b.PredictBatchWithFallback(snaps) {
+		want, err := b.PredictWithFallback(snaps[i])
+		if err != nil || got.Err != nil {
+			t.Fatalf("snapshot %d: single err %v, batch err %v", i, err, got.Err)
+		}
+		if got.TieredPrediction != want {
+			t.Fatalf("snapshot %d: batch %+v != single %+v", i, got.TieredPrediction, want)
+		}
+		if (got.Tier == resilience.TierNN) == (i == poisoned) {
+			t.Fatalf("snapshot %d answered by tier %q", i, got.Tier)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/features"
 	"repro/internal/resilience"
+	"repro/internal/trace"
 )
 
 // resilientBundle trains one bundle for all resilience tests (model
@@ -160,6 +161,52 @@ func TestServiceFallbackOnPoisonedNN(t *testing.T) {
 	}
 	if h.FallbackTiers[resilience.TierBaseline] < 2 || !h.Degraded {
 		t.Fatalf("health after fallback: %+v", h)
+	}
+}
+
+// TestServiceBadRequestDoesNotDegradeHealth: an unknown partition is a
+// client's typo (a 400 on /predict, an item error in a batch), not a tier
+// outcome — it used to count under tier "error" and latch /health to
+// degraded until restart. A poisoned NN answering from a lower tier still
+// flips it, on both endpoints.
+func TestServiceBadRequestDoesNotDegradeHealth(t *testing.T) {
+	q := liveQueueFixture(t)
+	typo := trace.Job{User: 1, Partition: "no-such-partition", ReqCPUs: 1, ReqNodes: 1, TimeLimit: 3600}
+	good := typo
+	good.Partition = q.Pending[0].Partition
+	health := func(url string) (h struct {
+		FallbackTiers map[string]uint64 `json:"fallback_tiers"`
+		Degraded      bool              `json:"degraded"`
+	}) {
+		t.Helper()
+		if code := getJSON(t, url+"/health", &h); code != 200 {
+			t.Fatalf("health status %d", code)
+		}
+		return h
+	}
+	for _, path := range []string{"/predict", "/predict/batch"} {
+		body := func(j trace.Job) map[string]any {
+			if path == "/predict" {
+				return map[string]any{"at": q.Now, "job": j}
+			}
+			return map[string]any{"at": q.Now, "jobs": []trace.Job{j}}
+		}
+		srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{})
+		want := map[string]int{"/predict": http.StatusBadRequest, "/predict/batch": http.StatusOK}[path]
+		if code := postJSON(t, srv.URL+path, body(typo), nil); code != want {
+			t.Fatalf("%s with an unknown partition: status %d, want %d", path, code, want)
+		}
+		if h := health(srv.URL); h.Degraded || len(h.FallbackTiers) != 0 {
+			t.Fatalf("%s: health after a bad request: %+v", path, h)
+		}
+
+		srv, _ = resilientServer(t, poisonedClassifier(t, resilientBundle(t)), trout.ServiceConfig{})
+		if code := postJSON(t, srv.URL+path, body(good), nil); code != http.StatusOK {
+			t.Fatalf("%s on a poisoned NN: status %d", path, code)
+		}
+		if h := health(srv.URL); !h.Degraded || h.FallbackTiers[resilience.TierBaseline] != 1 {
+			t.Fatalf("%s: health after a fallback answer: %+v", path, h)
+		}
 	}
 }
 

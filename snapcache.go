@@ -133,35 +133,11 @@ func (c *snapCache) entry(at int64) (*snapEntry, bool) {
 	return e, false
 }
 
-// snapshotAt assembles a snapshot for target at an instant from cached
-// parts, equivalent to eng.SnapshotAt(target, at). Pending/running/history
-// slices are shared — callers must treat them as read-only (featurization
-// already does).
-func (c *snapCache) snapshotAt(target trace.Job, at int64) *Snapshot {
-	for range snapCacheRetries {
-		e, hit := c.entry(at)
-		h, ok := e.history(c.eng, target.User)
-		if !ok {
-			c.count(cacheStale)
-			continue
-		}
-		if hit {
-			c.count(cacheHit)
-		} else {
-			c.count(cacheMiss)
-		}
-		return &Snapshot{Now: at, Target: target, Pending: e.pending, Running: e.running, History: h}
-	}
-	// The engine is mutating faster than we can pin a version; take one
-	// internally-consistent extraction directly.
-	c.count(cacheBypass)
-	return c.eng.SnapshotAt(target, at)
-}
-
 // snapshotBatch assembles snapshots for many targets at one instant,
 // equivalent to eng.SnapshotBatch(jobs, at): pending/running resolved
 // once, history once per distinct user — but cached across requests, not
-// just within one batch.
+// just within one batch. Pending/running/history slices are shared —
+// callers must treat them as read-only (featurization already does).
 func (c *snapCache) snapshotBatch(jobs []trace.Job, at int64) []*Snapshot {
 retry:
 	for range snapCacheRetries {
@@ -182,6 +158,8 @@ retry:
 		}
 		return snaps
 	}
+	// The engine is mutating faster than we can pin a version; take one
+	// internally-consistent extraction directly.
 	c.count(cacheBypass)
 	return c.eng.SnapshotBatch(jobs, at)
 }

@@ -236,14 +236,17 @@ func TestTraceSlowRequestRecorded(t *testing.T) {
 	t.Fatalf("trace %s not in /debug/requests slowest ring (%d entries)", traceID, len(dbg.Slowest))
 }
 
-// TestStageMetricsMatchTree pins the single span model: for a POST
-// /predict and a 3-job /predict/batch, the stage names and counts on
-// /metrics equal the stage children of the exported trees (each nested in
-// its root), the access log's spans group carries the same stages, and
-// the identical histograms and log groups fill with the tracer disabled.
+// TestStageMetricsMatchTree pins the single span model: a POST /predict
+// and a 3-job /predict/batch record the same stage set (a single predict is
+// a batch of one), a 256-job batch records scale/classify/regress once per
+// 16-row chunk without hitting the per-trace span cap, the stage names and
+// counts on /metrics equal the stage children of the exported trees (each
+// nested in its root), the access log's spans group carries the same
+// stages, and the identical histograms and log groups fill with the tracer
+// disabled.
 func TestStageMetricsMatchTree(t *testing.T) {
 	allStages := []string{obs.StageSnapshot, obs.StageFeaturize, obs.StageScale,
-		obs.StageClassify, obs.StageRegress, obs.StageFallback, obs.StageBatchNN}
+		obs.StageClassify, obs.StageRegress, obs.StageFallback}
 	for _, disabled := range []bool{false, true} {
 		t.Run(map[bool]string{false: "traced", true: "tracing-disabled"}[disabled], func(t *testing.T) {
 			e := sharedExperiment(t)
@@ -284,7 +287,7 @@ func TestStageMetricsMatchTree(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			const singleID, batchID = "aaaa0000aaaa0000", "bbbb1111bbbb1111"
+			const singleID, batchID, bigID = "aaaa0000aaaa0000", "bbbb1111bbbb1111", "cccc2222cccc2222"
 			var pr struct {
 				Long bool   `json:"long"`
 				Tier string `json:"tier"`
@@ -299,14 +302,20 @@ func TestStageMetricsMatchTree(t *testing.T) {
 			if pr.Tier != "nn" || len(br.Results) != 3 || br.Results[0].Tier != "nn" {
 				t.Fatalf("expected healthy nn answers, got %+v %+v", pr, br)
 			}
-
-			// What a healthy request records, one span per stage.
-			want := map[string]map[string]int{
-				singleID: {obs.StageSnapshot: 1, obs.StageFeaturize: 1, obs.StageScale: 1, obs.StageClassify: 1},
-				batchID:  {obs.StageSnapshot: 1, obs.StageFeaturize: 1, obs.StageBatchNN: 1},
+			post(bigID, "/predict/batch", `{"at":`+at+`,"jobs":[`+strings.Repeat(job+",", 255)+job+`]}`, &br)
+			if len(br.Results) != 256 || br.Results[255].Tier != "nn" {
+				t.Fatalf("expected 256 healthy nn answers, got %d", len(br.Results))
 			}
-			if pr.Long {
-				want[singleID][obs.StageRegress] = 1
+
+			// What a healthy request records: one span per stage, the model
+			// stages once per chunk.
+			want := map[string]map[string]int{}
+			for id, chunks := range map[string]int{singleID: 1, batchID: 1, bigID: 16} {
+				want[id] = map[string]int{obs.StageSnapshot: 1, obs.StageFeaturize: 1,
+					obs.StageScale: chunks, obs.StageClassify: chunks}
+				if pr.Long {
+					want[id][obs.StageRegress] = chunks
+				}
 			}
 
 			// The exported trees (tracer on) hold exactly those stage spans,
@@ -344,27 +353,30 @@ func TestStageMetricsMatchTree(t *testing.T) {
 				}
 			}
 
-			// The access log's spans groups name the same stages.
-			for _, m := range accessLogs(t, &sb, 2) {
+			// The access log's spans groups name the same stages (a decoded
+			// JSON group keeps one member per name).
+			for _, m := range accessLogs(t, &sb, 3) {
 				id, _ := m["trace_id"].(string)
 				wantStages, ok := want[id]
 				if !ok {
 					continue
 				}
 				spans, _ := m["spans"].(map[string]any)
-				got := map[string]int{}
-				for stage := range spans {
-					got[stage]++
-				}
-				if !maps.Equal(got, wantStages) {
-					t.Fatalf("access log %s: spans %v, want stages %v", id, spans, wantStages)
+				for stage := range wantStages {
+					if _, ok := spans[stage]; !ok || len(spans) != len(wantStages) {
+						t.Fatalf("access log %s: spans %v, want stages %v", id, spans, wantStages)
+					}
 				}
 			}
 
-			// And /metrics counts one observation per stage span.
+			// And /metrics counts one observation per stage span, none lost
+			// to the span cap.
 			text, _ := scrape(t, srv.URL)
+			if !disabled && metricValue(t, text, "trout_trace_spans_dropped_total") != 0 {
+				t.Fatal("the span cap dropped spans of a 256-job batch")
+			}
 			for _, stage := range allStages {
-				wantN := want[singleID][stage] + want[batchID][stage]
+				wantN := want[singleID][stage] + want[batchID][stage] + want[bigID][stage]
 				series := fmt.Sprintf(`trout_predict_stage_duration_seconds_count{stage=%q}`, stage)
 				gotN := 0
 				if strings.Contains(text, series) {
