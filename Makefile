@@ -30,11 +30,13 @@ fmt-check:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
-# Short fuzz of the event decoder, the WAL segment reader, the WAL record
-# encoder against json.Marshal, the model registry manifest decoder, and
-# the forest gob decoder (corpus seeds + 5s of mutation each; Go allows one
-# -fuzz target per run).
+# Short fuzz of the event decoder and the predict decoders against
+# encoding/json, the WAL segment reader, the WAL record encoder against
+# json.Marshal, the model registry manifest decoder, and the forest gob
+# decoder (corpus seeds + 5s of mutation each; Go allows one -fuzz target
+# per run).
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzDecodePredictRequest -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 5s ./internal/livestate
 	$(GO) test -run '^$$' -fuzz FuzzReadSegment -fuzztime 5s ./internal/livestate
 	$(GO) test -run '^$$' -fuzz FuzzWALEncode -fuzztime 5s ./internal/livestate

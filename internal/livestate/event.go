@@ -81,16 +81,57 @@ func (ev *Event) Validate() error {
 	return nil
 }
 
-// DecodeEvent parses one JSONL event line and validates it.
+// DecodeEvent parses one JSONL event line and validates it. The line is
+// read with trace.JSONReader; anything outside its subset is re-parsed by
+// json.Unmarshal, whose result and error text are the contract.
 func DecodeEvent(line []byte) (Event, error) {
 	var ev Event
-	if err := json.Unmarshal(line, &ev); err != nil {
-		return Event{}, fmt.Errorf("livestate: decode event: %w", err)
+	if r := trace.NewJSONReader(line); !readEvent(&r, &ev) || !r.End() {
+		var std Event // not ev: what json.Unmarshal is handed escapes
+		if err := json.Unmarshal(line, &std); err != nil {
+			return Event{}, fmt.Errorf("livestate: decode event: %w", err)
+		}
+		ev = std
 	}
 	if err := ev.Validate(); err != nil {
 		return Event{}, err
 	}
 	return ev, nil
+}
+
+// readEvent reads an Event object into ev. type must be one of the five
+// constants (anything else bails), and a repeated "job" merges into the
+// record already read, as in encoding/json.
+func readEvent(r *trace.JSONReader, ev *Event) bool {
+	return r.Object(func(key []byte) bool {
+		var ok bool
+		switch string(key) {
+		case "type":
+			ev.Type, ok = readEventType(r)
+		case "time":
+			ev.Time, ok = r.Int64()
+		case "job_id":
+			ev.JobID, ok = r.Int()
+		case "job":
+			if ev.Job == nil {
+				ev.Job = new(trace.Job)
+			}
+			ok = r.Job(ev.Job)
+		case "state":
+			ev.State, ok = r.State()
+		}
+		return ok
+	})
+}
+
+func readEventType(r *trace.JSONReader) (EventType, bool) {
+	s, ok := r.Str()
+	for _, t := range [...]EventType{EventSubmit, EventEligible, EventStart, EventEnd, EventCancel} {
+		if string(s) == string(t) {
+			return t, ok
+		}
+	}
+	return "", false
 }
 
 // WriteEvents serializes events as JSONL, one event per line.

@@ -127,8 +127,10 @@ func TestPhaseAtOpenIntervals(t *testing.T) {
 	}
 }
 
-// FuzzDecodeEvent asserts the decoder never panics and that every accepted
-// event re-encodes to something that decodes to the same value.
+// FuzzDecodeEvent holds the reader to encoding/json: whatever readEvent
+// accepts, json.Unmarshal accepts too, with the same Event. It also asserts
+// the decoder never panics and that every accepted event re-encodes to
+// something that decodes to the same value.
 func FuzzDecodeEvent(f *testing.F) {
 	f.Add([]byte(`{"type":"submit","time":100,"job":{"id":1,"partition":"shared","req_cpus":4}}`))
 	f.Add([]byte(`{"type":"eligible","time":101,"job_id":1}`))
@@ -139,7 +141,55 @@ func FuzzDecodeEvent(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))
+	for _, line := range []string{
+		// Numerals JSON forbids, and one it allows.
+		`{"type":"start","time":0104,"job_id":1}`,
+		`{"type":"start","time":-07,"job_id":1}`,
+		`{"type":"submit","time":1,"job":{"id":1,"partition":"p","req_mem_gb":1.}}`,
+		`{"type":"submit","time":1,"job":{"id":1,"partition":"p","req_mem_gb":01.5}}`,
+		`{"type":"submit","time":1,"job":{"id":1,"partition":"p","req_mem_gb":1.e3}}`,
+		`{"type":"submit","time":1,"job":{"id":1,"partition":"p","req_mem_gb":2.5E+1}}`,
+		// A repeated job merges; a repeated scalar is last-wins.
+		`{"type":"submit","time":1,"job":{"id":1,"req_cpus":4},"job":{"partition":"p"}}`,
+		`{"type":"start","time":1,"time":2,"job_id":1,"job_id":3}`,
+		// Keys, strings and literals outside the reader's subset.
+		`{"Type":"start","time":1,"job_id":1}`,
+		`{"type":"start","TIME":1,"job_id":1}`,
+		`{"type":"st\u0061rt","time":1,"job_id":1}`,
+		`{"type":"end","time":1,"job_id":1,"state":"F\u0041ILED"}`,
+		`{"type":"submit","time":1,"job":{"id":1,"partition":"gr\u00f6\u00dfe"}}`,
+		`{"type":"start","time":1,"job_id":null}`,
+		`{"type":"submit","time":1,"job":null}`,
+		`{"type":"requeue","time":1,"job_id":1}`,
+		`{"type":"start","time":1,"job_id":1,"extra":[1,{"a":null}]}`,
+		// Fields the int32 guard or int64 range leaves to encoding/json.
+		`{"type":"start","time":1,"job_id":2147483648}`,
+		`{"type":"submit","time":1,"job":{"id":1,"partition":"p","req_cpus":-2147483649}}`,
+		`{"type":"start","time":9223372036854775807,"job_id":1}`,
+		`{"type":"start","time":-9223372036854775808,"job_id":1}`,
+		`{"type":"start","time":9223372036854775808,"job_id":1}`,
+		// Floats in int fields; a bad literal.
+		`{"type":"start","time":1.0,"job_id":1}`,
+		`{"type":"start","time":1e3,"job_id":1}`,
+		`{"type":"submit","time":1,"job":{"id":1,"partition":"p","interactive":tru}}`,
+		// Trailing garbage and leading whitespace.
+		`{"type":"start","time":1,"job_id":1} x`,
+		`{"type":"start","time":1,"job_id":1}{}`,
+		" \t\r\n{\"type\":\"start\",\"time\":1,\"job_id\":1} \n",
+	} {
+		f.Add([]byte(line))
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
+		var fast Event
+		if r := trace.NewJSONReader(line); readEvent(&r, &fast) && r.End() {
+			var want Event
+			if err := json.Unmarshal(line, &want); err != nil {
+				t.Fatalf("reader accepted %q, json.Unmarshal refused: %v", line, err)
+			}
+			if !reflect.DeepEqual(fast, want) {
+				t.Fatalf("%q:\n reader %+v (job %+v)\n json   %+v (job %+v)", line, fast, fast.Job, want, want.Job)
+			}
+		}
 		ev, err := DecodeEvent(line)
 		if err != nil {
 			return
@@ -158,4 +208,26 @@ func FuzzDecodeEvent(f *testing.F) {
 		// Accepted events must always be applicable without panicking.
 		_ = NewEngine().ApplyEvent(ev)
 	})
+}
+
+// A warm DecodeEvent allocates only what the Event keeps: nothing for the
+// four job_id events, the Job and its partition string for a submit.
+func TestDecodeEventAllocs(t *testing.T) {
+	for line, want := range map[string]float64{
+		`{"type":"submit","time":100,"job":{"id":7,"user":3,"partition":"shared","state":"","submit":100,"eligible":0,"start":0,"end":0,"req_cpus":8,"req_mem_gb":16.5,"req_nodes":1,"req_gpus":0,"time_limit":7200,"priority":3000,"qos":1,"interactive":false}}`: 2,
+		`{"type":"eligible","time":101,"job_id":7}`:              0,
+		`{"type":"start","time":102,"job_id":7}`:                 0,
+		`{"type":"end","time":103,"job_id":7,"state":"TIMEOUT"}`: 0,
+		`{"type":"cancel","time":104,"job_id":7}`:                0,
+	} {
+		b := []byte(line)
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeEvent(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > want {
+			t.Errorf("%s: %.1f allocs, want <= %.0f", line, got, want)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package livestate
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
@@ -375,6 +376,16 @@ func FuzzReadSegment(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Every CRC-valid payload the reader accepts decodes as json.Unmarshal
+		// would decode it.
+		for br := bufio.NewReader(bytes.NewReader(data)); ; {
+			_, frame, err := readWALFrame(br)
+			if err != nil {
+				break
+			}
+			ln, hn := binary.Uvarint(frame)
+			checkWALDecode(t, frame[hn:hn+int(ln)])
+		}
 		sc := NewWALScanner(bytes.NewReader(data))
 		for {
 			_, ev, err := sc.Next()

@@ -529,8 +529,8 @@ const maxWALRecordBytes = 16 << 20
 
 // readWALFrame reads one record plus its raw encoded frame (reconstructed
 // byte-for-byte: uvarint length, payload, CRC trailer). It is the only
-// frame reader: recovery, ReadWAL and WALScanner all go through it. io.EOF
-// means a clean end; any other error means a torn or corrupt tail.
+// frame reader: recovery, WALScanner and copyFrames all go through it.
+// io.EOF means a clean end; any other error means a torn or corrupt tail.
 func readWALFrame(br *bufio.Reader) (walRecord, []byte, error) {
 	ln, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -554,9 +554,37 @@ func readWALFrame(br *bufio.Reader) (walRecord, []byte, error) {
 	if crc != crc32.ChecksumIEEE(payload) {
 		return walRecord{}, nil, fmt.Errorf("crc mismatch")
 	}
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return walRecord{}, nil, fmt.Errorf("decode: %w", err)
+	rec, err := decodeWALRecord(payload)
+	if err != nil {
+		return walRecord{}, nil, err
 	}
 	return rec, frame, nil
+}
+
+// decodeWALRecord decodes a payload with trace.JSONReader, falling back to
+// json.Unmarshal (the format's definition) outside the reader's subset.
+func decodeWALRecord(payload []byte) (walRecord, error) {
+	var rec walRecord
+	if readWALRecord(payload, &rec) {
+		return rec, nil
+	}
+	var std walRecord // not rec: what json.Unmarshal is handed escapes
+	if err := json.Unmarshal(payload, &std); err != nil {
+		return walRecord{}, fmt.Errorf("decode: %w", err)
+	}
+	return std, nil
+}
+
+func readWALRecord(payload []byte, rec *walRecord) bool {
+	r := trace.NewJSONReader(payload)
+	return r.Object(func(key []byte) bool {
+		var ok bool
+		switch string(key) {
+		case "lsn":
+			rec.LSN, ok = r.Uint64()
+		case "event":
+			ok = readEvent(&r, &rec.Event)
+		}
+		return ok
+	}) && r.End()
 }

@@ -15,7 +15,8 @@ import (
 )
 
 // checkWALEncode requires appendWALRecord to agree with json.Marshal of the
-// same walRecord: same bytes, or an error on both sides.
+// same walRecord: same bytes, or an error on both sides. What it writes,
+// the reader decodes as json.Unmarshal does.
 func checkWALEncode(t *testing.T, lsn uint64, ev Event) {
 	t.Helper()
 	want, werr := json.Marshal(&walRecord{LSN: lsn, Event: ev})
@@ -23,8 +24,29 @@ func checkWALEncode(t *testing.T, lsn uint64, ev Event) {
 	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
 		t.Fatalf("encoder error %v, json.Marshal error %v", gerr, werr)
 	}
-	if gerr == nil && string(got) != "prefix"+string(want) {
+	if gerr != nil {
+		return
+	}
+	if string(got) != "prefix"+string(want) {
 		t.Fatalf("encoder diverges from json.Marshal:\n got %s\nwant prefix%s", got, want)
+	}
+	checkWALDecode(t, want)
+}
+
+// checkWALDecode requires that a payload the reader accepts, json.Unmarshal
+// accepts too, with the same record.
+func checkWALDecode(t *testing.T, payload []byte) {
+	t.Helper()
+	var fast walRecord
+	if !readWALRecord(payload, &fast) {
+		return
+	}
+	var want walRecord
+	if err := json.Unmarshal(payload, &want); err != nil {
+		t.Fatalf("reader accepted %q, json.Unmarshal refused: %v", payload, err)
+	}
+	if !reflect.DeepEqual(fast, want) {
+		t.Fatalf("%q:\n reader %+v\n json   %+v", payload, fast, want)
 	}
 }
 

@@ -17,12 +17,11 @@ import (
 //     (HTML escaping on, '\n' terminator) for the fixed response shapes,
 //     or report ok=false (non-finite floats) so the caller falls back to
 //     the stdlib path and its error handling.
-//   - The request parser accepts a conservative subset of JSON — exact
-//     field names, escape-free ASCII strings, plain integer/float
-//     literals — and reports ok=false on anything else so the caller
-//     re-parses with encoding/json. Parse results on the accepted subset
-//     are identical to the stdlib's (last key wins, trailing data after
-//     the first value is ignored, matching json.Decoder semantics).
+//   - The request decoders read with trace.JSONReader, the repo's one
+//     hand-rolled JSON reader, and report ok=false on anything outside
+//     its subset so the caller re-parses with encoding/json. Results on
+//     the accepted subset are identical to the stdlib's (trailing data
+//     after the first value is ignored, matching json.Decoder semantics).
 //
 // Buffers are pooled; the appenders allocate only when a buffer grows
 // past its pooled capacity.
@@ -254,362 +253,44 @@ func encodePredictBatchResponse(b []byte, v *predictBatchResponse) ([]byte, bool
 	return append(b, '}', '\n'), true
 }
 
-// jparser is a conservative single-pass JSON reader. Any construct outside
-// its subset — escapes, non-ASCII strings, unknown or differently-cased
-// keys, floats in integer fields, null, overflow — makes it bail so the
-// caller can re-parse with encoding/json and inherit exact stdlib
-// semantics (including error text).
-type jparser struct {
-	b []byte
-	i int
-}
-
-func (p *jparser) ws() {
-	for p.i < len(p.b) {
-		switch p.b[p.i] {
-		case ' ', '\t', '\n', '\r':
-			p.i++
-		default:
-			return
-		}
-	}
-}
-
-func (p *jparser) eat(c byte) bool {
-	p.ws()
-	if p.i < len(p.b) && p.b[p.i] == c {
-		p.i++
-		return true
-	}
-	return false
-}
-
-// str reads an escape-free ASCII JSON string body. It returns a view into
-// the input: keys are compared via `switch string(bs)` (no allocation) and
-// only values that outlive the parse are copied with string().
-func (p *jparser) str() ([]byte, bool) {
-	if !p.eat('"') {
-		return nil, false
-	}
-	start := p.i
-	for p.i < len(p.b) {
-		c := p.b[p.i]
-		if c == '"' {
-			s := p.b[start:p.i]
-			p.i++
-			return s, true
-		}
-		if c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
-			return nil, false // escapes / control / non-ASCII: stdlib's business
-		}
-		p.i++
-	}
-	return nil, false
-}
-
-// num reads a numeric token; isInt reports whether it is a plain integer
-// literal (no fraction or exponent).
-func (p *jparser) num() (tok []byte, isInt, ok bool) {
-	p.ws()
-	start := p.i
-	if p.i < len(p.b) && p.b[p.i] == '-' {
-		p.i++
-	}
-	digits := 0
-	for p.i < len(p.b) && p.b[p.i] >= '0' && p.b[p.i] <= '9' {
-		p.i++
-		digits++
-	}
-	if digits == 0 {
-		return nil, false, false
-	}
-	isInt = true
-	for p.i < len(p.b) {
-		c := p.b[p.i]
-		if c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-' ||
-			(c >= '0' && c <= '9') {
-			isInt = false
-			p.i++
-			continue
-		}
-		break
-	}
-	return p.b[start:p.i], isInt, true
-}
-
-func (p *jparser) int64() (int64, bool) {
-	tok, isInt, ok := p.num()
-	if !ok || !isInt {
-		return 0, false
-	}
-	// Digit-loop parse over the token; no string conversion, no alloc.
-	neg := false
-	i := 0
-	if tok[0] == '-' {
-		neg = true
-		i = 1
-	}
-	var v int64
-	for ; i < len(tok); i++ {
-		d := int64(tok[i] - '0')
-		if v > (math.MaxInt64-d)/10 {
-			return 0, false // overflow: let the stdlib produce its error
-		}
-		v = v*10 + d
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
-}
-
-func (p *jparser) float64() (float64, bool) {
-	tok, _, ok := p.num()
-	if !ok {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		return 0, false
-	}
-	return f, true
-}
-
-func (p *jparser) bool() (bool, bool) {
-	p.ws()
-	if len(p.b)-p.i >= 4 && string(p.b[p.i:p.i+4]) == "true" {
-		p.i += 4
-		return true, true
-	}
-	if len(p.b)-p.i >= 5 && string(p.b[p.i:p.i+5]) == "false" {
-		p.i += 5
-		return false, true
-	}
-	return false, false
-}
-
-// job parses a trace.Job object with exact-case keys. Unknown keys,
-// null, or any surprise bails.
-func (p *jparser) job(j *trace.Job) bool {
-	if !p.eat('{') {
-		return false
-	}
-	p.ws()
-	if p.eat('}') {
-		return true
-	}
-	for {
-		key, ok := p.str()
-		if !ok || !p.eat(':') {
-			return false
-		}
-		switch string(key) {
-		case "id":
-			v, ok := p.int64()
-			if !ok || v > math.MaxInt32 || v < math.MinInt32 {
-				return false
-			}
-			j.ID = int(v)
-		case "user":
-			v, ok := p.int64()
-			if !ok || v > math.MaxInt32 || v < math.MinInt32 {
-				return false
-			}
-			j.User = int(v)
-		case "partition":
-			s, ok := p.str()
-			if !ok {
-				return false
-			}
-			j.Partition = string(s)
-		case "state":
-			s, ok := p.str()
-			if !ok {
-				return false
-			}
-			j.State = trace.JobState(s)
-		case "submit":
-			v, ok := p.int64()
-			if !ok {
-				return false
-			}
-			j.Submit = v
-		case "eligible":
-			v, ok := p.int64()
-			if !ok {
-				return false
-			}
-			j.Eligible = v
-		case "start":
-			v, ok := p.int64()
-			if !ok {
-				return false
-			}
-			j.Start = v
-		case "end":
-			v, ok := p.int64()
-			if !ok {
-				return false
-			}
-			j.End = v
-		case "req_cpus":
-			v, ok := p.int64()
-			if !ok || v > math.MaxInt32 || v < math.MinInt32 {
-				return false
-			}
-			j.ReqCPUs = int(v)
-		case "req_mem_gb":
-			f, ok := p.float64()
-			if !ok {
-				return false
-			}
-			j.ReqMemGB = f
-		case "req_nodes":
-			v, ok := p.int64()
-			if !ok || v > math.MaxInt32 || v < math.MinInt32 {
-				return false
-			}
-			j.ReqNodes = int(v)
-		case "req_gpus":
-			v, ok := p.int64()
-			if !ok || v > math.MaxInt32 || v < math.MinInt32 {
-				return false
-			}
-			j.ReqGPUs = int(v)
-		case "time_limit":
-			v, ok := p.int64()
-			if !ok {
-				return false
-			}
-			j.TimeLimit = v
-		case "priority":
-			v, ok := p.int64()
-			if !ok {
-				return false
-			}
-			j.Priority = v
-		case "qos":
-			v, ok := p.int64()
-			if !ok || v > math.MaxInt32 || v < math.MinInt32 {
-				return false
-			}
-			j.QOS = int(v)
-		case "interactive":
-			v, ok := p.bool()
-			if !ok {
-				return false
-			}
-			j.Interactive = v
-		case "depends_on":
-			v, ok := p.int64()
-			if !ok || v > math.MaxInt32 || v < math.MinInt32 {
-				return false
-			}
-			j.DependsOn = int(v)
-		default:
-			return false
-		}
-		p.ws()
-		if p.eat(',') {
-			continue
-		}
-		return p.eat('}')
-	}
-}
-
-// decodePredictRequest parses a POST /predict body. ok=false means the
-// body is outside the fast subset (NOT that it is invalid) — re-parse
-// with encoding/json. Trailing data after the object is ignored, matching
-// json.Decoder.Decode.
+// decodePredictRequest parses a POST /predict body with trace.JSONReader.
+// ok=false means the body is outside the reader's subset (NOT that it is
+// invalid) — re-parse with encoding/json. Trailing data after the object is
+// ignored, matching json.Decoder.Decode.
 func decodePredictRequest(body []byte, req *predictRequest) bool {
-	p := jparser{b: body}
-	if !p.eat('{') {
-		return false
-	}
-	p.ws()
-	if p.eat('}') {
-		return true
-	}
-	for {
-		key, ok := p.str()
-		if !ok || !p.eat(':') {
-			return false
-		}
+	r := trace.NewJSONReader(body)
+	return r.Object(func(key []byte) bool {
+		var ok bool
 		switch string(key) {
 		case "at":
-			v, ok := p.int64()
-			if !ok {
-				return false
-			}
-			req.At = v
+			req.At, ok = r.Int64()
 		case "job":
-			if !p.job(&req.Job) {
-				return false
-			}
-		default:
-			return false
+			ok = r.Job(&req.Job)
 		}
-		p.ws()
-		if p.eat(',') {
-			continue
-		}
-		return p.eat('}')
-	}
+		return ok
+	})
 }
 
 // decodePredictBatchRequest parses a POST /predict/batch body; same
-// contract as decodePredictRequest.
+// contract as decodePredictRequest. A repeated "jobs" key bails: there
+// encoding/json decodes element-wise into the first array's elements.
 func decodePredictBatchRequest(body []byte, req *predictBatchRequest) bool {
-	p := jparser{b: body}
-	if !p.eat('{') {
-		return false
-	}
-	p.ws()
-	if p.eat('}') {
-		return true
-	}
-	for {
-		key, ok := p.str()
-		if !ok || !p.eat(':') {
-			return false
-		}
+	r := trace.NewJSONReader(body)
+	return r.Object(func(key []byte) bool {
+		var ok bool
 		switch string(key) {
 		case "at":
-			v, ok := p.int64()
-			if !ok {
-				return false
-			}
-			req.At = v
+			req.At, ok = r.Int64()
 		case "jobs":
-			if !p.eat('[') {
+			if req.Jobs != nil {
 				return false
 			}
-			p.ws()
-			req.Jobs = req.Jobs[:0]
-			if !p.eat(']') {
-				for {
-					var j trace.Job
-					if !p.job(&j) {
-						return false
-					}
-					req.Jobs = append(req.Jobs, j)
-					p.ws()
-					if p.eat(',') {
-						continue
-					}
-					if !p.eat(']') {
-						return false
-					}
-					break
-				}
-			}
-		default:
-			return false
+			req.Jobs = []trace.Job{}
+			ok = r.Array(func() bool {
+				req.Jobs = append(req.Jobs, trace.Job{})
+				return r.Job(&req.Jobs[len(req.Jobs)-1])
+			})
 		}
-		p.ws()
-		if p.eat(',') {
-			continue
-		}
-		return p.eat('}')
-	}
+		return ok
+	})
 }

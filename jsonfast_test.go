@@ -166,6 +166,7 @@ func TestDecodePredictRequestDifferential(t *testing.T) {
 		`{"job":{"req_mem_gb":1e2}} trailing junk`, // Decoder ignores trailing data
 		`{"job":{"req_mem_gb":-0.5,"interactive":false}}`,
 		`{"at":9223372036854775807}`, // MaxInt64 exactly
+		`{"job":{"req_mem_gb":2.5E+1}}`,
 	}
 	for i, body := range accepted {
 		var fast predictRequest
@@ -204,6 +205,13 @@ func TestDecodePredictRequestDifferential(t *testing.T) {
 		`{"at":"12"}`,
 		`{"at":1,}`,
 		`{"at": +5}`,
+		// Numerals RFC 8259 forbids: leading zeros, a bare '.', a fraction
+		// with no digits before the exponent.
+		`{"at":0104}`,
+		`{"at":-07}`,
+		`{"job":{"req_mem_gb":1.}}`,
+		`{"job":{"req_mem_gb":01.5}}`,
+		`{"job":{"req_mem_gb":1.e3}}`,
 	}
 	for i, body := range bail {
 		var fast predictRequest
@@ -230,11 +238,6 @@ func TestDecodePredictBatchRequestDifferential(t *testing.T) {
 		if err := json.NewDecoder(strings.NewReader(body)).Decode(&want); err != nil {
 			t.Fatalf("case %d: stdlib rejected %q: %v", i, body, err)
 		}
-		// "jobs":[] yields a nil-backed len-0 slice on the fast path and a
-		// non-nil empty slice from the stdlib; both behave identically.
-		if len(fast.Jobs) == 0 && len(want.Jobs) == 0 {
-			fast.Jobs = want.Jobs
-		}
 		if !reflect.DeepEqual(fast, want) {
 			t.Errorf("case %d: %q\n fast   %+v\n stdlib %+v", i, body, fast, want)
 		}
@@ -245,12 +248,72 @@ func TestDecodePredictBatchRequestDifferential(t *testing.T) {
 		`{"jobs":[{"user":1},]}`,
 		`{"jobs":{}}`,
 		`{"jobs":[{"nope":1}]}`,
+		`{"jobs":[{"user":1}],"jobs":[{}]}`, // encoding/json merges element-wise
 	}
 	for i, body := range bail {
 		var fast predictBatchRequest
 		if decodePredictBatchRequest([]byte(body), &fast) {
 			t.Errorf("bail case %d: fast path accepted %q", i, body)
 		}
+	}
+}
+
+// FuzzDecodePredictRequest holds both predict decoders to json.Decoder:
+// whatever the reader accepts, the stdlib accepts too, with the same value.
+func FuzzDecodePredictRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"at":2000,"job":{"id":7,"user":3,"partition":"shared","req_cpus":8,"req_mem_gb":16.5,"req_nodes":1,"time_limit":7200}}`,
+		`{"at":5,"jobs":[{"user":1},{"user":2,"req_cpus":16},{}]}`,
+		// The five numerals JSON forbids, and one it allows.
+		`{"at":0104}`,
+		`{"at":-07}`,
+		`{"job":{"req_mem_gb":1.}}`,
+		`{"jobs":[{"req_mem_gb":01.5}]}`,
+		`{"job":{"req_mem_gb":1.e3}}`,
+		`{"job":{"req_mem_gb":2.5E+1}}`,
+		// Repeated keys: scalars last-wins, job merges, jobs merges by index.
+		`{"at":1,"job":{"user":1,"req_cpus":4},"at":2,"job":{"user":9}}`,
+		`{"jobs":[{"user":1,"req_cpus":4},{}],"jobs":[{"user":2}]}`,
+		`{"jobs":[],"jobs":[{}]}`,
+		// Case-variant keys, escapes, null.
+		`{"At":1,"JOB":{"User":1}}`,
+		`{"jobs":[{"Partition":"gpu"}]}`,
+		`{"job":{"partition":"gp\u0075"}}`,
+		`{"job":{"partition":"a\"b"}}`,
+		`{"at":null,"job":null}`,
+		`{"jobs":null}`,
+		`{"jobs":[null]}`,
+		// Int32-overflowing job fields; floats in int fields.
+		`{"job":{"id":2147483648,"req_cpus":-2147483649}}`,
+		`{"jobs":[{"req_nodes":4294967296}]}`,
+		`{"at":1.0}`,
+		`{"job":{"qos":2e0}}`,
+		`{"at":-9223372036854775808}`,
+		// Trailing garbage, leading whitespace.
+		`{"at":1} trailing`,
+		`{"at":1}{"at":2}`,
+		" \t\r\n{\"at\":3}",
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecodeMatchesStdlib(t, body, decodePredictRequest)
+		checkDecodeMatchesStdlib(t, body, decodePredictBatchRequest)
+	})
+}
+
+func checkDecodeMatchesStdlib[T any](t *testing.T, body []byte, decode func([]byte, *T) bool) {
+	t.Helper()
+	var fast T
+	if !decode(body, &fast) {
+		return
+	}
+	var want T
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&want); err != nil {
+		t.Fatalf("reader accepted %q, json.Decoder refused: %v", body, err)
+	}
+	if !reflect.DeepEqual(fast, want) {
+		t.Fatalf("%q:\n reader %+v\n json   %+v", body, fast, want)
 	}
 }
 

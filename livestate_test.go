@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
@@ -201,6 +202,26 @@ func TestServiceEventsLineLimits(t *testing.T) {
 	code, eb := errorReply(t, srv.URL+"/events", over)
 	if code != http.StatusBadRequest || !strings.Contains(eb.Error, "token too long") {
 		t.Fatalf("line over 4 MiB gave %d %q, want 400 token too long", code, eb.Error)
+	}
+}
+
+// TestServiceEventsBlankLines: a line of JSON whitespace is blank on
+// /events, as on POST /state — skipped, not a bad line, so it spends none
+// of the budget. (The budget here is 1, the smallest a ServiceConfig can
+// set: 0 means the default.)
+func TestServiceEventsBlankLines(t *testing.T) {
+	e := sharedExperiment(t)
+	svc, err := trout.NewServiceWith(resilientBundle(t), e.Trace, trout.ServiceConfig{MaxBadStateRows: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(srv.Close)
+	now := e.Trace.Jobs[len(e.Trace.Jobs)-1].End + 100
+	body := fmt.Sprintf(` {"type":"submit","time":%d,"job":{"id":9000003,"user":3,"partition":"shared","submit":%d,"req_cpus":8,"req_mem_gb":16,"req_nodes":1,"time_limit":7200,"priority":3000}}`+"\n \t\n\t\n", now, now) +
+		fmt.Sprintf("   \r\n{\"type\":\"eligible\",\"time\":%d,\"job_id\":9000003}\t\n \n", now+5)
+	if ack := postEvents(t, srv.URL, body); ack.Applied != 2 || ack.BadLines != 0 {
+		t.Fatalf("ack %+v, want 2 applied and no bad lines", ack)
 	}
 }
 

@@ -1109,8 +1109,8 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	budget := s.cfg.MaxBadStateRows
 	for sc.Scan() {
 		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+		if len(bytes.TrimLeft(line, " \t\r\n")) == 0 {
+			continue // blank, as on POST /state: not a bad line
 		}
 		ev, err := livestate.DecodeEvent(line)
 		if err != nil {
