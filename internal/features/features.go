@@ -10,6 +10,7 @@ package features
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -122,19 +123,31 @@ type Dataset struct {
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.X) }
 
-// Build engineers features for every job in the trace.
+// Build engineers features for every job in the trace that started.
 func Build(tr *trace.Trace, cluster *slurmsim.ClusterSpec, opt Options) (*Dataset, error) {
 	opt.defaults()
 	if len(tr.Jobs) == 0 {
 		return nil, fmt.Errorf("features: empty trace")
 	}
+	// The jobs that started come first, in eligibility order: they are the
+	// rows. A never-started record (Start == 0: cancelled while pending, or
+	// still pending when the trace was cut) has no queue time, so it gets
+	// no row and no label, and no runtime to train on; it sorts after them
+	// and only counts toward other jobs' queues.
 	jobs := append([]trace.Job(nil), tr.Jobs...)
 	sort.Slice(jobs, func(i, j int) bool {
+		if si, sj := jobs[i].Start == 0, jobs[j].Start == 0; si != sj {
+			return sj
+		}
 		if jobs[i].Eligible != jobs[j].Eligible {
 			return jobs[i].Eligible < jobs[j].Eligible
 		}
 		return jobs[i].ID < jobs[j].ID
 	})
+	rows := sort.Search(len(jobs), func(i int) bool { return jobs[i].Start == 0 })
+	if rows == 0 {
+		return nil, fmt.Errorf("features: no job in the trace started")
+	}
 
 	// Partition totals, validated up front.
 	totals := map[string]slurmsim.PartitionTotals{}
@@ -151,13 +164,20 @@ func Build(tr *trace.Trace, cluster *slurmsim.ClusterSpec, opt Options) (*Datase
 
 	// Runtime predictor (random forest on request-time features only),
 	// trained on the earliest fraction of jobs so later jobs never leak
-	// into it. The ablation modes bypass the forest for the Pred-Runtime
-	// feature values but still train it (bundles always carry one).
-	trainN := int(float64(len(jobs)) * opt.RuntimeTrainFraction)
+	// into it. A job still running (End == 0) has no runtime to learn. The
+	// ablation modes bypass the forest for the Pred-Runtime feature values
+	// but still train it (bundles always carry one).
+	trainN := int(float64(rows) * opt.RuntimeTrainFraction)
 	if trainN < 10 {
-		trainN = len(jobs)
+		trainN = rows
 	}
-	rp, err := TrainRuntimePredictor(jobs[:trainN], totals, opt.RuntimeTrees, opt.Seed)
+	train := make([]trace.Job, 0, trainN)
+	for i := range jobs[:trainN] {
+		if jobs[i].End != 0 {
+			train = append(train, jobs[i])
+		}
+	}
+	rp, err := TrainRuntimePredictor(train, totals, opt.RuntimeTrees, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -166,9 +186,13 @@ func Build(tr *trace.Trace, cluster *slurmsim.ClusterSpec, opt Options) (*Datase
 	case "", "forest":
 		predRuntime = predictRuntimes(rp, jobs, totals, opt.Workers)
 	case "oracle":
+		// A record that has not both started and ended has no true
+		// runtime to reveal; it counts as 0.
 		predRuntime = make([]float64, len(jobs))
 		for i := range jobs {
-			predRuntime[i] = float64(jobs[i].RuntimeSeconds())
+			if jobs[i].Start != 0 && jobs[i].End != 0 {
+				predRuntime[i] = float64(jobs[i].RuntimeSeconds())
+			}
 		}
 	case "requested":
 		predRuntime = make([]float64, len(jobs))
@@ -179,8 +203,8 @@ func Build(tr *trace.Trace, cluster *slurmsim.ClusterSpec, opt Options) (*Datase
 		return nil, fmt.Errorf("features: unknown RuntimeSource %q", opt.RuntimeSource)
 	}
 
-	// Interval trees per partition: pending = [eligible, start),
-	// running = [start, end). Interval IDs are indices into jobs.
+	// Interval trees per partition over every record. Interval IDs are
+	// indices into jobs.
 	pendTrees, runTrees := buildTrees(jobs, opt)
 
 	// Per-user submit history for the past-day aggregates.
@@ -188,20 +212,20 @@ func Build(tr *trace.Trace, cluster *slurmsim.ClusterSpec, opt Options) (*Datase
 
 	ds := &Dataset{
 		Names:        Names,
-		X:            make([][]float64, len(jobs)),
-		QueueMinutes: make([]float64, len(jobs)),
-		Jobs:         jobs,
-		PredRuntime:  predRuntime,
+		X:            make([][]float64, rows),
+		QueueMinutes: make([]float64, rows),
+		Jobs:         jobs[:rows],
+		PredRuntime:  predRuntime[:rows],
 		Runtime:      rp,
 	}
 
 	var wg sync.WaitGroup
-	chunk := (len(jobs) + opt.Workers - 1) / opt.Workers
+	chunk := (rows + opt.Workers - 1) / opt.Workers
 	for w := 0; w < opt.Workers; w++ {
 		lo := w * chunk
 		hi := lo + chunk
-		if hi > len(jobs) {
-			hi = len(jobs)
+		if hi > rows {
+			hi = rows
 		}
 		if lo >= hi {
 			break
@@ -220,16 +244,31 @@ func Build(tr *trace.Trace, cluster *slurmsim.ClusterSpec, opt Options) (*Datase
 }
 
 // buildTrees constructs the per-partition pending and running interval
-// trees with the paper's chunk/overlap/merge scheme.
+// trees with the paper's chunk/overlap/merge scheme. A job is pending over
+// [Eligible, Start) and running over [Start, End), with the open intervals
+// of livestate.PhaseAt: a record that never started (Start == 0) is
+// pending until its End, or for good when it has none, and never running;
+// one that started but has no End is still running.
 func buildTrees(jobs []trace.Job, opt Options) (pend, run map[string]*intervaltree.Tree) {
+	openEnd := func(t int64) int64 {
+		if t == 0 {
+			return math.MaxInt64
+		}
+		return t
+	}
 	pendIvs := map[string][]intervaltree.Interval{}
 	runIvs := map[string][]intervaltree.Interval{}
 	for i := range jobs {
 		j := &jobs[i]
+		if j.Start == 0 {
+			pendIvs[j.Partition] = append(pendIvs[j.Partition],
+				intervaltree.Interval{Lo: j.Eligible, Hi: openEnd(j.End), ID: i})
+			continue
+		}
 		pendIvs[j.Partition] = append(pendIvs[j.Partition],
 			intervaltree.Interval{Lo: j.Eligible, Hi: j.Start, ID: i})
 		runIvs[j.Partition] = append(runIvs[j.Partition],
-			intervaltree.Interval{Lo: j.Start, Hi: j.End, ID: i})
+			intervaltree.Interval{Lo: j.Start, Hi: openEnd(j.End), ID: i})
 	}
 	pend = make(map[string]*intervaltree.Tree, len(pendIvs))
 	run = make(map[string]*intervaltree.Tree, len(runIvs))
@@ -304,16 +343,33 @@ func (h *userHistory) window(t int64) jobSums {
 	}
 }
 
+// queuedJob is a job as a row's sums see it: the values jobSums and
+// queueAgg add, converted once. It is the element of a queue column.
+type queuedJob struct {
+	id                      int
+	priority                int64
+	cpus, mem, nodes, limit float64 // limit in minutes
+	pred                    float64 // predicted runtime, minutes
+}
+
+func queuedJobOf(o *trace.Job, predSeconds float64) queuedJob {
+	return queuedJob{
+		id: o.ID, priority: o.Priority,
+		cpus: float64(o.ReqCPUs), mem: o.ReqMemGB, nodes: float64(o.ReqNodes),
+		limit: float64(o.TimeLimit) / 60, pred: predSeconds / 60,
+	}
+}
+
 // jobSums is one five-column block of the feature row: a count of jobs
 // and their summed requests (time limit in minutes).
 type jobSums struct{ jobs, cpus, mem, nodes, limit float64 }
 
-func (a *jobSums) add(o *trace.Job) {
+func (a *jobSums) add(q *queuedJob) {
 	a.jobs++
-	a.cpus += float64(o.ReqCPUs)
-	a.mem += o.ReqMemGB
-	a.nodes += float64(o.ReqNodes)
-	a.limit += float64(o.TimeLimit) / 60
+	a.cpus += q.cpus
+	a.mem += q.mem
+	a.nodes += q.nodes
+	a.limit += q.limit
 }
 
 func (a *jobSums) put(dst []float64) {
@@ -322,29 +378,28 @@ func (a *jobSums) put(dst []float64) {
 
 // queueAgg accumulates the queue-state columns of one target job's row
 // over the other jobs of its partition. Both row builders feed it — the
-// offline one from interval-tree stabs, the serving one from a snapshot's
-// job lists — each in its own iteration order, which fixes the
+// offline one from interval-tree stabs, the serving one from a queue
+// column — each in its own iteration order, which fixes the
 // floating-point sums; fill owns the column layout.
 type queueAgg struct {
 	ahead, queued, running  jobSums
 	queuedPred, runningPred float64 // summed predicted runtimes, minutes
 }
 
-// addQueued counts a pending job o (predicted to run predSeconds) toward
-// the target's queue columns, and toward the ahead columns when it
-// outranks the target.
-func (a *queueAgg) addQueued(target, o *trace.Job, predSeconds float64) {
-	a.queued.add(o)
-	a.queuedPred += predSeconds / 60
-	if o.Priority > target.Priority {
-		a.ahead.add(o)
+// addQueued counts a pending job q toward the target's queue columns, and
+// toward the ahead columns when it outranks the target.
+func (a *queueAgg) addQueued(target *trace.Job, q *queuedJob) {
+	a.queued.add(q)
+	a.queuedPred += q.pred
+	if q.priority > target.Priority {
+		a.ahead.add(q)
 	}
 }
 
-// addRunning counts a running job o toward the running columns.
-func (a *queueAgg) addRunning(o *trace.Job, predSeconds float64) {
-	a.running.add(o)
-	a.runningPred += predSeconds / 60
+// addRunning counts a running job q toward the running columns.
+func (a *queueAgg) addRunning(q *queuedJob) {
+	a.running.add(q)
+	a.runningPred += q.pred
 }
 
 // fill writes job j's 33 columns (the order of Names) into row.
@@ -379,7 +434,8 @@ func buildRow(jobs []trace.Job, i int, totals map[string]slurmsim.PartitionTotal
 	// Pending jobs in this partition at eligibility (excluding self).
 	pendTrees[j.Partition].StabVisit(t, func(iv intervaltree.Interval) {
 		if iv.ID != i {
-			agg.addQueued(j, &jobs[iv.ID], predRuntime[iv.ID])
+			q := queuedJobOf(&jobs[iv.ID], predRuntime[iv.ID])
+			agg.addQueued(j, &q)
 		}
 	})
 	// Running jobs in this partition at eligibility. A zero-queue job is
@@ -387,7 +443,8 @@ func buildRow(jobs []trace.Job, i int, totals map[string]slurmsim.PartitionTotal
 	// state it observed, so it skips itself.
 	runTrees[j.Partition].StabVisit(t, func(iv intervaltree.Interval) {
 		if iv.ID != i {
-			agg.addRunning(&jobs[iv.ID], predRuntime[iv.ID])
+			q := queuedJobOf(&jobs[iv.ID], predRuntime[iv.ID])
+			agg.addRunning(&q)
 		}
 	})
 	row := make([]float64, NumFeatures)

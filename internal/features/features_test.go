@@ -126,6 +126,69 @@ func TestFirstJobSeesEmptyQueue(t *testing.T) {
 	}
 }
 
+// TestBuildNeverStartedRecord: job 2 never started (Start 0) and was
+// cancelled at 400. It is pending over [150, 400) — job 3, eligible at 200,
+// queues behind it — and never running: job 1, eligible at 100 before job
+// 2 was even submitted, sees an empty partition. Job 2 gets no row and no
+// label, and the runtime forest is the one trained on jobs 1 and 3 alone.
+// A still-running record (Start set, End 0) runs for good.
+func TestBuildNeverStartedRecord(t *testing.T) {
+	tr := handTrace()
+	tr.Jobs[1].Start, tr.Jobs[1].End, tr.Jobs[1].State = 0, 400, trace.StateCancelled
+	cluster := tinyCluster()
+	ds, err := Build(tr, &cluster, Options{Workers: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Len() != 2 || ds.Jobs[0].ID != 1 || ds.Jobs[1].ID != 3 || len(ds.PredRuntime) != 2 {
+		t.Fatalf("rows for jobs %v; want 1 and 3 only", ds.Jobs)
+	}
+	for i, want := range []float64{0, 400.0 / 60} {
+		if ds.QueueMinutes[i] != want {
+			t.Fatalf("job %d label %v minutes, want %v", ds.Jobs[i].ID, ds.QueueMinutes[i], want)
+		}
+	}
+	for name, want := range map[string]float64{"Par Jobs Queue": 0, "Par Jobs Running": 0} {
+		if got := ds.X[0][fidx(t, name)]; got != want {
+			t.Errorf("job 1: %s = %v, want %v", name, got, want)
+		}
+	}
+	for name, want := range map[string]float64{"Par Jobs Queue": 1, "Par CPUs Queue": 2, "Par Jobs Ahead": 1, "Par Jobs Running": 1, "Par CPUs Running": 4} {
+		if got := ds.X[1][fidx(t, name)]; got != want {
+			t.Errorf("job 3: %s = %v, want %v", name, got, want)
+		}
+	}
+	started := []trace.Job{tr.Jobs[0], tr.Jobs[2]}
+	ref, err := TrainRuntimePredictor(started, map[string]slurmsim.PartitionTotals{"shared": cluster.Totals("shared")}, 50, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := ds.Runtime.Bytes()
+	want, _ := ref.Bytes()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the runtime forest was not trained on exactly the started jobs")
+	}
+
+	// Job 1 still running at capture: job 3 counts it, and the forest
+	// does not learn a runtime for it.
+	tr = handTrace()
+	tr.Jobs[0].End = 0
+	if ds, err = Build(tr, &cluster, Options{Workers: 1, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ds.X[2][fidx(t, "Par Jobs Running")]; got != 1 {
+		t.Fatalf("job 3 sees %v running jobs, want 1 (job 1 runs to infinity)", got)
+	}
+	if ref, err = TrainRuntimePredictor(tr.Jobs[1:], map[string]slurmsim.PartitionTotals{"shared": cluster.Totals("shared")}, 50, 1); err != nil {
+		t.Fatal(err)
+	}
+	got, _ = ds.Runtime.Bytes()
+	want, _ = ref.Bytes()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the runtime forest learned a still-running job")
+	}
+}
+
 // randomTrace produces a consistent random trace for differential tests.
 func randomTrace(rng *rand.Rand, n int) *trace.Trace {
 	tr := &trace.Trace{}

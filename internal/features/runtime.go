@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/baselines"
@@ -19,17 +20,19 @@ import (
 //
 // A job's predicted runtime is a pure function of the nine inputs and the
 // forest, so PredictSeconds remembers its answers in a bounded table owned
-// by the predictor: SnapshotRow asks about every queued and running job of
-// a partition on every request, and those jobs barely change between
-// requests. The table dies with the predictor, so a swapped-in, rolled-back
-// or shadow bundle can never read another forest's values. The zero value
-// with a Forest is ready to use; a RuntimePredictor must not be copied
-// after first use.
+// by the predictor, and SnapshotRow, which needs the answer for every
+// queued and running job of a partition, reads them from a queue column
+// built once per queue (queueColumns) rather than probing that table per
+// job per row. Both tables die with the predictor, so a swapped-in,
+// rolled-back or shadow bundle can never read another forest's values. The
+// zero value with a Forest is ready to use; a RuntimePredictor must not be
+// copied after first use.
 type RuntimePredictor struct {
 	Forest *baselines.Forest
 
 	evals atomic.Uint64
 	memo  [memoSets][memoWays]atomic.Pointer[memoEntry]
+	cols  queueColumns
 }
 
 // The memo holds memoSets*memoWays = 8,192 answers: about four times the
@@ -182,15 +185,138 @@ func (r *RuntimePredictor) PredictSeconds(j *trace.Job, tot slurmsim.PartitionTo
 }
 
 // Evals counts forest evaluations PredictSeconds has made, that is, its
-// memo misses. Against the number of predictions served it reads near zero
-// when the memo holds the live queue and near the queue depth when the
-// queue has outgrown it. A nil predictor (which SnapshotRow refuses) has
-// made none.
+// memo misses. It reads near zero when the memo holds the live queue; once
+// the queue has outgrown it, it grows by about the queue depth per queue
+// SnapshotRow sees (one column build), not per row. A nil predictor (which
+// SnapshotRow refuses) has made none.
 func (r *RuntimePredictor) Evals() uint64 {
 	if r == nil {
 		return 0
 	}
 	return r.evals.Load()
+}
+
+// queueSlots bounds the queue-column table to as many live queues as the
+// daemon's snapshot cache holds (trout's snapCacheSlots): every request
+// served from one cached queue shares its slot, and a queue that is no
+// longer asked about is the oldest-used slot and goes first.
+const queueSlots = 8
+
+// queueKey names a snapshot's queue by identity: the first element and
+// length of its Pending and Running backing arrays. The pointers are
+// strong, so an array a slot is keyed by cannot be freed and its address
+// reused while the slot lives; re-slicing or appending changes the key.
+// Identity stands in for content only because a snapshot's queue is never
+// modified in place (see Snapshot).
+type queueKey struct {
+	pending, running *trace.Job
+	np, nr           int
+}
+
+func queueKeyOf(s *Snapshot) queueKey {
+	return queueKey{firstJob(s.Pending), firstJob(s.Running), len(s.Pending), len(s.Running)}
+}
+
+func firstJob(jobs []trace.Job) *trace.Job {
+	if len(jobs) == 0 {
+		return nil
+	}
+	return &jobs[0]
+}
+
+// queueColumns is the predictor's table of queue columns: for each of the
+// last queueSlots queues SnapshotRow was asked about, each asked-about
+// partition's pending and running jobs reduced to what a row sums.
+type queueColumns struct {
+	mu     sync.Mutex
+	clock  uint64
+	slots  [queueSlots]*queueSlot
+	builds atomic.Uint64 // columns built; a row on a known queue builds none
+}
+
+// queueSlot holds one queue's partition columns.
+type queueSlot struct {
+	key  queueKey
+	used uint64 // LRU stamp, written under queueColumns.mu
+
+	mu    sync.Mutex // held while a column is built, so each is built once
+	parts []*queueColumn
+}
+
+// queueColumn is one partition of one queue as a row sums it, in the
+// queue's slice order. It is immutable once published. Besides the
+// partition, it depends on the partition totals only through the two the
+// runtime forest reads.
+type queueColumn struct {
+	partition        string
+	cpus, gpus       int
+	pending, running []queuedJob
+}
+
+// slot returns the slot of queue k, claiming the oldest-used one if k has
+// none.
+func (t *queueColumns) slot(k queueKey) *queueSlot {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.clock++
+	victim := 0
+	for i, s := range t.slots {
+		if s == nil {
+			victim = i
+			continue
+		}
+		if s.key == k {
+			s.used = t.clock
+			return s
+		}
+		if t.slots[victim] != nil && s.used < t.slots[victim].used {
+			victim = i
+		}
+	}
+	s := &queueSlot{key: k, used: t.clock}
+	t.slots[victim] = s
+	return s
+}
+
+// column returns partition's column of snap's queue, building it on
+// first use: PredictSeconds is asked about each of the partition's queued
+// and running jobs once per queue, not once per row.
+func (r *RuntimePredictor) column(snap *Snapshot, partition string, tot slurmsim.PartitionTotals) *queueColumn {
+	s := r.cols.slot(queueKeyOf(snap))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.parts {
+		if c.partition == partition && c.cpus == tot.CPUs && c.gpus == tot.GPUs {
+			return c
+		}
+	}
+	c := &queueColumn{
+		partition: partition, cpus: tot.CPUs, gpus: tot.GPUs,
+		pending: r.queuedJobs(snap.Pending, partition, tot),
+		running: r.queuedJobs(snap.Running, partition, tot),
+	}
+	s.parts = append(s.parts, c)
+	r.cols.builds.Add(1)
+	return c
+}
+
+// queuedJobs reduces the jobs of one partition, in slice order. They are
+// counted first so that a cache miss, which builds a column for a single
+// row, allocates it once at its size.
+func (r *RuntimePredictor) queuedJobs(jobs []trace.Job, partition string, tot slurmsim.PartitionTotals) []queuedJob {
+	n := 0
+	for i := range jobs {
+		if jobs[i].Partition == partition {
+			n++
+		}
+	}
+	out := make([]queuedJob, 0, n)
+	for i := range jobs {
+		if o := &jobs[i]; o.Partition == partition {
+			out = append(out, queuedJobOf(o, r.PredictSeconds(o, tot)))
+		}
+	}
+	return out
 }
 
 // Bytes serializes the predictor.

@@ -12,7 +12,7 @@ import (
 )
 
 // trainedPredictor fits a small runtime forest on a random trace.
-func trainedPredictor(t *testing.T, seed int64) (*RuntimePredictor, slurmsim.PartitionTotals) {
+func trainedPredictor(t testing.TB, seed int64) (*RuntimePredictor, slurmsim.PartitionTotals) {
 	t.Helper()
 	cluster := tinyCluster()
 	tot := cluster.Totals("shared")
@@ -155,8 +155,9 @@ func TestPredictSecondsMatchesUncached(t *testing.T) {
 }
 
 // TestSnapshotRowEvaluatesOncePerSpec: on a 1,000-job partition the first
-// SnapshotRow evaluates the forest once per distinct spec and the second
-// not at all, with the same row bits as a predictor that remembers nothing.
+// SnapshotRow builds the queue's column, evaluating the forest once per
+// distinct spec; the second builds nothing and evaluates nothing, with the
+// same row bits as a predictor that remembers nothing.
 func TestSnapshotRowEvaluatesOncePerSpec(t *testing.T) {
 	rp, tot := trainedPredictor(t, 21)
 	cluster := tinyCluster()
@@ -187,7 +188,7 @@ func TestSnapshotRowEvaluatesOncePerSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	for call, wantEvals := range []uint64{uint64(len(distinct)), 0} {
-		before := rp.Evals()
+		before, builds := rp.Evals(), rp.cols.builds.Load()
 		row, err := SnapshotRow(snap, &cluster, rp)
 		if err != nil {
 			t.Fatal(err)
@@ -195,13 +196,16 @@ func TestSnapshotRowEvaluatesOncePerSpec(t *testing.T) {
 		if got := rp.Evals() - before; got != wantEvals {
 			t.Fatalf("call %d made %d forest evaluations, want %d", call, got, wantEvals)
 		}
+		if got, want := rp.cols.builds.Load()-builds, uint64(1-call); got != want {
+			t.Fatalf("call %d built %d queue columns, want %d", call, got, want)
+		}
 		for f := range row {
 			if math.Float64bits(row[f]) != math.Float64bits(want[f]) {
 				t.Fatalf("call %d feature %q: %v, fresh predictor %v", call, Names[f], row[f], want[f])
 			}
 		}
 	}
-	// The queue column sums 900 uncached evaluations, in walk order.
+	// Par Queue Pred Timelimit sums 900 uncached evaluations, in slice order.
 	var queued float64
 	for i := range snap.Pending {
 		queued += uncachedSeconds(rp, &snap.Pending[i], tot) / 60
@@ -213,10 +217,10 @@ func TestSnapshotRowEvaluatesOncePerSpec(t *testing.T) {
 	if raceEnabled {
 		return // the detector's instrumentation allocates
 	}
-	// Warm, a row costs its own slice and the history map, not a forest
-	// input per walked job.
-	if allocs := testing.AllocsPerRun(20, func() { _, _ = SnapshotRow(snap, &cluster, rp) }); allocs > 8 {
-		t.Fatalf("warm SnapshotRow makes %v allocations over 1,000 walked jobs", allocs)
+	// Warm, a row allocates only itself: no column, no forest input per
+	// walked job.
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = SnapshotRow(snap, &cluster, rp) }); allocs != 1 {
+		t.Fatalf("warm SnapshotRow makes %v allocations over 1,000 walked jobs, want 1 (the row)", allocs)
 	}
 	j := &snap.Pending[0]
 	if allocs := testing.AllocsPerRun(20, func() { in := runtimeInputsOf(j, tot); _ = rp.evaluate(&in) }); allocs != 0 {

@@ -11,6 +11,14 @@ import (
 // Algorithm 1, where pending jobs have no start time yet and running jobs
 // have no end. The CLI builds one from the scheduler's current state (or a
 // hypothetical job the user is considering, per §V's future-work mode).
+//
+// Pending and Running are read-only once a row has been taken from the
+// snapshot: the runtime predictor remembers a queue by the identity of
+// those two backing arrays (first element and length), so a job modified
+// in place, by assignment or by an append to a shorter re-slice of the
+// same array, would be summed with its old values. Re-slicing, appending
+// to the full slice and building a new slice all change the identity and
+// are safe.
 type Snapshot struct {
 	// Now is the prediction instant (the target's eligibility time).
 	Now int64
@@ -28,7 +36,11 @@ type Snapshot struct {
 
 // SnapshotRow builds the target job's 33-feature vector from live queue
 // state — the deployment counterpart of Build, which works from completed
-// accounting records.
+// accounting records. The queue-state columns sum the target partition's
+// queue column (RuntimePredictor.column) in the queue's slice order,
+// so every caller that passes the same Pending/Running slices — rows of
+// one batch, requests served from one cached queue — shares one pass of
+// the runtime forest over them.
 func SnapshotRow(snap *Snapshot, cluster *slurmsim.ClusterSpec, rp *RuntimePredictor) ([]float64, error) {
 	if cluster.Partition(snap.Target.Partition) == nil {
 		return nil, fmt.Errorf("features: snapshot target references unknown partition %q", snap.Target.Partition)
@@ -38,15 +50,16 @@ func SnapshotRow(snap *Snapshot, cluster *slurmsim.ClusterSpec, rp *RuntimePredi
 	}
 	tot := cluster.Totals(snap.Target.Partition)
 	j := &snap.Target
+	col := rp.column(snap, j.Partition, tot)
 	var agg queueAgg
-	for i := range snap.Pending {
-		if o := &snap.Pending[i]; o.Partition == j.Partition && o.ID != j.ID {
-			agg.addQueued(j, o, rp.PredictSeconds(o, tot))
+	for i := range col.pending {
+		if q := &col.pending[i]; q.id != j.ID {
+			agg.addQueued(j, q)
 		}
 	}
-	for i := range snap.Running {
-		if o := &snap.Running[i]; o.Partition == j.Partition && o.ID != j.ID {
-			agg.addRunning(o, rp.PredictSeconds(o, tot))
+	for i := range col.running {
+		if q := &col.running[i]; q.id != j.ID {
+			agg.addRunning(q)
 		}
 	}
 
@@ -65,7 +78,8 @@ func SnapshotRow(snap *Snapshot, cluster *slurmsim.ClusterSpec, rp *RuntimePredi
 			continue
 		}
 		seen[o.ID] = true
-		user.add(o)
+		q := queuedJobOf(o, 0)
+		user.add(&q)
 	}
 
 	row := make([]float64, NumFeatures)

@@ -392,9 +392,10 @@ func (s *Service) initTelemetry() {
 	// Serving hot path: snapshot cache effectiveness.
 	s.cacheOps = r.CounterVec("trout_snapshot_cache_requests_total",
 		"Shared snapshot cache lookups, by result (hit, miss, stale retry, bypass).", "result")
-	// Against trout_predictions_total: near 0 per prediction while the
-	// bundle's memo holds the live queue, near the queue depth once the
-	// queue has outgrown it.
+	// Grows near 0 while the bundle's memo holds the live queue; once the
+	// queue has outgrown it, by about the queue depth per queue version
+	// (each /events step or cache miss builds one queue column), not per
+	// prediction.
 	r.CounterFunc("trout_jobruntime_evals_total",
 		"Job-runtime forest evaluations by the serving bundle (its memo's misses); restarts at 0 when the bundle is swapped.",
 		func() float64 { return float64(s.serving.Load().b.Runtime.Evals()) })
