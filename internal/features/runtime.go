@@ -23,8 +23,9 @@ import (
 // by the predictor, and SnapshotRow, which needs the answer for every
 // queued and running job of a partition, reads them from a queue column
 // built once per queue (queueColumns) rather than probing that table per
-// job per row. Both tables die with the predictor, so a swapped-in,
-// rolled-back or shadow bundle can never read another forest's values. The
+// job per row; the column also keeps its sums, the ahead block once per
+// rank. All of it dies with the predictor, so a swapped-in, rolled-back or
+// shadow bundle can never read another forest's values. The
 // zero value with a Forest is ready to use; a RuntimePredictor must not be
 // copied after first use.
 type RuntimePredictor struct {
@@ -232,6 +233,7 @@ type queueColumns struct {
 	clock  uint64
 	slots  [queueSlots]*queueSlot
 	builds atomic.Uint64 // columns built; a row on a known queue builds none
+	walks  atomic.Uint64 // blocks summed by walking a column; a memoized rank walks none
 }
 
 // queueSlot holds one queue's partition columns.
@@ -244,13 +246,79 @@ type queueSlot struct {
 }
 
 // queueColumn is one partition of one queue as a row sums it, in the
-// queue's slice order. It is immutable once published. Besides the
-// partition, it depends on the partition totals only through the two the
-// runtime forest reads.
+// queue's slice order. Besides the partition, it depends on the partition
+// totals only through the two the runtime forest reads. Everything but the
+// ahead memo is immutable once published.
 type queueColumn struct {
 	partition        string
 	cpus, gpus       int
 	pending, running []queuedJob
+	// all is the queue and running block of a target whose ID is in
+	// neither list: every job summed, in slice order. Its ahead block is
+	// zero; ahead holds those.
+	all queueAgg
+
+	mu sync.Mutex
+	// ahead memoizes the ahead block by rank: the number of pending jobs
+	// that outrank the target. It has at most len(pending)+1 entries.
+	ahead map[int]jobSums
+}
+
+// block is target j's queue-state block on c. The jobs ahead of j are the
+// pending ones of greater priority. Those sets are nested as the priority
+// rises, so the rank, their count, names the set exactly, and summed in
+// slice order it has the same bits for every target of that rank. A target
+// with an ID in either list must leave itself out, so it walks the column;
+// walks counts the blocks summed by a walk.
+func (c *queueColumn) block(j *trace.Job, walks *atomic.Uint64) queueAgg {
+	rank, in := 0, false
+	for i := range c.pending {
+		q := &c.pending[i]
+		if q.priority > j.Priority {
+			rank++
+		}
+		in = in || q.id == j.ID
+	}
+	for i := range c.running {
+		in = in || c.running[i].id == j.ID
+	}
+	if in {
+		walks.Add(1)
+		var agg queueAgg
+		for i := range c.pending {
+			if q := &c.pending[i]; q.id != j.ID {
+				agg.addQueued(j, q)
+			}
+		}
+		for i := range c.running {
+			if q := &c.running[i]; q.id != j.ID {
+				agg.addRunning(q)
+			}
+		}
+		return agg
+	}
+
+	agg := c.all
+	c.mu.Lock()
+	ahead, ok := c.ahead[rank]
+	c.mu.Unlock()
+	if !ok {
+		// Two rows missing on one rank both walk and store the same bits.
+		walks.Add(1)
+		for i := range c.pending {
+			if q := &c.pending[i]; q.priority > j.Priority {
+				ahead.add(q)
+			}
+		}
+		c.mu.Lock()
+		if c.ahead == nil {
+			c.ahead = make(map[int]jobSums)
+		}
+		c.ahead[rank] = ahead
+		c.mu.Unlock()
+	}
+	agg.ahead = ahead
+	return agg
 }
 
 // slot returns the slot of queue k, claiming the oldest-used one if k has
@@ -280,7 +348,7 @@ func (t *queueColumns) slot(k queueKey) *queueSlot {
 
 // column returns partition's column of snap's queue, building it on
 // first use: PredictSeconds is asked about each of the partition's queued
-// and running jobs once per queue, not once per row.
+// and running jobs, and they are summed, once per queue, not once per row.
 func (r *RuntimePredictor) column(snap *Snapshot, partition string, tot slurmsim.PartitionTotals) *queueColumn {
 	s := r.cols.slot(queueKeyOf(snap))
 	s.mu.Lock()
@@ -294,6 +362,13 @@ func (r *RuntimePredictor) column(snap *Snapshot, partition string, tot slurmsim
 		partition: partition, cpus: tot.CPUs, gpus: tot.GPUs,
 		pending: r.queuedJobs(snap.Pending, partition, tot),
 		running: r.queuedJobs(snap.Running, partition, tot),
+	}
+	for i := range c.pending {
+		c.all.queued.add(&c.pending[i])
+		c.all.queuedPred += c.pending[i].pred
+	}
+	for i := range c.running {
+		c.all.addRunning(&c.running[i])
 	}
 	s.parts = append(s.parts, c)
 	r.cols.builds.Add(1)

@@ -188,7 +188,7 @@ func TestSnapshotRowEvaluatesOncePerSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	for call, wantEvals := range []uint64{uint64(len(distinct)), 0} {
-		before, builds := rp.Evals(), rp.cols.builds.Load()
+		before, builds, walks := rp.Evals(), rp.cols.builds.Load(), rp.cols.walks.Load()
 		row, err := SnapshotRow(snap, &cluster, rp)
 		if err != nil {
 			t.Fatal(err)
@@ -198,6 +198,9 @@ func TestSnapshotRowEvaluatesOncePerSpec(t *testing.T) {
 		}
 		if got, want := rp.cols.builds.Load()-builds, uint64(1-call); got != want {
 			t.Fatalf("call %d built %d queue columns, want %d", call, got, want)
+		}
+		if got, want := rp.cols.walks.Load()-walks, uint64(1-call); got != want {
+			t.Fatalf("call %d walked %d columns, want %d", call, got, want)
 		}
 		for f := range row {
 			if math.Float64bits(row[f]) != math.Float64bits(want[f]) {
@@ -217,8 +220,12 @@ func TestSnapshotRowEvaluatesOncePerSpec(t *testing.T) {
 	if raceEnabled {
 		return // the detector's instrumentation allocates
 	}
-	// Warm, a row allocates only itself: no column, no forest input per
-	// walked job.
+	// Warm, a row allocates only itself: no column, no ahead block, no
+	// forest input per walked job, and nothing to deduplicate an
+	// ID-ascending history with.
+	if n := want[fidx(t, "User Jobs Past Day")]; n < 2 {
+		t.Fatalf("the target's user has %v past-day jobs; the user block is not under test", n)
+	}
 	if allocs := testing.AllocsPerRun(20, func() { _, _ = SnapshotRow(snap, &cluster, rp) }); allocs != 1 {
 		t.Fatalf("warm SnapshotRow makes %v allocations over 1,000 walked jobs, want 1 (the row)", allocs)
 	}

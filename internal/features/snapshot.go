@@ -2,6 +2,8 @@ package features
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/slurmsim"
 	"repro/internal/trace"
@@ -36,11 +38,12 @@ type Snapshot struct {
 
 // SnapshotRow builds the target job's 33-feature vector from live queue
 // state — the deployment counterpart of Build, which works from completed
-// accounting records. The queue-state columns sum the target partition's
-// queue column (RuntimePredictor.column) in the queue's slice order,
-// so every caller that passes the same Pending/Running slices — rows of
-// one batch, requests served from one cached queue — shares one pass of
-// the runtime forest over them.
+// accounting records. The queue-state columns come from the target
+// partition's queue column (RuntimePredictor.column), so every caller that
+// passes the same Pending/Running slices — rows of one batch, requests
+// served from one cached queue — shares one pass of the runtime forest
+// over them, and every target with the same ahead set shares one sum
+// (queueColumn.block).
 func SnapshotRow(snap *Snapshot, cluster *slurmsim.ClusterSpec, rp *RuntimePredictor) ([]float64, error) {
 	if cluster.Partition(snap.Target.Partition) == nil {
 		return nil, fmt.Errorf("features: snapshot target references unknown partition %q", snap.Target.Partition)
@@ -50,39 +53,54 @@ func SnapshotRow(snap *Snapshot, cluster *slurmsim.ClusterSpec, rp *RuntimePredi
 	}
 	tot := cluster.Totals(snap.Target.Partition)
 	j := &snap.Target
-	col := rp.column(snap, j.Partition, tot)
-	var agg queueAgg
-	for i := range col.pending {
-		if q := &col.pending[i]; q.id != j.ID {
-			agg.addQueued(j, q)
-		}
-	}
-	for i := range col.running {
-		if q := &col.running[i]; q.id != j.ID {
-			agg.addRunning(q)
-		}
-	}
+	agg := rp.column(snap, j.Partition, tot).block(j, &rp.cols.walks)
+	row := make([]float64, NumFeatures)
+	agg.fill(row, j, tot, userSums(snap), rp.PredictSeconds(j, tot))
+	return row, nil
+}
 
-	// The target's own submission counts toward its user's past-day
-	// activity when it happened before the prediction instant (a job held
-	// by a dependency was submitted earlier) — matching the offline
-	// builder's semantics. History rows are deduplicated by ID.
-	seen := map[int]bool{}
+// userSums is the target user's past-day activity: History's entries by
+// that user submitted in [Now-86400, Now), in slice order, each job ID
+// counted at its first such entry. The target's own submission counts
+// when it happened before the prediction instant (a job held by a
+// dependency was submitted earlier) — matching the offline builder's
+// semantics.
+//
+// The engine hands over a user's history ID-sorted and unique, so while
+// the accepted IDs ascend, the last one is all the deduplication needs and
+// nothing is allocated. The first ID that does not ascend turns them into
+// a sorted slice, searched and inserted into from then on.
+func userSums(snap *Snapshot) jobSums {
+	j := &snap.Target
+	accept := func(o *trace.Job) bool {
+		return o.User == j.User && o.Submit >= snap.Now-86400 && o.Submit < snap.Now
+	}
 	var user jobSums
+	last := math.MinInt // the greatest accepted ID, while ids is nil
+	var ids []int       // the accepted IDs, sorted, once one failed to ascend
 	for i := range snap.History {
 		o := &snap.History[i]
-		if o.User != j.User || seen[o.ID] {
+		if !accept(o) {
 			continue
 		}
-		if o.Submit < snap.Now-86400 || o.Submit >= snap.Now {
-			continue
+		if ids == nil && o.ID > last {
+			last = o.ID
+		} else {
+			if ids == nil {
+				for k := range snap.History[:i] {
+					if p := &snap.History[k]; accept(p) {
+						ids = append(ids, p.ID)
+					}
+				}
+			}
+			k, dup := slices.BinarySearch(ids, o.ID)
+			if dup {
+				continue
+			}
+			ids = slices.Insert(ids, k, o.ID)
 		}
-		seen[o.ID] = true
 		q := queuedJobOf(o, 0)
 		user.add(&q)
 	}
-
-	row := make([]float64, NumFeatures)
-	agg.fill(row, j, tot, user, rp.PredictSeconds(j, tot))
-	return row, nil
+	return user
 }

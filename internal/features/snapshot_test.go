@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -76,8 +77,8 @@ func walkAddRunning(a *queueAgg, o *trace.Job, predSeconds float64) {
 	a.runningPred += predSeconds / 60
 }
 
-// partsCluster has three partitions of different totals, so one queue
-// holds three columns and the forest sees three (CPUs, GPUs) inputs.
+// partsCluster has four partitions of different totals, so one queue
+// holds four columns and the forest sees four (CPUs, GPUs) inputs.
 func partsCluster() slurmsim.ClusterSpec {
 	return slurmsim.ClusterSpec{
 		Nodes: []slurmsim.NodeSpec{{CPUs: 4, MemGB: 8}, {CPUs: 4, MemGB: 8}, {CPUs: 16, MemGB: 64, GPUs: 4}},
@@ -85,11 +86,12 @@ func partsCluster() slurmsim.ClusterSpec {
 			{Name: "shared", Tier: 1, NodeIDs: []int{0, 1}},
 			{Name: "gpu", Tier: 1, NodeIDs: []int{2}},
 			{Name: "debug", Tier: 2, NodeIDs: []int{0}},
+			{Name: "standby", Tier: 3, NodeIDs: []int{0, 1, 2}},
 		},
 	}
 }
 
-var partNames = []string{"shared", "gpu", "debug"}
+var partNames = []string{"shared", "gpu", "debug", "standby"}
 
 // oddMem are memory requests whose bits a sum must carry through: NaN,
 // both zeros, infinities and a value that rounds.
@@ -120,14 +122,27 @@ func randomQueue(rng *rand.Rand, np, nr int) *Snapshot {
 }
 
 // targets are the rows a test takes on a queue: a what-if job per
-// partition, and members of Pending and Running (GET /predict?job= predicts
-// a job that is itself in the queue and must not count itself).
+// partition; what-ifs whose priority ties a pending job's or sits just
+// above or below it, the ranks either side of that job; and members of
+// Pending and Running (GET /predict?job= predicts a job that is itself in
+// the queue and must not count itself).
 func targets(rng *rand.Rand, snap *Snapshot) []trace.Job {
 	var out []trace.Job
-	for _, p := range partNames {
+	whatIf := func(partition string) trace.Job {
 		j := specJob(rng, 1_000_000+len(out))
-		j.Partition, j.Submit = p, snap.Now-10
-		out = append(out, j)
+		j.Partition, j.Submit = partition, snap.Now-10
+		return j
+	}
+	for _, p := range partNames {
+		out = append(out, whatIf(p))
+	}
+	for k := 0; k < 3 && len(snap.Pending) > 0; k++ {
+		q := &snap.Pending[rng.Intn(len(snap.Pending))]
+		for _, d := range []int64{0, 1, -1} {
+			j := whatIf(q.Partition)
+			j.Priority = q.Priority + d
+			out = append(out, j)
+		}
 	}
 	for _, list := range [][]trace.Job{snap.Pending, snap.Running} {
 		for k := 0; k < 3 && len(list) > 0; k++ {
@@ -135,6 +150,32 @@ func targets(rng *rand.Rand, snap *Snapshot) []trace.Job {
 		}
 	}
 	return out
+}
+
+// inColumn reports whether j's ID is among the pending or running jobs of
+// its partition: a row for it walks the column.
+func inColumn(snap *Snapshot, j *trace.Job) bool {
+	for _, list := range [][]trace.Job{snap.Pending, snap.Running} {
+		for i := range list {
+			if list[i].Partition == j.Partition && list[i].ID == j.ID {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// historyOrders are the orders a row must not depend on: as drawn (out of
+// order, duplicate IDs), ID-sorted and unique (the engine's form),
+// ID-sorted with the duplicates kept, and descending.
+func historyOrders(h []trace.Job) [][]trace.Job {
+	byID := func(a, b trace.Job) int { return a.ID - b.ID }
+	sorted := slices.Clone(h)
+	slices.SortStableFunc(sorted, byID)
+	unique := slices.CompactFunc(slices.Clone(sorted), func(a, b trace.Job) bool { return a.ID == b.ID })
+	desc := slices.Clone(sorted)
+	slices.Reverse(desc)
+	return [][]trace.Job{h, unique, sorted, desc}
 }
 
 // sameRow fails unless every column of got has want's bits.
@@ -166,9 +207,11 @@ func checkRow(t testing.TB, what string, snap *Snapshot, target trace.Job, clust
 }
 
 // TestSnapshotRowMatchesWalk is the differential test of the queue column
-// against the per-job walk: seeded queues over three partitions, empty
-// pending or running lists, duplicate IDs, odd memory requests, in-queue
-// and what-if targets, each row taken cold and warm.
+// and its ahead memo against the per-job walk: seeded queues over four
+// partitions, empty pending or running lists, duplicate IDs, repeated
+// priorities, odd memory requests, in-queue and what-if targets (ties and
+// near-ties of a queued job's priority among them), each row taken cold
+// and warm, with the user's history in four orders.
 func TestSnapshotRowMatchesWalk(t *testing.T) {
 	rp, _ := trainedPredictor(t, 41)
 	cluster := partsCluster()
@@ -176,19 +219,54 @@ func TestSnapshotRowMatchesWalk(t *testing.T) {
 	for _, size := range [][2]int{{0, 0}, {0, 40}, {60, 0}, {1, 1}, {200, 50}, {900, 120}} {
 		for rep := 0; rep < 3; rep++ {
 			snap := randomQueue(rng, size[0], size[1])
-			for k, target := range targets(rng, snap) {
-				for pass := 0; pass < 2; pass++ {
-					checkRow(t, fmt.Sprintf("queue %v rep %d target %d pass %d", size, rep, k, pass), snap, target, &cluster, rp)
+			tg := targets(rng, snap)
+			for h, hist := range historyOrders(snap.History) {
+				s := *snap
+				s.History = hist
+				for k, target := range tg {
+					for pass := 0; pass < 2; pass++ {
+						checkRow(t, fmt.Sprintf("queue %v rep %d history %d target %d pass %d", size, rep, h, k, pass), &s, target, &cluster, rp)
+					}
 				}
 			}
 		}
 	}
 }
 
+// TestGridWalksOncePerPartition: the what-if grid behind POST
+// /predict/batch — one job in four partitions at four time limits — has one
+// rank per partition, so cold it walks each partition's column once and
+// warm not at all, with every row the walk's.
+func TestGridWalksOncePerPartition(t *testing.T) {
+	rp, _ := trainedPredictor(t, 91)
+	cluster := partsCluster()
+	rng := rand.New(rand.NewSource(92))
+	snap := randomQueue(rng, 900, 120)
+	job := specJob(rng, 4_000_000)
+	job.Submit = snap.Now - 10
+	if len(partNames) != 4 {
+		t.Fatalf("%d partitions; the grid is 4 x 4", len(partNames))
+	}
+	for pass, want := range []uint64{4, 0} {
+		walks := rp.cols.walks.Load()
+		for _, p := range partNames {
+			for _, limit := range []int64{1800, 3600, 7200, 14400} {
+				j := job
+				j.Partition, j.TimeLimit = p, limit
+				checkRow(t, fmt.Sprintf("pass %d %s limit %d", pass, p, limit), snap, j, &cluster, rp)
+			}
+		}
+		if got := rp.cols.walks.Load() - walks; got != want {
+			t.Fatalf("pass %d: the 16-job grid walked %d columns, want %d", pass, got, want)
+		}
+	}
+}
+
 // TestQueueColumnsPerPredictorAndQueue: two predictors alternating on one
-// queue each sum their own forest's answers, and ten queues cycled through
-// one predictor (more than it has slots) are each summed from their own
-// jobs, whether their column is resident or was evicted.
+// queue each sum their own forest's answers and walk for their own ahead
+// blocks, and ten queues cycled through one predictor (more than it has
+// slots) are each summed from their own jobs, whether their column is
+// resident or was evicted.
 func TestQueueColumnsPerPredictorAndQueue(t *testing.T) {
 	a, _ := trainedPredictor(t, 51)
 	b, _ := trainedPredictor(t, 52)
@@ -207,6 +285,7 @@ func TestQueueColumnsPerPredictorAndQueue(t *testing.T) {
 	tg := targets(rng, snap)
 	differ := false
 	for round := 0; round < 2; round++ {
+		wa, wb := a.cols.walks.Load(), b.cols.walks.Load()
 		for k, target := range tg {
 			checkRow(t, fmt.Sprintf("predictor a round %d target %d", round, k), snap, target, &cluster, a)
 			checkRow(t, fmt.Sprintf("predictor b round %d target %d", round, k), snap, target, &cluster, b)
@@ -216,6 +295,11 @@ func TestQueueColumnsPerPredictorAndQueue(t *testing.T) {
 			rb, _ := SnapshotRow(&s, &cluster, b)
 			f := fidx(t, "Par Queue Pred Timelimit")
 			differ = differ || math.Float64bits(ra[f]) != math.Float64bits(rb[f])
+		}
+		// b asks what a asked, right after it: a block shared across
+		// predictors would save b walks.
+		if ga, gb := a.cols.walks.Load()-wa, b.cols.walks.Load()-wb; ga != gb || (round == 0 && ga == 0) {
+			t.Fatalf("round %d: predictor a walked %d columns, b %d", round, ga, gb)
 		}
 	}
 	if !differ {
@@ -286,9 +370,11 @@ func TestQueueIdentityReslicedAndAppended(t *testing.T) {
 	checkRow(t, "whole queue again", snap, target, &cluster, rp)
 }
 
-// TestSnapshotRowConcurrent: goroutines take rows for targets in all three
-// partitions of one queue at once, cold and warm, against the walk's rows.
-// Under -race this is the check on the column table's locking.
+// TestSnapshotRowConcurrent: goroutines take rows for targets in all four
+// partitions of one queue at once, cold and warm, several of them on one
+// rank of one column, against the walk's rows. Under -race this is the
+// check on the locking of the column table and of each column's ahead
+// memo. Afterwards only the in-queue targets walk.
 func TestSnapshotRowConcurrent(t *testing.T) {
 	rp, _ := trainedPredictor(t, 71)
 	cluster := partsCluster()
@@ -305,14 +391,18 @@ func TestSnapshotRowConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Workers start together and go in pairs through the targets in the
+	// same order, so the two of a pair miss on the same rank at once.
 	const workers = 8
 	var wg sync.WaitGroup
+	start := make(chan struct{})
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			<-start
 			for n := 0; n < 4*len(tg); n++ {
-				k := (n + w) % len(tg)
+				k := (n + w/2) % len(tg)
 				s := *snap
 				s.Target = tg[k]
 				row, err := SnapshotRow(&s, &cluster, rp)
@@ -329,9 +419,20 @@ func TestSnapshotRowConcurrent(t *testing.T) {
 			}
 		}(w)
 	}
+	close(start)
 	wg.Wait()
 	if got := rp.cols.builds.Load(); got != uint64(len(partNames)) {
 		t.Fatalf("%d columns built for one queue over %d partitions", got, len(partNames))
+	}
+	walks, in := rp.cols.walks.Load(), uint64(0)
+	for k := range tg {
+		checkRow(t, fmt.Sprintf("warm target %d", k), snap, tg[k], &cluster, rp)
+		if inColumn(snap, &tg[k]) {
+			in++
+		}
+	}
+	if got := rp.cols.walks.Load() - walks; got != in || in == 0 {
+		t.Fatalf("a warm pass over %d targets walked %d columns, want %d (the in-queue targets)", len(tg), got, in)
 	}
 }
 
@@ -349,13 +450,26 @@ func fuzzJob(list, part, id, user, prio, cpus, nodes, limit byte, mem float64) [
 
 // FuzzSnapshotRow: a queue decoded from fuzzer bytes (16 per job: list,
 // partition, ID, user, priority, CPUs, nodes, time limit, then the raw
-// bits of the memory request) gives the walk's row for a what-if target or
-// a queue member, cold, warm, and on the queue re-sliced.
+// bits of the memory request; bit 1 of list also files the job in History,
+// in byte order) gives the walk's row for a what-if target or a queue
+// member, cold, warm, at the priorities just above and below, and on the
+// queue re-sliced.
 func FuzzSnapshotRow(f *testing.F) {
 	f.Add(uint16(0), []byte{})
 	f.Add(uint16(3), append(fuzzJob(0, 0, 1, 1, 16, 2, 1, 3, 2.5), fuzzJob(1, 0, 1, 1, 32, 1, 1, 1, math.NaN())...))
 	f.Add(uint16(0x105), append(append(fuzzJob(3, 1, 7, 0, 128, 4, 2, 8, math.Copysign(0, -1)),
 		fuzzJob(0, 1, 7, 0, 127, 4, 2, 8, math.Inf(1))...), fuzzJob(2, 2, 9, 1, 0, 0, 0, 0, 0.1)...))
+	// A what-if in "shared" for user 0 at priority 2 (sel 0x40): it ties
+	// the first queued job, sits just above the second and just below the
+	// third; the history's IDs descend, repeat and come back.
+	f.Add(uint16(0x40), append(append(append(append(fuzzJob(2, 0, 9, 0, 2, 1, 1, 1, 1),
+		fuzzJob(2, 0, 5, 0, 1, 2, 1, 2, 2)...), fuzzJob(2, 0, 7, 0, 3, 3, 1, 3, 3)...),
+		fuzzJob(2, 0, 5, 0, 1, 4, 1, 4, 4)...), fuzzJob(2, 0, 8, 0, 2, 1, 1, 5, 5)...))
+	// The same queue asked about a member (sel 3: the second job, ID 5,
+	// which is also queued again under its ID).
+	f.Add(uint16(3), append(append(append(fuzzJob(2, 0, 9, 0, 2, 1, 1, 1, 1),
+		fuzzJob(2, 0, 5, 0, 1, 2, 1, 2, 2)...), fuzzJob(3, 0, 7, 0, 3, 3, 1, 3, 3)...),
+		fuzzJob(2, 0, 5, 0, 1, 4, 1, 4, 4)...))
 	fuzzPredictor.once.Do(func() { fuzzPredictor.rp, _ = trainedPredictor(f, 81) })
 	rp := fuzzPredictor.rp
 	cluster := partsCluster()
@@ -387,6 +501,11 @@ func FuzzSnapshotRow(f *testing.F) {
 		}
 		checkRow(t, "cold", snap, target, &cluster, rp)
 		checkRow(t, "warm", snap, target, &cluster, rp)
+		for _, d := range []int64{1, -1} {
+			near := target
+			near.Priority += d
+			checkRow(t, fmt.Sprintf("priority %+d", d), snap, near, &cluster, rp)
+		}
 		if len(snap.Pending) > 0 {
 			s := *snap
 			s.Pending = s.Pending[1:]

@@ -1,8 +1,10 @@
 package livestate
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -514,23 +516,27 @@ func (e *Engine) pendingRunningLocked(at int64) (pending, running []trace.Job) {
 }
 
 // userHistoryLocked reads one user's past-day submissions from the history
-// index, ID-sorted. Callers hold e.mu.
+// index, ID-sorted: each job is looked up once, and its 152-byte record
+// copied once, into a result of the exact size. Callers hold e.mu.
 func (e *Engine) userHistoryLocked(user int, at int64) []trace.Job {
 	ids := e.users[user]
-	hist := make([]int, 0, len(ids))
+	hist := make([]*jobState, 0, len(ids))
 	for _, id := range ids {
 		js, ok := e.jobs[id]
 		if !ok {
 			continue
 		}
 		if s := js.job.Submit; s >= at-86400 && s < at {
-			hist = append(hist, id)
+			hist = append(hist, js)
 		}
 	}
-	sort.Ints(hist)
-	var out []trace.Job
-	for _, id := range hist {
-		out = append(out, e.jobs[id].job)
+	if len(hist) == 0 {
+		return nil
+	}
+	slices.SortFunc(hist, func(a, b *jobState) int { return cmp.Compare(a.job.ID, b.job.ID) })
+	out := make([]trace.Job, len(hist))
+	for i, js := range hist {
+		out[i] = js.job
 	}
 	return out
 }

@@ -318,6 +318,13 @@ func TestStageMetricsMatchTree(t *testing.T) {
 				}
 			}
 
+			// A response larger than the server's buffer (the 256-job batch)
+			// reaches the client before obs.Instrument has observed the
+			// stages and enqueued the trace; it writes the access-log record
+			// only after both, so wait for the three records before flushing
+			// the exporter or scraping /metrics.
+			logs := accessLogs(t, &sb, 3)
+
 			// The exported trees (tracer on) hold exactly those stage spans,
 			// each inside its root's interval.
 			svc.Tracer().Flush()
@@ -355,7 +362,7 @@ func TestStageMetricsMatchTree(t *testing.T) {
 
 			// The access log's spans groups name the same stages (a decoded
 			// JSON group keeps one member per name).
-			for _, m := range accessLogs(t, &sb, 3) {
+			for _, m := range logs {
 				id, _ := m["trace_id"].(string)
 				wantStages, ok := want[id]
 				if !ok {
