@@ -33,11 +33,13 @@ loc:
 # Short fuzz of the event decoder and the predict decoders against
 # encoding/json, the WAL segment reader, the WAL record encoder against
 # json.Marshal, the model registry manifest decoder, the forest gob
-# decoder, and the queue-column feature row against the per-job walk
+# decoder, the queue-column feature row against the per-job walk, and the
+# engine-replay dataset against the trace scan and the interval trees
 # (corpus seeds + 5s of mutation each; Go allows one -fuzz target per run).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodePredictRequest -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRow -fuzztime 5s ./internal/features
+	$(GO) test -run '^$$' -fuzz FuzzBuildReplay -fuzztime 5s ./internal/intervaltree
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 5s ./internal/livestate
 	$(GO) test -run '^$$' -fuzz FuzzReadSegment -fuzztime 5s ./internal/livestate
 	$(GO) test -run '^$$' -fuzz FuzzWALEncode -fuzztime 5s ./internal/livestate

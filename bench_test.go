@@ -6,13 +6,11 @@
 package trout_test
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
 	trout "repro"
 	"repro/internal/core"
-	"repro/internal/intervaltree"
 	"repro/internal/slurmsim"
 	"repro/internal/trace"
 	"repro/internal/tscv"
@@ -62,7 +60,7 @@ func BenchmarkTable1Stats(b *testing.B) {
 }
 
 // BenchmarkTable2FeatureBuild regenerates the Table II feature matrix
-// (interval-tree aggregation over the full trace).
+// (the engine replay over the full trace).
 func BenchmarkTable2FeatureBuild(b *testing.B) {
 	e := benchExperiment(b)
 	b.ResetTimer()
@@ -243,42 +241,6 @@ func BenchmarkAblationScaling(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkIntervalTreeVsNaive quantifies the §V claim that interval trees
-// accelerate the overlap feature computation: stab queries against the
-// trace-shaped interval set, tree vs linear scan.
-func BenchmarkIntervalTreeVsNaive(b *testing.B) {
-	e := benchExperiment(b)
-	ivs := make([]intervaltree.Interval, len(e.Trace.Jobs))
-	for i := range e.Trace.Jobs {
-		j := &e.Trace.Jobs[i]
-		ivs[i] = intervaltree.Interval{Lo: j.Start, Hi: j.End, ID: i}
-	}
-	rng := rand.New(rand.NewSource(9))
-	span := e.Trace.Jobs[len(e.Trace.Jobs)-1].End
-	base := e.Trace.Jobs[0].Eligible
-
-	b.Run("tree", func(b *testing.B) {
-		tree := intervaltree.BuildChunked(ivs, 100000, 10000)
-		count := 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tree.StabVisit(base+rng.Int63n(span-base), func(intervaltree.Interval) { count++ })
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		count := 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			at := base + rng.Int63n(span-base)
-			for _, iv := range ivs {
-				if iv.Contains(at) {
-					count++
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkInferenceLatency measures single-job Algorithm 1 latency — the

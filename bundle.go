@@ -306,7 +306,7 @@ func (b *Bundle) tryPredictBatch(rows [][]float64, parent obs.SpanHandle) (preds
 
 // SnapshotAtInstant reconstructs queue state at an arbitrary instant by
 // scanning the whole trace, with target as the job being predicted for —
-// the offline O(N) path (cmd/trout, the examples, experiments) and the
+// the offline O(N) path (cmd/trout and the examples) and the
 // oracle the livestate engine's indexed extraction is tested against.
 // Open intervals are honored: a job with Start == 0 is still pending and
 // End == 0 still running, so live traces keep their genuinely-queued jobs.

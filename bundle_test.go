@@ -3,21 +3,27 @@ package trout_test
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	trout "repro"
 	"repro/internal/features"
 )
 
-// TestSnapshotRowMatchesBuild is the deployment-path differential test: the
-// feature row reconstructed from a live-queue snapshot must exactly equal
-// the row the offline builder computed from completed records.
+// TestSnapshotRowMatchesBuild is the offline differential test: the row a
+// job gets from the whole-trace scan (SnapshotFromTrace) must have exactly
+// the bits of its row in the dataset, which the engine replay built. Float
+// sums are order-dependent, so the scan runs over an ID-sorted copy of the
+// trace — the order the engine emits, whatever the trace's order was.
 func TestSnapshotRowMatchesBuild(t *testing.T) {
 	e := sharedExperiment(t)
+	jobs := slices.Clone(e.Trace.Jobs)
+	slices.SortFunc(jobs, func(a, b trout.Job) int { return a.ID - b.ID })
+	sorted := &trout.Trace{Jobs: jobs}
 	checked := 0
 	for i := 0; i < e.Data.Len() && checked < 40; i += e.Data.Len() / 40 {
 		job := e.Data.Jobs[i]
-		snap, err := trout.SnapshotFromTrace(e.Trace, job.ID)
+		snap, err := trout.SnapshotFromTrace(sorted, job.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -26,7 +32,7 @@ func TestSnapshotRowMatchesBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		for f, v := range row {
-			if math.Abs(v-e.Data.X[i][f]) > 1e-9 {
+			if math.Float64bits(v) != math.Float64bits(e.Data.X[i][f]) {
 				t.Fatalf("job %d feature %q: snapshot %v vs build %v",
 					job.ID, trout.FeatureNames[f], v, e.Data.X[i][f])
 			}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/livestate"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/tscv"
@@ -287,7 +288,7 @@ func (s *Service) defaultTrainer(cfg ControlPlaneConfig) func(ctx context.Contex
 		}
 
 		tr := &Trace{Jobs: jobs}
-		ds, err := features.Build(tr, &cluster, features.Options{Seed: incumbent.Model.Cfg.Seed})
+		ds, err := livestate.Build(tr, &cluster, features.Options{Seed: incumbent.Model.Cfg.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("trout: retrain features: %w", err)
 		}

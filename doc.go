@@ -6,8 +6,9 @@
 //
 // The package is the public facade over the substrates in internal/: an
 // event-driven Slurm-like cluster simulator and synthetic workload generator
-// (standing in for the proprietary Anvil accounting trace), interval-tree
-// feature engineering, a stdlib-only neural-network stack, SMOTE balancing,
+// (standing in for the proprietary Anvil accounting trace), feature
+// engineering by replaying a trace through the live-state engine the
+// daemon serves from, a stdlib-only neural-network stack, SMOTE balancing,
 // gradient-boosted/random-forest/kNN baselines, time-series cross-validation
 // and hyperparameter search.
 //

@@ -27,7 +27,8 @@ func main() {
 	fmt.Printf("  %d jobs, %.1f%% queued under 10 minutes\n",
 		len(tr.Jobs), 100*tr.ShortQueueFraction(600))
 
-	// 2. Engineer the paper's 33 features with interval trees.
+	// 2. Engineer the paper's 33 features: the trace replayed through the
+	// live-state engine, each job's row taken at its eligibility instant.
 	fmt.Println("engineering features...")
 	ds, err := p.BuildDataset(tr, cluster)
 	if err != nil {

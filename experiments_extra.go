@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/livestate"
 	"repro/internal/metrics"
 	"repro/internal/shap"
 	"repro/internal/slurmsim"
@@ -279,7 +280,7 @@ func (e *Experiment) RunTransfer() (TransferResult, error) {
 	}
 	opt := e.Pipeline.Features
 	opt.Seed = e.Pipeline.Seed + 912
-	ds2, err := features.Build(tr2, &foreign, opt)
+	ds2, err := livestate.Build(tr2, &foreign, opt)
 	if err != nil {
 		return TransferResult{}, err
 	}
@@ -472,7 +473,7 @@ func (e *Experiment) RunSchedulerAblation() ([]SchedulerVariant, error) {
 		if opt.Seed == 0 {
 			opt.Seed = e.Pipeline.Seed
 		}
-		ds, err := features.Build(tr, &simCfg.Cluster, opt)
+		ds, err := livestate.Build(tr, &simCfg.Cluster, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -715,7 +716,7 @@ func (e *Experiment) RunRuntimeSourceAblation() ([]RuntimeSourceResult, error) {
 		if opt.Seed == 0 {
 			opt.Seed = e.Pipeline.Seed
 		}
-		ds, err := features.Build(e.Trace, e.Cluster, opt)
+		ds, err := livestate.Build(e.Trace, e.Cluster, opt)
 		if err != nil {
 			return nil, fmt.Errorf("trout: runtime source %q: %w", source, err)
 		}

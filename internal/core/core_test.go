@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/features"
+	"repro/internal/livestate"
 	"repro/internal/nn"
 	"repro/internal/slurmsim"
 	"repro/internal/tscv"
@@ -36,7 +37,7 @@ func testDataset(t *testing.T) *features.Dataset {
 			dsErr = err
 			return
 		}
-		dsMemo, dsErr = features.Build(tr, &cluster, features.Options{Seed: 12, RuntimeTrees: 20})
+		dsMemo, dsErr = livestate.Build(tr, &cluster, features.Options{Seed: 12, RuntimeTrees: 20})
 	})
 	if dsErr != nil {
 		t.Fatal(dsErr)

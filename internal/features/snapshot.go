@@ -36,14 +36,15 @@ type Snapshot struct {
 	History []trace.Job
 }
 
-// SnapshotRow builds the target job's 33-feature vector from live queue
-// state — the deployment counterpart of Build, which works from completed
-// accounting records. The queue-state columns come from the target
-// partition's queue column (RuntimePredictor.column), so every caller that
-// passes the same Pending/Running slices — rows of one batch, requests
-// served from one cached queue — shares one pass of the runtime forest
-// over them, and every target with the same ahead set shares one sum
-// (queueColumn.block).
+// SnapshotRow builds the target job's 33-feature vector from a queue
+// snapshot — the one row builder: the daemon takes its rows from the live
+// engine's snapshots, and livestate.Build takes the training rows from the
+// same engine replaying a trace. The queue-state columns come from the
+// target partition's queue column (RuntimePredictor.column), so every
+// caller that passes the same Pending/Running slices — rows of one batch,
+// requests served from one cached queue, the replay's rows at one instant
+// — shares one pass of the runtime forest over them, and every target with
+// the same ahead set shares one sum (queueColumn.block).
 func SnapshotRow(snap *Snapshot, cluster *slurmsim.ClusterSpec, rp *RuntimePredictor) ([]float64, error) {
 	if cluster.Partition(snap.Target.Partition) == nil {
 		return nil, fmt.Errorf("features: snapshot target references unknown partition %q", snap.Target.Partition)
@@ -63,8 +64,7 @@ func SnapshotRow(snap *Snapshot, cluster *slurmsim.ClusterSpec, rp *RuntimePredi
 // that user submitted in [Now-86400, Now), in slice order, each job ID
 // counted at its first such entry. The target's own submission counts
 // when it happened before the prediction instant (a job held by a
-// dependency was submitted earlier) — matching the offline builder's
-// semantics.
+// dependency was submitted earlier).
 //
 // The engine hands over a user's history ID-sorted and unique, so while
 // the accepted IDs ascend, the last one is all the deduplication needs and

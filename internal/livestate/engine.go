@@ -432,7 +432,7 @@ func (e *Engine) SeedFromTrace(tr *trace.Trace) SeedReport {
 // CompletedJobs returns the realized-outcome records the engine retains:
 // terminal jobs with a full lifecycle (Eligible and Start set, so the queue
 // wait is realized; End at or past Start, so the runtime is too), sorted by
-// eligibility then ID — the same order features.Build imposes. This is the
+// eligibility then ID — the order of Build's rows. This is the
 // continual-learning control plane's training-data source: every record's
 // Start-Eligible is a ground-truth queue wait observed by the event stream,
 // bounded by the engine's history-retention window.

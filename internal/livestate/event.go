@@ -6,14 +6,16 @@
 // in the active-queue size k instead of O(N) in the full trace, and a Store
 // wraps the engine with a length-prefixed write-ahead log plus periodic gob
 // checkpoints so a restarted daemon recovers its state by replaying
-// checkpoint + WAL tail.
+// checkpoint + WAL tail. Build replays a trace through an Engine to make
+// the training set, so a model trains on the rows the daemon serves.
 package livestate
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -175,7 +177,7 @@ func EventsFromTrace(tr *trace.Trace) []Event {
 			}
 		}
 	}
-	sort.SliceStable(events, func(a, b int) bool { return events[a].Time < events[b].Time })
+	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.Time, b.Time) })
 	return events
 }
 

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -96,6 +97,64 @@ func TestLiveStateEquivalence(t *testing.T) {
 		t.Fatalf("only %d instants compared", checked)
 	}
 	t.Logf("compared %d instants bit-for-bit", checked)
+}
+
+// TestServedFeaturesMatchDataset: served ≡ offline, bit for bit. A service
+// fed by /events alone gets the shared experiment's event stream up to a
+// sampled job's eligibility instant, and GET /features?job= for that job
+// (pending there: its wait is not zero) must carry the bits of its row in
+// the dataset the model trained on, which the same engine built by
+// replaying the same stream.
+func TestServedFeaturesMatchDataset(t *testing.T) {
+	e := sharedExperiment(t)
+	svc, err := trout.NewServiceWith(resilientBundle(t), nil, trout.ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(srv.Close)
+
+	var waited []int // rows in eligibility order
+	for i := range e.Data.Jobs {
+		if j := &e.Data.Jobs[i]; j.Start > j.Eligible {
+			waited = append(waited, i)
+		}
+	}
+	var picks []int
+	parts := map[string]bool{}
+	for k := 0; k < len(waited); k += max(1, len(waited)/30) {
+		picks = append(picks, waited[k])
+		parts[e.Data.Jobs[waited[k]].Partition] = true
+	}
+	if len(picks) < 20 || len(parts) < 3 {
+		t.Fatalf("%d pending jobs sampled over %d partitions; want at least 20 over 3", len(picks), len(parts))
+	}
+	evs := livestate.EventsFromTrace(e.Trace)
+	next := 0
+	for _, i := range picks {
+		job := &e.Data.Jobs[i]
+		lo := next
+		for next < len(evs) && evs[next].Time <= job.Eligible {
+			next++
+		}
+		var body bytes.Buffer
+		if err := livestate.WriteEvents(&body, evs[lo:next]); err != nil {
+			t.Fatal(err)
+		}
+		if ack := postEvents(t, srv.URL, body.String()); ack.Applied != next-lo || ack.Rejected != 0 {
+			t.Fatalf("events up to %d: ack %+v for %d events", job.Eligible, ack, next-lo)
+		}
+		var served map[string]float64
+		if code := getJSON(t, fmt.Sprintf("%s/features?job=%d", srv.URL, job.ID), &served); code != http.StatusOK {
+			t.Fatalf("features for job %d: status %d", job.ID, code)
+		}
+		for f, name := range trout.FeatureNames {
+			if math.Float64bits(served[name]) != math.Float64bits(e.Data.X[i][f]) {
+				t.Fatalf("job %d feature %q: served %v, dataset %v", job.ID, name, served[name], e.Data.X[i][f])
+			}
+		}
+	}
+	t.Logf("%d served rows over %d partitions match the dataset bit for bit", len(picks), len(parts))
 }
 
 // TestSnapshotAtInstantOpenIntervals is the regression test for the

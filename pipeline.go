@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/livestate"
 	"repro/internal/slurmsim"
 	"repro/internal/trace"
 	"repro/internal/tscv"
@@ -104,13 +105,14 @@ func (p *PipelineConfig) GenerateTrace() (*Trace, *ClusterSpec, error) {
 	return tr, &cluster, nil
 }
 
-// BuildDataset engineers the Table II features for a trace.
+// BuildDataset engineers the Table II features for a trace by replaying it
+// through the live-state engine (livestate.Build).
 func (p *PipelineConfig) BuildDataset(tr *Trace, cluster *ClusterSpec) (*Dataset, error) {
 	opt := p.Features
 	if opt.Seed == 0 {
 		opt.Seed = p.Seed
 	}
-	return features.Build(tr, cluster, opt)
+	return livestate.Build(tr, cluster, opt)
 }
 
 // TrainHoldout trains on all but the most recent testFraction of the
