@@ -33,14 +33,16 @@ loc:
 # Short fuzz of the event decoder and the predict decoders against
 # encoding/json, the WAL segment reader, the WAL record encoder against
 # json.Marshal, the model registry manifest decoder, the forest gob
-# decoder, the queue-column feature row against the per-job walk, and the
-# engine-replay dataset against the trace scan and the interval trees
-# (corpus seeds + 5s of mutation each; Go allows one -fuzz target per run).
+# decoder, the queue-column feature row against the per-job walk, the
+# engine-replay dataset against the trace scan and the interval trees, and
+# the engine's memoized snapshots against a fresh extraction (corpus seeds
+# + 5s of mutation each; Go allows one -fuzz target per run).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodePredictRequest -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRow -fuzztime 5s ./internal/features
 	$(GO) test -run '^$$' -fuzz FuzzBuildReplay -fuzztime 5s ./internal/intervaltree
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 5s ./internal/livestate
+	$(GO) test -run '^$$' -fuzz FuzzQueueMemo -fuzztime 5s ./internal/livestate
 	$(GO) test -run '^$$' -fuzz FuzzReadSegment -fuzztime 5s ./internal/livestate
 	$(GO) test -run '^$$' -fuzz FuzzWALEncode -fuzztime 5s ./internal/livestate
 	$(GO) test -run '^$$' -fuzz FuzzManifestDecode -fuzztime 5s ./internal/controlplane
@@ -68,8 +70,8 @@ controlplane-smoke:
 	$(GO) test -run 'TestControlPlane|TestHotSwapHammer|TestAdminSwapCompatGuard' -count=1 .
 
 # Short mixed-request run (smokeLoad, smoke_driver_test.go) against the
-# serving hot path (snapshot cache, zero-alloc JSON) at the engine clock:
-# every response must be a 200 that passes strict validation, the cache
+# serving hot path (queue memo, zero-alloc JSON) at the engine clock:
+# every response must be a 200 that passes strict validation, the memo
 # must hit, the queue must not be empty, and p99 must stay under a
 # generous bound. Correctness tripwire, not a perf gate (that is bench/).
 serving-smoke:

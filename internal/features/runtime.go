@@ -198,9 +198,9 @@ func (r *RuntimePredictor) Evals() uint64 {
 }
 
 // queueSlots bounds the queue-column table to as many live queues as the
-// daemon's snapshot cache holds (trout's snapCacheSlots): every request
-// served from one cached queue shares its slot, and a queue that is no
-// longer asked about is the oldest-used slot and goes first.
+// engine's queue memo holds (livestate's memoSlots): every request served
+// from one memoized queue shares its slot, and a queue that is no longer
+// asked about is the oldest-used slot and goes first.
 const queueSlots = 8
 
 // queueKey names a snapshot's queue by identity: the first element and
@@ -376,7 +376,7 @@ func (r *RuntimePredictor) column(snap *Snapshot, partition string, tot slurmsim
 }
 
 // queuedJobs reduces the jobs of one partition, in slice order. They are
-// counted first so that a cache miss, which builds a column for a single
+// counted first so that a queue-memo miss, which builds a column for a single
 // row, allocates it once at its size.
 func (r *RuntimePredictor) queuedJobs(jobs []trace.Job, partition string, tot slurmsim.PartitionTotals) []queuedJob {
 	n := 0

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/features"
 	"repro/internal/trace"
@@ -70,6 +69,24 @@ func (s *sortedJobs) remove(id int) bool {
 	return true
 }
 
+// memoSlots bounds the queue memo to a handful of instants. Live traffic
+// asks about "now", so one slot is hot and the rest absorb stragglers
+// (clients probing nearby instants, replayed tests).
+const memoSlots = 8
+
+// queueMemo is one memoized extraction at instant at: the cluster-wide
+// pending/running sets, plus each user's past-day history once a snapshot
+// asked for it. Every snapshot at that instant shares these slices
+// read-only, so concurrent requests share one extraction and, because the
+// runtime predictor keys its queue columns by the slices' identity, one
+// column per partition.
+type queueMemo struct {
+	at               int64
+	used             uint64 // LRU stamp
+	pending, running []trace.Job
+	hist             map[int][]trace.Job
+}
+
 // histEntry is one submission in the 24 h ring.
 type histEntry struct {
 	id     int
@@ -78,7 +95,8 @@ type histEntry struct {
 }
 
 // Engine is the event-sourced live cluster state. All methods are safe for
-// concurrent use; snapshot extraction holds only a read lock.
+// concurrent use; snapshot extraction holds only a read lock (plus the
+// queue memo's mutex).
 type Engine struct {
 	mu    sync.RWMutex
 	jobs  map[int]*jobState
@@ -99,11 +117,17 @@ type Engine struct {
 	// accuracy tracker's join signal). Invoked outside the engine lock.
 	onStart func(jobID int, eligible, start int64)
 	// ver counts state mutations: every successfully applied event, bulk
-	// seed, and checkpoint restore bumps it (always under e.mu, read
-	// lock-free). It is the snapshot cache's invalidation key: two reads
-	// at the same version observed identical engine state, and any WAL
-	// replay, /state reseed, or follower re-snapshot moves it.
-	ver atomic.Uint64
+	// seed, and checkpoint restore bumps it (see mutated). Two reads at the
+	// same version observed identical engine state.
+	ver uint64
+	// memo holds queue extractions by instant. Readers fill it while they
+	// hold e.mu for reading; every mutation, holding e.mu for writing,
+	// drops it. So an entry always describes the current state. memoMu
+	// orders the readers; the write lock already excludes them all.
+	memoMu               sync.Mutex
+	memo                 [memoSlots]*queueMemo
+	memoClock            uint64
+	memoHits, memoMisses uint64
 }
 
 // NewEngine returns an empty engine.
@@ -199,8 +223,16 @@ func (e *Engine) apply(ev Event) error {
 		e.now = ev.Time
 		e.prune()
 	}
-	e.ver.Add(1)
+	e.mutated()
 	return nil
+}
+
+// mutated marks a state change: it moves the version and drops every
+// memoized extraction. Callers hold e.mu for writing, which no reader
+// filling the memo can hold at the same time.
+func (e *Engine) mutated() {
+	e.ver++
+	e.memo = [memoSlots]*queueMemo{}
 }
 
 func (e *Engine) applySubmit(ev Event) error {
@@ -425,7 +457,7 @@ func (e *Engine) SeedFromTrace(tr *trace.Trace) SeedReport {
 		}
 	}
 	e.counts["seed"] += uint64(rep.Active + rep.History)
-	e.ver.Add(1)
+	e.mutated()
 	return rep
 }
 
@@ -541,93 +573,106 @@ func (e *Engine) userHistoryLocked(user int, at int64) []trace.Job {
 	return out
 }
 
+// queueAt returns the memoized extraction at instant at, extracting it into
+// the oldest-used slot on a miss. Callers hold e.mu for reading and
+// e.memoMu, so concurrent misses at one instant extract once.
+func (e *Engine) queueAt(at int64) *queueMemo {
+	e.memoClock++
+	victim := 0
+	for i, m := range e.memo {
+		if m == nil {
+			victim = i
+			continue
+		}
+		if m.at == at {
+			m.used = e.memoClock
+			e.memoHits++
+			return m
+		}
+		if e.memo[victim] != nil && m.used < e.memo[victim].used {
+			victim = i
+		}
+	}
+	e.memoMisses++
+	m := &queueMemo{at: at, used: e.memoClock, hist: make(map[int][]trace.Job)}
+	m.pending, m.running = e.pendingRunningLocked(at)
+	e.memo[victim] = m
+	return m
+}
+
 // SnapshotBatch extracts one snapshot per target, all at the same instant,
-// under a single lock acquisition: the cluster-wide pending/running sets
-// (every partition is included so snapshot consumers see cluster-wide queue
-// depth) are read off the sorted indexes once and shared (callers treat
-// snapshots as read-only), and the per-user history index is consulted once
-// per distinct user — O(log n + k) in the active-set size, never O(trace).
+// under a single read lock: the cluster-wide pending/running sets (every
+// partition is included so snapshot consumers see cluster-wide queue depth)
+// and each distinct user's history come from the queue memo, extracted
+// there once per instant and state, O(log n + k) in the active-set size and
+// never O(trace). Snapshots share the memo's slices; callers treat them as
+// read-only. The snapshots are allocated in one block, before the locks,
+// so concurrent batches do not wait on each other's allocations.
 func (e *Engine) SnapshotBatch(targets []trace.Job, at int64) []*features.Snapshot {
+	block := make([]features.Snapshot, len(targets))
 	e.mu.RLock()
-	defer e.mu.RUnlock()
-	pending, running := e.pendingRunningLocked(at)
-	histories := make(map[int][]trace.Job)
-	snaps := make([]*features.Snapshot, len(targets))
+	e.memoMu.Lock()
+	m := e.queueAt(at)
 	for i, target := range targets {
-		hist, ok := histories[target.User]
+		hist, ok := m.hist[target.User]
 		if !ok {
 			hist = e.userHistoryLocked(target.User, at)
-			histories[target.User] = hist
+			m.hist[target.User] = hist
 		}
-		snaps[i] = &features.Snapshot{
+		block[i] = features.Snapshot{
 			Now: at, Target: target,
-			Pending: pending, Running: running, History: hist,
+			Pending: m.pending, Running: m.running, History: hist,
 		}
+	}
+	e.memoMu.Unlock()
+	e.mu.RUnlock()
+	snaps := make([]*features.Snapshot, len(block))
+	for i := range block {
+		snaps[i] = &block[i]
 	}
 	return snaps
 }
 
 // SnapshotForJob extracts a snapshot for a tracked pending job at the
-// engine clock. Jobs the engine does not track — or that already started —
-// have no queue wait left to predict, so they return an error.
+// engine clock, or at its eligibility instant if that is later. Jobs the
+// engine does not track — or that already started — have no queue wait
+// left to predict, so they return an error.
 func (e *Engine) SnapshotForJob(id int) (*features.Snapshot, error) {
-	target, now, err := e.TargetForJob(id)
-	if err != nil {
-		return nil, err
+	e.mu.RLock()
+	js, ok := e.jobs[id]
+	ok = ok && js.phase == PhasePending
+	var target trace.Job
+	if ok {
+		target = js.job
+	}
+	now := max(e.now, target.Eligible)
+	e.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("livestate: job %d is not a tracked pending job", id)
 	}
 	return e.SnapshotAt(target, now), nil
 }
 
-// TargetForJob resolves the target record and prediction instant for a
-// tracked pending job — the front half of SnapshotForJob, split out so the
-// serving layer can pair it with a cached pending/running extraction.
-func (e *Engine) TargetForJob(id int) (trace.Job, int64, error) {
-	e.mu.RLock()
-	js, ok := e.jobs[id]
-	var target trace.Job
-	var now int64
-	if ok && js.phase == PhasePending {
-		target = js.job
-		now = e.now
-	} else {
-		ok = false
-	}
-	e.mu.RUnlock()
-	if !ok {
-		return trace.Job{}, 0, fmt.Errorf("livestate: job %d is not a tracked pending job", id)
-	}
-	if target.Eligible > now {
-		now = target.Eligible
-	}
-	return target, now, nil
-}
-
-// Version returns the engine's mutation counter, lock-free. It moves on
-// every applied event, bulk seed, and checkpoint/snapshot restore; callers
-// caching derived state key it by this value.
-func (e *Engine) Version() uint64 { return e.ver.Load() }
-
 // PendingRunning extracts the cluster-wide pending/running sets at an
-// instant together with the engine version those sets correspond to (read
-// under the same lock, so the pair is consistent). The slices are the same
-// data SnapshotAt would embed; callers treat them as read-only and may
-// share them across any number of snapshots at the same (version, at).
+// instant, bypassing the queue memo, together with the engine version those
+// sets correspond to (read under the same lock, so the pair is consistent).
+// With UserHistoryChecked it is a memo miss taken apart, so each half can be
+// timed on its own; callers treat the slices as read-only.
 func (e *Engine) PendingRunning(at int64) (pending, running []trace.Job, ver uint64) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	pending, running = e.pendingRunningLocked(at)
-	return pending, running, e.ver.Load()
+	return pending, running, e.ver
 }
 
 // UserHistoryChecked extracts one user's past-day submission history at an
 // instant, but only if the engine is still at version wantVer — the caller
 // holds pending/running sets read at that version and must not pair them
-// with history from a newer state. ok=false means the engine moved on and
-// the caller's whole cached extraction is stale.
+// with history from a newer state. ok=false means the engine moved on.
 func (e *Engine) UserHistoryChecked(user int, at int64, wantVer uint64) (hist []trace.Job, ok bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.ver.Load() != wantVer {
+	if e.ver != wantVer {
 		return nil, false
 	}
 	return e.userHistoryLocked(user, at), true
@@ -656,6 +701,9 @@ type Stats struct {
 	// NextExpectedEnd is the soonest Start+TimeLimit over running jobs
 	// (0 when nothing runs) — the heap index's peek.
 	NextExpectedEnd int64
+	// SnapshotHits and SnapshotMisses count SnapshotBatch calls answered
+	// from the queue memo and calls that extracted the queue afresh.
+	SnapshotHits, SnapshotMisses uint64
 }
 
 // Stats snapshots the engine's counters and index sizes.
@@ -687,10 +735,12 @@ func (e *Engine) Stats() Stats {
 	for ty, n := range e.counts {
 		st.Events[string(ty)] = n
 	}
-	if id, end, ok := e.endq.peek(); ok {
-		_ = id
+	if _, end, ok := e.endq.peek(); ok {
 		st.NextExpectedEnd = end
 	}
+	e.memoMu.Lock()
+	st.SnapshotHits, st.SnapshotMisses = e.memoHits, e.memoMisses
+	e.memoMu.Unlock()
 	return st
 }
 
@@ -776,7 +826,7 @@ func (e *Engine) restoreDTO(d dto) {
 		e.ring = append(e.ring, histEntry{id: h.ID, user: h.User, submit: h.Submit})
 		e.users[h.User] = append(e.users[h.User], h.ID)
 	}
-	e.ver.Add(1)
+	e.mutated()
 }
 
 // endHeap is an indexed min-heap of running jobs keyed by expected end,

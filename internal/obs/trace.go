@@ -10,7 +10,7 @@ import (
 // the per-stage latency histogram and the access log's spans group (see
 // IsStage). Keeping them centralized bounds the label cardinality.
 const (
-	StageSnapshot  = "snapshot"  // queue-state resolution (engine extraction via the snapshot cache)
+	StageSnapshot  = "snapshot"  // queue-state resolution (the engine's memoized queue extraction)
 	StageFeaturize = "featurize" // engineered 33-feature row construction
 	StageScale     = "scale"     // scaler transform, once per model chunk
 	StageClassify  = "classify"  // classifier head forward pass over a chunk

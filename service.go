@@ -178,11 +178,6 @@ type Service struct {
 	follower  *replication.Follower
 	admission *resilience.Admission
 	admTotal  *obs.CounterVec // trout_admission_total{decision}
-
-	// The shared snapshot cache: always on, keyed by the engine's mutation
-	// version, so every ingest/reseed/replay invalidates it implicitly.
-	snapCache *snapCache
-	cacheOps  *obs.CounterVec // trout_snapshot_cache_requests_total{result}
 }
 
 // NewServiceWith wraps a bundle in the HTTP service; the zero ServiceConfig
@@ -238,7 +233,6 @@ func NewServiceWith(b *Bundle, initial *Trace, cfg ServiceConfig) (*Service, err
 		s.follower = f
 	}
 	s.initTelemetry()
-	s.snapCache = newSnapCache(s.live.Engine(), s.cacheOps)
 	adm := cfg.Admission
 	if adm.OnDecision == nil {
 		adm.OnDecision = func(d string) { s.admTotal.Inc(d) }
@@ -389,12 +383,19 @@ func (s *Service) initTelemetry() {
 		"Ingest requests currently queued for an admission slot.",
 		func() float64 { return float64(s.admission.Queued()) })
 
-	// Serving hot path: snapshot cache effectiveness.
-	s.cacheOps = r.CounterVec("trout_snapshot_cache_requests_total",
-		"Shared snapshot cache lookups, by result (hit, miss, stale retry, bypass).", "result")
+	// Serving hot path: how often a snapshot reused the engine's memoized
+	// queue extraction.
+	r.CounterVecFunc("trout_snapshot_cache_requests_total",
+		"Snapshot extractions, by whether the engine's queue memo answered (hit) or the queue was extracted afresh (miss).",
+		[]string{"result"},
+		func(emit obs.Emit) {
+			st := eng.Stats()
+			emit(float64(st.SnapshotHits), "hit")
+			emit(float64(st.SnapshotMisses), "miss")
+		})
 	// Grows near 0 while the bundle's memo holds the live queue; once the
 	// queue has outgrown it, by about the queue depth per queue version
-	// (each /events step or cache miss builds one queue column), not per
+	// (each /events step or queue-memo miss builds one queue column), not per
 	// prediction.
 	r.CounterFunc("trout_jobruntime_evals_total",
 		"Job-runtime forest evaluations by the serving bundle (its memo's misses); restarts at 0 when the bundle is swapped.",
@@ -808,18 +809,6 @@ type predictResponse struct {
 // sourceLive is the snapshot_source every response carries.
 const sourceLive = "live"
 
-// snapshotForJob resolves a tracked pending job's queue snapshot at the
-// engine clock (or the job's eligibility instant, if later) through the
-// shared snapshot cache. Any other job — finished, running, or unknown to
-// the event stream — is the engine's not-found error.
-func (s *Service) snapshotForJob(jobID int) (*Snapshot, error) {
-	target, at, err := s.live.Engine().TargetForJob(jobID)
-	if err != nil {
-		return nil, err
-	}
-	return s.snapCache.snapshotBatch([]trace.Job{target}, at)[0], nil
-}
-
 // resolveWhatIf is the one request resolver behind POST /predict and POST
 // /predict/batch: it validates the instant, validates and defaults each
 // hypothetical job in place, and assembles every snapshot at once under the
@@ -861,7 +850,7 @@ func (s *Service) resolveWhatIf(w http.ResponseWriter, root obs.SpanHandle, at i
 	now, ok := s.live.Engine().Ready(at)
 	var snaps []*Snapshot
 	if ok {
-		snaps = s.snapCache.snapshotBatch(jobs, at)
+		snaps = s.live.Engine().SnapshotBatch(jobs, at)
 	}
 	sp.End()
 	if !ok {
@@ -931,7 +920,7 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		sp := root.StartChild(obs.StageSnapshot)
-		snap, err := s.snapshotForJob(jobID)
+		snap, err := s.live.Engine().SnapshotForJob(jobID)
 		sp.End()
 		if err != nil {
 			resilience.WriteError(w, http.StatusNotFound, err.Error())
@@ -1066,9 +1055,9 @@ func (s *Service) handleState(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The reseed is the upload's linearization point: it replaces the
-	// engine state under the engine lock and bumps the engine version,
-	// which invalidates every cached snapshot at once. Requests racing the
-	// upload serve either the complete old state or the complete new one.
+	// engine state under the engine lock, which drops the engine's queue
+	// memo with it. Requests racing the upload serve either the complete
+	// old state or the complete new one.
 	seed, err := s.live.Seed(tr)
 	if err != nil {
 		// The engine already holds the new state; a failed checkpoint is
@@ -1158,7 +1147,7 @@ func (s *Service) handleFeatures(w http.ResponseWriter, r *http.Request) {
 		resilience.WriteError(w, http.StatusBadRequest, fmt.Sprintf("features: %v", err))
 		return
 	}
-	snap, err := s.snapshotForJob(jobID)
+	snap, err := s.live.Engine().SnapshotForJob(jobID)
 	if err != nil {
 		resilience.WriteError(w, http.StatusNotFound, err.Error())
 		return

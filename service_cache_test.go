@@ -1,9 +1,9 @@
-// Staleness regressions for the generation-keyed snapshot cache: a cached
-// (pending, running, history) extraction may be shared across concurrent
-// requests at the same instant, but every mutation of the engine — event
-// ingest, /state reseed, follower WAL replay or re-snapshot — bumps the
-// engine version and must invalidate it. A /predict issued after a
-// mutation is acknowledged must never see the pre-mutation queue.
+// Staleness regressions for the engine's queue memo, end to end: a
+// memoized (pending, running, history) extraction may be shared across
+// concurrent requests at the same instant, but every mutation of the engine
+// — event ingest, /state reseed, follower WAL replay or re-snapshot — must
+// drop it. A /predict issued after a mutation is acknowledged must never
+// see the pre-mutation queue.
 package trout_test
 
 import (
@@ -112,16 +112,14 @@ func TestSnapshotCacheInvalidatedByEvents(t *testing.T) {
 		t.Fatalf("post-event probe served stale snapshot: pending=%d, want 2", n)
 	}
 
-	// The repeat probe above must have been a cache hit — the families are
-	// live and the hot path actually goes through the cache.
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// The repeat probe above must have been a memo hit, and every probe
+	// after an event a miss — the hot path actually goes through the memo.
+	text, _ := scrape(t, srv.URL)
+	if hits := metricValue(t, text, `trout_snapshot_cache_requests_total{result="hit"}`); hits != 1 {
+		t.Fatalf("queue-memo hits = %v, want 1 (the repeat probe)", hits)
 	}
-	defer resp.Body.Close()
-	mb, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(mb), `trout_snapshot_cache_requests_total{result="hit"}`) {
-		t.Fatalf("/metrics missing snapshot cache hit counter:\n%.2000s", mb)
+	if misses := metricValue(t, text, `trout_snapshot_cache_requests_total{result="miss"}`); misses != 2 {
+		t.Fatalf("queue-memo misses = %v, want 2 (one per acknowledged upload)", misses)
 	}
 }
 
@@ -168,7 +166,7 @@ func TestSnapshotCacheInvalidatedByStateReseed(t *testing.T) {
 
 // TestSnapshotCacheInvalidatedOnFollower: the follower's engine mutates
 // via WAL replay (and via generation-bump re-snapshots after a leader
-// reseed), not via local /events — its snapshot cache must track both.
+// reseed), not via local /events — its queue memo must track both.
 func TestSnapshotCacheInvalidatedOnFollower(t *testing.T) {
 	lsrv, lsvc, e := leaderService(t, trout.ServiceConfig{})
 	fsrv, fsvc := followerService(t, lsrv.URL)
@@ -186,7 +184,7 @@ func TestSnapshotCacheInvalidatedOnFollower(t *testing.T) {
 	}
 
 	// More WAL entries replay into the follower engine; the follower's
-	// cached snapshot for (ver, at) must die with the version bump.
+	// memoized queue at `at` must die with the replayed mutation.
 	postCacheEvents(t, lsrv.URL, cacheEventsBody(9220002, base+10), 2)
 	waitReplicated(t, lsvc, fsvc)
 	if n, _ := probePending(t, fsrv.URL, at); n != 2 {

@@ -1,10 +1,10 @@
 // Serving smoke (make serving-smoke, part of make ci): a short mixed
 // smokeLoad run against a service, at the engine clock of a queue with
 // work in it. Every response must be a 200 that is valid under
-// the strict fault-window contract, the snapshot cache must have hit, and
-// p99 must stay under a deliberately generous bound — this is a
-// correctness tripwire for the serving hot path (snapshot cache,
-// zero-alloc JSON), not a performance gate (that is bench/).
+// the strict fault-window contract, the engine's queue memo must have hit,
+// and p99 must stay under a deliberately generous bound — this is a
+// correctness tripwire for the serving hot path (queue memo, zero-alloc
+// JSON), not a performance gate (that is bench/).
 package trout_test
 
 import (
@@ -36,7 +36,7 @@ func TestServingSmoke(t *testing.T) {
 	}
 	text, _ := scrape(t, srv.URL)
 	if hits := metricValue(t, text, `trout_snapshot_cache_requests_total{result="hit"}`); hits == 0 {
-		t.Fatal("no snapshot cache hit in 1,500 requests")
+		t.Fatal("no queue-memo hit in 1,500 requests")
 	}
 	// smokeLoad's own /events submissions are pending by now, on top of the
 	// fixture's.
