@@ -61,10 +61,12 @@ replication-smoke:
 	$(GO) test -race -count=1 ./internal/replication/...
 
 # Continual-learning loop, in process and seconds-scale: drift on live
-# traffic triggers a retrain, the candidate shadow-scores against the
-# incumbent, and the serving bundle hot-swaps (or, for a worse candidate,
-# is rejected) under concurrent predict load — plus the registry
-# crash-safety and controller state-machine suites.
+# traffic triggers a retrain, the candidate and the incumbent are judged
+# on the trainer's time-ordered holdout with no traffic, and the serving
+# bundle hot-swaps (or, for a worse candidate, is rejected) under
+# concurrent predict load; a much worse promoted bundle is rolled back on
+# its own answers; the default trainer runs end to end — plus the
+# registry crash-safety and controller state-machine suites.
 controlplane-smoke:
 	$(GO) test -count=1 ./internal/controlplane
 	$(GO) test -run 'TestControlPlane|TestHotSwapHammer|TestAdminSwapCompatGuard' -count=1 .

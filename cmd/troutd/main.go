@@ -98,13 +98,12 @@ func main() {
 		follow  = flag.String("follow", "", "follower mode: replicate live state from this leader troutd URL (e.g. http://leader:8642); /events and /state are reverse-proxied to it")
 		replLag = flag.Uint64("replication-lag-events", 4096, "follower: /ready turns 503 and /health degraded past this many events of lag")
 
-		registryDir    = flag.String("registry-dir", "", "model registry directory; enables the continual-learning control plane (drift-triggered retrain, shadow scoring, hot-swap)")
+		registryDir    = flag.String("registry-dir", "", "model registry directory; enables the continual-learning control plane (drift-triggered retrain, holdout judge, hot-swap)")
 		registryRetain = flag.Int("registry-retain", 5, "non-active model blobs kept in the registry before pruning (-1 = keep all)")
 		retrainDrift   = flag.Float64("retrain-drift", 0.15, "absolute online calibration drift that triggers a retrain (-1 disables the drift trigger)")
 		retrainMAE     = flag.Float64("retrain-mae", 0, "online MAE (minutes) that triggers a retrain (0 disables)")
 		retrainWindow  = flag.Int("retrain-min-window", 64, "joined online outcomes required before drift triggers fire")
 		retrainEvery   = flag.Duration("retrain-interval", 30*time.Minute, "minimum spacing between automatic retrains (manual POST /admin/retrain bypasses it)")
-		shadowWindow   = flag.Int("shadow-window", 32, "joined outcomes each shadow tracker needs before a candidate is judged")
 
 		admitInflight = flag.Int("admit-inflight", 16, "concurrent ingest requests admitted on /events and /state (-1 disables admission control)")
 		admitQueue    = flag.Int("admit-queue", 64, "ingest requests allowed to queue for an admission slot; beyond it requests shed with 429")
@@ -223,7 +222,6 @@ func main() {
 			MAEThreshold:   *retrainMAE,
 			MinWindow:      *retrainWindow,
 			MinInterval:    *retrainEvery,
-			ShadowWindow:   *shadowWindow,
 			Logger:         logger,
 		})
 		if err != nil {
@@ -250,8 +248,7 @@ func main() {
 		go func() { _ = cp.Run(ctx) }()
 		logger.Info("control plane running",
 			slog.String("registry", *registryDir),
-			slog.Float64("drift_threshold", *retrainDrift),
-			slog.Int("shadow_window", *shadowWindow))
+			slog.Float64("drift_threshold", *retrainDrift))
 	}
 	if *follow != "" {
 		logger.Info("following leader", slog.String("leader", *follow),

@@ -45,7 +45,9 @@ func (s *Service) CurrentModel() (*Bundle, int) {
 // no request ever observes a half-swapped state. An incompatible
 // candidate (wrong feature width, missing scaler or runtime predictor,
 // lost partitions) is refused with an IncompatibleBundleError and the
-// incumbent keeps serving.
+// incumbent keeps serving. A swap resets the online accuracy tracker, so
+// its window and its pending answers belong to the bundle now serving
+// (an answer in flight across the swap may still be recorded).
 func (s *Service) SwapBundle(b *Bundle, version int) error {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -56,6 +58,7 @@ func (s *Service) SwapBundle(b *Bundle, version int) error {
 	s.applyFastInference(b)
 	s.prev = cur
 	s.serving.Store(&servingBundle{b: b, version: version})
+	s.tracker.Reset()
 	s.swapsTotal.Inc("promote")
 	if s.logger != nil {
 		s.logger.Info("serving bundle swapped",
@@ -66,8 +69,9 @@ func (s *Service) SwapBundle(b *Bundle, version int) error {
 }
 
 // RollbackBundle restores the bundle displaced by the last SwapBundle —
-// the instant-rollback path for a promotion that regresses online. One
-// level deep: a second rollback without an intervening swap errors.
+// the instant-rollback path for a promotion that regresses online — and
+// resets the online accuracy tracker as SwapBundle does. One level deep:
+// a second rollback without an intervening swap errors.
 func (s *Service) RollbackBundle() error {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -75,6 +79,7 @@ func (s *Service) RollbackBundle() error {
 		return fmt.Errorf("trout: no previous bundle to roll back to")
 	}
 	s.serving.Store(s.prev)
+	s.tracker.Reset()
 	if s.logger != nil {
 		s.logger.Warn("serving bundle rolled back",
 			slog.Int("version", s.prev.version), slog.String("fingerprint", s.prev.b.Fingerprint))
@@ -82,18 +87,6 @@ func (s *Service) RollbackBundle() error {
 	s.prev = nil
 	s.swapsTotal.Inc("rollback")
 	return nil
-}
-
-// bundlePredictor adapts a Bundle's tiered fallback chain to the control
-// plane's shadow-scoring Predictor interface.
-type bundlePredictor struct{ b *Bundle }
-
-func (p bundlePredictor) ShadowPredict(snap *features.Snapshot) (float64, float64, bool, error) {
-	tp, err := p.b.PredictWithFallback(snap)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	return tp.Prob, tp.Minutes, tp.Long, nil
 }
 
 // ControlPlaneConfig configures AttachControlPlane. Zero values pick
@@ -114,10 +107,6 @@ type ControlPlaneConfig struct {
 	MinInterval    time.Duration
 	CheckInterval  time.Duration
 
-	// ShadowWindow / ShadowQueue shape candidate scoring.
-	ShadowWindow int
-	ShadowQueue  int
-
 	// MAERatio / HitRateSlack are the promotion gate; RollbackWindow /
 	// RollbackFactor the post-promotion probation.
 	MAERatio       float64
@@ -125,8 +114,8 @@ type ControlPlaneConfig struct {
 	RollbackWindow int
 	RollbackFactor float64
 
-	// TestFraction is the most-recent holdout used for offline eval
-	// scores recorded in the manifest (0 = 1/6, the paper's protocol).
+	// TestFraction is the most-recent holdout the candidate and the
+	// incumbent are judged on (0 = 1/6, the paper's protocol).
 	TestFraction float64
 
 	// Trainer overrides the default retrain path (tests inject synthetic
@@ -155,7 +144,7 @@ func (cp *ControlPlane) Run(ctx context.Context) error { return cp.ctl.Run(ctx) 
 
 // AttachControlPlane opens the model registry, resumes the last promoted
 // version (if the registry has one and it is compatible), and wires the
-// drift→retrain→shadow→swap controller to the service. Call before the
+// drift→retrain→judge→swap controller to the service. Call before the
 // service starts answering traffic; start the loop with cp.Run.
 func (s *Service) AttachControlPlane(cfg ControlPlaneConfig) (*ControlPlane, error) {
 	log := cfg.Logger
@@ -214,14 +203,11 @@ func (s *Service) AttachControlPlane(cfg ControlPlaneConfig) (*ControlPlane, err
 			b, _ := s.CurrentModel()
 			return b.Fingerprint
 		},
-		CutoffMinutes:  s.serving.Load().b.cutoffMinutes(),
 		DriftThreshold: cfg.DriftThreshold,
 		MAEThreshold:   cfg.MAEThreshold,
 		MinWindow:      cfg.MinWindow,
 		MinInterval:    cfg.MinInterval,
 		CheckInterval:  cfg.CheckInterval,
-		ShadowWindow:   cfg.ShadowWindow,
-		ShadowQueue:    cfg.ShadowQueue,
 		MAERatio:       cfg.MAERatio,
 		HitRateSlack:   cfg.HitRateSlack,
 		RollbackWindow: cfg.RollbackWindow,
@@ -247,12 +233,25 @@ func finiteOr(v, fallback float64) float64 {
 	return v
 }
 
+// holdoutEval scores m on the test rows of ds.
+func holdoutEval(m *core.Model, ds *features.Dataset, test []int) controlplane.Eval {
+	reg := core.EvaluateRegression(m, ds, test)
+	cls := core.EvaluateClassifier(m, ds, test)
+	return controlplane.Eval{
+		MAEMinutes: finiteOr(reg.MAE, 0),
+		MAPE:       finiteOr(reg.MAPE, 0),
+		HitRate:    finiteOr(cls.Accuracy(), 0),
+		LongJobs:   reg.N,
+	}
+}
+
 // defaultTrainer is the production retrain path: rebuild the training set
 // from the livestate engine's realized waits (jobs that completed the
 // submit→start→end lifecycle inside the retention window), re-engineer
 // the 33 features, fit the hierarchical model under the incumbent's
 // configuration plus its fallback tiers (histogram-GBDT baseline, partition
-// medians), and serialize the bundle for the registry.
+// medians), score it and the incumbent on the most recent jobs, and
+// serialize the bundle for the registry.
 func (s *Service) defaultTrainer(cfg ControlPlaneConfig) func(ctx context.Context) (*controlplane.Candidate, error) {
 	// minTrainJobs is the smallest completed-job corpus a retrain accepts.
 	// The livestate engine retains ~25h of history, so this also bounds
@@ -288,7 +287,8 @@ func (s *Service) defaultTrainer(cfg ControlPlaneConfig) func(ctx context.Contex
 		}
 
 		tr := &Trace{Jobs: jobs}
-		ds, err := livestate.Build(tr, &cluster, features.Options{Seed: incumbent.Model.Cfg.Seed})
+		opt := features.Options{Seed: incumbent.Model.Cfg.Seed}
+		ds, err := livestate.Build(tr, &cluster, opt)
 		if err != nil {
 			return nil, fmt.Errorf("trout: retrain features: %w", err)
 		}
@@ -301,8 +301,15 @@ func (s *Service) defaultTrainer(cfg ControlPlaneConfig) func(ctx context.Contex
 		if err != nil {
 			return nil, fmt.Errorf("trout: retrain: %w", err)
 		}
-		regEval := core.EvaluateRegression(m, ds, fold.Test)
-		clsEval := core.EvaluateClassifier(m, ds, fold.Test)
+		// The incumbent is judged on the same holdout jobs, from rows
+		// replayed with its own runtime forest: the Pred-Runtime columns are
+		// the only part of a row a bundle decides, and each model is served
+		// rows its own forest filled. The replay asks through a fresh
+		// predictor, so the serving forest's memo stays untouched.
+		incDS, err := livestate.Replay(tr, &cluster, opt, incumbent.Runtime.Forest)
+		if err != nil {
+			return nil, fmt.Errorf("trout: retrain incumbent replay: %w", err)
+		}
 
 		nb, err := NewBundle(m, ds, &cluster)
 		if err != nil {
@@ -312,14 +319,12 @@ func (s *Service) defaultTrainer(cfg ControlPlaneConfig) func(ctx context.Contex
 		if err := nb.Save(&buf); err != nil {
 			return nil, fmt.Errorf("trout: retrain serialize: %w", err)
 		}
+		first, last := ds.Jobs[fold.Test[0]], ds.Jobs[fold.Test[len(fold.Test)-1]]
 		return &controlplane.Candidate{
-			Blob:      buf.Bytes(),
-			Predictor: bundlePredictor{b: nb},
-			Eval: controlplane.Eval{
-				MAEMinutes: finiteOr(regEval.MAE, 0),
-				MAPE:       finiteOr(regEval.MAPE, 0),
-				HitRate:    finiteOr(clsEval.Accuracy(), 0),
-			},
+			Blob:        buf.Bytes(),
+			Eval:        holdoutEval(m, ds, fold.Test),
+			Incumbent:   holdoutEval(incumbent.Model, incDS, fold.Test),
+			Holdout:     fmt.Sprintf("%d jobs eligible %d..%d", len(fold.Test), first.Eligible, last.Eligible),
 			Hyperparams: hyperparamMap(modelCfg),
 			Samples:     ds.Len(),
 			Watermark:   watermark,
@@ -417,7 +422,7 @@ type adminSwapRequest struct {
 }
 
 // handleAdminSwap is the operator override: promote a specific registry
-// version (bypassing shadow scoring) or undo the last swap. The
+// version (bypassing the judge) or undo the last swap. The
 // compatibility guard still applies — an incompatible bundle answers a
 // structured 422 and the incumbent keeps serving.
 func (s *Service) handleAdminSwap(w http.ResponseWriter, r *http.Request) {

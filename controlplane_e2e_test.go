@@ -11,6 +11,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,23 +21,36 @@ import (
 	"time"
 
 	trout "repro"
+	"repro/internal/baselines"
 	"repro/internal/controlplane"
+	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/livestate"
 	"repro/internal/trace"
+	"repro/internal/tscv"
 )
 
-// oraclePredictor is a synthetic retrain product with a fixed opinion —
-// tests pick the opinion to be exactly right (promotion path) or absurdly
-// wrong (rejection path) about the realized waits they drive.
-type oraclePredictor struct {
-	prob    float64
-	minutes float64
-	long    bool
-}
+// Holdout scores for synthetic candidates: tests pick the candidate to
+// score better (promotion path) or worse (rejection path) than the
+// incumbent on the trainer's holdout.
+var (
+	betterEval = controlplane.Eval{MAEMinutes: 5, HitRate: 0.97, LongJobs: 30}
+	worseEval  = controlplane.Eval{MAEMinutes: 500, HitRate: 0.40, LongJobs: 30}
+)
 
-func (p oraclePredictor) ShadowPredict(*features.Snapshot) (float64, float64, bool, error) {
-	return p.prob, p.minutes, p.long, nil
+// fakeCandidate is a synthetic retrain product: blob, judged to score
+// cand on its holdout where the incumbent scores inc.
+func fakeCandidate(blob []byte, cand, inc controlplane.Eval) func(context.Context) (*controlplane.Candidate, error) {
+	return func(context.Context) (*controlplane.Candidate, error) {
+		return &controlplane.Candidate{
+			Blob:      blob,
+			Eval:      cand,
+			Incumbent: inc,
+			Holdout:   "85 jobs eligible 1000..9000",
+			Samples:   512,
+			Watermark: 12345,
+		}, nil
+	}
 }
 
 // serializeBundle gob-encodes a shallow copy (Save stamps the fingerprint
@@ -133,14 +149,25 @@ type cpPredict struct {
 
 // pumpJob drives one full served-prediction lifecycle: submit an eligible
 // job, GET /predict for it (recording the served answer into the online
-// tracker and the shadow scorer), then post its start event with the given
-// realized wait. Returns the served prediction.
+// tracker), then post its start event with the given realized wait.
+// Returns the served prediction.
 func (h *cpHarness) pumpJob(waitSecs int64) cpPredict {
+	h.t.Helper()
+	id, at, p := h.servePending()
+	h.now.Store(at + waitSecs + 60)
+	h.postEvents(livestate.Event{Type: livestate.EventStart, Time: at + waitSecs, JobID: id})
+	return p
+}
+
+// servePending submits a job eligible at the harness clock and GETs
+// /predict for it, leaving the served answer pending in the online
+// tracker. It returns the job's ID, its eligibility and the answer.
+func (h *cpHarness) servePending() (int, int64, cpPredict) {
 	h.t.Helper()
 	h.id++
 	id := 9_000_000 + h.id
 	at := h.now.Load()
-	h.now.Store(at + waitSecs + 60)
+	h.now.Store(at + 60)
 	job := trace.Job{
 		ID: id, User: 7, Partition: "shared",
 		ReqCPUs: 1, ReqMemGB: 2, ReqNodes: 1,
@@ -154,10 +181,7 @@ func (h *cpHarness) pumpJob(waitSecs int64) cpPredict {
 	if code := getJSON(h.t, fmt.Sprintf("%s/predict?job=%d", h.srv.URL, id), &p); code != http.StatusOK {
 		h.t.Fatalf("predict job %d status %d", id, code)
 	}
-	// Give the shadow worker a beat to dequeue before the outcome lands.
-	time.Sleep(2 * time.Millisecond)
-	h.postEvents(livestate.Event{Type: livestate.EventStart, Time: at + waitSecs, JobID: id})
-	return p
+	return id, at, p
 }
 
 // cpHealth is the slice of healthResponse these tests care about.
@@ -260,52 +284,56 @@ func (l *attributionLoad) halt() map[string]int {
 // TestControlPlaneEndToEnd closes the whole continual-learning loop in
 // process: live traffic whose realized waits contradict the serving model
 // drives the online drift gauges past threshold, the controller retrains
-// (stubbed to an instant trainer whose candidate is exactly right about
-// the new regime), shadow-scores the candidate against the incumbent on
-// live /predict traffic, and hot-swaps it into serving — all while
+// (stubbed to an instant trainer whose candidate beats the incumbent on
+// its holdout), and hot-swaps it into serving with no further traffic;
+// the promoted model then clears probation on its own answers — all while
 // concurrent predict load observes zero failed requests and every response
 // stays attributable to exactly one model version.
 func TestControlPlaneEndToEnd(t *testing.T) {
 	blob := serializeBundle(t, resilientBundle(t))
 	wantFP := blobFingerprint(blob)
-	// The new regime: every realized wait is 300 minutes. The candidate
-	// nails it; whatever the incumbent answers is wrong by hours (MAE
-	// trigger) or mis-classified (calibration-drift trigger).
+	// The new regime: every realized wait is 300 minutes. Whatever the
+	// incumbent answers is wrong by hours (MAE trigger) or mis-classified
+	// (calibration-drift trigger).
 	const waitSecs = 300 * 60
 	h := newCPHarness(t, trout.ControlPlaneConfig{
 		DriftThreshold: 0.2,
 		MAEThreshold:   15,
 		MinWindow:      8,
 		CheckInterval:  5 * time.Millisecond,
-		ShadowWindow:   6,
-		RollbackFactor: -1, // the drifted tracker window would instantly fail probation
-		Trainer: func(context.Context) (*controlplane.Candidate, error) {
-			return &controlplane.Candidate{
-				Blob:      blob,
-				Predictor: oraclePredictor{prob: 0.97, minutes: 300, long: true},
-				Samples:   512,
-				Watermark: 12345,
-			}, nil
-		},
+		RollbackWindow: 3,
+		Trainer:        fakeCandidate(blob, betterEval, worseEval),
 	})
 	baseline, _ := h.svc.CurrentModel()
 	load := startAttributionLoad(h.srv, &h.now, 3)
 
 	deadline := time.Now().Add(60 * time.Second)
-	for h.cp.Controller().Status().LastVerdict != controlplane.VerdictPromoted {
+	for h.cp.Controller().Status().Retrains == 0 {
+		if time.Now().After(deadline) {
+			load.halt()
+			t.Fatalf("drift never triggered a retrain; status %+v", h.cp.Controller().Status())
+		}
+		h.pumpJob(waitSecs)
+	}
+	// The holdout decides: no joined outcome is needed to promote.
+	for h.cp.Controller().Status().Promotions == 0 {
 		if time.Now().After(deadline) {
 			load.halt()
 			t.Fatalf("promotion never happened; status %+v", h.cp.Controller().Status())
 		}
-		h.pumpJob(waitSecs)
+		time.Sleep(time.Millisecond)
 	}
-	st := h.cp.Controller().Status()
-	if st.Retrains < 1 || st.Promotions != 1 {
-		t.Fatalf("controller status = %+v", st)
+	if st := h.cp.Controller().Status(); st.State != controlplane.StateProbation || st.Retrains != 1 {
+		t.Fatalf("controller status after promotion = %+v", st)
 	}
 
-	// A few more requests land on the promoted model before we stop.
-	for i := 0; i < 3; i++ {
+	// Probation clears on the promoted model's own answers (the same
+	// weights as the incumbent's, so no regression).
+	for h.cp.Controller().Status().LastVerdict != controlplane.VerdictPromoted {
+		if time.Now().After(deadline) {
+			load.halt()
+			t.Fatalf("probation never cleared; status %+v", h.cp.Controller().Status())
+		}
 		h.pumpJob(waitSecs)
 	}
 	pairs := load.halt()
@@ -356,33 +384,21 @@ func TestControlPlaneEndToEnd(t *testing.T) {
 		models.Versions[0].Status != controlplane.StatusActive {
 		t.Fatalf("registry versions = %+v", models.Versions)
 	}
-	if !strings.Contains(models.Versions[0].Note, "shadow") {
-		t.Fatalf("promotion note %q should record the shadow scores", models.Versions[0].Note)
+	if want := "holdout 85 jobs eligible 1000..9000: cand hit 0.970 mae 5.0 (long 30) vs inc hit 0.400 mae 500.0 (long 30)"; models.Versions[0].Note != want {
+		t.Fatalf("promotion note %q, want the holdout scores %q", models.Versions[0].Note, want)
 	}
 }
 
 // TestControlPlaneRejectsWorseCandidate proves the judge's other arm: a
-// manually triggered retrain whose candidate is absurdly wrong about live
-// traffic is rejected after its shadow window, the incumbent keeps
-// serving as version 0, and the rejection is recorded in the registry.
+// manually triggered retrain whose candidate scores worse on its holdout
+// is rejected with no predict traffic at all, the incumbent keeps serving
+// as version 0, and the rejection is recorded in the registry.
 func TestControlPlaneRejectsWorseCandidate(t *testing.T) {
 	blob := serializeBundle(t, resilientBundle(t))
 	h := newCPHarness(t, trout.ControlPlaneConfig{
 		DriftThreshold: -1, // autonomous trigger off: this test drives /admin/retrain
-		MinWindow:      4,
 		CheckInterval:  5 * time.Millisecond,
-		ShadowWindow:   5,
-		RollbackFactor: -1,
-		Trainer: func(context.Context) (*controlplane.Candidate, error) {
-			// Calls every 1-minute wait a 100000-minute epic: hit-rate 0
-			// and an MAE no real incumbent could lose to.
-			return &controlplane.Candidate{
-				Blob:      blob,
-				Predictor: oraclePredictor{prob: 0.98, minutes: 100000, long: true},
-				Samples:   512,
-				Watermark: 12345,
-			}, nil
-		},
+		Trainer:        fakeCandidate(blob, worseEval, betterEval),
 	})
 	var trig struct {
 		Accepted bool   `json:"accepted"`
@@ -405,7 +421,10 @@ func TestControlPlaneRejectsWorseCandidate(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("rejection never happened; status %+v", h.cp.Controller().Status())
 		}
-		h.pumpJob(60) // realized waits are all quick-start
+		time.Sleep(time.Millisecond)
+	}
+	if j := h.svc.Tracker().Stats().Joined; j != 0 {
+		t.Fatalf("%d outcomes joined before the verdict; the holdout needs none", j)
 	}
 
 	st := h.cp.Controller().Status()
@@ -596,5 +615,263 @@ func TestAdminSwapCompatGuard(t *testing.T) {
 	}
 	if h.cp.Registry().ActiveVersion() != 0 {
 		t.Fatalf("registry active = %d after rollback", h.cp.Registry().ActiveVersion())
+	}
+}
+
+// worseBundle returns a gob copy of b whose classifier calls every job
+// long and whose regressor answers e^8 times b's log-minutes estimate: a
+// compatible bundle that is much worse online.
+func worseBundle(t *testing.T, b *trout.Bundle) []byte {
+	t.Helper()
+	nb, err := trout.LoadBundle(bytes.NewReader(serializeBundle(t, b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, reg := nb.Model.Classifier.Params(), nb.Model.Regressor.Params()
+	cls[len(cls)-1].Value.Data[0] += 40
+	reg[len(reg)-1].Value.Data[0] += 8
+	return serializeBundle(t, nb)
+}
+
+// TestControlPlaneProbationJudgesPromotedBundle: probation judges only
+// answers the promoted bundle gave. The incumbent fills the online window
+// and leaves answers pending; a much worse candidate that wins its holdout
+// is promoted; the pending answers then resolve, and must count as
+// unmatched, not as probation joins; and the promoted bundle's own first
+// RollbackWindow outcomes roll it back.
+func TestControlPlaneProbationJudgesPromotedBundle(t *testing.T) {
+	const window = 8
+	h := newCPHarness(t, trout.ControlPlaneConfig{
+		DriftThreshold: -1,
+		CheckInterval:  5 * time.Millisecond,
+		RollbackWindow: window,
+		Trainer:        fakeCandidate(worseBundle(t, resilientBundle(t)), betterEval, worseEval),
+	})
+	const waitSecs = 30 * 60
+	for i := 0; i < 40; i++ {
+		h.pumpJob(waitSecs)
+	}
+	type pending struct {
+		id int
+		at int64
+	}
+	var old []pending
+	for i := 0; i < 2*window; i++ {
+		id, at, _ := h.servePending()
+		old = append(old, pending{id, at})
+	}
+	before := h.svc.Tracker().Stats()
+
+	if code := postJSON(t, h.srv.URL+"/admin/retrain", nil, nil); code != http.StatusAccepted {
+		t.Fatalf("admin/retrain status %d", code)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for h.cp.Controller().Status().State != controlplane.StateProbation {
+		if time.Now().After(deadline) {
+			t.Fatalf("candidate never reached probation; status %+v", h.cp.Controller().Status())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, v := h.svc.CurrentModel(); v != 1 {
+		t.Fatalf("serving version %d on probation, want 1", v)
+	}
+
+	// The previous bundle's answers resolve after the swap: not counted.
+	for _, p := range old {
+		h.postEvents(livestate.Event{Type: livestate.EventStart, Time: p.at + waitSecs, JobID: p.id})
+	}
+	st := h.svc.Tracker().Stats()
+	if st.Joined != before.Joined || st.Window != 0 || st.Unmatched != before.Unmatched+uint64(len(old)) {
+		t.Fatalf("tracker after the previous bundle's starts = %+v (before %+v)", st, before)
+	}
+	if h.cp.Controller().Status().State != controlplane.StateProbation {
+		t.Fatalf("probation ended on the previous bundle's answers; status %+v", h.cp.Controller().Status())
+	}
+
+	for i := 0; i < window; i++ {
+		if p := h.pumpJob(waitSecs); p.ModelVersion != 1 {
+			t.Fatalf("probation answer from version %d", p.ModelVersion)
+		}
+	}
+	for h.cp.Controller().Status().State == controlplane.StateProbation {
+		if time.Now().After(deadline) {
+			t.Fatalf("probation never ended; status %+v, online %+v", h.cp.Controller().Status(), h.svc.Tracker().Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := h.cp.Controller().Status(); st.LastVerdict != controlplane.VerdictRolledBack {
+		t.Fatalf("worse bundle not rolled back; status %+v, online %+v", st, h.svc.Tracker().Stats())
+	}
+	if _, v := h.svc.CurrentModel(); v != 0 {
+		t.Fatalf("serving version %d after rollback, want 0", v)
+	}
+	if l := h.cp.Registry().List(); len(l) != 1 || l[0].Status != controlplane.StatusRolledBack {
+		t.Fatalf("registry versions = %+v", l)
+	}
+}
+
+// feedDay posts through /events the complete lifecycles of the shared
+// trace's jobs submitted and ended within one day, moved past the harness
+// clock and renumbered: the engine seeded from that trace tracks none of
+// its jobs, so these are the corpus the default trainer retrains on. It
+// returns how many lifecycles it fed.
+func (h *cpHarness) feedDay() int {
+	h.t.Helper()
+	jobs := sharedExperiment(h.t).Trace.Jobs
+	submits := make([]int64, len(jobs))
+	for i := range jobs {
+		submits[i] = jobs[i].Submit
+	}
+	slices.Sort(submits)
+	t0 := submits[5000]
+	shift := h.now.Load() - t0
+	var day []trace.Job
+	for _, j := range jobs {
+		if j.Submit >= t0 && j.Start > 0 && j.End > 0 && j.End <= t0+24*3600 {
+			j.ID += 20_000_000
+			j.Submit, j.Eligible, j.Start, j.End = j.Submit+shift, j.Eligible+shift, j.Start+shift, j.End+shift
+			day = append(day, j)
+		}
+	}
+	evs := livestate.EventsFromTrace(&trout.Trace{Jobs: day})
+	h.now.Store(evs[len(evs)-1].Time + 60)
+	for len(evs) > 0 {
+		n := min(256, len(evs))
+		h.postEvents(evs[:n]...)
+		evs = evs[n:]
+	}
+	return len(day)
+}
+
+// holdoutScore is the judge's score of m on the most recent sixth of the
+// rows a replay of tr with forest builds, computed straight from core.
+func holdoutScore(t *testing.T, tr *trout.Trace, b *trout.Bundle, m *core.Model, forest *baselines.Forest) (controlplane.Eval, string) {
+	t.Helper()
+	ds, err := livestate.Replay(tr, &b.Cluster, features.Options{Seed: b.Model.Cfg.Seed}, forest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold, err := tscv.HoldoutRecent(ds.Len(), 1.0/6.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := core.EvaluateRegression(m, ds, fold.Test)
+	cls := core.EvaluateClassifier(m, ds, fold.Test)
+	first, last := ds.Jobs[fold.Test[0]], ds.Jobs[fold.Test[len(fold.Test)-1]]
+	return controlplane.Eval{MAEMinutes: reg.MAE, MAPE: reg.MAPE, HitRate: cls.Accuracy(), LongJobs: reg.N},
+		fmt.Sprintf("%d jobs eligible %d..%d", len(fold.Test), first.Eligible, last.Eligible)
+}
+
+// TestControlPlaneDefaultTrainer drives the production retrain path with
+// no injected trainer and no predict traffic: a day of lifecycles fed
+// through /events, then POST /admin/retrain. The incumbent's judged score
+// is its own model on rows replayed with its own runtime forest (not the
+// candidate's), the verdict and the note with both scores, the holdout
+// size and its eligibility range are recorded, the serving forest's memo
+// is untouched, and a second service fed the same stream reaches the same
+// verdict on the same scores.
+func TestControlPlaneDefaultTrainer(t *testing.T) {
+	var judged []controlplane.Manifest
+	var wantNote string
+	for i := 0; i < 2; i++ {
+		h := newCPHarness(t, trout.ControlPlaneConfig{DriftThreshold: -1, CheckInterval: 5 * time.Millisecond})
+		if n := h.feedDay(); n < 500 {
+			t.Fatalf("fed %d lifecycles; a retrain needs 500", n)
+		}
+		inc, _ := h.svc.CurrentModel()
+		if i == 0 {
+			cand, err := h.svc.DefaultTrainer(trout.ControlPlaneConfig{})(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := trout.LoadBundle(bytes.NewReader(cand.Blob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := &trout.Trace{Jobs: h.svc.LiveStore().Engine().CompletedJobs()}
+			want, holdout := holdoutScore(t, tr, inc, inc.Model, inc.Runtime.Forest)
+			if want.LongJobs == 0 {
+				t.Fatal("the fed holdout has no long job; MAE would not be compared")
+			}
+			if cand.Incumbent != want || cand.Holdout != holdout {
+				t.Fatalf("incumbent judged as %+v on %q, want %+v on %q", cand.Incumbent, cand.Holdout, want, holdout)
+			}
+			if other, _ := holdoutScore(t, tr, inc, inc.Model, fresh.Runtime.Forest); other == want {
+				t.Fatalf("the candidate's forest scores the incumbent the same (%+v): the test cannot tell the forests apart", other)
+			}
+			if own, _ := holdoutScore(t, tr, inc, fresh.Model, fresh.Runtime.Forest); cand.Eval != own {
+				t.Fatalf("candidate judged as %+v, want %+v", cand.Eval, own)
+			}
+			c, w := cand.Eval, cand.Incumbent
+			wantNote = fmt.Sprintf("holdout %s: cand hit %.3f mae %.1f (long %d) vs inc hit %.3f mae %.1f (long %d)",
+				holdout, c.HitRate, c.MAEMinutes, c.LongJobs, w.HitRate, w.MAEMinutes, w.LongJobs)
+		}
+
+		body, _ := scrape(t, h.srv.URL)
+		evals := metricValue(t, body, "trout_jobruntime_evals_total")
+		if code := postJSON(t, h.srv.URL+"/admin/retrain", nil, nil); code != http.StatusAccepted {
+			t.Fatalf("admin/retrain status %d", code)
+		}
+		deadline := time.Now().Add(2 * time.Minute)
+		for {
+			// The verdict's note is its last registry write.
+			if l := h.cp.Registry().List(); len(l) == 1 && strings.HasPrefix(l[0].Note, "holdout ") {
+				judged = append(judged, l[0])
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("no verdict; status %+v, registry %+v", h.cp.Controller().Status(), h.cp.Registry().List())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if got := float64(inc.Runtime.Evals()); got != evals {
+			t.Fatalf("the retrain moved the serving forest's evals %v -> %v", evals, got)
+		}
+		if j := h.svc.Tracker().Stats().Joined; j != 0 {
+			t.Fatalf("%d outcomes joined; the retrain was to see no predict traffic", j)
+		}
+	}
+	a, b := judged[0], judged[1]
+	t.Logf("verdict %s: %s", a.Status, a.Note)
+	if a.Status != controlplane.StatusActive && a.Status != controlplane.StatusRejected {
+		t.Fatalf("v1 status %q", a.Status)
+	}
+	if !strings.HasPrefix(a.Note, wantNote) {
+		t.Fatalf("verdict note %q, want the holdout and both scores %q", a.Note, wantNote)
+	}
+	if a.Status != b.Status || a.Note != b.Note || a.Eval != b.Eval || a.Samples != b.Samples {
+		t.Fatalf("same stream, different verdicts:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestControlPlaneResumesOlderRegistry opens a registry as a build with a
+// shadow phase left it, killed while a candidate was still at "shadow":
+// the manifest has no long-job counts, v1 is active and v2 was never
+// judged. The service resumes v1 and keeps v2 listed unjudged.
+func TestControlPlaneResumesOlderRegistry(t *testing.T) {
+	dir := t.TempDir()
+	v1, v2 := serializeBundle(t, resilientBundle(t)), worseBundle(t, resilientBundle(t))
+	id1, id2 := blobFingerprint(v1), blobFingerprint(v2)
+	for id, blob := range map[string][]byte{id1: v1, id2: v2} {
+		if err := os.WriteFile(filepath.Join(dir, id+".gob"), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	manifest := fmt.Sprintf(`{"active": 1, "versions": [
+  {"version": 1, "id": %q, "created_unix": 1792221540, "watermark": 1701346250, "samples": 618,
+   "eval": {"mae_minutes": 0, "mape": 0, "hit_rate": 0.99}, "status": "active",
+   "note": "shadow: cand hit 0.000 mae 0.0 (n=4) vs inc hit 0.000 mae 0.0 (n=4)"},
+  {"version": 2, "id": %q, "parent": %q, "created_unix": 1792221604, "watermark": 1701454936, "samples": 601,
+   "eval": {"mae_minutes": 0, "mape": 0, "hit_rate": 0.99}, "status": "shadow", "note": "trigger: manual"}]}`,
+		id1, id2, id1)
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h := newCPHarness(t, trout.ControlPlaneConfig{RegistryDir: dir, DriftThreshold: -1})
+	if hr := h.health(); hr.Model.Version != 1 || hr.Model.Fingerprint != id1 {
+		t.Fatalf("serving %+v, want the registry's active version 1 (%s)", hr.Model, id1)
+	}
+	if l := h.cp.Registry().List(); len(l) != 2 || l[1].Status != controlplane.StatusShadow || l[1].Eval.LongJobs != 0 {
+		t.Fatalf("registry versions = %+v", l)
 	}
 }

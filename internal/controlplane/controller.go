@@ -8,17 +8,20 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/features"
 	"repro/internal/obs"
 )
 
-// Controller states (the DESIGN §11 lifecycle: Idle→Retraining→Shadow→
+// Controller states (the DESIGN §11 lifecycle: Idle→Retraining→
 // Promoted/Rejected, with a post-promotion probation that can roll back).
 const (
 	StateIdle       = "idle"
 	StateRetraining = "retraining"
-	StateShadow     = "shadow"
+	StateProbation  = "probation"
 )
+
+// probationTimeout ends a probation whose window never filled (a quiet
+// cluster joins no outcomes); the promotion then stands.
+const probationTimeout = time.Hour
 
 // Verdicts recorded after each retrain cycle.
 const (
@@ -29,12 +32,17 @@ const (
 )
 
 // Candidate is one retrain's output: the serialized bundle (what the
-// registry stores and the promote path decodes), a live predictor for
-// shadow scoring, and the provenance the manifest records.
+// registry stores and the promote path decodes), the scores the judge
+// compares, and the provenance the manifest records.
 type Candidate struct {
-	Blob        []byte
-	Predictor   Predictor
-	Eval        Eval
+	Blob []byte
+	// Eval is the candidate's score on the trainer's time-ordered holdout
+	// and Incumbent the serving model's score on the same jobs.
+	Eval      Eval
+	Incumbent Eval
+	// Holdout describes those jobs (size, eligibility range) for the
+	// verdict note.
+	Holdout     string
 	Hyperparams map[string]string
 	Samples     int
 	// Watermark is the training-data horizon (live-state engine clock at
@@ -56,7 +64,8 @@ type Options struct {
 	Drift func() obs.OnlineStats
 	// Promote atomically swaps the decoded bundle into serving. A typed
 	// incompatibility error rejects the candidate instead of panicking
-	// at first predict.
+	// at first predict. Once it returns, Drift's window and new joins must
+	// cover only answers the promoted bundle gave: probation reads them.
 	Promote func(m Manifest, blob []byte) error
 	// Rollback restores the bundle that was serving before the last
 	// Promote. Required if RollbackFactor > 0.
@@ -64,10 +73,6 @@ type Options struct {
 	// IncumbentID names the currently serving model (fingerprint hex);
 	// recorded as each candidate's parent.
 	IncumbentID func() string
-
-	// CutoffMinutes is the long/short boundary for the shadow trackers
-	// (both sides use the incumbent's cutoff so hit-rates compare).
-	CutoffMinutes float64
 
 	// DriftThreshold triggers a retrain when |calibration drift| reaches
 	// it; 0 means 0.15, negative disables the drift trigger.
@@ -81,40 +86,29 @@ type Options struct {
 	// MinInterval spaces automatic retrains; 0 means 30m. Manual
 	// triggers bypass it.
 	MinInterval time.Duration
-	// CheckInterval is the drift poll (and shadow/probation poll)
-	// cadence; 0 means 15s.
+	// CheckInterval is the drift (and probation) poll cadence; 0 means
+	// 15s.
 	CheckInterval time.Duration
 
-	// ShadowWindow is how many joined outcomes each shadow tracker needs
-	// before the candidate is judged; 0 means 32.
-	ShadowWindow int
-	// ShadowTimeout rejects a candidate whose shadow window never fills
-	// (quiet cluster, no joinable traffic); 0 means 1h.
-	ShadowTimeout time.Duration
-	// ShadowQueue bounds the off-hot-path scoring queue; 0 means 256.
-	ShadowQueue int
-
-	// MAERatio promotes only when candidate shadow MAE <= incumbent
-	// shadow MAE × ratio (when both windows have regression outcomes);
-	// 0 means 1.0.
+	// MAERatio promotes only when the candidate's holdout MAE <= the
+	// incumbent's × ratio (when the holdout holds long jobs); 0 means 1.0.
 	MAERatio float64
-	// HitRateSlack lets the candidate's shadow hit-rate trail the
+	// HitRateSlack lets the candidate's holdout hit-rate trail the
 	// incumbent's by this much before it is disqualified; 0 means 0.02.
 	HitRateSlack float64
 
-	// RollbackWindow is how many fresh joined outcomes to observe after a
-	// promotion before the regression check clears it; 0 means
-	// ShadowWindow. RollbackFactor rolls the promotion back when the
-	// online MAE over the probation exceeds the pre-promotion MAE × this
-	// factor; 0 means 2.0, negative disables probation.
+	// RollbackWindow is how many joined outcomes of the promoted model to
+	// observe before the regression check clears it; 0 means 32.
+	// RollbackFactor rolls the promotion back when the online MAE over the
+	// probation exceeds the pre-promotion MAE × this factor; 0 means 2.0,
+	// negative disables probation.
 	RollbackWindow int
 	RollbackFactor float64
 
 	Logger *slog.Logger
 
 	// Tracer, when set, records each retrain cycle as a hierarchical
-	// trace: a "retrain" root with train/publish/shadow/promote child
-	// spans. Failed cycles are errored traces, so tail sampling always
+	// trace: a "retrain" root with train/publish/promote child spans. Failed cycles are errored traces, so tail sampling always
 	// exports them. Nil disables (zero overhead).
 	Tracer *obs.Tracer
 }
@@ -135,12 +129,6 @@ func (o *Options) defaults() error {
 	if o.CheckInterval <= 0 {
 		o.CheckInterval = 15 * time.Second
 	}
-	if o.ShadowWindow <= 0 {
-		o.ShadowWindow = 32
-	}
-	if o.ShadowTimeout <= 0 {
-		o.ShadowTimeout = time.Hour
-	}
 	if o.MAERatio <= 0 {
 		o.MAERatio = 1.0
 	}
@@ -148,7 +136,7 @@ func (o *Options) defaults() error {
 		o.HitRateSlack = 0.02
 	}
 	if o.RollbackWindow <= 0 {
-		o.RollbackWindow = o.ShadowWindow
+		o.RollbackWindow = 32
 	}
 	if o.RollbackFactor == 0 {
 		o.RollbackFactor = 2.0
@@ -168,16 +156,11 @@ type Status struct {
 	State       string `json:"state"`
 	LastVerdict string `json:"last_verdict,omitempty"`
 	LastError   string `json:"last_error,omitempty"`
-	// Candidate identifies the version currently (or last) under shadow.
+	// Candidate identifies the version last published (the one on
+	// probation while State is probation); its registry note holds the
+	// holdout scores it was judged on.
 	CandidateVersion int    `json:"candidate_version,omitempty"`
 	CandidateID      string `json:"candidate_id,omitempty"`
-	// Shadow progress/scores for the in-flight candidate.
-	CandWindow  int     `json:"cand_window,omitempty"`
-	IncWindow   int     `json:"inc_window,omitempty"`
-	CandMAE     float64 `json:"cand_mae_minutes,omitempty"`
-	IncMAE      float64 `json:"inc_mae_minutes,omitempty"`
-	CandHitRate float64 `json:"cand_hit_rate,omitempty"`
-	IncHitRate  float64 `json:"inc_hit_rate,omitempty"`
 	// Cycle counters.
 	Retrains        uint64 `json:"retrains"`
 	Promotions      uint64 `json:"promotions"`
@@ -187,14 +170,12 @@ type Status struct {
 	LastRetrainUnix int64  `json:"last_retrain_unix,omitempty"`
 }
 
-// Controller runs the retrain→shadow→promote loop. Create with
-// NewController, start with Run, feed with ObserveServed/ObserveStart,
-// trigger manually with TriggerRetrain.
+// Controller runs the retrain→judge→promote loop. Create with
+// NewController, start with Run, trigger manually with TriggerRetrain.
 type Controller struct {
 	opt Options
 
 	manual chan struct{}
-	shadow atomic.Pointer[shadowRun]
 
 	mu          sync.Mutex
 	state       string
@@ -209,11 +190,6 @@ type Controller struct {
 	rejections atomic.Uint64
 	failures   atomic.Uint64
 	rollbacks  atomic.Uint64
-	// shadowDropped/shadowScored/shadowErrs accumulate across cycles so
-	// the exported counters stay monotonic.
-	shadowScored  atomic.Uint64
-	shadowDropped atomic.Uint64
-	shadowErrs    atomic.Uint64
 }
 
 // NewController validates options and returns an idle controller.
@@ -243,9 +219,10 @@ func (c *Controller) TriggerRetrain() (bool, string) {
 }
 
 // Run executes the control loop until ctx is canceled. Shutdown mid-cycle
-// cancels training through ctx and abandons the in-flight candidate
-// (status stays shadow in the registry; the next boot's operator can see
-// it was never judged).
+// cancels training (through ctx) or ends probation with the promotion
+// standing; a process that dies between publish and verdict leaves the
+// candidate at StatusShadow in the registry, so the next boot's operator
+// can see it was never judged.
 func (c *Controller) Run(ctx context.Context) error {
 	tick := time.NewTicker(c.opt.CheckInterval)
 	defer tick.Stop()
@@ -310,7 +287,7 @@ func (c *Controller) finish(verdict, errMsg string) {
 	c.mu.Unlock()
 }
 
-// cycle runs one full Retraining→Shadow→verdict pass.
+// cycle runs one full Retraining→verdict pass.
 func (c *Controller) cycle(ctx context.Context, reason string) {
 	log := c.opt.Logger
 	c.retrains.Add(1)
@@ -324,7 +301,7 @@ func (c *Controller) cycle(ctx context.Context, reason string) {
 
 	tsp := root.StartChild("train")
 	cand, err := c.opt.Train(ctx)
-	if err != nil || cand == nil || len(cand.Blob) == 0 || cand.Predictor == nil {
+	if err != nil || cand == nil || len(cand.Blob) == 0 {
 		if err == nil {
 			err = fmt.Errorf("trainer returned no candidate")
 		}
@@ -369,84 +346,34 @@ func (c *Controller) cycle(ctx context.Context, reason string) {
 		slog.Int("version", m.Version), slog.String("id", m.ID[:12]),
 		slog.Int("samples", m.Samples), slog.Float64("offline_mae", m.Eval.MAEMinutes))
 
-	verdict, note := c.shadowPhase(ctx, m, cand, root)
+	verdict := VerdictRejected
+	better, note := c.judge(cand.Eval, cand.Incumbent)
+	note = "holdout " + cand.Holdout + ": " + note
+	if better {
+		verdict, note = c.promoteAndWatch(ctx, m, cand.Eval, note, root)
+	}
 	root.SetAttr("verdict", verdict)
-	switch verdict {
-	case VerdictPromoted:
-		// Status/active flip happen inside promoteAndWatch.
-	case VerdictRejected:
+	if verdict == VerdictRejected {
 		_ = c.opt.Registry.SetStatus(m.Version, StatusRejected, note)
 		c.rejections.Add(1)
 		c.finish(VerdictRejected, "")
 		log.Info("controlplane: candidate rejected",
 			slog.Int("version", m.Version), slog.String("note", note))
-	case VerdictFailed:
-		cycleErr = fmt.Errorf("retrain failed: %s", note)
-		c.failures.Add(1)
-		c.finish(VerdictFailed, note)
 	}
 }
 
-// shadowPhase scores the candidate on live traffic until both trackers
-// fill their windows (or timeout/shutdown), then judges and — when the
-// candidate wins — promotes and watches the probation window.
-func (c *Controller) shadowPhase(ctx context.Context, m Manifest, cand *Candidate, troot obs.SpanHandle) (string, string) {
-	c.setState(StateShadow)
-	ssp := troot.StartChild("shadow")
-	sr := newShadowRun(m.Version, m.ID, cand.Predictor, c.opt.CutoffMinutes, c.opt.ShadowQueue, c.opt.ShadowWindow)
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	go sr.loop(sctx)
-	c.shadow.Store(sr)
-	defer func() {
-		c.shadow.Store(nil)
-		c.shadowScored.Add(sr.scored.Load())
-		c.shadowDropped.Add(sr.dropped.Load())
-		c.shadowErrs.Add(sr.errs.Load())
-	}()
-
-	deadline := time.Now().Add(c.opt.ShadowTimeout)
-	tick := time.NewTicker(c.opt.CheckInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			ssp.SetError("shutdown during shadow")
-			ssp.End()
-			return VerdictFailed, "shutdown during shadow"
-		case <-tick.C:
-		}
-		cs, is := sr.cand.Stats(), sr.inc.Stats()
-		if cs.Window >= c.opt.ShadowWindow && is.Window >= c.opt.ShadowWindow {
-			better, note := c.judge(cs, is)
-			ssp.SetAttrInt("scored", int64(sr.scored.Load()))
-			ssp.End()
-			if !better {
-				return VerdictRejected, note
-			}
-			return c.promoteAndWatch(ctx, m, cs, note, troot)
-		}
-		if time.Now().After(deadline) {
-			ssp.SetError("shadow window never filled")
-			ssp.End()
-			return VerdictRejected, fmt.Sprintf("shadow window never filled (cand %d, inc %d of %d)",
-				cs.Window, is.Window, c.opt.ShadowWindow)
-		}
-	}
-}
-
-// judge compares the candidate's and incumbent's shadow windows: the
-// classifier must not regress beyond the slack, and when both windows
-// contain regression outcomes, the candidate's MAE must clear the ratio.
-// With no regression outcomes on either side, hit-rate decides (candidate
-// wins ties — it was trained on fresher data).
-func (c *Controller) judge(cand, inc obs.OnlineStats) (bool, string) {
-	note := fmt.Sprintf("shadow: cand hit %.3f mae %.1f (n=%d) vs inc hit %.3f mae %.1f (n=%d)",
-		cand.HitRate, cand.MAEMinutes, cand.Window, inc.HitRate, inc.MAEMinutes, inc.Window)
+// judge compares the candidate's and incumbent's scores on one holdout:
+// the classifier must not regress beyond the slack, and when the holdout
+// holds long jobs, the candidate's MAE must clear the ratio. With no long
+// job (MAE then measures nothing), hit-rate decides (candidate wins ties —
+// it was trained on fresher data).
+func (c *Controller) judge(cand, inc Eval) (bool, string) {
+	note := fmt.Sprintf("cand hit %.3f mae %.1f (long %d) vs inc hit %.3f mae %.1f (long %d)",
+		cand.HitRate, cand.MAEMinutes, cand.LongJobs, inc.HitRate, inc.MAEMinutes, inc.LongJobs)
 	if cand.HitRate < inc.HitRate-c.opt.HitRateSlack {
 		return false, note + ": hit-rate regressed"
 	}
-	if cand.RegressionObbs > 0 && inc.RegressionObbs > 0 {
+	if cand.LongJobs > 0 && inc.LongJobs > 0 {
 		if cand.MAEMinutes > inc.MAEMinutes*c.opt.MAERatio {
 			return false, note + ": MAE regressed"
 		}
@@ -459,11 +386,11 @@ func (c *Controller) judge(cand, inc obs.OnlineStats) (bool, string) {
 }
 
 // promoteAndWatch swaps the candidate into serving, then holds it under
-// probation: if the online MAE over the next RollbackWindow joined
-// outcomes blows past the pre-promotion level, the swap is instantly
-// reverted. Baseline captured BEFORE the swap so the comparison is
-// serving-model-attributable.
-func (c *Controller) promoteAndWatch(ctx context.Context, m Manifest, shadowStats obs.OnlineStats, note string, troot obs.SpanHandle) (string, string) {
+// probation: if the online MAE over the promoted model's first
+// RollbackWindow joined outcomes blows past the pre-promotion level, the
+// swap is instantly reverted. The baseline is captured before the swap
+// and the join count after it, so each side is one model's answers.
+func (c *Controller) promoteAndWatch(ctx context.Context, m Manifest, holdout Eval, note string, troot obs.SpanHandle) (string, string) {
 	log := c.opt.Logger
 	psp := troot.StartChild("promote")
 	defer psp.End()
@@ -484,9 +411,12 @@ func (c *Controller) promoteAndWatch(ctx context.Context, m Manifest, shadowStat
 		return VerdictPromoted, note
 	}
 
-	// Probation: wait for RollbackWindow fresh joins, bounded by the
-	// shadow timeout (a quiet cluster should not pin the controller).
-	deadline := time.Now().Add(c.opt.ShadowTimeout)
+	// Probation: wait for RollbackWindow joins of the promoted model's
+	// answers, bounded by probationTimeout (a quiet cluster should not pin
+	// the controller).
+	joined := c.opt.Drift().Joined
+	c.setState(StateProbation)
+	deadline := time.Now().Add(probationTimeout)
 	tick := time.NewTicker(c.opt.CheckInterval)
 	defer tick.Stop()
 	for {
@@ -497,7 +427,7 @@ func (c *Controller) promoteAndWatch(ctx context.Context, m Manifest, shadowStat
 		case <-tick.C:
 		}
 		now := c.opt.Drift()
-		if now.Joined-before.Joined < uint64(c.opt.RollbackWindow) {
+		if now.Joined-joined < uint64(c.opt.RollbackWindow) {
 			if time.Now().After(deadline) {
 				c.finish(VerdictPromoted, "")
 				return VerdictPromoted, note + "; probation window never filled"
@@ -507,10 +437,10 @@ func (c *Controller) promoteAndWatch(ctx context.Context, m Manifest, shadowStat
 		// Regression check: the post-swap online MAE must not explode
 		// relative to what the incumbent was delivering. A pre-promotion
 		// window without regression outcomes falls back to the candidate's
-		// own shadow MAE as the baseline.
+		// own holdout MAE as the baseline.
 		baseline := before.MAEMinutes
 		if before.RegressionObbs == 0 {
-			baseline = shadowStats.MAEMinutes
+			baseline = holdout.MAEMinutes
 		}
 		if baseline > 0 && now.RegressionObbs > 0 && now.MAEMinutes > baseline*c.opt.RollbackFactor {
 			if err := c.opt.Rollback(); err != nil {
@@ -535,29 +465,6 @@ func (c *Controller) promoteAndWatch(ctx context.Context, m Manifest, shadowStat
 	}
 }
 
-// ObserveServed captures one served prediction for shadow scoring. Cheap
-// and non-blocking when no shadow run is active (one atomic load); never
-// delays the serving path.
-func (c *Controller) ObserveServed(jobID int, snap *features.Snapshot, prob, minutes float64, long bool) {
-	if c == nil {
-		return
-	}
-	if sr := c.shadow.Load(); sr != nil {
-		sr.offer(shadowItem{jobID: jobID, snap: snap, prob: prob, minutes: minutes, long: long})
-	}
-}
-
-// ObserveStart joins a realized start event into the active shadow run
-// (no-op outside the shadow phase).
-func (c *Controller) ObserveStart(jobID int, eligible, start int64) {
-	if c == nil {
-		return
-	}
-	if sr := c.shadow.Load(); sr != nil {
-		sr.resolve(jobID, eligible, start)
-	}
-}
-
 // Status snapshots the controller for /health and admin responses.
 func (c *Controller) Status() Status {
 	c.mu.Lock()
@@ -577,12 +484,6 @@ func (c *Controller) Status() Status {
 	st.Rejections = c.rejections.Load()
 	st.Failures = c.failures.Load()
 	st.Rollbacks = c.rollbacks.Load()
-	if sr := c.shadow.Load(); sr != nil {
-		cs, is := sr.cand.Stats(), sr.inc.Stats()
-		st.CandWindow, st.IncWindow = cs.Window, is.Window
-		st.CandMAE, st.IncMAE = cs.MAEMinutes, is.MAEMinutes
-		st.CandHitRate, st.IncHitRate = cs.HitRate, is.HitRate
-	}
 	return st
 }
 
@@ -593,19 +494,17 @@ func (c *Controller) stateValue() float64 {
 	switch c.state {
 	case StateRetraining:
 		return 1
-	case StateShadow:
+	case StateProbation:
 		return 2
 	default:
 		return 0
 	}
 }
 
-// Register exports the trout_controlplane_* and trout_shadow_* metric
-// families on r. Shadow gauges read through the atomic run pointer, so
-// one registration covers every future cycle.
+// Register exports the trout_controlplane_* metric families on r.
 func (c *Controller) Register(r *obs.Registry) {
 	r.GaugeFunc("trout_controlplane_state",
-		"Control-plane lifecycle state (0=idle, 1=retraining, 2=shadow).",
+		"Control-plane lifecycle state (0=idle, 1=retraining, 2=probation).",
 		c.stateValue)
 	r.CounterVecFunc("trout_controlplane_retrains_total",
 		"Retrain cycles completed, by outcome.", []string{"outcome"},
@@ -631,45 +530,4 @@ func (c *Controller) Register(r *obs.Registry) {
 	r.GaugeFunc("trout_controlplane_registry_active_version",
 		"Registry version currently active (0 = boot bundle).",
 		func() float64 { return float64(c.opt.Registry.ActiveVersion()) })
-
-	shadowCount := func(live func(*shadowRun) uint64, total *atomic.Uint64) func() float64 {
-		return func() float64 {
-			n := total.Load()
-			if sr := c.shadow.Load(); sr != nil {
-				n += live(sr)
-			}
-			return float64(n)
-		}
-	}
-	r.CounterFunc("trout_shadow_scored_total",
-		"Live predictions replayed through a shadow candidate.",
-		shadowCount(func(sr *shadowRun) uint64 { return sr.scored.Load() }, &c.shadowScored))
-	r.CounterFunc("trout_shadow_dropped_total",
-		"Shadow samples dropped because the scoring queue was full.",
-		shadowCount(func(sr *shadowRun) uint64 { return sr.dropped.Load() }, &c.shadowDropped))
-	r.CounterFunc("trout_shadow_errors_total",
-		"Shadow candidate predictions that errored.",
-		shadowCount(func(sr *shadowRun) uint64 { return sr.errs.Load() }, &c.shadowErrs))
-	shadowStat := func(sel func(cand, inc obs.OnlineStats) float64) func(obs.Emit) {
-		return func(emit obs.Emit) {
-			sr := c.shadow.Load()
-			if sr == nil {
-				emit(0, "candidate")
-				emit(0, "incumbent")
-				return
-			}
-			cs, is := sr.cand.Stats(), sr.inc.Stats()
-			emit(sel(cs, is), "candidate")
-			emit(sel(is, cs), "incumbent")
-		}
-	}
-	r.GaugeVecFunc("trout_shadow_window_size",
-		"Joined outcomes in each shadow tracker's rolling window.", []string{"role"},
-		shadowStat(func(a, _ obs.OnlineStats) float64 { return float64(a.Window) }))
-	r.GaugeVecFunc("trout_shadow_mae_minutes",
-		"Rolling shadow MAE (minutes) per role.", []string{"role"},
-		shadowStat(func(a, _ obs.OnlineStats) float64 { return a.MAEMinutes }))
-	r.GaugeVecFunc("trout_shadow_hit_rate",
-		"Rolling shadow classifier hit-rate per role.", []string{"role"},
-		shadowStat(func(a, _ obs.OnlineStats) float64 { return a.HitRate }))
 }

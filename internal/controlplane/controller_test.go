@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/features"
 	"repro/internal/obs"
 )
 
@@ -30,17 +29,12 @@ func (f *fakeDrift) set(st obs.OnlineStats) {
 	f.mu.Unlock()
 }
 
-// fixedPredictor answers every shadow sample identically.
-type fixedPredictor struct {
-	prob    float64
-	minutes float64
-	long    bool
-	err     error
-}
-
-func (p fixedPredictor) ShadowPredict(*features.Snapshot) (float64, float64, bool, error) {
-	return p.prob, p.minutes, p.long, p.err
-}
+// Holdout scores for synthetic candidates: good calls the 20-minute waits
+// right, bad calls them all quick-start.
+var (
+	good = Eval{MAEMinutes: 2, HitRate: 0.95, LongJobs: 40}
+	bad  = Eval{MAEMinutes: 20, HitRate: 0.10, LongJobs: 40}
+)
 
 // ctlHarness bundles a controller with the callbacks' recorded effects.
 type ctlHarness struct {
@@ -65,8 +59,9 @@ func (h *ctlHarness) rollbacks() int {
 }
 
 // newCtlHarness builds a fast-ticking controller whose trainer emits a
-// candidate backed by the given predictor. opts mutates the defaults.
-func newCtlHarness(t *testing.T, cand Predictor, opts func(*Options)) *ctlHarness {
+// candidate scoring cand on its holdout, where the incumbent scores inc.
+// opts mutates the defaults.
+func newCtlHarness(t *testing.T, cand, inc Eval, opts func(*Options)) *ctlHarness {
 	t.Helper()
 	reg, err := OpenRegistry(t.TempDir(), -1)
 	if err != nil {
@@ -80,7 +75,9 @@ func newCtlHarness(t *testing.T, cand Predictor, opts func(*Options)) *ctlHarnes
 			n++
 			return &Candidate{
 				Blob:      []byte(fmt.Sprintf("candidate-blob-%d", n)),
-				Predictor: cand,
+				Eval:      cand,
+				Incumbent: inc,
+				Holdout:   "100 jobs eligible 1000..7000",
 				Samples:   100,
 				Watermark: 12345,
 			}, nil
@@ -99,10 +96,8 @@ func newCtlHarness(t *testing.T, cand Predictor, opts func(*Options)) *ctlHarnes
 			return nil
 		},
 		IncumbentID:    func() string { return "" },
-		CutoffMinutes:  10,
 		CheckInterval:  2 * time.Millisecond,
 		MinWindow:      4,
-		ShadowWindow:   4,
 		RollbackFactor: -1, // probation off unless a test opts in
 	}
 	if opts != nil {
@@ -116,40 +111,29 @@ func newCtlHarness(t *testing.T, cand Predictor, opts func(*Options)) *ctlHarnes
 	return h
 }
 
-// pumpShadow feeds served-prediction/start-event pairs into the controller
-// until cond holds or the deadline passes. Every realized wait is
-// waitMinutes; the incumbent's recorded answer is (incProb, incMinutes,
-// incLong).
-func pumpShadow(t *testing.T, ctl *Controller, incProb, incMinutes float64, incLong bool, waitMinutes int64, cond func() bool) {
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, ctl *Controller, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	id := 1_000_000
 	for !cond() {
 		if time.Now().After(deadline) {
 			t.Fatalf("condition never held; status %+v", ctl.Status())
 		}
-		id++
-		ctl.ObserveServed(id, nil, incProb, incMinutes, incLong)
-		time.Sleep(time.Millisecond) // let the shadow worker dequeue before resolving
-		ctl.ObserveStart(id, 1000, 1000+waitMinutes*60)
+		time.Sleep(time.Millisecond)
 	}
 }
 
 func TestControllerPromotesBetterCandidate(t *testing.T) {
-	// Candidate nails the 20-minute waits; the incumbent calls them all
-	// quick-start.
-	h := newCtlHarness(t, fixedPredictor{prob: 0.95, minutes: 20, long: true}, nil)
+	h := newCtlHarness(t, good, bad, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan struct{})
 	go func() { defer close(done); _ = h.ctl.Run(ctx) }()
 
 	// Drift past the threshold with a full window: the tick should trigger
-	// a retrain on its own.
+	// a retrain on its own, and the holdout decides with no traffic.
 	h.drift.set(obs.OnlineStats{Window: 10, CalibrationDrift: -0.6})
-	pumpShadow(t, h.ctl, 0.1, 0, false, 20, func() bool {
-		return h.ctl.Status().LastVerdict == VerdictPromoted
-	})
+	waitFor(t, h.ctl, func() bool { return h.ctl.Status().LastVerdict == VerdictPromoted })
 
 	if got := h.promotions(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("promotions = %v", got)
@@ -157,8 +141,8 @@ func TestControllerPromotesBetterCandidate(t *testing.T) {
 	if h.reg.ActiveVersion() != 1 {
 		t.Fatalf("registry active = %d", h.reg.ActiveVersion())
 	}
-	if m, _ := h.reg.Manifest(1); m.Status != StatusActive {
-		t.Fatalf("v1 status = %q", m.Status)
+	if m, _ := h.reg.Manifest(1); m.Status != StatusActive || m.Eval != good {
+		t.Fatalf("v1 = %+v", m)
 	}
 	st := h.ctl.Status()
 	if st.State != StateIdle || st.Promotions != 1 || st.Retrains != 1 {
@@ -169,8 +153,7 @@ func TestControllerPromotesBetterCandidate(t *testing.T) {
 }
 
 func TestControllerRejectsWorseCandidate(t *testing.T) {
-	// Candidate calls every long job quick-start; the incumbent is right.
-	h := newCtlHarness(t, fixedPredictor{prob: 0.1, minutes: 0, long: false}, nil)
+	h := newCtlHarness(t, bad, good, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() { _ = h.ctl.Run(ctx) }()
@@ -178,9 +161,7 @@ func TestControllerRejectsWorseCandidate(t *testing.T) {
 	if ok, msg := h.ctl.TriggerRetrain(); !ok {
 		t.Fatalf("manual trigger refused: %s", msg)
 	}
-	pumpShadow(t, h.ctl, 0.9, 20, true, 20, func() bool {
-		return h.ctl.Status().LastVerdict == VerdictRejected
-	})
+	waitFor(t, h.ctl, func() bool { return h.ctl.Status().LastVerdict == VerdictRejected })
 
 	if got := h.promotions(); len(got) != 0 {
 		t.Fatalf("worse candidate was promoted: %v", got)
@@ -192,13 +173,14 @@ func TestControllerRejectsWorseCandidate(t *testing.T) {
 	if m.Status != StatusRejected {
 		t.Fatalf("v1 status = %q", m.Status)
 	}
-	if m.Note == "" {
-		t.Fatal("rejection must record the shadow scores in the manifest note")
+	want := "holdout 100 jobs eligible 1000..7000: cand hit 0.100 mae 20.0 (long 40) vs inc hit 0.950 mae 2.0 (long 40): hit-rate regressed"
+	if m.Note != want {
+		t.Fatalf("rejection note %q, want %q", m.Note, want)
 	}
 }
 
 func TestControllerRollsBackRegressedPromotion(t *testing.T) {
-	h := newCtlHarness(t, fixedPredictor{prob: 0.95, minutes: 20, long: true}, func(o *Options) {
+	h := newCtlHarness(t, good, bad, func(o *Options) {
 		o.RollbackFactor = 1.5
 		o.RollbackWindow = 2
 	})
@@ -211,20 +193,15 @@ func TestControllerRollsBackRegressedPromotion(t *testing.T) {
 	if ok, msg := h.ctl.TriggerRetrain(); !ok {
 		t.Fatalf("manual trigger refused: %s", msg)
 	}
-	// Shadow-phase traffic promotes the candidate...
-	pumpShadow(t, h.ctl, 0.1, 0, false, 20, func() bool {
-		return len(h.promotions()) == 1
-	})
+	// The holdout promotes the candidate...
+	waitFor(t, h.ctl, func() bool { return h.ctl.Status().State == StateProbation })
+	if got := h.promotions(); len(got) != 1 {
+		t.Fatalf("promotions = %v", got)
+	}
 	// ...then the online window fills with post-swap outcomes whose MAE
 	// blew past baseline × factor: probation must revert the swap.
-	h.drift.set(obs.OnlineStats{Window: 10, Joined: 110, MAEMinutes: 100, RegressionObbs: 5})
-	deadline := time.Now().Add(10 * time.Second)
-	for h.ctl.Status().LastVerdict != VerdictRolledBack {
-		if time.Now().After(deadline) {
-			t.Fatalf("never rolled back; status %+v", h.ctl.Status())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	h.drift.set(obs.OnlineStats{Window: 2, Joined: 102, MAEMinutes: 100, RegressionObbs: 2})
+	waitFor(t, h.ctl, func() bool { return h.ctl.Status().LastVerdict == VerdictRolledBack })
 	if h.rollbacks() != 1 {
 		t.Fatalf("rollback callback ran %d times", h.rollbacks())
 	}
@@ -238,7 +215,7 @@ func TestControllerRollsBackRegressedPromotion(t *testing.T) {
 
 func TestTriggerRetrainWhileBusyDeclines(t *testing.T) {
 	block := make(chan struct{})
-	h := newCtlHarness(t, fixedPredictor{}, func(o *Options) {
+	h := newCtlHarness(t, good, bad, func(o *Options) {
 		o.Train = func(ctx context.Context) (*Candidate, error) {
 			<-block
 			return nil, fmt.Errorf("aborted")
@@ -273,5 +250,28 @@ func TestTriggerRetrainWhileBusyDeclines(t *testing.T) {
 	}
 	if st := h.ctl.Status(); st.Failures != 1 || st.LastError == "" {
 		t.Fatalf("status after failed train = %+v", st)
+	}
+}
+
+// TestJudgeHoldout pins the judge predicate, including a holdout with no
+// job over the cutoff: its MAE is a clamped 0 on both sides and measures
+// nothing, so the long-job count sends the verdict to the hit-rate arm.
+func TestJudgeHoldout(t *testing.T) {
+	h := newCtlHarness(t, good, bad, nil) // MAERatio 1, HitRateSlack 0.02
+	for _, tc := range []struct {
+		name      string
+		cand, inc Eval
+		want      bool
+	}{
+		{"better on both", good, bad, true},
+		{"hit-rate regressed past the slack", Eval{HitRate: 0.80, MAEMinutes: 1, LongJobs: 9}, Eval{HitRate: 0.90, MAEMinutes: 9, LongJobs: 9}, false},
+		{"hit-rate within the slack, MAE better", Eval{HitRate: 0.89, MAEMinutes: 5, LongJobs: 9}, Eval{HitRate: 0.90, MAEMinutes: 9, LongJobs: 9}, true},
+		{"MAE regressed", Eval{HitRate: 0.95, MAEMinutes: 10, LongJobs: 9}, Eval{HitRate: 0.90, MAEMinutes: 9, LongJobs: 9}, false},
+		{"no long job, hit-rate below", Eval{HitRate: 0.89}, Eval{HitRate: 0.90}, false},
+		{"no long job, hit-rate tied", Eval{HitRate: 0.90}, Eval{HitRate: 0.90}, true},
+	} {
+		if got, note := h.ctl.judge(tc.cand, tc.inc); got != tc.want {
+			t.Errorf("%s: judge = %v (%s), want %v", tc.name, got, note, tc.want)
+		}
 	}
 }

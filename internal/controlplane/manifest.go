@@ -1,17 +1,16 @@
 // Package controlplane closes the continual-learning loop the ROADMAP
 // asks for: a versioned, content-addressed model registry on disk, a
 // background controller that watches the online accuracy tracker's drift
-// signal and retrains past thresholds, shadow scoring that judges the
-// candidate against the incumbent on live traffic off the hot path, and
-// an atomic hot-swap (with rollback) once the candidate proves itself.
+// signal and retrains past thresholds, a judge that compares the
+// candidate with the incumbent on the trainer's time-ordered holdout, and
+// an atomic hot-swap (with rollback) once the candidate wins.
 //
 // The package is model-agnostic on purpose: bundles move through it as
-// opaque gob blobs identified by their SHA-256, and prediction happens
-// behind the Predictor interface — the root package adapts its Bundle
-// type, decodes blobs, and owns the actual serving swap. That keeps the
-// lifecycle machinery (Idle→Retraining→Shadow→Promoted/Rejected, plus
-// post-promotion rollback) independently testable with synthetic
-// trainers and drift sources.
+// opaque gob blobs identified by their SHA-256, and the trainer hands it
+// both holdout scores — the root package trains, scores, decodes blobs,
+// and owns the actual serving swap. That keeps the lifecycle machinery
+// (Idle→Retraining→Promoted/Rejected, plus post-promotion rollback)
+// independently testable with synthetic trainers and drift sources.
 package controlplane
 
 import (
@@ -22,13 +21,13 @@ import (
 
 // Candidate lifecycle statuses recorded in the registry manifest.
 const (
-	// StatusShadow marks a freshly published candidate being scored
-	// against the incumbent on live traffic.
+	// StatusShadow marks a freshly published candidate not yet judged
+	// (the name predates the holdout judge; registries keep it).
 	StatusShadow = "shadow"
 	// StatusActive marks the version currently serving.
 	StatusActive = "active"
-	// StatusRejected marks a candidate that shadow-scored worse than the
-	// incumbent (or could not be swapped in).
+	// StatusRejected marks a candidate that scored worse than the
+	// incumbent on the holdout (or could not be swapped in).
 	StatusRejected = "rejected"
 	// StatusRetired marks a formerly active version replaced by a
 	// promoted candidate.
@@ -46,13 +45,16 @@ var knownStatus = map[string]bool{
 	StatusRetired: true, StatusRolledBack: true, StatusPruned: true,
 }
 
-// Eval is a candidate's offline holdout scores, recorded at publish time
-// so the registry answers "how good did training think this was" without
-// re-running evaluation.
+// Eval is a model's scores on the time-ordered holdout, recorded at
+// publish time so the registry answers "how good did training think this
+// was" without re-running evaluation.
 type Eval struct {
 	MAEMinutes float64 `json:"mae_minutes"`
 	MAPE       float64 `json:"mape"`
 	HitRate    float64 `json:"hit_rate"`
+	// LongJobs counts the holdout jobs whose realized wait reached the
+	// cutoff: the jobs MAE and MAPE cover. With none they measure nothing.
+	LongJobs int `json:"long_jobs,omitempty"`
 }
 
 // Manifest is one version's registry record.
@@ -81,8 +83,8 @@ type Manifest struct {
 	// Status is the lifecycle state (shadow/active/rejected/retired/
 	// rolled_back/pruned).
 	Status string `json:"status"`
-	// Note carries human-readable context (shadow verdict scores,
-	// rejection reasons).
+	// Note carries human-readable context (the holdout scores behind the
+	// verdict, rejection reasons).
 	Note string `json:"note,omitempty"`
 }
 
@@ -124,8 +126,8 @@ func (m *Manifest) Validate() error {
 		return fmt.Errorf("controlplane: manifest v%d parent %q is not a sha-256 hex digest", m.Version, m.Parent)
 	case !knownStatus[m.Status]:
 		return fmt.Errorf("controlplane: manifest v%d has unknown status %q", m.Version, m.Status)
-	case m.Samples < 0:
-		return fmt.Errorf("controlplane: manifest v%d has negative sample count %d", m.Version, m.Samples)
+	case m.Samples < 0 || m.Eval.LongJobs < 0:
+		return fmt.Errorf("controlplane: manifest v%d has a negative count", m.Version)
 	case m.CreatedUnix < 0 || m.Watermark < 0:
 		return fmt.Errorf("controlplane: manifest v%d has negative timestamps", m.Version)
 	}

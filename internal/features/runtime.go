@@ -25,7 +25,7 @@ import (
 // built once per queue (queueColumns) rather than probing that table per
 // job per row; the column also keeps its sums, the ahead block once per
 // rank. All of it dies with the predictor, so a swapped-in, rolled-back or
-// shadow bundle can never read another forest's values. The
+// candidate bundle can never read another forest's values. The
 // zero value with a Forest is ready to use; a RuntimePredictor must not be
 // copied after first use.
 type RuntimePredictor struct {

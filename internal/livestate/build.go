@@ -4,77 +4,35 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/baselines"
 	"repro/internal/features"
 	"repro/internal/slurmsim"
 	"repro/internal/trace"
 )
 
 // Build engineers the Table II features for every job in the trace that
-// started, as the daemon would have served them: the trace is replayed as
-// its event stream (EventsFromTrace) through a fresh Engine, and after the
-// last event at each instant t every started job eligible at t gets the
-// row SnapshotBatch and features.SnapshotRow give for it. An event the
-// engine refuses, or a started job the stream never makes eligible, is an
-// error naming the job: the daemon could not serve that row.
+// started, as the daemon would have served them: it fits the runtime forest
+// on the earliest fraction of the rows, then Replay replays the trace
+// through it.
 func Build(tr *trace.Trace, cluster *slurmsim.ClusterSpec, opt features.Options) (*features.Dataset, error) {
-	if len(tr.Jobs) == 0 {
-		return nil, fmt.Errorf("livestate: build: empty trace")
+	forest, err := fitForest(tr, cluster, opt)
+	if err != nil {
+		return nil, err
 	}
-	// The jobs that started come first, in eligibility order: they are the
-	// rows. A never-started record (Start == 0: cancelled while pending, or
-	// still pending when the trace was cut) has no queue time, so it gets
-	// no row and no label, and no runtime to train on; it sorts after them
-	// and only counts toward other jobs' queues.
-	jobs := append([]trace.Job(nil), tr.Jobs...)
-	sort.Slice(jobs, func(i, j int) bool {
-		if si, sj := jobs[i].Start == 0, jobs[j].Start == 0; si != sj {
-			return sj
-		}
-		if jobs[i].Eligible != jobs[j].Eligible {
-			return jobs[i].Eligible < jobs[j].Eligible
-		}
-		return jobs[i].ID < jobs[j].ID
-	})
-	rows := sort.Search(len(jobs), func(i int) bool { return jobs[i].Start == 0 })
-	if rows == 0 {
-		return nil, fmt.Errorf("livestate: build: no job in the trace started")
-	}
+	return Replay(tr, cluster, opt, forest)
+}
 
-	totals := map[string]slurmsim.PartitionTotals{}
-	for i := range jobs {
-		j := &jobs[i]
-		if j.Submit <= 0 {
-			return nil, fmt.Errorf("livestate: build: job %d has no submit time, so the event stream has no record of it", j.ID)
-		}
-		if _, ok := totals[j.Partition]; ok {
-			continue
-		}
-		if cluster.Partition(j.Partition) == nil {
-			return nil, fmt.Errorf("livestate: build: job %d references unknown partition %q", j.ID, j.Partition)
-		}
-		totals[j.Partition] = cluster.Totals(j.Partition)
-	}
-
-	// Runtime predictor (random forest on request-time features only),
-	// trained on the earliest fraction of jobs so later jobs never leak
-	// into it. A job still running (End == 0) has no runtime to learn. The
-	// ablation sources bypass the forest for the Pred-Runtime columns but
-	// still train it (bundles always carry one).
-	frac := opt.RuntimeTrainFraction
-	if frac <= 0 || frac > 1 {
-		frac = 0.5
-	}
-	trainN := int(float64(rows) * frac)
-	if trainN < 10 {
-		trainN = rows
-	}
-	train := make([]trace.Job, 0, trainN)
-	for i := range jobs[:trainN] {
-		if jobs[i].End != 0 {
-			train = append(train, jobs[i])
-		}
-	}
-	rp, err := features.TrainRuntimePredictor(train, totals, opt.RuntimeTrees, opt.Seed)
+// Replay builds Build's rows with a given runtime forest: the trace is
+// replayed as its event stream (EventsFromTrace) through a fresh Engine,
+// and after the last event at each instant t every started job eligible at
+// t gets the row SnapshotBatch and features.SnapshotRow give for it. An
+// event the engine refuses, or a started job the stream never makes
+// eligible, is an error naming the job: the daemon could not serve that
+// row. The Pred-Runtime columns (30–32) are the only part of a row the
+// forest decides, so two forests replayed over one trace give the same
+// rows, in the same order, everywhere else.
+func Replay(tr *trace.Trace, cluster *slurmsim.ClusterSpec, opt features.Options, forest *baselines.Forest) (*features.Dataset, error) {
+	jobs, rows, totals, err := rowOrder(tr, cluster)
 	if err != nil {
 		return nil, err
 	}
@@ -107,12 +65,13 @@ func Build(tr *trace.Trace, cluster *slurmsim.ClusterSpec, opt features.Options)
 		QueueMinutes: make([]float64, rows),
 		Jobs:         jobs[:rows],
 		PredRuntime:  make([]float64, rows),
-		Runtime:      rp,
+		Runtime:      &features.RuntimePredictor{Forest: forest},
 	}
 	// The replay asks through a predictor of its own over the same forest,
 	// so the returned one starts with an empty memo, as a loaded bundle's
-	// does.
-	replay := &features.RuntimePredictor{Forest: rp.Forest}
+	// does, and a serving bundle's forest is replayed without touching its
+	// memo.
+	replay := &features.RuntimePredictor{Forest: forest}
 	eng := NewEngine()
 	evs := EventsFromTrace(tr)
 	next := 0 // the first row not yet taken
@@ -155,6 +114,80 @@ func Build(tr *trace.Trace, cluster *slurmsim.ClusterSpec, opt features.Options)
 		return nil, fmt.Errorf("livestate: build: job %d started, but no event falls at its eligibility instant %d", j.ID, j.Eligible)
 	}
 	return ds, nil
+}
+
+// rowOrder returns the trace's jobs in row order, how many of them are
+// rows, and the cluster totals of every partition they name.
+func rowOrder(tr *trace.Trace, cluster *slurmsim.ClusterSpec) ([]trace.Job, int, map[string]slurmsim.PartitionTotals, error) {
+	if len(tr.Jobs) == 0 {
+		return nil, 0, nil, fmt.Errorf("livestate: build: empty trace")
+	}
+	// The jobs that started come first, in eligibility order: they are the
+	// rows. A never-started record (Start == 0: cancelled while pending, or
+	// still pending when the trace was cut) has no queue time, so it gets
+	// no row and no label, and no runtime to train on; it sorts after them
+	// and only counts toward other jobs' queues.
+	jobs := append([]trace.Job(nil), tr.Jobs...)
+	sort.Slice(jobs, func(i, j int) bool {
+		if si, sj := jobs[i].Start == 0, jobs[j].Start == 0; si != sj {
+			return sj
+		}
+		if jobs[i].Eligible != jobs[j].Eligible {
+			return jobs[i].Eligible < jobs[j].Eligible
+		}
+		return jobs[i].ID < jobs[j].ID
+	})
+	rows := sort.Search(len(jobs), func(i int) bool { return jobs[i].Start == 0 })
+	if rows == 0 {
+		return nil, 0, nil, fmt.Errorf("livestate: build: no job in the trace started")
+	}
+
+	totals := map[string]slurmsim.PartitionTotals{}
+	for i := range jobs {
+		j := &jobs[i]
+		if j.Submit <= 0 {
+			return nil, 0, nil, fmt.Errorf("livestate: build: job %d has no submit time, so the event stream has no record of it", j.ID)
+		}
+		if _, ok := totals[j.Partition]; ok {
+			continue
+		}
+		if cluster.Partition(j.Partition) == nil {
+			return nil, 0, nil, fmt.Errorf("livestate: build: job %d references unknown partition %q", j.ID, j.Partition)
+		}
+		totals[j.Partition] = cluster.Totals(j.Partition)
+	}
+	return jobs, rows, totals, nil
+}
+
+// fitForest trains the runtime predictor (random forest on request-time
+// features only) on the earliest fraction of the rows, so later jobs never
+// leak into it. A job still running (End == 0) has no runtime to learn. The
+// ablation sources bypass the forest for the Pred-Runtime columns but
+// still train it (bundles always carry one).
+func fitForest(tr *trace.Trace, cluster *slurmsim.ClusterSpec, opt features.Options) (*baselines.Forest, error) {
+	jobs, rows, totals, err := rowOrder(tr, cluster)
+	if err != nil {
+		return nil, err
+	}
+	frac := opt.RuntimeTrainFraction
+	if frac <= 0 || frac > 1 {
+		frac = 0.5
+	}
+	trainN := int(float64(rows) * frac)
+	if trainN < 10 {
+		trainN = rows
+	}
+	train := make([]trace.Job, 0, trainN)
+	for _, j := range jobs[:trainN] {
+		if j.End != 0 {
+			train = append(train, j)
+		}
+	}
+	rp, err := features.TrainRuntimePredictor(train, totals, opt.RuntimeTrees, opt.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return rp.Forest, nil
 }
 
 // sourceColumns rewrites the Pred-Runtime columns (30–32) of the target's

@@ -295,9 +295,36 @@ func TestAccuracyTrackerWindowWrap(t *testing.T) {
 	}
 }
 
+// TestAccuracyTrackerReset: after a reset the window and the pending
+// answers are gone, so a start for an answer recorded before it is
+// unmatched, while Joined keeps counting.
+func TestAccuracyTrackerReset(t *testing.T) {
+	tr := NewAccuracyTracker(10, 0, 8)
+	for id := 1; id <= 3; id++ {
+		tr.Record(id, 0.9, 30, true)
+	}
+	tr.Resolve(1, 0, 30*60)
+	tr.Reset()
+	if st := tr.Stats(); st.Joined != 1 || st.Window != 0 || st.Pending != 0 {
+		t.Fatalf("stats after reset = %+v", st)
+	}
+	if tr.Resolve(2, 0, 60) {
+		t.Error("an answer recorded before the reset resolved")
+	}
+	tr.Record(4, 0.9, 30, true)
+	tr.Record(2, 0.9, 30, true)
+	tr.Resolve(4, 0, 130*60)
+	tr.Resolve(2, 0, 130*60)
+	st := tr.Stats()
+	if st.Joined != 3 || st.Window != 2 || st.Unmatched != 1 || st.MAEMinutes != 100 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
 func TestAccuracyTrackerNilAndIgnored(t *testing.T) {
 	var tr *AccuracyTracker
 	tr.Record(1, 0.5, 1, true)
+	tr.Reset()
 	if tr.Resolve(1, 0, 0) {
 		t.Error("nil tracker resolve = true")
 	}

@@ -129,6 +129,22 @@ func (t *AccuracyTracker) Resolve(jobID int, eligible, start int64) bool {
 	return true
 }
 
+// Reset forgets every pending prediction and the rolling window, so what
+// the tracker joins from now on is only what was recorded after it: the
+// service calls it when the model answering predictions changes.
+// Joined, Evicted and Unmatched stay monotonic; a start event for a
+// forgotten prediction counts as unmatched.
+func (t *AccuracyTracker) Reset() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	clear(t.pending)
+	t.fifo, t.head = t.fifo[:0], 0
+	t.next, t.n = 0, 0
+}
+
 // OnlineStats is a consistent snapshot of the tracker's rolling window.
 type OnlineStats struct {
 	// Joined counts predictions ever matched to a start event; Window is

@@ -348,15 +348,10 @@ func (s *Service) initTelemetry() {
 	// Online accuracy: served predictions are remembered by job ID and
 	// joined against realized queue times when the engine sees the job
 	// start — the production counterpart of the paper's offline metrics.
-	// Start events also feed the control plane's shadow trackers (no-op
-	// until a retrain cycle is shadow-scoring a candidate).
 	s.tracker = obs.NewAccuracyTracker(s.serving.Load().b.cutoffMinutes(), 0, 0)
 	s.tracker.Register(r)
 	eng.SetStartObserver(func(jobID int, eligible, start int64) {
 		s.tracker.Resolve(jobID, eligible, start)
-		if ctl := s.ctl.Load(); ctl != nil {
-			ctl.ObserveStart(jobID, eligible, start)
-		}
 	})
 
 	// Model identity: which bundle is serving, by registry version and
@@ -867,13 +862,11 @@ func (s *Service) resolveWhatIf(w http.ResponseWriter, root obs.SpanHandle, at i
 // response attribution come from the same version even if a hot-swap lands
 // mid-request. Each served answer counts under its tier, is remembered so
 // the online accuracy tracker can join it against the job's realized start
-// event, and is mirrored into the control plane's shadow scorer (no-op
-// unless a candidate is under evaluation; never blocks). A job whose
-// feature row could not be built is a bad request, not a tier outcome: only
-// fallback-tier answers and an exhausted chain may mark /health degraded.
+// event. A job whose feature row could not be built is a bad request, not
+// a tier outcome: only fallback-tier answers and an exhausted chain may
+// mark /health degraded.
 func (s *Service) serve(snaps []*Snapshot, root obs.SpanHandle) (*servingBundle, []BatchResult) {
 	sb := s.serving.Load()
-	ctl := s.ctl.Load()
 	results := sb.b.predictBatchWithFallback(snaps, root)
 	for i, res := range results {
 		if res.Tier != "" {
@@ -882,11 +875,7 @@ func (s *Service) serve(snaps []*Snapshot, root obs.SpanHandle) (*servingBundle,
 		if res.Err != nil {
 			continue
 		}
-		id := snaps[i].Target.ID
-		s.tracker.Record(id, res.Prob, res.Minutes, res.Long)
-		if ctl != nil {
-			ctl.ObserveServed(id, snaps[i], res.Prob, res.Minutes, res.Long)
-		}
+		s.tracker.Record(snaps[i].Target.ID, res.Prob, res.Minutes, res.Long)
 	}
 	return sb, results
 }
