@@ -65,8 +65,8 @@ func spansToJSON(spans []SpanRec) []SpanJSON {
 	return out
 }
 
-// traceJSONFrom builds the export line for a trace buffer (cloning the
-// spans, so stragglers appending after a 504 cannot race the writer).
+// traceJSONFrom builds the export line for a trace buffer from a clone of
+// its spans: the exporter goroutine writes it after the request returned.
 func traceJSONFrom(tb *TraceBuf) TraceJSON {
 	spans := tb.snapshot(time.Now().UnixNano())
 	line := TraceJSON{TraceID: tb.traceID, Spans: spansToJSON(spans)}

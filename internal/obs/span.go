@@ -50,11 +50,11 @@ type SpanRec struct {
 	Attrs     []Attr
 }
 
-// TraceBuf collects the spans of one trace; span 0 is the root. It is
-// mutex-guarded because the deadline middleware runs handlers on a
-// separate goroutine, so a handler racing its own 504 may still be
-// appending spans while the middleware finishes the trace. Finishing
-// therefore clones the spans it keeps and never recycles the buffer.
+// TraceBuf collects the spans of one trace; span 0 is the root. Finishing
+// clones the spans it keeps, because the flight recorder and the exporter
+// goroutine hold them after the request has returned; the buffer itself is
+// never recycled. The mutex is uncontended on the request path and keeps a
+// span handle that travels with a context to another goroutine safe.
 // A nil *TraceBuf is inert: its root is the no-op handle.
 type TraceBuf struct {
 	mu      sync.Mutex

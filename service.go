@@ -29,9 +29,9 @@ import (
 // ServiceConfig tunes the dashboard service's resilience envelope. The
 // zero value picks production-safe defaults.
 type ServiceConfig struct {
-	// RequestTimeout bounds each request's handling time; past it the
-	// client receives a JSON 504 and late handler output is discarded.
-	// 0 means 10s; negative disables the deadline.
+	// RequestTimeout bounds each request: past it the handler's context
+	// ends, its body reads fail and a first write sends a JSON 504 instead
+	// (a reply begun in time completes). 0 means 10s; negative disables it.
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps POST bodies (oversized requests get a JSON 413).
 	// 0 means 8 MiB; negative disables the limit.

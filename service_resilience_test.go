@@ -395,6 +395,34 @@ func TestServiceDeadline(t *testing.T) {
 	}
 }
 
+// TestServiceStalledEventsDurableBefore504 stalls a POST /events on a
+// WAL-backed store after two good lines. The handler runs on the request
+// goroutine, so its read fails at the deadline, it syncs the applied
+// prefix, and only then does its late reply become the 504: by the time
+// the client reads the status that prefix is durable.
+func TestServiceStalledEventsDurableBefore504(t *testing.T) {
+	srv, svc, _ := leaderService(t, trout.ServiceConfig{RequestTimeout: 100 * time.Millisecond})
+	st := svc.LiveStore()
+	before := st.Metrics().LSN
+	now := st.Engine().Now()
+
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	go fmt.Fprintf(pw, `{"type":"submit","time":%d,"job":{"id":9300001,"user":3,"partition":"shared","submit":%d,"req_cpus":8,"req_mem_gb":16,"req_nodes":1,"time_limit":7200,"priority":3000}}`+"\n"+
+		`{"type":"eligible","time":%d,"job_id":9300001}`+"\n", now, now, now+1)
+	resp, err := http.Post(srv.URL+"/events", "application/jsonl", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("stalled events status %d", resp.StatusCode)
+	}
+	if durable, lsn := st.DurableLSN(), st.Metrics().LSN; durable != lsn || lsn != before+2 {
+		t.Fatalf("at the 504: durable LSN %d, LSN %d, want both %d", durable, lsn, before+2)
+	}
+}
+
 // TestServiceTolerantStateUpload mixes corrupt rows into a /state body:
 // within budget they are skipped and reported; past it the upload fails.
 func TestServiceTolerantStateUpload(t *testing.T) {
