@@ -33,6 +33,10 @@ type HTTPOptions struct {
 	SLO *SLOTracker
 }
 
+// StatusAborted is the status Instrument logs and counts, as a server
+// error, for a request whose handler panicked (a reply aborted mid-body).
+const StatusAborted = 599
+
 // statusWriter captures the response status and byte count. Unwrap
 // keeps http.ResponseController working through the wrap.
 type statusWriter struct {
@@ -96,55 +100,56 @@ func Instrument(next http.Handler, o HTTPOptions) http.Handler {
 		}
 		ctx := context.WithValue(r.Context(), traceKey{}, tb)
 
+		code := StatusAborted // unless next returns: see the deferred record
+		defer func() {
+			elapsed := time.Since(start)
+			path := r.URL.Path
+			if o.PathFor != nil {
+				path = o.PathFor(r)
+			}
+			codeStr := strconv.Itoa(code)
+			if o.Requests != nil {
+				o.Requests.Inc(path, codeStr)
+			}
+			if o.Latency != nil {
+				o.Latency.Observe(elapsed.Seconds())
+			}
+			var stages stageTimings
+			if o.StageLatency != nil || o.Logger != nil {
+				stages = tb.stages()
+			}
+			if o.StageLatency != nil {
+				for _, s := range stages {
+					o.StageLatency.Observe(s.seconds, s.stage)
+				}
+			}
+			o.SLO.Observe(code, elapsed)
+			if o.Tracer.Enabled() {
+				root.SetAttr("status", codeStr)
+				root.SetAttrInt("bytes", sw.bytes)
+				if path != r.URL.Path {
+					// Unknown path clamped by PathFor: rename the root so the
+					// recorder and export share the bounded-cardinality label.
+					rootName = r.Method + " " + path
+				}
+				o.Tracer.FinishRequest(tb, root, rootName, code, elapsed)
+			}
+			if o.Logger != nil {
+				o.Logger.LogAttrs(ctx, slog.LevelInfo, "request",
+					slog.String("trace_id", id),
+					slog.String("method", r.Method),
+					slog.String("path", path),
+					slog.Int("status", code),
+					slog.Float64("duration_seconds", elapsed.Seconds()),
+					slog.Int64("bytes", sw.bytes),
+					slog.String("remote", r.RemoteAddr),
+					slog.Any("spans", stages),
+				)
+			}
+		}()
 		next.ServeHTTP(sw, r.WithContext(ctx))
-		elapsed := time.Since(start)
-
-		code := sw.code
-		if code == 0 {
+		if code = sw.code; code == 0 {
 			code = http.StatusOK
-		}
-		path := r.URL.Path
-		if o.PathFor != nil {
-			path = o.PathFor(r)
-		}
-		codeStr := strconv.Itoa(code)
-		if o.Requests != nil {
-			o.Requests.Inc(path, codeStr)
-		}
-		if o.Latency != nil {
-			o.Latency.Observe(elapsed.Seconds())
-		}
-		var stages stageTimings
-		if o.StageLatency != nil || o.Logger != nil {
-			stages = tb.stages()
-		}
-		if o.StageLatency != nil {
-			for _, s := range stages {
-				o.StageLatency.Observe(s.seconds, s.stage)
-			}
-		}
-		o.SLO.Observe(code, elapsed)
-		if o.Tracer.Enabled() {
-			root.SetAttr("status", codeStr)
-			root.SetAttrInt("bytes", sw.bytes)
-			if path != r.URL.Path {
-				// Unknown path clamped by PathFor: rename the root so the
-				// recorder and export share the bounded-cardinality label.
-				rootName = r.Method + " " + path
-			}
-			o.Tracer.FinishRequest(tb, root, rootName, code, elapsed)
-		}
-		if o.Logger != nil {
-			o.Logger.LogAttrs(ctx, slog.LevelInfo, "request",
-				slog.String("trace_id", id),
-				slog.String("method", r.Method),
-				slog.String("path", path),
-				slog.Int("status", code),
-				slog.Float64("duration_seconds", elapsed.Seconds()),
-				slog.Int64("bytes", sw.bytes),
-				slog.String("remote", r.RemoteAddr),
-				slog.Any("spans", stages),
-			)
 		}
 	})
 }

@@ -209,6 +209,40 @@ func TestInstrument(t *testing.T) {
 	}
 }
 
+// TestInstrumentRecordsAbort: a request that panics out of the chain
+// after its reply started is still counted and logged, as StatusAborted,
+// and the panic reaches net/http unchanged.
+func TestInstrumentRecordsAbort(t *testing.T) {
+	r := NewRegistry()
+	reqs := r.CounterVec("test_http_requests_total", "Reqs.", "path", "code")
+	var buf bytes.Buffer
+	logger, _ := NewLogger(&buf, "info", "json")
+	slo := NewSLOTracker(SLOConfig{})
+	h := Instrument(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		panic(http.ErrAbortHandler)
+	}), HTTPOptions{Logger: logger, Requests: reqs, SLO: slo})
+
+	func() {
+		defer func() {
+			if p := recover(); p != http.ErrAbortHandler {
+				t.Errorf("panic %v, want http.ErrAbortHandler", p)
+			}
+		}()
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/events", nil))
+	}()
+	if snap := reqs.Snapshot(); snap["/events,599"] != 1 {
+		t.Errorf("request counter = %v", snap)
+	}
+	var logRec map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &logRec); err != nil || logRec["status"] != float64(StatusAborted) {
+		t.Errorf("access log %q (err %v), want status %d", buf.String(), err, StatusAborted)
+	}
+	if st := slo.Status(); st.Windows[0].Requests != 1 || st.Windows[0].AvailabilityBurn == 0 {
+		t.Errorf("SLO window %+v, want one bad request", st.Windows[0])
+	}
+}
+
 func TestAccuracyTracker(t *testing.T) {
 	tr := NewAccuracyTracker(10, 4, 8)
 

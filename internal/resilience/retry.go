@@ -103,16 +103,10 @@ func (p Policy) Sleep(attempt int) time.Duration {
 
 func (p Policy) sleep(attempt int) time.Duration {
 	ceiling := float64(p.InitialInterval)
-	for i := 1; i < attempt; i++ {
+	for i := 1; i < attempt && ceiling < float64(p.MaxInterval); i++ {
 		ceiling *= p.Multiplier
-		if ceiling >= float64(p.MaxInterval) {
-			ceiling = float64(p.MaxInterval)
-			break
-		}
 	}
-	if ceiling > float64(p.MaxInterval) {
-		ceiling = float64(p.MaxInterval)
-	}
+	ceiling = min(ceiling, float64(p.MaxInterval))
 	d := ceiling*(1-p.Jitter) + p.Rand()*ceiling*p.Jitter
 	return time.Duration(d)
 }
