@@ -90,32 +90,23 @@ func main() {
 		maxBody        = flag.Int64("max-body", 8<<20, "maximum POST body bytes (413 past it)")
 		maxBatch       = flag.Int("max-batch", 256, "maximum jobs per /predict/batch request (-1 = unlimited)")
 
-		walDir     = flag.String("wal-dir", "", "live-state durability directory (WAL + checkpoints); empty = memory-only")
-		ckptEvery  = flag.Duration("checkpoint-interval", 5*time.Minute, "periodic live-state checkpoint cadence (0 disables)")
-		segBytes   = flag.Int64("segment-bytes", 4<<20, "seal the WAL into a sealed segment past this size; followers catch up from sealed segments (-1 = rotate only on checkpoint)")
-		retainSegs = flag.Int("retain-segments", 4, "sealed WAL segments kept for follower catch-up (-1 = keep all)")
+		walDir    = flag.String("wal-dir", "", "live-state durability directory (WAL + checkpoints); empty = memory-only")
+		ckptEvery = flag.Duration("checkpoint-interval", 5*time.Minute, "periodic live-state checkpoint cadence (0 disables)")
 
 		follow  = flag.String("follow", "", "follower mode: replicate live state from this leader troutd URL (e.g. http://leader:8642); /events and /state are reverse-proxied to it")
 		replLag = flag.Uint64("replication-lag-events", 4096, "follower: /ready turns 503 and /health degraded past this many events of lag")
 
-		registryDir    = flag.String("registry-dir", "", "model registry directory; enables the continual-learning control plane (drift-triggered retrain, holdout judge, hot-swap)")
-		registryRetain = flag.Int("registry-retain", 5, "non-active model blobs kept in the registry before pruning (-1 = keep all)")
-		retrainDrift   = flag.Float64("retrain-drift", 0.15, "absolute online calibration drift that triggers a retrain (-1 disables the drift trigger)")
-		retrainMAE     = flag.Float64("retrain-mae", 0, "online MAE (minutes) that triggers a retrain (0 disables)")
-		retrainWindow  = flag.Int("retrain-min-window", 64, "joined online outcomes required before drift triggers fire")
-		retrainEvery   = flag.Duration("retrain-interval", 30*time.Minute, "minimum spacing between automatic retrains (manual POST /admin/retrain bypasses it)")
+		registryDir   = flag.String("registry-dir", "", "model registry directory; enables the continual-learning control plane (drift-triggered retrain, holdout judge, hot-swap)")
+		retrainDrift  = flag.Float64("retrain-drift", 0.15, "absolute online calibration drift that triggers a retrain (-1 disables the drift trigger)")
+		retrainMAE    = flag.Float64("retrain-mae", 0, "online MAE (minutes) that triggers a retrain (0 disables)")
+		retrainWindow = flag.Int("retrain-min-window", 64, "joined online outcomes required before drift triggers fire")
+		retrainEvery  = flag.Duration("retrain-interval", 30*time.Minute, "minimum spacing between automatic retrains (manual POST /admin/retrain bypasses it)")
 
 		admitInflight = flag.Int("admit-inflight", 16, "concurrent ingest requests admitted on /events and /state (-1 disables admission control)")
-		admitQueue    = flag.Int("admit-queue", 64, "ingest requests allowed to queue for an admission slot; beyond it requests shed with 429")
-		admitTimeout  = flag.Duration("admit-queue-timeout", time.Second, "queued ingest requests shed with 429 after waiting this long")
+		admitQueue    = flag.Int("admit-queue", 64, "ingest requests allowed to queue for an admission slot; beyond it requests shed with 429 (as does one queued for over 1s)")
 
-		tracing       = flag.Bool("tracing", true, "hierarchical request tracing (span trees, flight recorder, tail-sampled export)")
-		traceFile     = flag.String("trace-file", "", "tail-sampled trace export JSONL file; empty keeps tracing in-memory only (/debug/requests still works)")
-		traceSample   = flag.Float64("trace-sample", 0.01, "head-sampling fraction of fast successful traces exported (negative disables; slow/errored traces always export)")
-		traceSlow     = flag.Duration("trace-slow", 250*time.Millisecond, "tail-keep any request trace at least this slow")
-		traceMaxBytes = flag.Int64("trace-max-bytes", 64<<20, "rotate the trace export file past this many bytes")
-		traceMaxFiles = flag.Int("trace-max-files", 4, "rotated trace export files kept, current included")
-		flightSlots   = flag.Int("flight-slots", 32, "flight-recorder depth: N slowest and N most recent errored requests on /debug/requests")
+		tracing   = flag.Bool("tracing", true, "hierarchical request tracing (span trees, flight recorder, tail-sampled export)")
+		traceFile = flag.String("trace-file", "", "tail-sampled trace export JSONL file (errored, over-250ms and 1% of other traces; rotated at 64 MiB, 4 files kept); empty keeps tracing in-memory only (/debug/requests still works)")
 
 		sloAvail     = flag.Float64("slo-availability", 0.999, "availability SLO target (fraction of non-5xx responses); negative disables SLO tracking")
 		sloLatFrac   = flag.Float64("slo-latency-target", 0.99, "latency SLO target (fraction of requests under -slo-latency-threshold)")
@@ -149,15 +140,7 @@ func main() {
 	// One tracer serves the whole process: HTTP requests, WAL
 	// syncs/checkpoints, retrain cycles, and follower resnapshots all land
 	// in the same export file and flight recorder.
-	tcfg := obs.TracerConfig{
-		Disabled:      !*tracing,
-		SampleRate:    *traceSample,
-		SlowThreshold: *traceSlow,
-		Path:          *traceFile,
-		MaxFileBytes:  *traceMaxBytes,
-		MaxFiles:      *traceMaxFiles,
-		FlightSlots:   *flightSlots,
-	}
+	tcfg := obs.TracerConfig{Disabled: !*tracing, Path: *traceFile}
 	tracer, err := obs.NewTracer(tcfg)
 	if err != nil {
 		fatal("open trace exporter", err)
@@ -169,9 +152,7 @@ func main() {
 		LatencyThreshold:   *sloLatThresh,
 	}
 	store, err := livestate.OpenStore(livestate.StoreOptions{
-		Dir: *walDir, Logf: obs.Logf(logger),
-		SegmentBytes: *segBytes, RetainSegments: *retainSegs,
-		Tracer: tracer,
+		Dir: *walDir, Logf: obs.Logf(logger), Tracer: tracer,
 	})
 	if err != nil {
 		fatal("open live-state store", err)
@@ -194,7 +175,7 @@ func main() {
 		LeaderURL:      *follow,
 		Replication:    replication.FollowerConfig{LagEvents: *replLag},
 		Admission: resilience.AdmissionConfig{
-			MaxInFlight: *admitInflight, MaxQueue: *admitQueue, QueueTimeout: *admitTimeout,
+			MaxInFlight: *admitInflight, MaxQueue: *admitQueue,
 		},
 		// The float32 kernel path; a model that cannot compile onto it
 		// logs a warning and serves float64.
@@ -217,7 +198,6 @@ func main() {
 		}
 		cp, err = svc.AttachControlPlane(trout.ControlPlaneConfig{
 			RegistryDir:    *registryDir,
-			RegistryRetain: *registryRetain,
 			DriftThreshold: *retrainDrift,
 			MAEThreshold:   *retrainMAE,
 			MinWindow:      *retrainWindow,
@@ -256,7 +236,7 @@ func main() {
 	}
 	if tracer.Enabled() && *traceFile != "" {
 		logger.Info("trace export enabled", slog.String("file", *traceFile),
-			slog.Float64("sample", *traceSample), slog.Duration("slow_threshold", *traceSlow))
+			slog.Duration("slow_threshold", tracer.SlowThreshold()))
 	}
 
 	// Profiling stays off the service listener: the pprof handlers are

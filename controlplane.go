@@ -92,11 +92,9 @@ func (s *Service) RollbackBundle() error {
 // ControlPlaneConfig configures AttachControlPlane. Zero values pick
 // production defaults; only RegistryDir is required.
 type ControlPlaneConfig struct {
-	// RegistryDir is the on-disk model registry root.
+	// RegistryDir is the on-disk model registry root; it keeps five
+	// non-active blobs besides the active one.
 	RegistryDir string
-	// RegistryRetain is how many non-active blobs to keep (0 = 5,
-	// negative keeps all).
-	RegistryRetain int
 
 	// DriftThreshold / MAEThreshold / MinWindow / MinInterval /
 	// CheckInterval drive the automatic retrain trigger; see
@@ -154,7 +152,7 @@ func (s *Service) AttachControlPlane(cfg ControlPlaneConfig) (*ControlPlane, err
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
 	}
-	reg, err := controlplane.OpenRegistry(cfg.RegistryDir, cfg.RegistryRetain)
+	reg, err := controlplane.OpenRegistry(cfg.RegistryDir, 0)
 	if err != nil {
 		return nil, err
 	}

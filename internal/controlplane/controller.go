@@ -514,20 +514,4 @@ func (c *Controller) Register(r *obs.Registry) {
 			emit(float64(c.failures.Load()), VerdictFailed)
 			emit(float64(c.rollbacks.Load()), VerdictRolledBack)
 		})
-	r.GaugeFunc("trout_controlplane_last_retrain_unix",
-		"When the last retrain cycle finished (unix seconds; 0 = never).",
-		func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			if c.lastRetrain.IsZero() {
-				return 0
-			}
-			return float64(c.lastRetrain.Unix())
-		})
-	r.GaugeFunc("trout_controlplane_registry_versions",
-		"Model versions recorded in the registry manifest.",
-		func() float64 { return float64(len(c.opt.Registry.List())) })
-	r.GaugeFunc("trout_controlplane_registry_active_version",
-		"Registry version currently active (0 = boot bundle).",
-		func() float64 { return float64(c.opt.Registry.ActiveVersion()) })
 }

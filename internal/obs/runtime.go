@@ -21,8 +21,6 @@ const runtimeRefresh = time.Second
 var runtimeMetricNames = []string{
 	"/sched/goroutines:goroutines",
 	"/memory/classes/heap/objects:bytes",
-	"/memory/classes/total:bytes",
-	"/gc/heap/objects:objects",
 	"/gc/cycles/total:gc-cycles",
 	"/gc/pauses:seconds",
 	"/sched/latencies:seconds",
@@ -59,7 +57,6 @@ func (s *runtimeSampler) get(key string) float64 {
 				s.vals[sm.Name] = sm.Value.Float64()
 			case metrics.KindFloat64Histogram:
 				h := sm.Value.Float64Histogram()
-				s.vals[sm.Name+"#p50"] = histQuantile(h, 0.50)
 				s.vals[sm.Name+"#p99"] = histQuantile(h, 0.99)
 			}
 		}
@@ -114,24 +111,12 @@ func RegisterRuntime(r *Registry) {
 	r.GaugeFunc("trout_runtime_heap_bytes",
 		"Bytes of live heap objects.",
 		func() float64 { return s.get("/memory/classes/heap/objects:bytes") })
-	r.GaugeFunc("trout_runtime_mem_total_bytes",
-		"Total bytes of memory mapped by the Go runtime.",
-		func() float64 { return s.get("/memory/classes/total:bytes") })
-	r.GaugeFunc("trout_runtime_heap_objects",
-		"Live heap object count.",
-		func() float64 { return s.get("/gc/heap/objects:objects") })
 	r.CounterFunc("trout_runtime_gc_cycles_total",
 		"Completed GC cycles.",
 		func() float64 { return s.get("/gc/cycles/total:gc-cycles") })
-	r.GaugeFunc("trout_runtime_gc_pause_p50_seconds",
-		"Median stop-the-world GC pause (process lifetime).",
-		func() float64 { return s.get("/gc/pauses:seconds#p50") })
 	r.GaugeFunc("trout_runtime_gc_pause_p99_seconds",
 		"p99 stop-the-world GC pause (process lifetime).",
 		func() float64 { return s.get("/gc/pauses:seconds#p99") })
-	r.GaugeFunc("trout_runtime_sched_latency_p50_seconds",
-		"Median goroutine scheduling latency (process lifetime).",
-		func() float64 { return s.get("/sched/latencies:seconds#p50") })
 	r.GaugeFunc("trout_runtime_sched_latency_p99_seconds",
 		"p99 goroutine scheduling latency (process lifetime).",
 		func() float64 { return s.get("/sched/latencies:seconds#p99") })

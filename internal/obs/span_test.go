@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -203,6 +204,44 @@ func TestHeadSampling(t *testing.T) {
 		t.Errorf("head-kept %d of 100 at rate 0.25", st.KeptHead)
 	}
 	tr.Close()
+}
+
+// TestExportQueueOverflow: a kept trace that finds the bounded export
+// queue full is dropped and counted on trout_trace_export_dropped_total,
+// never waited for; every kept trace is either written or counted.
+func TestExportQueueOverflow(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "traces.jsonl")
+	tr, err := NewTracer(TracerConfig{SampleRate: 1, Path: path, QueueLen: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	kept := uint64(0)
+	deadline := time.Now().Add(10 * time.Second)
+	for tr.Stats().ExportDropped == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d kept traces never overflowed a one-slot export queue", kept)
+		}
+		for range 256 {
+			tb, root := tr.StartTrace(NewTraceID(), "r", time.Now(), 0)
+			tr.FinishRequest(tb, root, "r", 200, time.Millisecond)
+			kept++
+		}
+	}
+	tr.Flush()
+	st := tr.Stats()
+	if st.Exported+st.ExportDropped != kept || uint64(len(readTraceLines(t, path))) != st.Exported {
+		t.Fatalf("%d kept traces: %d exported + %d dropped", kept, st.Exported, st.ExportDropped)
+	}
+	r := NewRegistry()
+	tr.Register(r)
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("trout_trace_export_dropped_total %d\n", st.ExportDropped); !strings.Contains(b.String(), want) {
+		t.Errorf("exposition lacks %q:\n%s", want, grepLine(b.String(), "trout_trace_export_dropped_total"))
+	}
 }
 
 func TestExporterRotation(t *testing.T) {
@@ -405,6 +444,7 @@ func TestRuntimeRegister(t *testing.T) {
 		"trout_runtime_goroutines",
 		"trout_runtime_heap_bytes",
 		"trout_runtime_gc_cycles_total",
+		"trout_runtime_gc_pause_p99_seconds",
 		"trout_runtime_sched_latency_p99_seconds",
 		"trout_runtime_gomaxprocs",
 	} {

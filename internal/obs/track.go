@@ -235,9 +235,6 @@ func (t *AccuracyTracker) Register(r *Registry) {
 	r.CounterFunc("trout_online_unmatched_starts_total",
 		"Start events observed for jobs that were never predicted.",
 		func() float64 { return float64(t.Stats().Unmatched) })
-	r.CounterFunc("trout_online_evicted_total",
-		"Tracked predictions dropped before their job started (capacity).",
-		func() float64 { return float64(t.Stats().Evicted) })
 	r.GaugeFunc("trout_online_pending_predictions",
 		"Predictions awaiting their job's start event.",
 		func() float64 { return float64(t.Stats().Pending) })

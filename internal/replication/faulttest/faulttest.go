@@ -134,10 +134,9 @@ type Harness struct {
 
 	down atomic.Bool
 
-	mu     sync.Mutex
-	store  *livestate.Store
-	leader *replication.Leader
-	mux    *http.ServeMux
+	mu    sync.Mutex
+	store *livestate.Store
+	mux   *http.ServeMux
 }
 
 // NewHarness opens a leader store with opt (Dir forced to a fresh temp dir
@@ -161,11 +160,10 @@ func (h *Harness) openStore() {
 	if err != nil {
 		h.t.Fatalf("faulttest: open leader store: %v", err)
 	}
-	l := replication.NewLeader(s, replication.LeaderOptions{})
 	mux := http.NewServeMux()
-	l.Register(mux)
+	replication.NewLeader(s).Register(mux)
 	h.mu.Lock()
-	h.store, h.leader, h.mux = s, l, mux
+	h.store, h.mux = s, mux
 	h.mu.Unlock()
 }
 
@@ -195,13 +193,6 @@ func (h *Harness) Store() *livestate.Store {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.store
-}
-
-// Leader returns the current serving wrapper (for its Stats).
-func (h *Harness) Leader() *replication.Leader {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.leader
 }
 
 // Kill simulates kill -9: the store is abandoned with no Close and no

@@ -225,7 +225,4 @@ func TestHarnessStatusRoundTrip(t *testing.T) {
 	if resp.Header.Get(replication.HeaderLeaderLSN) == "" {
 		t.Fatal("missing leader LSN header")
 	}
-	if h.Leader().Stats().WALRequests != 0 {
-		t.Fatalf("unexpected WAL requests: %+v", h.Leader().Stats())
-	}
 }

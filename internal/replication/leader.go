@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/livestate"
@@ -42,60 +41,24 @@ const (
 	HeaderSnapshotLSN = "X-Trout-Snapshot-Lsn"
 )
 
-// LeaderOptions tunes the serving side.
-type LeaderOptions struct {
-	// MaxBatchBytes caps one WAL response. 0 means 4 MiB.
-	MaxBatchBytes int64
-	// MaxWait caps the long-poll window a follower may request. 0 means 55s.
-	MaxWait time.Duration
-}
-
-// LeaderStats counts what the leader shipped, for the /metrics collectors.
-type LeaderStats struct {
-	WALRequests   uint64
-	BytesShipped  uint64
-	Snapshots     uint64
-	Conflicts     uint64 // 409s: follower ahead of leader
-	Subsumed      uint64 // 410s: follower behind retention
-	LongPollIdles uint64 // 204s
-}
+// The serving side's bounds.
+const (
+	// maxBatchBytes caps one WAL response.
+	maxBatchBytes int64 = 4 << 20
+	// maxWait caps the long-poll window a follower may request.
+	maxWait = 55 * time.Second
+)
 
 // Leader serves a store's WAL and snapshots to followers.
 type Leader struct {
 	store *livestate.Store
-	opt   LeaderOptions
-
-	walRequests   atomic.Uint64
-	bytesShipped  atomic.Uint64
-	snapshots     atomic.Uint64
-	conflicts     atomic.Uint64
-	subsumed      atomic.Uint64
-	longPollIdles atomic.Uint64
 }
 
 // NewLeader wraps store for replication serving. The store must be
 // WAL-backed (Persistent) to serve /replication/wal; snapshots work either
 // way.
-func NewLeader(store *livestate.Store, opt LeaderOptions) *Leader {
-	if opt.MaxBatchBytes == 0 {
-		opt.MaxBatchBytes = 4 << 20
-	}
-	if opt.MaxWait == 0 {
-		opt.MaxWait = 55 * time.Second
-	}
-	return &Leader{store: store, opt: opt}
-}
-
-// Stats snapshots the shipping counters.
-func (l *Leader) Stats() LeaderStats {
-	return LeaderStats{
-		WALRequests:   l.walRequests.Load(),
-		BytesShipped:  l.bytesShipped.Load(),
-		Snapshots:     l.snapshots.Load(),
-		Conflicts:     l.conflicts.Load(),
-		Subsumed:      l.subsumed.Load(),
-		LongPollIdles: l.longPollIdles.Load(),
-	}
+func NewLeader(store *livestate.Store) *Leader {
+	return &Leader{store: store}
 }
 
 // Register mounts the replication endpoints on mux.
@@ -118,7 +81,6 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 		resilience.WriteError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
-	l.walRequests.Add(1)
 	if !l.store.Persistent() {
 		resilience.WriteError(w, http.StatusNotImplemented,
 			"replication: leader runs memory-only (no -wal-dir); only snapshots are served")
@@ -130,7 +92,7 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 		resilience.WriteError(w, http.StatusBadRequest, fmt.Sprintf("replication: bad from: %v", err))
 		return
 	}
-	maxBytes := l.opt.MaxBatchBytes
+	maxBytes := maxBatchBytes
 	if v := q.Get("max_bytes"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || n <= 0 {
@@ -148,8 +110,8 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 			resilience.WriteError(w, http.StatusBadRequest, "replication: bad wait")
 			return
 		}
-		if d > l.opt.MaxWait {
-			d = l.opt.MaxWait
+		if d > maxWait {
+			d = maxWait
 		}
 		wait = d
 	}
@@ -158,7 +120,6 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 	// diverged (e.g. it outlived a leader that lost its WAL dir); signal
 	// before long-polling or it would idle out to 204s forever.
 	if from > l.store.DurableLSN() {
-		l.conflicts.Add(1)
 		l.setPosHeaders(w)
 		resilience.WriteError(w, http.StatusConflict,
 			fmt.Sprintf("replication: follower at %d is ahead of leader %d (diverged; re-snapshot)",
@@ -176,7 +137,6 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			l.longPollIdles.Add(1)
 			l.setPosHeaders(w)
 			w.WriteHeader(http.StatusNoContent)
 			return
@@ -197,7 +157,6 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	_, _, err = l.store.ReadWAL(from, maxBytes, &buf)
 	if err == livestate.ErrSubsumed {
-		l.subsumed.Add(1)
 		l.setPosHeaders(w)
 		resilience.WriteError(w, http.StatusGone,
 			fmt.Sprintf("replication: records after %d no longer retained (oldest %d); re-snapshot",
@@ -211,8 +170,7 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 	l.setPosHeaders(w)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	n, _ := w.Write(buf.Bytes())
-	l.bytesShipped.Add(uint64(n))
+	_, _ = w.Write(buf.Bytes())
 }
 
 func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -226,13 +184,11 @@ func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		resilience.WriteError(w, http.StatusInternalServerError, fmt.Sprintf("replication: snapshot: %v", err))
 		return
 	}
-	l.snapshots.Add(1)
 	l.setPosHeaders(w)
 	w.Header().Set(HeaderSnapshotLSN, strconv.FormatUint(lsn, 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	n, _ := w.Write(buf.Bytes())
-	l.bytesShipped.Add(uint64(n))
+	_, _ = w.Write(buf.Bytes())
 }
 
 // StatusResponse is the /replication/status payload.

@@ -48,14 +48,13 @@ func feed(t *testing.T, s *livestate.Store, firstID, n int) {
 // fastRetry keeps test reconnects snappy.
 var fastRetry = resilience.Policy{InitialInterval: 5 * time.Millisecond, MaxInterval: 50 * time.Millisecond}
 
-func newLeaderServer(t *testing.T, s *livestate.Store, opt LeaderOptions) (*Leader, *httptest.Server) {
+func newLeaderServer(t *testing.T, s *livestate.Store) *httptest.Server {
 	t.Helper()
-	l := NewLeader(s, opt)
 	mux := http.NewServeMux()
-	l.Register(mux)
+	NewLeader(s).Register(mux)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
-	return l, srv
+	return srv
 }
 
 func startFollower(t *testing.T, cfg FollowerConfig) (*Follower, context.CancelFunc) {
@@ -116,7 +115,7 @@ func TestFollowerCatchUpAndLiveTail(t *testing.T) {
 	defer ls.Close()
 	feed(t, ls, 1, 40)
 
-	_, srv := newLeaderServer(t, ls, LeaderOptions{})
+	srv := newLeaderServer(t, ls)
 	fs, err := livestate.OpenStore(livestate.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +159,7 @@ func TestFollowerResnapshotsWhenBehindRetention(t *testing.T) {
 		t.Fatalf("precondition: history not pruned (oldest %d)", ls.OldestLSN())
 	}
 
-	_, srv := newLeaderServer(t, ls, LeaderOptions{})
+	srv := newLeaderServer(t, ls)
 	fs, err := livestate.OpenStore(livestate.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +187,7 @@ func TestFollowerResnapshotsOnGenChange(t *testing.T) {
 	defer ls.Close()
 	feed(t, ls, 1, 10)
 
-	_, srv := newLeaderServer(t, ls, LeaderOptions{})
+	srv := newLeaderServer(t, ls)
 	fs, err := livestate.OpenStore(livestate.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +217,7 @@ func TestLeaderLongPollAndStatus(t *testing.T) {
 	}
 	defer ls.Close()
 	feed(t, ls, 1, 3)
-	l, srv := newLeaderServer(t, ls, LeaderOptions{})
+	srv := newLeaderServer(t, ls)
 
 	// At-head long-poll with a short window returns 204 + position headers.
 	lsn := ls.DurableLSN()
@@ -233,9 +232,6 @@ func TestLeaderLongPollAndStatus(t *testing.T) {
 	}
 	if resp.Header.Get(HeaderLeaderLSN) == "" || resp.Header.Get(HeaderStateGen) == "" {
 		t.Fatal("204 missing position headers")
-	}
-	if l.Stats().LongPollIdles != 1 {
-		t.Fatalf("stats: %+v", l.Stats())
 	}
 
 	// A follower claiming a future position gets 409.
@@ -285,7 +281,7 @@ func TestReplicationRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ls.Close()
-	_, srv := newLeaderServer(t, ls, LeaderOptions{})
+	srv := newLeaderServer(t, ls)
 
 	var followers []*livestate.Store
 	for i := 0; i < 2; i++ {

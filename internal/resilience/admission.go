@@ -78,9 +78,6 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 // InFlight returns the requests currently holding a slot.
 func (a *Admission) InFlight() int64 { return a.inflight.Load() }
 
-// Queued returns the requests currently waiting for a slot.
-func (a *Admission) Queued() int64 { return a.queued.Load() }
-
 func (a *Admission) decide(decision string) {
 	if a.cfg.OnDecision != nil {
 		a.cfg.OnDecision(decision)

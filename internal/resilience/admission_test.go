@@ -58,7 +58,7 @@ func TestAdmissionQueuedRequestGetsFreedSlot(t *testing.T) {
 	}()
 	// Let the second request queue, then free the slot: it must be admitted,
 	// not shed.
-	waitFor(t, func() bool { return a.Queued() == 1 })
+	waitFor(t, func() bool { return a.queued.Load() == 1 })
 	close(release)
 	<-entered
 	if code := <-done; code != http.StatusOK {
@@ -87,14 +87,14 @@ func TestAdmissionClientCancelWhileQueued(t *testing.T) {
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/events", nil).WithContext(ctx))
 		close(done)
 	}()
-	waitFor(t, func() bool { return a.Queued() == 1 })
+	waitFor(t, func() bool { return a.queued.Load() == 1 })
 	cancel()
 	<-done
 	if d := <-shed; d != AdmissionShedCanceled {
 		t.Fatalf("decision = %q, want %q", d, AdmissionShedCanceled)
 	}
-	if a.Queued() != 0 {
-		t.Fatalf("queued gauge leaked after cancel: %d", a.Queued())
+	if a.queued.Load() != 0 {
+		t.Fatalf("queued gauge leaked after cancel: %d", a.queued.Load())
 	}
 	var nilGate *Admission
 	if nilGate.Middleware(h) == nil {

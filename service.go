@@ -107,19 +107,8 @@ func (c *ServiceConfig) defaults() {
 }
 
 // Service is the paper's §V "user dashboard tool": an HTTP front-end over a
-// trained bundle plus a live queue state. Handlers:
-//
-//	GET  /health          — liveness + model metadata + fallback-tier counters
-//	GET  /ready           — readiness (503 while draining or not yet serving)
-//	GET  /predict?job=ID  — Algorithm 1 for a job pending in the queue state
-//	POST /predict         — Algorithm 1 for a hypothetical job (JSON spec)
-//	POST /predict/batch   — Algorithm 1 for many hypothetical jobs at one
-//	                        instant (snapshot resolved once, mini-batched NN)
-//	POST /state           — bulk-load the queue state (JSONL-decoded trace)
-//	POST /events          — apply a JSONL job-event stream to the live engine
-//	GET  /features?job=ID — the engineered 33-feature vector (debugging)
-//	GET  /metrics         — Prometheus text exposition (counters, latency,
-//	                        livestate gauges, WAL lag)
+// trained bundle plus a live queue state. Its routes are README's endpoint
+// table, which surface_test.go holds to the registered set.
 //
 // Every request runs behind panic-recovery, per-request deadline, and
 // body-limit middleware; predictions go through the bundle's fallback
@@ -189,6 +178,9 @@ func NewServiceWith(b *Bundle, initial *Trace, cfg ServiceConfig) (*Service, err
 		return nil, fmt.Errorf("trout: service needs a bundle")
 	}
 	cfg.defaults()
+	if err := validSLO(cfg.SLO); err != nil {
+		return nil, err
+	}
 	if cfg.Live == nil {
 		st, err := livestate.OpenStore(livestate.StoreOptions{})
 		if err != nil {
@@ -215,7 +207,7 @@ func NewServiceWith(b *Bundle, initial *Trace, cfg ServiceConfig) (*Service, err
 	s.slo = obs.NewSLOTracker(cfg.SLO)
 	s.applyFastInference(b)
 	s.serving.Store(&servingBundle{b: b})
-	s.repLeader = replication.NewLeader(s.live, replication.LeaderOptions{})
+	s.repLeader = replication.NewLeader(s.live)
 	if cfg.LeaderURL != "" {
 		fc := cfg.Replication
 		fc.LeaderURL = cfg.LeaderURL
@@ -247,6 +239,31 @@ func NewServiceWith(b *Bundle, initial *Trace, cfg ServiceConfig) (*Service, err
 	}
 	s.ready.Store(true)
 	return s, nil
+}
+
+// validSLO refuses an enabled SLO whose burn rates cannot be served. A
+// burn rate divides by the error budget 1 - target: a target of 1 makes
+// it NaN, which /health cannot encode and no alert compares against, and
+// a target above 1 makes it negative, so it never pages.
+func validSLO(c obs.SLOConfig) error {
+	if c.Disabled {
+		return nil
+	}
+	for _, o := range []struct {
+		name, flag string
+		target     float64
+	}{
+		{"availability", "-slo-availability", c.AvailabilityTarget},
+		{"latency", "-slo-latency-target", c.LatencyTarget},
+	} {
+		if o.target != 0 && !(o.target > 0 && o.target < 1) { // 0 picks the default
+			return fmt.Errorf("trout: SLO %s target %v (%s) must lie strictly between 0 and 1", o.name, o.target, o.flag)
+		}
+	}
+	if c.LatencyThreshold < 0 {
+		return fmt.Errorf("trout: SLO latency threshold %v (-slo-latency-threshold) is negative", c.LatencyThreshold)
+	}
+	return nil
 }
 
 // applyFastInference moves b onto the configured inference path. It is
@@ -326,21 +343,12 @@ func (s *Service) initTelemetry() {
 				emit(float64(pc.Running), p)
 			}
 		})
-	r.GaugeFunc("trout_livestate_tracked_jobs",
-		"Jobs held by the live-state engine (active + retained history).",
-		func() float64 { return float64(eng.Stats().Tracked) })
 	r.GaugeFunc("trout_livestate_history_entries",
 		"Submission-history records inside the 24h rolling window.",
 		func() float64 { return float64(eng.Stats().HistoryEntries) })
-	r.GaugeFunc("trout_livestate_now_seconds",
-		"The engine's event clock (unix seconds of the newest applied event).",
-		func() float64 { return float64(eng.Stats().Now) })
 	r.GaugeFunc("trout_wal_lag_records",
 		"Applied events not yet covered by a checkpoint (LSN - checkpoint LSN).",
 		func() float64 { m := s.live.Metrics(); return float64(m.LSN - m.CheckpointLSN) })
-	r.GaugeFunc("trout_wal_bytes",
-		"Current write-ahead log size in bytes (0 for memory-only stores).",
-		func() float64 { return float64(s.live.Metrics().WALBytes) })
 	r.CounterFunc("trout_checkpoints_total",
 		"Checkpoints taken since the store opened.",
 		func() float64 { return float64(s.live.Metrics().Checkpoints) })
@@ -374,9 +382,6 @@ func (s *Service) initTelemetry() {
 	r.GaugeFunc("trout_admission_in_flight",
 		"Ingest requests currently holding an admission slot.",
 		func() float64 { return float64(s.admission.InFlight()) })
-	r.GaugeFunc("trout_admission_queued",
-		"Ingest requests currently queued for an admission slot.",
-		func() float64 { return float64(s.admission.Queued()) })
 
 	// Serving hot path: how often a snapshot reused the engine's memoized
 	// queue extraction.
@@ -395,18 +400,6 @@ func (s *Service) initTelemetry() {
 	r.CounterFunc("trout_jobruntime_evals_total",
 		"Job-runtime forest evaluations by the serving bundle (its memo's misses); restarts at 0 when the bundle is swapped.",
 		func() float64 { return float64(s.serving.Load().b.Runtime.Evals()) })
-
-	// Leader-side replication counters (what this node shipped to
-	// followers), sampled at scrape time.
-	r.CounterFunc("trout_replication_wal_requests_total",
-		"WAL fetches served to followers.",
-		func() float64 { return float64(s.repLeader.Stats().WALRequests) })
-	r.CounterFunc("trout_replication_bytes_shipped_total",
-		"WAL and snapshot bytes shipped to followers.",
-		func() float64 { return float64(s.repLeader.Stats().BytesShipped) })
-	r.CounterFunc("trout_replication_snapshots_served_total",
-		"Full snapshots served to followers.",
-		func() float64 { return float64(s.repLeader.Stats().Snapshots) })
 
 	// Follower-side lag and progress (follower mode only).
 	if s.follower != nil {

@@ -278,6 +278,74 @@ func TestLeaderFollowerIdenticalAnswers(t *testing.T) {
 	}
 }
 
+// TestFollowerReplicationMetrics pins the follower's trout_replication_*
+// families to what replication did: caught up with no lag after the
+// bootstrap re-snapshot (the leader's seed is a state swap, so the replica
+// starts from /replication/snapshot), one applied record per event the
+// leader applied, and fetch errors once the leader is gone.
+func TestFollowerReplicationMetrics(t *testing.T) {
+	lsrv, lsvc, e := leaderService(t, trout.ServiceConfig{})
+	fsrv, fsvc := followerService(t, lsrv.URL)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	fsvc.StartReplication(ctx)
+	waitReplicated(t, lsvc, fsvc)
+
+	body, _ := scrape(t, fsrv.URL)
+	for series, want := range map[string]float64{
+		"trout_replication_caught_up":   1,
+		"trout_replication_lag_events":  0,
+		"trout_replication_lag_seconds": 0,
+	} {
+		if got := metricValue(t, body, series); got != want {
+			t.Errorf("%s = %v after catch-up, want %v", series, got, want)
+		}
+	}
+	if n := metricValue(t, body, "trout_replication_resnapshots_total"); n < 1 {
+		t.Errorf("trout_replication_resnapshots_total = %v, want >= 1 (bootstrap from a seeded leader)", n)
+	}
+	applied0 := metricValue(t, body, "trout_replication_records_applied_total")
+
+	now := e.Trace.Jobs[len(e.Trace.Jobs)-1].End + 100
+	applied := 0
+	for i := range 3 {
+		applied += postEvents(t, lsrv.URL, cacheEventsBody(9300001+i, now+int64(10*i))).Applied
+	}
+	if applied != 6 {
+		t.Fatalf("leader applied %d events, want 6", applied)
+	}
+	waitReplicated(t, lsvc, fsvc)
+	body, _ = scrape(t, fsrv.URL)
+	if got := metricValue(t, body, "trout_replication_records_applied_total") - applied0; got != float64(applied) {
+		t.Errorf("trout_replication_records_applied_total grew by %v, want the %d events the leader applied", got, applied)
+	}
+
+	// The snapshot a re-snapshotting follower fetches is served at the
+	// leader's position.
+	resp, err := http.Get(lsrv.URL + "/replication/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprint(lsvc.LiveStore().Metrics().LSN); resp.StatusCode != http.StatusOK || resp.Header.Get(replication.HeaderSnapshotLSN) != want {
+		t.Errorf("/replication/snapshot: %d at LSN %q, want 200 at %s", resp.StatusCode, resp.Header.Get(replication.HeaderSnapshotLSN), want)
+	}
+
+	lsrv.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		body, _ = scrape(t, fsrv.URL)
+		if metricValue(t, body, "trout_replication_fetch_errors_total") >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("trout_replication_fetch_errors_total stayed 0 with the leader closed")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestEventsRefusedBodyIsDurable: a body refused partway (here the
 // bad-line budget's 400) leaves its applied prefix in the engine, where
 // /predict serves it — so that prefix must be fsynced before the reply. The

@@ -5,13 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	trout "repro"
+	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/trace"
 )
@@ -408,5 +411,49 @@ func TestServiceConcurrentAccess(t *testing.T) {
 func TestNewServiceValidation(t *testing.T) {
 	if _, err := trout.NewServiceWith(nil, nil, trout.ServiceConfig{}); err == nil {
 		t.Fatal("nil bundle accepted")
+	}
+}
+
+// TestNewServiceRefusesDegenerateSLO pins the SLO guard: a target of 1
+// has no error budget (its burn rate is NaN, so /health cannot encode and
+// the alert reads "ok" through a full outage) and one above 1 a negative
+// burn that never pages, so the service refuses both, naming the troutd
+// flag. The daemon's negative "disable" value still boots.
+func TestNewServiceRefusesDegenerateSLO(t *testing.T) {
+	b := resilientBundle(t)
+	for _, c := range []struct {
+		slo  obs.SLOConfig
+		flag string
+	}{
+		{obs.SLOConfig{AvailabilityTarget: 1}, "-slo-availability"},
+		{obs.SLOConfig{AvailabilityTarget: 1.5}, "-slo-availability"},
+		{obs.SLOConfig{AvailabilityTarget: math.NaN()}, "-slo-availability"},
+		{obs.SLOConfig{LatencyTarget: 1}, "-slo-latency-target"},
+		{obs.SLOConfig{LatencyTarget: -0.5}, "-slo-latency-target"},
+		{obs.SLOConfig{LatencyThreshold: -time.Second}, "-slo-latency-threshold"},
+	} {
+		_, err := trout.NewServiceWith(b, nil, trout.ServiceConfig{SLO: c.slo})
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%+v: err = %v, want a refusal naming %s", c.slo, err, c.flag)
+		}
+	}
+	for _, slo := range []obs.SLOConfig{
+		{Disabled: true, AvailabilityTarget: -1}, // troutd -slo-availability -1
+		{AvailabilityTarget: 0.5, LatencyTarget: 0.9999},
+	} {
+		svc, err := trout.NewServiceWith(b, nil, trout.ServiceConfig{SLO: slo})
+		if err != nil {
+			t.Fatalf("%+v refused: %v", slo, err)
+		}
+		srv := httptest.NewServer(svc.Handler())
+		resp, err := http.Get(srv.URL + "/predict?job=1") // a 404 the SLO observes
+		if err == nil {
+			resp.Body.Close()
+		}
+		var h map[string]any
+		if code := getJSON(t, srv.URL+"/health", &h); code != http.StatusOK {
+			t.Errorf("%+v: /health answered %d", slo, code)
+		}
+		srv.Close()
 	}
 }
