@@ -34,8 +34,9 @@ loc:
 # encoding/json, the WAL segment reader, the WAL record encoder against
 # json.Marshal, the model registry manifest decoder, the forest gob
 # decoder, the queue-column feature row against the per-job walk, the
-# engine-replay dataset against the trace scan and the interval trees, and
-# the engine's memoized snapshots against a fresh extraction (corpus seeds
+# engine-replay dataset against the trace scan and the interval trees, the
+# engine's memoized snapshots against a fresh extraction, and the appended
+# access-log line against slog's JSON handler (corpus seeds
 # + 5s of mutation each; Go allows one -fuzz target per run).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodePredictRequest -fuzztime 5s .
@@ -47,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALEncode -fuzztime 5s ./internal/livestate
 	$(GO) test -run '^$$' -fuzz FuzzManifestDecode -fuzztime 5s ./internal/controlplane
 	$(GO) test -run '^$$' -fuzz FuzzForestGob -fuzztime 5s ./internal/baselines
+	$(GO) test -run '^$$' -fuzz FuzzAccessLine -fuzztime 5s ./internal/obs
 
 # Line-by-line lint of the /metrics Prometheus exposition (HELP/TYPE
 # pairing, label escaping, cumulative buckets, deterministic ordering).

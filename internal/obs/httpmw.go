@@ -33,6 +33,11 @@ type HTTPOptions struct {
 	SLO *SLOTracker
 }
 
+// traceIDKey is TraceIDHeader in canonical form: Instrument reads and
+// echoes the ID under it without Header.Get/Set canonicalizing (and, as
+// TraceIDHeader is not canonical, allocating) on every request.
+var traceIDKey = http.CanonicalHeaderKey(TraceIDHeader)
+
 // StatusAborted is the status Instrument logs and counts, as a server
 // error, for a request whose handler panicked (a reply aborted mid-body).
 const StatusAborted = 599
@@ -72,16 +77,33 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // carrying the trace ID and the tree's stage spans.
 //
 // Cross-node continuity: a well-formed X-Trout-Parent-Span header links
-// the root span to the caller's span (same trace ID, other node), and
-// the header is rewritten to this request's root span ID so a reverse
-// proxy hop forwards the linkage downstream.
+// the root span to the caller's span (same trace ID, other node). A
+// proxy that forwards the request sets that header on its outbound copy
+// to TraceFrom(ctx).Root().ID().
+//
+// With a JSON logger from NewLogger, the access record is appended to its
+// sink directly (appendAccess), the same bytes slog would write; any
+// other logger gets it through LogAttrs.
 func Instrument(next http.Handler, o HTTPOptions) http.Handler {
+	var stageHists [len(stageNames)]*Histogram
+	if o.StageLatency != nil {
+		for i, name := range stageNames {
+			stageHists[i] = o.StageLatency.With(name)
+		}
+	}
+	var fastLog jsonHandler
+	if o.Logger != nil {
+		fastLog, _ = o.Logger.Handler().(jsonHandler)
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := SanitizeTraceID(r.Header.Get(TraceIDHeader))
+		var id string
+		if v := r.Header[traceIDKey]; len(v) > 0 {
+			id = SanitizeTraceID(v[0])
+		}
 		if id == "" {
 			id = NewTraceID()
 		}
-		w.Header().Set(TraceIDHeader, id)
+		w.Header()[traceIDKey] = []string{id}
 
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
@@ -93,8 +115,6 @@ func Instrument(next http.Handler, o HTTPOptions) http.Handler {
 			remoteParent := ParseSpanID(r.Header.Get(ParentSpanHeader))
 			tb, root = o.Tracer.StartTrace(id, rootName, start, remoteParent)
 			root.SetAttr("remote", r.RemoteAddr)
-			// Forward our root as the parent for any proxied hop.
-			r.Header.Set(ParentSpanHeader, FormatSpanID(root.ID()))
 		} else {
 			tb, root = newTrace(id, rootName, start)
 		}
@@ -114,13 +134,14 @@ func Instrument(next http.Handler, o HTTPOptions) http.Handler {
 			if o.Latency != nil {
 				o.Latency.Observe(elapsed.Seconds())
 			}
+			logged := o.Logger != nil && o.Logger.Enabled(ctx, slog.LevelInfo)
 			var stages stageTimings
-			if o.StageLatency != nil || o.Logger != nil {
+			if o.StageLatency != nil || logged {
 				stages = tb.stages()
 			}
 			if o.StageLatency != nil {
 				for _, s := range stages {
-					o.StageLatency.Observe(s.seconds, s.stage)
+					stageHists[stageIndex(s.stage)].Observe(s.seconds)
 				}
 			}
 			o.SLO.Observe(code, elapsed)
@@ -134,17 +155,17 @@ func Instrument(next http.Handler, o HTTPOptions) http.Handler {
 				}
 				o.Tracer.FinishRequest(tb, root, rootName, code, elapsed)
 			}
-			if o.Logger != nil {
-				o.Logger.LogAttrs(ctx, slog.LevelInfo, "request",
-					slog.String("trace_id", id),
-					slog.String("method", r.Method),
-					slog.String("path", path),
-					slog.Int("status", code),
-					slog.Float64("duration_seconds", elapsed.Seconds()),
-					slog.Int64("bytes", sw.bytes),
-					slog.String("remote", r.RemoteAddr),
-					slog.Any("spans", stages),
-				)
+			if !logged {
+				return
+			}
+			rec := accessRecord{
+				traceID: id, method: r.Method, path: path, remote: r.RemoteAddr,
+				status: code, seconds: elapsed.Seconds(), bytes: sw.bytes, stages: stages,
+			}
+			if fastLog.JSONHandler != nil {
+				fastLog.writeAccess(start.Add(elapsed), &rec)
+			} else {
+				o.Logger.LogAttrs(ctx, slog.LevelInfo, "request", rec.attrs()...)
 			}
 		}()
 		next.ServeHTTP(sw, r.WithContext(ctx))

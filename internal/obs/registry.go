@@ -90,15 +90,25 @@ func (f *family) get(vals []string) *series {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d",
 			f.name, len(f.labels), len(vals)))
 	}
-	k := strings.Join(vals, "\xff")
+	// The key is built on the stack; a hit looks it up without
+	// allocating, only a new series keeps a copy.
+	var kb [128]byte
+	key := kb[:0]
+	for i, v := range vals {
+		if i > 0 {
+			key = append(key, 0xff)
+		}
+		key = append(key, v...)
+	}
 	f.mu.RLock()
-	s := f.series[k]
+	s := f.series[string(key)]
 	f.mu.RUnlock()
 	if s != nil {
 		return s
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	k := string(key)
 	if s = f.series[k]; s != nil {
 		return s
 	}
@@ -293,11 +303,6 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 // With returns the histogram for one label-value combination.
 func (v *HistogramVec) With(labelValues ...string) *Histogram {
 	return &Histogram{s: v.f.get(labelValues), buckets: v.f.buckets}
-}
-
-// Observe is shorthand for With(labelValues...).Observe(val).
-func (v *HistogramVec) Observe(val float64, labelValues ...string) {
-	v.With(labelValues...).Observe(val)
 }
 
 func checkBuckets(name string, buckets []float64) {

@@ -488,9 +488,11 @@ func TestInstrumentWithTracer(t *testing.T) {
 	}
 	slo := NewSLOTracker(SLOConfig{})
 	var parentSeen string
+	var rootSeen uint64
 	h := Instrument(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		parentSeen = r.Header.Get(ParentSpanHeader)
 		root := TraceFrom(r.Context()).Root()
+		rootSeen = root.ID()
 		sp := root.StartChild("inner")
 		root.StartChild(StageSnapshot).End()
 		sp.End()
@@ -523,9 +525,13 @@ func TestInstrumentWithTracer(t *testing.T) {
 	if root.Attrs["status"] != "200" || root.Attrs["bytes"] != "2" || root.Attrs["remote"] == "" {
 		t.Errorf("root attrs = %v", root.Attrs)
 	}
-	// The downstream hop sees this request's root span as its parent.
-	if parentSeen != root.SpanID {
-		t.Errorf("forwarded parent %q != root span %q", parentSeen, root.SpanID)
+	// The inbound header is left alone; a proxied hop takes its parent
+	// from the context's root span (the follower's write proxy does).
+	if parentSeen != "00000000000000ff" {
+		t.Errorf("inbound parent header rewritten to %q", parentSeen)
+	}
+	if FormatSpanID(rootSeen) != root.SpanID {
+		t.Errorf("context root span %x != exported root span %q", rootSeen, root.SpanID)
 	}
 	names := map[string]string{} // name -> parent
 	for _, s := range line.Spans {

@@ -33,7 +33,9 @@ func NewTraceID() string {
 		// requests flowing and is still greppable.
 		return "0000000000000000"
 	}
-	return hex.EncodeToString(b[:])
+	var id [16]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // SanitizeTraceID vets a client-supplied trace ID: printable ASCII
@@ -52,13 +54,21 @@ func SanitizeTraceID(id string) string {
 	return id
 }
 
+// stageNames lists the canonical stages; Instrument resolves one stage
+// histogram per entry, found by stageIndex.
+var stageNames = [...]string{StageSnapshot, StageFeaturize, StageScale,
+	StageClassify, StageRegress, StageFallback}
+
+// stageIndex is name's index in stageNames, or -1 if it names no stage.
+func stageIndex(name string) int {
+	for i, s := range stageNames {
+		if s == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // IsStage reports whether a span name is one of the canonical pipeline
 // stages — the spans the stage histogram and access log are derived from.
-func IsStage(name string) bool {
-	switch name {
-	case StageSnapshot, StageFeaturize, StageScale, StageClassify,
-		StageRegress, StageFallback:
-		return true
-	}
-	return false
-}
+func IsStage(name string) bool { return stageIndex(name) >= 0 }

@@ -143,14 +143,17 @@ func Timeout(next http.Handler, d time.Duration, logf func(format string, args .
 		// firing under net/http's background read of the conn (started,
 		// deadline cleared, once no body remains) cancels later requests.
 		rc := http.NewResponseController(w)
-		if r.Body != nil && r.Body != http.NoBody {
+		readDeadline := r.Body != nil && r.Body != http.NoBody
+		if readDeadline {
 			_ = rc.SetReadDeadline(deadline)
 		}
 		gw := &guardWriter{ResponseWriter: w, deadline: deadline}
 		defer gw.recoverPanic(r, logf)
 		next.ServeHTTP(gw, r.WithContext(ctx))
 		if time.Now().Before(deadline) {
-			_ = rc.SetReadDeadline(time.Time{})
+			if readDeadline {
+				_ = rc.SetReadDeadline(time.Time{})
+			}
 			return
 		}
 		// Late: the expired read deadline stays, so net/http's discard of

@@ -731,8 +731,9 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 
 // forwardWrites returns the follower-mode handler for the write endpoints:
 // a transparent reverse proxy to the leader, which carries the inbound
-// X-Request-ID and X-Trout-Parent-Span across the hop without a client
-// round trip.
+// X-Request-ID across the hop without a client round trip and, with
+// tracing on, names this request's root span in X-Trout-Parent-Span so
+// the leader's trace links to it.
 func (s *Service) forwardWrites() http.Handler {
 	target, err := url.Parse(s.cfg.LeaderURL)
 	if err != nil || target.Scheme == "" || target.Host == "" {
@@ -742,6 +743,13 @@ func (s *Service) forwardWrites() http.Handler {
 		})
 	}
 	proxy := httputil.NewSingleHostReverseProxy(target)
+	if s.tracer.Enabled() {
+		direct := proxy.Director
+		proxy.Director = func(r *http.Request) {
+			direct(r)
+			r.Header.Set(obs.ParentSpanHeader, obs.FormatSpanID(obs.TraceFrom(r.Context()).Root().ID()))
+		}
+	}
 	proxy.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
 		resilience.WriteError(w, http.StatusBadGateway,
 			fmt.Sprintf("follower: leader unreachable: %v", err))
