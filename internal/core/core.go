@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/features"
 	"repro/internal/nn"
@@ -97,9 +98,9 @@ type Prediction struct {
 // Message renders the CLI string exactly as Algorithm 1 specifies.
 func (p Prediction) Message(cutoff float64) string {
 	if p.Long {
-		return fmt.Sprintf("Predicted to start in %d minutes", int(math.Round(p.Minutes)))
+		return "Predicted to start in " + strconv.Itoa(int(math.Round(p.Minutes))) + " minutes"
 	}
-	return fmt.Sprintf("Predicted to take less than %d minutes", int(cutoff))
+	return "Predicted to take less than " + strconv.Itoa(int(cutoff)) + " minutes"
 }
 
 // Train fits the hierarchical model on the rows of ds selected by trainIdx.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -153,6 +154,24 @@ func TestPredictionMessage(t *testing.T) {
 	short := Prediction{Long: false}
 	if got := short.Message(10); !strings.Contains(got, "less than 10 minutes") {
 		t.Fatalf("message = %q", got)
+	}
+}
+
+// TestPredictionMessageMatchesSprintf: Message writes the bytes the
+// fmt.Sprintf formats it replaced write, whatever minute count or cutoff
+// it is given, odd values included.
+func TestPredictionMessageMatchesSprintf(t *testing.T) {
+	for _, minutes := range []float64{0, 0.5, 1e12, -3.6, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, cutoff := range []float64{10, 0, 7.9} {
+			long := Prediction{Long: true, Minutes: minutes}
+			if got, want := long.Message(cutoff), fmt.Sprintf("Predicted to start in %d minutes", int(math.Round(minutes))); got != want {
+				t.Errorf("minutes %v cutoff %v: %q, Sprintf %q", minutes, cutoff, got, want)
+			}
+			short := Prediction{Minutes: minutes}
+			if got, want := short.Message(cutoff), fmt.Sprintf("Predicted to take less than %d minutes", int(cutoff)); got != want {
+				t.Errorf("short, cutoff %v: %q, Sprintf %q", cutoff, got, want)
+			}
+		}
 	}
 }
 

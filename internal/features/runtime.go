@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -24,10 +26,11 @@ import (
 // queued and running job of a partition, reads them from a queue column
 // built once per queue (queueColumns) rather than probing that table per
 // job per row; the column also keeps its sums, the ahead block once per
-// rank. All of it dies with the predictor, so a swapped-in, rolled-back or
-// candidate bundle can never read another forest's values. The
-// zero value with a Forest is ready to use; a RuntimePredictor must not be
-// copied after first use.
+// rank, and, from its second row on, the sorted priorities and IDs that
+// find a row's rank and membership by binary search. All of it dies with
+// the predictor, so a swapped-in, rolled-back or candidate bundle can
+// never read another forest's values. The zero value with a Forest is
+// ready to use; a RuntimePredictor must not be copied after first use.
 type RuntimePredictor struct {
 	Forest *baselines.Forest
 
@@ -229,11 +232,12 @@ func firstJob(jobs []trace.Job) *trace.Job {
 // last queueSlots queues SnapshotRow was asked about, each asked-about
 // partition's pending and running jobs reduced to what a row sums.
 type queueColumns struct {
-	mu     sync.Mutex
-	clock  uint64
-	slots  [queueSlots]*queueSlot
-	builds atomic.Uint64 // columns built; a row on a known queue builds none
-	walks  atomic.Uint64 // blocks summed by walking a column; a memoized rank walks none
+	mu      sync.Mutex
+	clock   uint64
+	slots   [queueSlots]*queueSlot
+	builds  atomic.Uint64 // columns built; a row on a known queue builds none
+	indexes atomic.Uint64 // column indexes built; a column read by one row builds none
+	walks   atomic.Uint64 // blocks summed by walking a column; a memoized rank walks none
 }
 
 // queueSlot holds one queue's partition columns.
@@ -247,8 +251,10 @@ type queueSlot struct {
 
 // queueColumn is one partition of one queue as a row sums it, in the
 // queue's slice order. Besides the partition, it depends on the partition
-// totals only through the two the runtime forest reads. Everything but the
-// ahead memo is immutable once published.
+// totals only through the two the runtime forest reads. A row reads it in
+// O(log n) once it has an index: its rank and membership by binary search
+// (place), then the memoized ahead block of that rank. Everything but the
+// index and the ahead memo is immutable once published.
 type queueColumn struct {
 	partition        string
 	cpus, gpus       int
@@ -258,10 +264,23 @@ type queueColumn struct {
 	// zero; ahead holds those.
 	all queueAgg
 
+	// rows counts the rows read off the column until index is published
+	// (by the second of them, under mu); see place.
+	rows  atomic.Uint32
+	index atomic.Pointer[columnIndex]
+
 	mu sync.Mutex
 	// ahead memoizes the ahead block by rank: the number of pending jobs
 	// that outrank the target. It has at most len(pending)+1 entries.
 	ahead map[int]jobSums
+}
+
+// columnIndex is what place searches: the column's pending priorities and
+// its pending and running IDs, each sorted ascending. It is immutable once
+// published.
+type columnIndex struct {
+	priorities []int64
+	ids        []int
 }
 
 // block is target j's queue-state block on c. The jobs ahead of j are the
@@ -269,21 +288,11 @@ type queueColumn struct {
 // rises, so the rank, their count, names the set exactly, and summed in
 // slice order it has the same bits for every target of that rank. A target
 // with an ID in either list must leave itself out, so it walks the column;
-// walks counts the blocks summed by a walk.
-func (c *queueColumn) block(j *trace.Job, walks *atomic.Uint64) queueAgg {
-	rank, in := 0, false
-	for i := range c.pending {
-		q := &c.pending[i]
-		if q.priority > j.Priority {
-			rank++
-		}
-		in = in || q.id == j.ID
-	}
-	for i := range c.running {
-		in = in || c.running[i].id == j.ID
-	}
+// t.walks counts the blocks summed by a walk.
+func (c *queueColumn) block(j *trace.Job, t *queueColumns) queueAgg {
+	rank, in := c.place(j, &t.indexes)
 	if in {
-		walks.Add(1)
+		t.walks.Add(1)
 		var agg queueAgg
 		for i := range c.pending {
 			if q := &c.pending[i]; q.id != j.ID {
@@ -304,7 +313,7 @@ func (c *queueColumn) block(j *trace.Job, walks *atomic.Uint64) queueAgg {
 	c.mu.Unlock()
 	if !ok {
 		// Two rows missing on one rank both walk and store the same bits.
-		walks.Add(1)
+		t.walks.Add(1)
 		for i := range c.pending {
 			if q := &c.pending[i]; q.priority > j.Priority {
 				ahead.add(q)
@@ -319,6 +328,63 @@ func (c *queueColumn) block(j *trace.Job, walks *atomic.Uint64) queueAgg {
 	}
 	agg.ahead = ahead
 	return agg
+}
+
+// place is target j's rank on c, the number of pending jobs that outrank
+// it, and whether its ID is in either list. The column's first row finds
+// both in one pass of integer compares, so a queue read once (every step
+// of a live queue) pays nothing more; from the second row on they are
+// binary searches of the column's index, built once; indexes counts the
+// builds.
+func (c *queueColumn) place(j *trace.Job, indexes *atomic.Uint64) (rank int, in bool) {
+	ix := c.index.Load()
+	if ix == nil && c.rows.Add(1) > 1 {
+		ix = c.buildIndex(indexes)
+	}
+	if ix == nil {
+		for i := range c.pending {
+			q := &c.pending[i]
+			if q.priority > j.Priority {
+				rank++
+			}
+			in = in || q.id == j.ID
+		}
+		for i := range c.running {
+			in = in || c.running[i].id == j.ID
+		}
+		return rank, in
+	}
+	// The first priority above j's, by comparison: searching for
+	// j.Priority+1 would overflow at math.MaxInt64.
+	p := ix.priorities
+	above := sort.Search(len(p), func(i int) bool { return p[i] > j.Priority })
+	_, in = slices.BinarySearch(ix.ids, j.ID)
+	return len(p) - above, in
+}
+
+// buildIndex returns c's index, building and publishing it if no row has.
+func (c *queueColumn) buildIndex(indexes *atomic.Uint64) *columnIndex {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ix := c.index.Load(); ix != nil {
+		return ix
+	}
+	ix := &columnIndex{
+		priorities: make([]int64, len(c.pending)),
+		ids:        make([]int, 0, len(c.pending)+len(c.running)),
+	}
+	for i := range c.pending {
+		ix.priorities[i] = c.pending[i].priority
+		ix.ids = append(ix.ids, c.pending[i].id)
+	}
+	for i := range c.running {
+		ix.ids = append(ix.ids, c.running[i].id)
+	}
+	slices.Sort(ix.priorities)
+	slices.Sort(ix.ids)
+	c.index.Store(ix)
+	indexes.Add(1)
+	return ix
 }
 
 // slot returns the slot of queue k, claiming the oldest-used one if k has

@@ -156,8 +156,9 @@ func TestPredictSecondsMatchesUncached(t *testing.T) {
 
 // TestSnapshotRowEvaluatesOncePerSpec: on a 1,000-job partition the first
 // SnapshotRow builds the queue's column, evaluating the forest once per
-// distinct spec; the second builds nothing and evaluates nothing, with the
-// same row bits as a predictor that remembers nothing.
+// distinct spec; the second evaluates nothing and only indexes the column,
+// and the third builds nothing at all, each with the same row bits as a
+// predictor that remembers nothing.
 func TestSnapshotRowEvaluatesOncePerSpec(t *testing.T) {
 	rp, tot := trainedPredictor(t, 21)
 	cluster := tinyCluster()
@@ -187,20 +188,27 @@ func TestSnapshotRowEvaluatesOncePerSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for call, wantEvals := range []uint64{uint64(len(distinct)), 0} {
-		before, builds, walks := rp.Evals(), rp.cols.builds.Load(), rp.cols.walks.Load()
+	for call, w := range []struct{ evals, builds, indexes, walks uint64 }{
+		{uint64(len(distinct)), 1, 0, 1},
+		{0, 0, 1, 0},
+		{0, 0, 0, 0},
+	} {
+		before, builds, indexes, walks := rp.Evals(), rp.cols.builds.Load(), rp.cols.indexes.Load(), rp.cols.walks.Load()
 		row, err := SnapshotRow(snap, &cluster, rp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rp.Evals() - before; got != wantEvals {
-			t.Fatalf("call %d made %d forest evaluations, want %d", call, got, wantEvals)
+		if got := rp.Evals() - before; got != w.evals {
+			t.Fatalf("call %d made %d forest evaluations, want %d", call, got, w.evals)
 		}
-		if got, want := rp.cols.builds.Load()-builds, uint64(1-call); got != want {
-			t.Fatalf("call %d built %d queue columns, want %d", call, got, want)
+		if got := rp.cols.builds.Load() - builds; got != w.builds {
+			t.Fatalf("call %d built %d queue columns, want %d", call, got, w.builds)
 		}
-		if got, want := rp.cols.walks.Load()-walks, uint64(1-call); got != want {
-			t.Fatalf("call %d walked %d columns, want %d", call, got, want)
+		if got := rp.cols.indexes.Load() - indexes; got != w.indexes {
+			t.Fatalf("call %d built %d column indexes, want %d", call, got, w.indexes)
+		}
+		if got := rp.cols.walks.Load() - walks; got != w.walks {
+			t.Fatalf("call %d walked %d columns, want %d", call, got, w.walks)
 		}
 		for f := range row {
 			if math.Float64bits(row[f]) != math.Float64bits(want[f]) {
@@ -220,8 +228,8 @@ func TestSnapshotRowEvaluatesOncePerSpec(t *testing.T) {
 	if raceEnabled {
 		return // the detector's instrumentation allocates
 	}
-	// Warm, a row allocates only itself: no column, no ahead block, no
-	// forest input per walked job, and nothing to deduplicate an
+	// Warm, a row allocates only itself: no column, no index, no ahead
+	// block, no forest input per walked job, and nothing to deduplicate an
 	// ID-ascending history with.
 	if n := want[fidx(t, "User Jobs Past Day")]; n < 2 {
 		t.Fatalf("the target's user has %v past-day jobs; the user block is not under test", n)

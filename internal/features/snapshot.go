@@ -54,7 +54,7 @@ func SnapshotRow(snap *Snapshot, cluster *slurmsim.ClusterSpec, rp *RuntimePredi
 	}
 	tot := cluster.Totals(snap.Target.Partition)
 	j := &snap.Target
-	agg := rp.column(snap, j.Partition, tot).block(j, &rp.cols.walks)
+	agg := rp.column(snap, j.Partition, tot).block(j, &rp.cols)
 	row := make([]float64, NumFeatures)
 	agg.fill(row, j, tot, userSums(snap), rp.PredictSeconds(j, tot))
 	return row, nil
@@ -70,6 +70,11 @@ func SnapshotRow(snap *Snapshot, cluster *slurmsim.ClusterSpec, rp *RuntimePredi
 // the accepted IDs ascend, the last one is all the deduplication needs and
 // nothing is allocated. The first ID that does not ascend turns them into
 // a sorted slice, searched and inserted into from then on.
+//
+// The pass reads of each job only the User, Submit and ID it filters on
+// and the four requests it adds, and adds them through jobSums.add, as
+// every block is summed: accumulated in locals instead, the sums came out
+// with their operands swapped, which changes the payload of a NaN sum.
 func userSums(snap *Snapshot) jobSums {
 	j := &snap.Target
 	accept := func(o *trace.Job) bool {
@@ -99,7 +104,10 @@ func userSums(snap *Snapshot) jobSums {
 			}
 			ids = slices.Insert(ids, k, o.ID)
 		}
-		q := queuedJobOf(o, 0)
+		q := queuedJob{
+			cpus: float64(o.ReqCPUs), mem: o.ReqMemGB, nodes: float64(o.ReqNodes),
+			limit: float64(o.TimeLimit) / 60,
+		}
 		user.add(&q)
 	}
 	return user

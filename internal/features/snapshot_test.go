@@ -122,10 +122,11 @@ func randomQueue(rng *rand.Rand, np, nr int) *Snapshot {
 }
 
 // targets are the rows a test takes on a queue: a what-if job per
-// partition; what-ifs whose priority ties a pending job's or sits just
-// above or below it, the ranks either side of that job; and members of
-// Pending and Running (GET /predict?job= predicts a job that is itself in
-// the queue and must not count itself).
+// partition, also at the lowest and highest priority; what-ifs whose
+// priority ties a pending job's or sits just above or below it, the ranks
+// either side of that job; and members of Pending and Running (GET
+// /predict?job= predicts a job that is itself in the queue and must not
+// count itself).
 func targets(rng *rand.Rand, snap *Snapshot) []trace.Job {
 	var out []trace.Job
 	whatIf := func(partition string) trace.Job {
@@ -135,6 +136,15 @@ func targets(rng *rand.Rand, snap *Snapshot) []trace.Job {
 	}
 	for _, p := range partNames {
 		out = append(out, whatIf(p))
+	}
+	// The same what-ifs at the extremes of priority: every pending job
+	// outranks the bottom one unless it ties, and none outranks the top.
+	for _, p := range []int64{math.MinInt64, math.MaxInt64} {
+		for k := range partNames {
+			j := out[k]
+			j.ID, j.Priority = 1_000_000+len(out), p
+			out = append(out, j)
+		}
 	}
 	for k := 0; k < 3 && len(snap.Pending) > 0; k++ {
 		q := &snap.Pending[rng.Intn(len(snap.Pending))]
@@ -373,8 +383,9 @@ func TestQueueIdentityReslicedAndAppended(t *testing.T) {
 // TestSnapshotRowConcurrent: goroutines take rows for targets in all four
 // partitions of one queue at once, cold and warm, several of them on one
 // rank of one column, against the walk's rows. Under -race this is the
-// check on the locking of the column table and of each column's ahead
-// memo. Afterwards only the in-queue targets walk.
+// check on the locking of the column table and of each column's index
+// and ahead memo; racing first rows still index each column once.
+// Afterwards only the in-queue targets walk.
 func TestSnapshotRowConcurrent(t *testing.T) {
 	rp, _ := trainedPredictor(t, 71)
 	cluster := partsCluster()
@@ -424,6 +435,9 @@ func TestSnapshotRowConcurrent(t *testing.T) {
 	if got := rp.cols.builds.Load(); got != uint64(len(partNames)) {
 		t.Fatalf("%d columns built for one queue over %d partitions", got, len(partNames))
 	}
+	if got := rp.cols.indexes.Load(); got != uint64(len(partNames)) {
+		t.Fatalf("%d column indexes built for one queue over %d partitions", got, len(partNames))
+	}
 	walks, in := rp.cols.walks.Load(), uint64(0)
 	for k := range tg {
 		checkRow(t, fmt.Sprintf("warm target %d", k), snap, tg[k], &cluster, rp)
@@ -443,17 +457,29 @@ var fuzzPredictor struct {
 	rp   *RuntimePredictor
 }
 
+// fuzzPriority decodes a priority byte as the int8 it holds, except that
+// its two extremes stand for int64's, the edges of a rank search.
+func fuzzPriority(b byte) int64 {
+	switch int8(b) {
+	case math.MinInt8:
+		return math.MinInt64
+	case math.MaxInt8:
+		return math.MaxInt64
+	}
+	return int64(int8(b))
+}
+
 // fuzzJob encodes one queued job the way FuzzSnapshotRow decodes it.
 func fuzzJob(list, part, id, user, prio, cpus, nodes, limit byte, mem float64) []byte {
 	return binary.LittleEndian.AppendUint64([]byte{list, part, id, user, prio, cpus, nodes, limit}, math.Float64bits(mem))
 }
 
 // FuzzSnapshotRow: a queue decoded from fuzzer bytes (16 per job: list,
-// partition, ID, user, priority, CPUs, nodes, time limit, then the raw
-// bits of the memory request; bit 1 of list also files the job in History,
-// in byte order) gives the walk's row for a what-if target or a queue
-// member, cold, warm, at the priorities just above and below, and on the
-// queue re-sliced.
+// partition, ID, user, priority (fuzzPriority), CPUs, nodes, time limit,
+// then the raw bits of the memory request; bit 1 of list also files the
+// job in History, in byte order) gives the walk's row for a what-if target
+// or a queue member, cold, warm, at the priorities just above and below,
+// and on the queue re-sliced.
 func FuzzSnapshotRow(f *testing.F) {
 	f.Add(uint16(0), []byte{})
 	f.Add(uint16(3), append(fuzzJob(0, 0, 1, 1, 16, 2, 1, 3, 2.5), fuzzJob(1, 0, 1, 1, 32, 1, 1, 1, math.NaN())...))
@@ -470,6 +496,16 @@ func FuzzSnapshotRow(f *testing.F) {
 	f.Add(uint16(3), append(append(append(fuzzJob(2, 0, 9, 0, 2, 1, 1, 1, 1),
 		fuzzJob(2, 0, 5, 0, 1, 2, 1, 2, 2)...), fuzzJob(3, 0, 7, 0, 3, 3, 1, 3, 3)...),
 		fuzzJob(2, 0, 5, 0, 1, 4, 1, 4, 4)...))
+	// What-ifs in "shared" for user 0 at math.MaxInt64 (sel 0xfe0) and
+	// math.MinInt64 (sel 0x1000), on a queue with pending jobs at the top
+	// and between, and a running one at the bottom. The top what-if's
+	// "priority +1" wraps to the bottom, where every pending job outranks
+	// it.
+	extremes := append(append(append(fuzzJob(2, 0, 3, 0, 0x7f, 1, 1, 1, 1),
+		fuzzJob(3, 0, 4, 0, 0x80, 2, 1, 2, 2)...), fuzzJob(2, 0, 6, 0, 5, 3, 1, 3, 3)...),
+		fuzzJob(0, 0, 8, 0, 0x7f, 4, 1, 4, 4)...)
+	f.Add(uint16(0xfe0), extremes)
+	f.Add(uint16(0x1000), extremes)
 	fuzzPredictor.once.Do(func() { fuzzPredictor.rp, _ = trainedPredictor(f, 81) })
 	rp := fuzzPredictor.rp
 	cluster := partsCluster()
@@ -478,7 +514,7 @@ func FuzzSnapshotRow(f *testing.F) {
 		for ; len(data) >= 16; data = data[16:] {
 			j := trace.Job{
 				ID: int(data[2]), User: int(data[3] % 4), Partition: partNames[int(data[1])%len(partNames)],
-				Submit: snap.Now - 1000*int64(data[4]), Priority: int64(int8(data[4])),
+				Submit: snap.Now - 1000*int64(data[4]), Priority: fuzzPriority(data[4]),
 				ReqCPUs: int(data[5]), ReqNodes: int(data[6]), TimeLimit: 60 * int64(data[7]),
 				ReqMemGB: math.Float64frombits(binary.LittleEndian.Uint64(data[8:16])),
 			}
@@ -497,7 +533,7 @@ func FuzzSnapshotRow(f *testing.F) {
 			target = members[int(sel>>1)%len(members)]
 		} else {
 			target = trace.Job{ID: 1 << 20, User: int(sel>>1) % 4, Partition: partNames[int(sel>>3)%len(partNames)],
-				Submit: snap.Now - 5, Priority: int64(int8(sel >> 5)), ReqCPUs: 2, ReqNodes: 1, TimeLimit: 3600, ReqMemGB: 4}
+				Submit: snap.Now - 5, Priority: fuzzPriority(byte(sel >> 5)), ReqCPUs: 2, ReqNodes: 1, TimeLimit: 3600, ReqMemGB: 4}
 		}
 		checkRow(t, "cold", snap, target, &cluster, rp)
 		checkRow(t, "warm", snap, target, &cluster, rp)
