@@ -35,11 +35,13 @@ loc:
 # json.Marshal, the model registry manifest decoder, the forest gob
 # decoder, the queue-column feature row against the per-job walk, the
 # engine-replay dataset against the trace scan and the interval trees, the
-# engine's memoized snapshots against a fresh extraction, and the appended
-# access-log line against slog's JSON handler (corpus seeds
-# + 5s of mutation each; Go allows one -fuzz target per run).
+# engine's memoized snapshots against a fresh extraction, the appended
+# access-log line against slog's JSON handler, and the bundle loader (no
+# panic; a bundle it accepts saves to bytes that reload to themselves).
+# Corpus seeds + 5s of mutation each; Go allows one -fuzz target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodePredictRequest -fuzztime 5s .
+	$(GO) test -run '^$$' -fuzz FuzzLoadBundle -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRow -fuzztime 5s ./internal/features
 	$(GO) test -run '^$$' -fuzz FuzzBuildReplay -fuzztime 5s ./internal/intervaltree
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 5s ./internal/livestate

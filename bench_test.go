@@ -126,7 +126,7 @@ func BenchmarkFig5ScatterFold5(b *testing.B) {
 
 func benchComparison(b *testing.B, fold int, metric string) {
 	e := benchExperiment(b)
-	cmp := trout.CompareConfig{GBDTRounds: 30, ForestTrees: 30, KNNK: 10, Seed: 5}
+	cmp := trout.CompareConfig{GBDTRounds: 30, ForestTrees: 30, Seed: 5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scores, err := e.RunComparison(fold, cmp)

@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"slices"
+	"strings"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
@@ -350,12 +351,23 @@ func SnapshotFromTrace(tr *Trace, jobID int) (*Snapshot, error) {
 // optional on the wire: bundles written before they existed decode with
 // them zero, and the prediction chain skips the missing tiers.
 type bundleDTO struct {
-	Model        []byte
-	Runtime      []byte
-	Cluster      ClusterSpec
-	Baseline     []byte
-	Medians      map[string]float64
-	GlobalMedian float64
+	Model    []byte
+	Runtime  []byte
+	Cluster  ClusterSpec
+	Baseline []byte
+	// Medians is the older form of PartitionMedians, read but never
+	// written: gob writes a map in Go's random iteration order, so the
+	// same bundle saved twice gave two byte streams and two fingerprints.
+	Medians map[string]float64
+	// PartitionMedians holds the per-partition medians sorted by name.
+	PartitionMedians []partitionMedian
+	GlobalMedian     float64
+}
+
+// partitionMedian is one entry of the tier-3 median table on the wire.
+type partitionMedian struct {
+	Partition string
+	Minutes   float64
 }
 
 // Save writes the bundle and stamps b.Fingerprint with the SHA-256 of the
@@ -371,9 +383,12 @@ func (b *Bundle) Save(w io.Writer) error {
 	}
 	dto := bundleDTO{
 		Model: mb.Bytes(), Runtime: rb, Cluster: b.Cluster,
-		Medians:      b.Fallback.PartitionMedianMinutes,
 		GlobalMedian: b.Fallback.GlobalMedianMinutes,
 	}
+	for name, minutes := range b.Fallback.PartitionMedianMinutes {
+		dto.PartitionMedians = append(dto.PartitionMedians, partitionMedian{name, minutes})
+	}
+	slices.SortFunc(dto.PartitionMedians, func(x, y partitionMedian) int { return strings.Compare(x.Partition, y.Partition) })
 	if b.Fallback.Baseline != nil {
 		if dto.Baseline, err = b.Fallback.Baseline.MarshalBinary(); err != nil {
 			return err
@@ -413,6 +428,12 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 		b.Fallback.Baseline = gbdt
 	}
 	b.Fallback.PartitionMedianMinutes = dto.Medians
+	if len(dto.PartitionMedians) > 0 {
+		b.Fallback.PartitionMedianMinutes = make(map[string]float64, len(dto.PartitionMedians))
+		for _, pm := range dto.PartitionMedians {
+			b.Fallback.PartitionMedianMinutes[pm.Partition] = pm.Minutes
+		}
+	}
 	b.Fallback.GlobalMedianMinutes = dto.GlobalMedian
 	b.Fingerprint = hex.EncodeToString(h.Sum(nil))
 	return b, nil

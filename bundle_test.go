@@ -2,6 +2,10 @@ package trout_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/gob"
+	"encoding/hex"
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -148,4 +152,138 @@ func TestLoadBundleGarbage(t *testing.T) {
 	if _, err := trout.LoadBundle(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
+}
+
+// saveBundle returns b's saved bytes; Save stamps the Fingerprint on a
+// copy, so the shared bundle is left as it was.
+func saveBundle(t testing.TB, b *trout.Bundle) []byte {
+	t.Helper()
+	bc := *b
+	var buf bytes.Buffer
+	if err := bc.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != bc.Fingerprint {
+		t.Fatalf("Fingerprint %s is not the SHA-256 of the saved bytes", bc.Fingerprint)
+	}
+	return buf.Bytes()
+}
+
+// TestBundleSaveIsDeterministic pins Save as a function of the bundle: the
+// per-partition medians are a map, and gob writes maps in Go's random
+// iteration order, so before they went on the wire sorted the same bundle
+// saved twice gave two fingerprints.
+func TestBundleSaveIsDeterministic(t *testing.T) {
+	b := resilientBundle(t)
+	if len(b.Fallback.PartitionMedianMinutes) < 3 {
+		t.Fatalf("only %d partition medians: the map order cannot show", len(b.Fallback.PartitionMedianMinutes))
+	}
+	first := saveBundle(t, b)
+	for i := 0; i < 8; i++ {
+		if !bytes.Equal(saveBundle(t, b), first) {
+			t.Fatalf("save %d differs from the first", i+2)
+		}
+	}
+	back, err := trout.LoadBundle(bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saveBundle(t, back), first) {
+		t.Fatal("a loaded bundle saves to other bytes")
+	}
+}
+
+// parentBundleDTO is the wire form bundles had before the medians were
+// written sorted: the same fields, the medians as a gob map.
+type parentBundleDTO struct {
+	Model        []byte
+	Runtime      []byte
+	Cluster      trout.ClusterSpec
+	Baseline     []byte
+	Medians      map[string]float64
+	GlobalMedian float64
+}
+
+// TestBundleLoadsMapMedians: a bundle in the older wire form loads with
+// the same medians, and saves to the bytes of the bundle it was made from.
+func TestBundleLoadsMapMedians(t *testing.T) {
+	b := resilientBundle(t)
+	var mb bytes.Buffer
+	if err := b.Model.Save(&mb); err != nil {
+		t.Fatal(err)
+	}
+	rb, err := b.Runtime.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := b.Fallback.Baseline.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(parentBundleDTO{
+		Model: mb.Bytes(), Runtime: rb, Cluster: b.Cluster, Baseline: gb,
+		Medians: b.Fallback.PartitionMedianMinutes, GlobalMedian: b.Fallback.GlobalMedianMinutes,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	back, err := trout.LoadBundle(bytes.NewReader(old.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(back.Fallback.PartitionMedianMinutes, b.Fallback.PartitionMedianMinutes) ||
+		back.Fallback.GlobalMedianMinutes != b.Fallback.GlobalMedianMinutes {
+		t.Fatalf("medians %v / %v, want %v / %v", back.Fallback.PartitionMedianMinutes,
+			back.Fallback.GlobalMedianMinutes, b.Fallback.PartitionMedianMinutes, b.Fallback.GlobalMedianMinutes)
+	}
+	if !bytes.Equal(saveBundle(t, back), saveBundle(t, b)) {
+		t.Fatal("the older wire form saves to other bytes than the bundle it encodes")
+	}
+}
+
+// FuzzLoadBundle feeds LoadBundle arbitrary bytes, seeded with a small
+// trained bundle: it must never panic, and a bundle it accepts must save
+// to bytes that load and save to themselves.
+func FuzzLoadBundle(f *testing.F) {
+	p := trout.DefaultPipeline(1500, 4)
+	p.Model.Classifier.Epochs, p.Model.Classifier.Hidden = 1, []int{4}
+	p.Model.Regressor.Epochs, p.Model.Regressor.Hidden = 1, []int{4}
+	p.Features.RuntimeTrees = 2
+	e, err := trout.NewExperiment(p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	m, _, err := trout.TrainHoldout(e.Data, p.Model, 0.2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	b, err := trout.NewBundle(m, e.Data, e.Cluster)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed := saveBundle(f, b)
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add([]byte("junk"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := trout.LoadBundle(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once bytes.Buffer
+		if err := b.Save(&once); err != nil {
+			return // a bundle Save cannot write, e.g. one without a runtime forest
+		}
+		back, err := trout.LoadBundle(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("a saved bundle does not load: %v", err)
+		}
+		var twice bytes.Buffer
+		if err := back.Save(&twice); err != nil {
+			t.Fatalf("a reloaded bundle does not save: %v", err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatal("Save(Load(Save(b))) differs from Save(b)")
+		}
+	})
 }

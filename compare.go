@@ -37,7 +37,6 @@ type ModelScore struct {
 type CompareConfig struct {
 	GBDTRounds  int // 0 = 100
 	ForestTrees int // 0 = 100
-	KNNK        int // 0 = 10
 	Seed        int64
 }
 
@@ -47,9 +46,6 @@ func (c *CompareConfig) defaults() {
 	}
 	if c.ForestTrees <= 0 {
 		c.ForestTrees = 100
-	}
-	if c.KNNK <= 0 {
-		c.KNNK = 10
 	}
 }
 
@@ -161,7 +157,7 @@ func compareFold(ds *Dataset, nnCfg ModelConfig, cmp CompareConfig, fold tscv.Fo
 	}
 	out = append(out, score(ModelRandomForest, forest.Predict))
 
-	knn := baselines.NewKNN(baselines.KNNConfig{K: cmp.KNNK, Standardize: true})
+	knn := baselines.NewKNN(baselines.KNNConfig{K: 10, Standardize: true})
 	if err := knn.Fit(trX, trY); err != nil {
 		return nil, err
 	}

@@ -105,16 +105,8 @@ type ControlPlaneConfig struct {
 	MinInterval    time.Duration
 	CheckInterval  time.Duration
 
-	// MAERatio / HitRateSlack are the promotion gate; RollbackWindow /
-	// RollbackFactor the post-promotion probation.
-	MAERatio       float64
-	HitRateSlack   float64
+	// RollbackWindow sizes the post-promotion probation.
 	RollbackWindow int
-	RollbackFactor float64
-
-	// TestFraction is the most-recent holdout the candidate and the
-	// incumbent are judged on (0 = 1/6, the paper's protocol).
-	TestFraction float64
 
 	// Trainer overrides the default retrain path (tests inject synthetic
 	// candidates through this).
@@ -179,7 +171,7 @@ func (s *Service) AttachControlPlane(cfg ControlPlaneConfig) (*ControlPlane, err
 
 	train := cfg.Trainer
 	if train == nil {
-		train = s.defaultTrainer(cfg)
+		train = s.defaultTrainer()
 	}
 	ctl, err := controlplane.NewController(controlplane.Options{
 		Registry: reg,
@@ -206,10 +198,7 @@ func (s *Service) AttachControlPlane(cfg ControlPlaneConfig) (*ControlPlane, err
 		MinWindow:      cfg.MinWindow,
 		MinInterval:    cfg.MinInterval,
 		CheckInterval:  cfg.CheckInterval,
-		MAERatio:       cfg.MAERatio,
-		HitRateSlack:   cfg.HitRateSlack,
 		RollbackWindow: cfg.RollbackWindow,
-		RollbackFactor: cfg.RollbackFactor,
 		Logger:         log,
 		Tracer:         s.tracer,
 	})
@@ -250,15 +239,16 @@ func holdoutEval(m *core.Model, ds *features.Dataset, test []int) controlplane.E
 // configuration plus its fallback tiers (histogram-GBDT baseline, partition
 // medians), score it and the incumbent on the most recent jobs, and
 // serialize the bundle for the registry.
-func (s *Service) defaultTrainer(cfg ControlPlaneConfig) func(ctx context.Context) (*controlplane.Candidate, error) {
-	// minTrainJobs is the smallest completed-job corpus a retrain accepts.
-	// The livestate engine retains ~25h of history, so this also bounds
-	// the staleness of what a retrain can see.
-	const minTrainJobs = 500
-	testFraction := cfg.TestFraction
-	if testFraction <= 0 {
+func (s *Service) defaultTrainer() func(ctx context.Context) (*controlplane.Candidate, error) {
+	const (
+		// minTrainJobs is the smallest completed-job corpus a retrain
+		// accepts. The livestate engine retains ~25h of history, so this
+		// also bounds the staleness of what a retrain can see.
+		minTrainJobs = 500
+		// testFraction is the most-recent holdout the candidate and the
+		// incumbent are judged on (the paper's protocol).
 		testFraction = 1.0 / 6.0
-	}
+	)
 	return func(ctx context.Context) (*controlplane.Candidate, error) {
 		eng := s.live.Engine()
 		watermark := eng.Now()

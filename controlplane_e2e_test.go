@@ -793,7 +793,7 @@ func TestControlPlaneDefaultTrainer(t *testing.T) {
 		}
 		inc, _ := h.svc.CurrentModel()
 		if i == 0 {
-			cand, err := h.svc.DefaultTrainer(trout.ControlPlaneConfig{})(context.Background())
+			cand, err := h.svc.DefaultTrainer()(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

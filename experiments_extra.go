@@ -342,9 +342,6 @@ func (e *Experiment) RunSchedulerETA(sampleMax int) (ETAComparison, error) {
 		scale = 1
 	}
 	simCfg := slurmsim.DefaultConfig(scale)
-	if e.Pipeline.Sim != nil {
-		simCfg = *e.Pipeline.Sim
-	}
 
 	var simPred, troutPred, actual []float64
 	for _, i := range fold.Test {
@@ -452,16 +449,9 @@ func (e *Experiment) RunSchedulerAblation() ([]SchedulerVariant, error) {
 	out := make([]SchedulerVariant, 0, len(variants))
 	for _, v := range variants {
 		simCfg := slurmsim.DefaultConfig(scale)
-		if e.Pipeline.Sim != nil {
-			simCfg = *e.Pipeline.Sim
-		}
 		simCfg.DisableBackfill = v.noBackfill
 		simCfg.DisablePreemption = v.noPreemption
-		wl := workload.DefaultConfig(e.Pipeline.Jobs, e.Pipeline.Seed)
-		if e.Pipeline.Workload != nil {
-			wl = *e.Pipeline.Workload
-		}
-		specs, err := workload.Generate(wl, &simCfg.Cluster)
+		specs, err := workload.Generate(workload.DefaultConfig(e.Pipeline.Jobs, e.Pipeline.Seed), &simCfg.Cluster)
 		if err != nil {
 			return nil, err
 		}

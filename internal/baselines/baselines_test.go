@@ -148,7 +148,7 @@ func TestForestBeatsSingleTreeOnNoisy(t *testing.T) {
 	if err := tr.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	fo := NewForest(ForestConfig{Trees: 40, Tree: TreeConfig{MaxDepth: 8, MinLeaf: 2, MaxFeatures: 4}, Seed: 1, Workers: 4})
+	fo := NewForest(ForestConfig{Trees: 40, Tree: TreeConfig{MaxDepth: 8, MinLeaf: 2, MaxFeatures: 4}, Seed: 1})
 	if err := fo.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestForestDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	X, y := synthData(rng, 300, 3, linearFn, 0.5)
 	run := func() []float64 {
-		fo := NewForest(ForestConfig{Trees: 10, Seed: 9, Workers: 4})
+		fo := NewForest(ForestConfig{Trees: 10, Seed: 9})
 		if err := fo.Fit(X, y); err != nil {
 			t.Fatal(err)
 		}

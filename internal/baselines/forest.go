@@ -18,23 +18,12 @@ var (
 type ForestConfig struct {
 	Trees int // 0 means 100
 	Tree  TreeConfig
-	// SampleFraction is the bootstrap size relative to the dataset;
-	// 0 means 1.0 (classic bootstrap with replacement).
-	SampleFraction float64
-	// Workers bounds parallel tree construction; 0 means GOMAXPROCS.
-	Workers int
-	Seed    int64
+	Seed  int64
 }
 
 func (c *ForestConfig) defaults(dim int) {
 	if c.Trees <= 0 {
 		c.Trees = 100
-	}
-	if c.SampleFraction <= 0 {
-		c.SampleFraction = 1
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	c.Tree.defaults()
 	if c.Tree.MaxFeatures <= 0 {
@@ -71,19 +60,16 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 	}
 	f.Cfg.defaults(len(X[0]))
 	n := len(X)
-	sampleN := int(f.Cfg.SampleFraction * float64(n))
-	if sampleN < 1 {
-		sampleN = 1
-	}
-	bm := newBinned(X, f.Cfg.Tree.Bins)
+	workers := runtime.GOMAXPROCS(0)
+	bm := newBinned(X)
 	f.trees = make([]*Tree, f.Cfg.Trees)
-	sem := make(chan struct{}, f.Cfg.Workers)
+	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	errs := make([]error, f.Cfg.Trees)
 	// One histogram scratch per worker slot, reused across the trees that
 	// slot trains (the free-listed node histograms are the big buffers).
-	scratch := make(chan *histScratch, f.Cfg.Workers)
-	for w := 0; w < f.Cfg.Workers; w++ {
+	scratch := make(chan *histScratch, workers)
+	for w := 0; w < workers; w++ {
 		scratch <- newHistScratch(bm, y, 1)
 	}
 	for ti := 0; ti < f.Cfg.Trees; ti++ {
@@ -93,7 +79,7 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 			defer wg.Done()
 			defer func() { <-sem }()
 			rng := rand.New(rand.NewSource(f.Cfg.Seed + int64(ti)*7919))
-			idx := make([]int, sampleN)
+			idx := make([]int, n) // a classic bootstrap: n draws with replacement
 			for k := range idx {
 				idx[k] = rng.Intn(n)
 			}
@@ -213,7 +199,7 @@ func (g *GBDT) Fit(X [][]float64, y []float64) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sc := newHistScratch(newBinned(X, g.Cfg.Tree.Bins), resid, workers)
+	sc := newHistScratch(newBinned(X), resid, workers)
 	for round := 0; round < g.Cfg.Rounds; round++ {
 		for i := range resid {
 			resid[i] = y[i] - pred[i]

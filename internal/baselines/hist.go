@@ -34,13 +34,11 @@ type binned struct {
 // col returns feature f's bin column.
 func (b *binned) col(f int) []uint8 { return b.bins[f*b.rows : (f+1)*b.rows] }
 
-// newBinned quantizes X into at most nb bins per feature. Cut points sit at
-// quantiles of the full column, deduplicated, so skewed features (queue
-// times, memory requests) get resolution where the data lives.
-func newBinned(X [][]float64, nb int) *binned {
-	if nb <= 1 || nb > maxBins {
-		nb = maxBins
-	}
+// newBinned quantizes X into at most maxBins bins per feature. Cut points
+// sit at quantiles of the full column, deduplicated, so skewed features
+// (queue times, memory requests) get resolution where the data lives.
+func newBinned(X [][]float64) *binned {
+	const nb = maxBins
 	rows := len(X)
 	cols := len(X[0])
 	bm := &binned{

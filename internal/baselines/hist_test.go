@@ -24,7 +24,7 @@ func TestBinnedRoundtrip(t *testing.T) {
 			float64(rng.Intn(4)),
 		}
 	}
-	bm := newBinned(X, 0)
+	bm := newBinned(X)
 	for f := 0; f < bm.cols; f++ {
 		edges := bm.edges[f]
 		for b := 1; b < len(edges); b++ {
@@ -53,7 +53,7 @@ func TestBinnedRoundtrip(t *testing.T) {
 func TestHistogramSubtractionConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	X, y := synthData(rng, 500, 5, linearFn, 0.3)
-	sc := newHistScratch(newBinned(X, 0), y, 1)
+	sc := newHistScratch(newBinned(X), y, 1)
 	all := make([]int, len(X))
 	for i := range all {
 		all[i] = i

@@ -34,7 +34,7 @@ func TestTreeSerializationRoundTrip(t *testing.T) {
 func TestForestSerializationRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	X, y := synthData(rng, 400, 3, linearFn, 0.3)
-	fo := NewForest(ForestConfig{Trees: 15, Seed: 2, Workers: 4})
+	fo := NewForest(ForestConfig{Trees: 15, Seed: 2})
 	if err := fo.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}

@@ -25,11 +25,6 @@ type TreeConfig struct {
 	MaxDepth    int // 0 means 10
 	MinLeaf     int // minimum samples per leaf; 0 means 5
 	MaxFeatures int // features considered per split; 0 means all
-	// Bins is the histogram resolution per feature; 0 or >256 means 256.
-	// Features are quantized once per Fit into at most Bins uint8 bins and
-	// splits are found by scanning per-bin count/sum histograms with
-	// parent−sibling subtraction, LightGBM-style (see hist.go).
-	Bins int
 	// Workers enables feature-parallel split search inside a single tree;
 	// 0 or 1 is serial. Forests keep this at 1 (they parallelize across
 	// trees); GBDT sets it because boosting rounds are sequential.
@@ -43,9 +38,6 @@ func (c *TreeConfig) defaults() {
 	}
 	if c.MinLeaf <= 0 {
 		c.MinLeaf = 5
-	}
-	if c.Bins <= 1 || c.Bins > maxBins {
-		c.Bins = maxBins
 	}
 }
 
@@ -86,7 +78,7 @@ func (t *Tree) Fit(X [][]float64, y []float64) error {
 		idx[i] = i
 	}
 	rng := rand.New(rand.NewSource(t.Cfg.Seed))
-	sc := newHistScratch(newBinned(X, t.Cfg.Bins), y, t.Cfg.Workers)
+	sc := newHistScratch(newBinned(X), y, t.Cfg.Workers)
 	t.root = t.fitBinned(sc, idx, rng)
 	t.flat = flattenTree(t.root)
 	return nil

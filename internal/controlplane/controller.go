@@ -23,6 +23,16 @@ const (
 // cluster joins no outcomes); the promotion then stands.
 const probationTimeout = time.Hour
 
+// The judge and the probation's fixed bounds.
+const (
+	// hitRateSlack lets the candidate's holdout hit-rate trail the
+	// incumbent's by this much before it is disqualified.
+	hitRateSlack = 0.02
+	// rollbackFactor rolls a promotion back when the online MAE over the
+	// probation exceeds the pre-promotion MAE × this factor.
+	rollbackFactor = 2.0
+)
+
 // Verdicts recorded after each retrain cycle.
 const (
 	VerdictPromoted   = "promoted"
@@ -68,7 +78,7 @@ type Options struct {
 	// cover only answers the promoted bundle gave: probation reads them.
 	Promote func(m Manifest, blob []byte) error
 	// Rollback restores the bundle that was serving before the last
-	// Promote. Required if RollbackFactor > 0.
+	// Promote.
 	Rollback func() error
 	// IncumbentID names the currently serving model (fingerprint hex);
 	// recorded as each candidate's parent.
@@ -90,20 +100,9 @@ type Options struct {
 	// 15s.
 	CheckInterval time.Duration
 
-	// MAERatio promotes only when the candidate's holdout MAE <= the
-	// incumbent's × ratio (when the holdout holds long jobs); 0 means 1.0.
-	MAERatio float64
-	// HitRateSlack lets the candidate's holdout hit-rate trail the
-	// incumbent's by this much before it is disqualified; 0 means 0.02.
-	HitRateSlack float64
-
 	// RollbackWindow is how many joined outcomes of the promoted model to
 	// observe before the regression check clears it; 0 means 32.
-	// RollbackFactor rolls the promotion back when the online MAE over the
-	// probation exceeds the pre-promotion MAE × this factor; 0 means 2.0,
-	// negative disables probation.
 	RollbackWindow int
-	RollbackFactor float64
 
 	Logger *slog.Logger
 
@@ -114,8 +113,8 @@ type Options struct {
 }
 
 func (o *Options) defaults() error {
-	if o.Registry == nil || o.Train == nil || o.Drift == nil || o.Promote == nil {
-		return fmt.Errorf("controlplane: controller needs Registry, Train, Drift, and Promote")
+	if o.Registry == nil || o.Train == nil || o.Drift == nil || o.Promote == nil || o.Rollback == nil {
+		return fmt.Errorf("controlplane: controller needs Registry, Train, Drift, Promote, and Rollback")
 	}
 	if o.DriftThreshold == 0 {
 		o.DriftThreshold = 0.15
@@ -129,20 +128,8 @@ func (o *Options) defaults() error {
 	if o.CheckInterval <= 0 {
 		o.CheckInterval = 15 * time.Second
 	}
-	if o.MAERatio <= 0 {
-		o.MAERatio = 1.0
-	}
-	if o.HitRateSlack == 0 {
-		o.HitRateSlack = 0.02
-	}
 	if o.RollbackWindow <= 0 {
 		o.RollbackWindow = 32
-	}
-	if o.RollbackFactor == 0 {
-		o.RollbackFactor = 2.0
-	}
-	if o.RollbackFactor > 0 && o.Rollback == nil {
-		return fmt.Errorf("controlplane: RollbackFactor > 0 needs a Rollback callback")
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
@@ -364,17 +351,17 @@ func (c *Controller) cycle(ctx context.Context, reason string) {
 
 // judge compares the candidate's and incumbent's scores on one holdout:
 // the classifier must not regress beyond the slack, and when the holdout
-// holds long jobs, the candidate's MAE must clear the ratio. With no long
+// holds long jobs, the candidate's MAE must not exceed the incumbent's. With no long
 // job (MAE then measures nothing), hit-rate decides (candidate wins ties —
 // it was trained on fresher data).
 func (c *Controller) judge(cand, inc Eval) (bool, string) {
 	note := fmt.Sprintf("cand hit %.3f mae %.1f (long %d) vs inc hit %.3f mae %.1f (long %d)",
 		cand.HitRate, cand.MAEMinutes, cand.LongJobs, inc.HitRate, inc.MAEMinutes, inc.LongJobs)
-	if cand.HitRate < inc.HitRate-c.opt.HitRateSlack {
+	if cand.HitRate < inc.HitRate-hitRateSlack {
 		return false, note + ": hit-rate regressed"
 	}
 	if cand.LongJobs > 0 && inc.LongJobs > 0 {
-		if cand.MAEMinutes > inc.MAEMinutes*c.opt.MAERatio {
+		if cand.MAEMinutes > inc.MAEMinutes {
 			return false, note + ": MAE regressed"
 		}
 		return true, note
@@ -405,11 +392,6 @@ func (c *Controller) promoteAndWatch(ctx context.Context, m Manifest, holdout Ev
 	c.promotions.Add(1)
 	log.Info("controlplane: candidate promoted",
 		slog.Int("version", m.Version), slog.String("id", m.ID[:12]))
-
-	if c.opt.RollbackFactor <= 0 {
-		c.finish(VerdictPromoted, "")
-		return VerdictPromoted, note
-	}
 
 	// Probation: wait for RollbackWindow joins of the promoted model's
 	// answers, bounded by probationTimeout (a quiet cluster should not pin
@@ -442,7 +424,7 @@ func (c *Controller) promoteAndWatch(ctx context.Context, m Manifest, holdout Ev
 		if before.RegressionObbs == 0 {
 			baseline = holdout.MAEMinutes
 		}
-		if baseline > 0 && now.RegressionObbs > 0 && now.MAEMinutes > baseline*c.opt.RollbackFactor {
+		if baseline > 0 && now.RegressionObbs > 0 && now.MAEMinutes > baseline*rollbackFactor {
 			if err := c.opt.Rollback(); err != nil {
 				log.Error("controlplane: rollback failed", slog.Any("error", err))
 				c.finish(VerdictPromoted, "rollback failed: "+err.Error())
@@ -450,7 +432,7 @@ func (c *Controller) promoteAndWatch(ctx context.Context, m Manifest, holdout Ev
 			}
 			_ = c.opt.Registry.SetActive(0)
 			_ = c.opt.Registry.SetStatus(m.Version, StatusRolledBack,
-				fmt.Sprintf("online MAE %.1f > %.1f×%.1f after promotion", now.MAEMinutes, baseline, c.opt.RollbackFactor))
+				fmt.Sprintf("online MAE %.1f > %.1f×%.1f after promotion", now.MAEMinutes, baseline, rollbackFactor))
 			psp.SetError("rolled back: online MAE regressed")
 			c.rollbacks.Add(1)
 			c.finish(VerdictRolledBack, "")

@@ -11,15 +11,18 @@ import (
 )
 
 // fakeDrift is a mutable online-stats source standing in for the serving
-// accuracy tracker.
+// accuracy tracker. Each read joins step more outcomes, so a probation
+// clears by itself unless a test sets step to 0 and joins them by hand.
 type fakeDrift struct {
-	mu sync.Mutex
-	st obs.OnlineStats
+	mu   sync.Mutex
+	st   obs.OnlineStats
+	step uint64
 }
 
 func (f *fakeDrift) get() obs.OnlineStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.st.Joined += f.step
 	return f.st
 }
 
@@ -67,7 +70,7 @@ func newCtlHarness(t *testing.T, cand, inc Eval, opts func(*Options)) *ctlHarnes
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &ctlHarness{reg: reg, drift: &fakeDrift{}}
+	h := &ctlHarness{reg: reg, drift: &fakeDrift{step: 1}}
 	n := 0
 	o := Options{
 		Registry: reg,
@@ -98,7 +101,7 @@ func newCtlHarness(t *testing.T, cand, inc Eval, opts func(*Options)) *ctlHarnes
 		IncumbentID:    func() string { return "" },
 		CheckInterval:  2 * time.Millisecond,
 		MinWindow:      4,
-		RollbackFactor: -1, // probation off unless a test opts in
+		RollbackWindow: 1, // probation clears on the next tick unless a test holds it
 	}
 	if opts != nil {
 		opts(&o)
@@ -181,9 +184,9 @@ func TestControllerRejectsWorseCandidate(t *testing.T) {
 
 func TestControllerRollsBackRegressedPromotion(t *testing.T) {
 	h := newCtlHarness(t, good, bad, func(o *Options) {
-		o.RollbackFactor = 1.5
 		o.RollbackWindow = 2
 	})
+	h.drift.step = 0
 	// Pre-promotion online baseline: MAE 10 over a credible window.
 	h.drift.set(obs.OnlineStats{Window: 10, Joined: 100, MAEMinutes: 10, RegressionObbs: 5})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -199,7 +202,7 @@ func TestControllerRollsBackRegressedPromotion(t *testing.T) {
 		t.Fatalf("promotions = %v", got)
 	}
 	// ...then the online window fills with post-swap outcomes whose MAE
-	// blew past baseline × factor: probation must revert the swap.
+	// blew past baseline × rollbackFactor: probation must revert the swap.
 	h.drift.set(obs.OnlineStats{Window: 2, Joined: 102, MAEMinutes: 100, RegressionObbs: 2})
 	waitFor(t, h.ctl, func() bool { return h.ctl.Status().LastVerdict == VerdictRolledBack })
 	if h.rollbacks() != 1 {
@@ -257,7 +260,7 @@ func TestTriggerRetrainWhileBusyDeclines(t *testing.T) {
 // job over the cutoff: its MAE is a clamped 0 on both sides and measures
 // nothing, so the long-job count sends the verdict to the hit-rate arm.
 func TestJudgeHoldout(t *testing.T) {
-	h := newCtlHarness(t, good, bad, nil) // MAERatio 1, HitRateSlack 0.02
+	h := newCtlHarness(t, good, bad, nil)
 	for _, tc := range []struct {
 		name      string
 		cand, inc Eval

@@ -60,10 +60,6 @@ const NumFeatures = 33
 
 // Options controls dataset construction (livestate.Build).
 type Options struct {
-	// RuntimeTrainFraction is the earliest fraction of jobs used to train
-	// the runtime predictor (time-ordered, so later jobs never leak into
-	// it); 0 means 0.5.
-	RuntimeTrainFraction float64
 	// RuntimeTrees sizes the runtime random forest; 0 means 50.
 	RuntimeTrees int
 	// RuntimeSource selects how the Pred-Runtime features are filled:

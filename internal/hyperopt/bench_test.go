@@ -1,9 +1,7 @@
 package hyperopt
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/baselines"
@@ -68,7 +66,7 @@ func BenchmarkHyperoptGBDTSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := Search(Config{
-			Trials: 9, Seed: 35, Workers: 1,
+			Trials: 9, Seed: 35,
 			Halving: true, MinBudget: 1, MaxBudget: 9, Eta: 3,
 		}, space, objective)
 		if err != nil {
@@ -80,28 +78,24 @@ func BenchmarkHyperoptGBDTSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkHyperoptSearch measures the successive-halving search loop,
-// serial vs worker-pool, on a training-shaped objective.
+// BenchmarkHyperoptSearch measures the successive-halving search loop on a
+// training-shaped objective.
 func BenchmarkHyperoptSearch(b *testing.B) {
 	space := []Param{
 		Uniform("x", -10, 10),
 		LogUniform("lr", 1e-5, 1e-1),
 		IntRange("layers", 1, 4),
 	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := Search(Config{
-					Trials: 27, Seed: 21, Workers: workers,
-					Halving: true, MinBudget: 1, MaxBudget: 9, Eta: 3,
-				}, space, trainLikeObjective)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Best == nil {
-					b.Fatal("no best trial")
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		res, err := Search(Config{
+			Trials: 27, Seed: 21,
+			Halving: true, MinBudget: 1, MaxBudget: 9, Eta: 3,
+		}, space, trainLikeObjective)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Best == nil {
+			b.Fatal("no best trial")
+		}
 	}
 }

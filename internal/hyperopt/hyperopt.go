@@ -9,8 +9,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Param declares one dimension of the search space.
@@ -69,13 +67,6 @@ type Objective func(t *Trial, budget int) float64
 type Config struct {
 	Trials int // 0 means 20
 	Seed   int64
-	// Workers is the number of goroutines evaluating trials concurrently
-	// (within each successive-halving rung too); 0 or 1 evaluates
-	// serially. Results are bit-identical to the serial path for a fixed
-	// Seed: every trial samples its configuration from its own RNG seeded
-	// with Seed+ID, so neither sampling nor scoring depends on evaluation
-	// order. Objectives must be safe to call concurrently when Workers > 1.
-	Workers int
 	// Halving enables successive halving: trials are evaluated at
 	// MinBudget, the best 1/Eta survive to Eta×budget, and so on up to
 	// MaxBudget.
@@ -119,28 +110,25 @@ func Search(cfg Config, space []Param, obj Objective) (Result, error) {
 	}
 
 	// Each trial samples from an RNG derived from Seed+ID, so trial i's
-	// configuration is the same whether trials are drawn or evaluated in
-	// any order — the property that makes Workers > 1 bit-identical to
-	// the serial path.
+	// configuration does not depend on the order trials are drawn in.
 	trials := make([]*Trial, cfg.Trials)
 	for i := range trials {
 		trials[i] = sample(rand.New(rand.NewSource(cfg.Seed+int64(i))), space, i)
 	}
 
 	if !cfg.Halving {
-		evalAll(trials, 1, cfg.Workers, obj)
+		evalAll(trials, 1, obj)
 	} else {
 		// Successive halving: everyone starts at MinBudget; the best
 		// 1/Eta advance with Eta× the budget until MaxBudget.
 		alive := trials
 		budget := cfg.MinBudget
 		for {
-			evalAll(alive, budget, cfg.Workers, obj)
+			evalAll(alive, budget, obj)
 			if budget >= cfg.MaxBudget || len(alive) <= 1 {
 				break
 			}
-			// Ties break on trial ID so the rung cut is deterministic
-			// regardless of evaluation order.
+			// Ties break on trial ID so the rung cut is deterministic.
 			sort.Slice(alive, func(a, b int) bool {
 				if alive[a].Score != alive[b].Score {
 					return alive[a].Score < alive[b].Score
@@ -174,39 +162,12 @@ func Search(cfg Config, space []Param, obj Objective) (Result, error) {
 	return Result{Best: best, Trials: trials}, nil
 }
 
-// evalAll scores every trial at the given budget, fanning out across a
-// worker pool when workers > 1. Scores land in each trial's own struct, so
-// evaluation order cannot affect the outcome — the parallel rung is
-// bit-identical to the serial one.
-func evalAll(trials []*Trial, budget, workers int, obj Objective) {
+// evalAll scores every trial at the given budget, in order.
+func evalAll(trials []*Trial, budget int, obj Objective) {
 	for _, t := range trials {
 		t.Budget = budget
+		t.Score = obj(t, budget)
 	}
-	if workers > len(trials) {
-		workers = len(trials)
-	}
-	if workers <= 1 {
-		for _, t := range trials {
-			t.Score = obj(t, budget)
-		}
-		return
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(trials) {
-					return
-				}
-				trials[i].Score = obj(trials[i], budget)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // sample draws one configuration.

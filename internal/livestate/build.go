@@ -159,6 +159,10 @@ func rowOrder(tr *trace.Trace, cluster *slurmsim.ClusterSpec) ([]trace.Job, int,
 	return jobs, rows, totals, nil
 }
 
+// runtimeTrainFraction is the earliest fraction of the rows the runtime
+// predictor trains on.
+const runtimeTrainFraction = 0.5
+
 // fitForest trains the runtime predictor (random forest on request-time
 // features only) on the earliest fraction of the rows, so later jobs never
 // leak into it. A job still running (End == 0) has no runtime to learn. The
@@ -169,11 +173,7 @@ func fitForest(tr *trace.Trace, cluster *slurmsim.ClusterSpec, opt features.Opti
 	if err != nil {
 		return nil, err
 	}
-	frac := opt.RuntimeTrainFraction
-	if frac <= 0 || frac > 1 {
-		frac = 0.5
-	}
-	trainN := int(float64(rows) * frac)
+	trainN := int(float64(rows) * runtimeTrainFraction)
 	if trainN < 10 {
 		trainN = rows
 	}

@@ -47,17 +47,17 @@ func TestFitDivergenceRollsBack(t *testing.T) {
 	tr := Trainer{
 		Net: net,
 		Opt: &sgd{lr: 1e6},
-		Cfg: TrainConfig{Loss: MSE, Epochs: 20, BatchSize: 32, Workers: 1, Seed: 5, DivergencePatience: 2},
+		Cfg: TrainConfig{Loss: MSE, Epochs: 20, BatchSize: 32, Workers: 1, Seed: 5},
 	}
 	res, err := tr.FitCtx(context.Background(), x, y)
 	var de *DivergenceError
 	if !errors.As(err, &de) {
 		t.Fatalf("want *DivergenceError, got %v", err)
 	}
-	if de.Events != 2 {
+	if de.Events != divergencePatience {
 		t.Fatalf("divergence events %d", de.Events)
 	}
-	if !res.Diverged || res.Rollbacks != 2 {
+	if !res.Diverged || res.Rollbacks != divergencePatience {
 		t.Fatalf("result %+v", res)
 	}
 	// Rollback must leave the network at the best checkpoint — the initial
@@ -84,7 +84,7 @@ func TestFitDivergenceParallelWorkers(t *testing.T) {
 	tr := Trainer{
 		Net: net,
 		Opt: &sgd{lr: 1e6},
-		Cfg: TrainConfig{Loss: MSE, Epochs: 20, BatchSize: 128, Workers: 4, Seed: 5, DivergencePatience: 1},
+		Cfg: TrainConfig{Loss: MSE, Epochs: 20, BatchSize: 128, Workers: 4, Seed: 5},
 	}
 	_, err := tr.FitCtx(context.Background(), x, y)
 	var de *DivergenceError
@@ -140,32 +140,5 @@ func TestFitContextCancellation(t *testing.T) {
 	}
 	if res.Epochs != 0 {
 		t.Fatalf("trained %d epochs after cancellation", res.Epochs)
-	}
-}
-
-// TestFitDivergenceDisabled pins the opt-out: negative patience restores
-// the pre-hardening behavior where NaNs flow into the weights and Fit
-// reports no error.
-func TestFitDivergenceDisabled(t *testing.T) {
-	x, y := divergenceFixture(256)
-	net := NewNetwork(rand.New(rand.NewSource(7)), MLPSpecs(4, []int{16}, 1, ReLU, Identity, 0)...)
-	tr := Trainer{
-		Net: net,
-		Opt: &sgd{lr: 1e6},
-		Cfg: TrainConfig{Loss: MSE, Epochs: 3, BatchSize: 32, Workers: 1, Seed: 5, DivergencePatience: -1},
-	}
-	if _, err := tr.FitCtx(context.Background(), x, y); err != nil {
-		t.Fatalf("disabled guard returned %v", err)
-	}
-	sawNonFinite := false
-	for _, p := range net.Params() {
-		for _, v := range p.Value.Data {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				sawNonFinite = true
-			}
-		}
-	}
-	if !sawNonFinite {
-		t.Skip("fixture did not explode without the guard; nothing to pin")
 	}
 }

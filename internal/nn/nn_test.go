@@ -406,26 +406,6 @@ func TestParallelTrainerMatchesSerialLoss(t *testing.T) {
 	}
 }
 
-func TestEarlyStopping(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	net := NewNetwork(rng, MLPSpecs(2, []int{4}, 1, ReLU, Identity, 0)...)
-	// Pure-noise targets: validation loss cannot improve for long.
-	x := tensor.New(200, 2)
-	x.RandN(rng, 1)
-	y := tensor.New(200, 1)
-	y.RandN(rng, 1)
-	tr := Trainer{Net: net, Opt: NewAdam(0.01), Cfg: TrainConfig{
-		Loss: MSE, Epochs: 200, BatchSize: 32, Workers: 1,
-		ValFraction: 0.25, Patience: 3, Seed: 5}}
-	res := tr.Fit(x, y)
-	if !res.EarlyStops {
-		t.Fatal("expected early stopping on noise")
-	}
-	if res.Epochs >= 200 {
-		t.Fatal("early stopping did not cut epochs")
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	net := NewNetwork(rng, MLPSpecs(3, []int{5, 4}, 1, ELU, Identity, 0.1)...)

@@ -31,7 +31,7 @@ func trainTestData(rows int) (*tensor.Matrix, *tensor.Matrix) {
 }
 
 // TestBatchStepAllocFree pins the training workspace's point: a warm serial
-// batch step (gather, forward, loss, backward, clip, Adam step) must run
+// batch step (gather, forward, loss, backward, Adam step) must run
 // allocation-free.
 func TestBatchStepAllocFree(t *testing.T) {
 	if raceEnabled {
@@ -44,13 +44,13 @@ func TestBatchStepAllocFree(t *testing.T) {
 	}
 
 	net := NewNetwork(rand.New(rand.NewSource(41)), trainTestSpecs()...)
-	tr := &Trainer{Net: net, Opt: NewAdam(1e-3), Cfg: TrainConfig{Loss: SmoothL1, ClipNorm: 5}}
+	tr := &Trainer{Net: net, Opt: NewAdam(1e-3), Cfg: TrainConfig{Loss: SmoothL1}}
 	st := newTrainState([]*Network{net})
 	for i := 0; i < 3; i++ { // warm the workspace and optimizer state
-		tr.batchStep(st, x, y, batch, 1, true)
+		tr.batchStep(st, x, y, batch, 1)
 	}
 	warm := testing.AllocsPerRun(50, func() {
-		tr.batchStep(st, x, y, batch, 1, true)
+		tr.batchStep(st, x, y, batch, 1)
 	})
 	if warm > 0 {
 		t.Errorf("warm workspace batch step allocates %.1f times, want 0", warm)
@@ -75,7 +75,7 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	tr := &Trainer{
 		Net: net,
 		Opt: NewAdam(1e-3),
-		Cfg: TrainConfig{Loss: SmoothL1, Epochs: 1, BatchSize: 256, Workers: 1, Seed: 5, ClipNorm: 5},
+		Cfg: TrainConfig{Loss: SmoothL1, Epochs: 1, BatchSize: 256, Workers: 1, Seed: 5},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -19,16 +19,8 @@ type TrainConfig struct {
 	// Workers is the number of data-parallel gradient workers per batch.
 	// 0 means min(GOMAXPROCS, 4); 1 forces the serial path.
 	Workers int
-	// ValFraction holds out the last fraction of the (already shuffled)
-	// training set for early stopping; 0 disables validation.
-	ValFraction float64
-	// Patience is the number of epochs without validation improvement
-	// before stopping early; 0 disables early stopping.
-	Patience int
-	// Silent suppresses the per-epoch callback.
-	OnEpoch func(epoch int, trainLoss, valLoss float64)
-	// OnEpochStats, when non-nil, receives richer telemetry after each
-	// epoch: losses plus the last batch's global gradient L2 norm and the
+	// OnEpochStats, when non-nil, receives telemetry after each epoch:
+	// the training loss, the last batch's global gradient L2 norm and the
 	// learning rate in effect. Setting it enables the (cheap, alloc-free)
 	// per-batch norm computation.
 	OnEpochStats func(stats EpochStats)
@@ -38,38 +30,21 @@ type TrainConfig struct {
 	OnRollback func(epoch, events int, lr float64)
 	// Seed drives batch shuffling and worker dropout masks.
 	Seed int64
-	// ClipNorm rescales each batch's gradient so its global L2 norm does
-	// not exceed this value; 0 disables clipping. The paper leans on
-	// smooth-L1 to tame exploding gradients from day-long queue-time
-	// outliers; clipping is the belt to that suspenders.
-	ClipNorm float64
 	// LossFunc, when non-nil, overrides Loss with a custom differentiable
 	// loss (e.g. a PinballLoss closure for quantile regression).
 	LossFunc func(pred, target *tensor.Matrix) (float64, *tensor.Matrix)
-	// LRDecay multiplies the optimizer's learning rate by this factor
-	// after each epoch (a simple exponential schedule); 0 or 1 disables.
-	LRDecay float64
-	// DivergencePatience is the number of divergent events (a non-finite
-	// batch loss, gradient, or validation loss) tolerated before FitCtx
-	// gives up. Each event rolls the network back to the best checkpointed
-	// weights and halves the learning rate; exhausting the budget returns
-	// a *DivergenceError with the rollback already applied. 0 means 3;
-	// negative disables divergence handling entirely (pre-hardening
-	// behavior: NaNs propagate into the weights).
-	DivergencePatience int
 }
 
-// evalLoss dispatches between the named loss and a custom LossFunc.
-func (c *TrainConfig) evalLoss(pred, target *tensor.Matrix) (float64, *tensor.Matrix) {
-	if c.LossFunc != nil {
-		return c.LossFunc(pred, target)
-	}
-	return Loss(c.Loss, pred, target)
-}
+// divergencePatience is the number of divergent events (a non-finite batch
+// loss or gradient) FitCtx tolerates before it gives up. Each event rolls
+// the network back to the best checkpointed weights and halves the
+// learning rate; exhausting the budget returns a *DivergenceError with the
+// rollback already applied.
+const divergencePatience = 3
 
-// evalLossWS is evalLoss writing the gradient into the workspace's buffer.
-// A custom LossFunc keeps its own allocating contract (it returns a fresh
-// gradient we cannot reuse); the named losses go through LossInto.
+// evalLossWS dispatches between a custom LossFunc, which keeps its own
+// allocating contract (it returns a fresh gradient we cannot reuse), and
+// the named loss, which LossInto writes into the workspace's buffer.
 func (c *TrainConfig) evalLossWS(ws *TrainWorkspace, pred, target *tensor.Matrix) (float64, *tensor.Matrix) {
 	if c.LossFunc != nil {
 		return c.LossFunc(pred, target)
@@ -81,10 +56,8 @@ func (c *TrainConfig) evalLossWS(ws *TrainWorkspace, pred, target *tensor.Matrix
 type EpochStats struct {
 	Epoch     int
 	TrainLoss float64
-	// ValLoss is NaN when no validation holdout is configured.
-	ValLoss float64
 	// GradNorm is the global gradient L2 norm of the epoch's last
-	// successful batch step (pre-clipping).
+	// successful batch step.
 	GradNorm float64
 	// LR is the optimizer learning rate in effect during the epoch.
 	LR float64
@@ -92,12 +65,10 @@ type EpochStats struct {
 
 // TrainResult summarizes a training run.
 type TrainResult struct {
-	Epochs     int
-	FinalLoss  float64
-	BestVal    float64
-	EarlyStops bool
+	Epochs    int
+	FinalLoss float64
 	// Diverged is true when training was abandoned after exhausting
-	// DivergencePatience; the network holds the best checkpointed weights.
+	// divergencePatience; the network holds the best checkpointed weights.
 	Diverged bool
 	// Rollbacks counts checkpoint restores triggered by divergent events.
 	Rollbacks int
@@ -133,8 +104,8 @@ type Trainer struct {
 // y has one row per sample. Gradients for each batch are computed by
 // Cfg.Workers replicas over shards of the batch and summed in worker order,
 // so a run is reproducible for a fixed worker count. Divergence (see
-// TrainConfig.DivergencePatience) is handled by rollback but not reported;
-// use FitCtx to observe it.
+// divergencePatience) is handled by rollback but not reported; use FitCtx
+// to observe it.
 func (t *Trainer) Fit(x, y *tensor.Matrix) TrainResult {
 	res, _ := t.FitCtx(context.Background(), x, y)
 	return res
@@ -166,26 +137,7 @@ func (t *Trainer) FitCtx(ctx context.Context, x, y *tensor.Matrix) (TrainResult,
 		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	// Hold out validation rows from the end (callers pass time-ordered
-	// data, so the tail is the "future" — consistent with the paper's
-	// time-based splitting).
-	nVal := 0
-	if cfg.ValFraction > 0 {
-		nVal = int(float64(x.Rows) * cfg.ValFraction)
-	}
-	nTrain := x.Rows - nVal
-	if nTrain <= 0 {
-		nTrain, nVal = x.Rows, 0
-	}
-	var xVal, yVal *tensor.Matrix
-	if nVal > 0 {
-		idx := make([]int, nVal)
-		for i := range idx {
-			idx[i] = nTrain + i
-		}
-		xVal, yVal = x.SelectRows(idx), y.SelectRows(idx)
-	}
+	nTrain := x.Rows
 
 	// Data-parallel replicas share the master's architecture.
 	replicas := make([]*Network, workers)
@@ -203,48 +155,14 @@ func (t *Trainer) FitCtx(ctx context.Context, x, y *tensor.Matrix) (TrainResult,
 	// Divergence handling: keep a checkpoint of the best weights seen so
 	// far and roll back to it whenever a non-finite loss or gradient
 	// appears, halving the learning rate to attempt recovery. The budget
-	// of such events is DivergencePatience.
-	patience := cfg.DivergencePatience
-	if patience == 0 {
-		patience = 3
-	}
-	guard := patience > 0
-	var ckpt *Network
+	// of such events is divergencePatience.
+	ckpt := t.Net.CloneFor(rand.New(rand.NewSource(cfg.Seed + 7919)))
+	ckpt.CopyWeightsFrom(t.Net)
 	ckptScore := math.Inf(1)
-	if guard {
-		ckpt = t.Net.CloneFor(rand.New(rand.NewSource(cfg.Seed + 7919)))
-		ckpt.CopyWeightsFrom(t.Net)
-	}
 	lastFinite := math.NaN()
-	events := 0
-	curEpoch := 0
 	res := TrainResult{}
-	rollback := func() {
-		events++
-		t.Net.CopyWeightsFrom(ckpt)
-		t.Opt.SetLR(t.Opt.LR() / 2)
-		res.Rollbacks++
-		if cfg.OnRollback != nil {
-			cfg.OnRollback(curEpoch, events, t.Opt.LR())
-		}
-	}
 
-	emitEpoch := func(epoch int, trainLoss, valLoss, lr float64) {
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, trainLoss, valLoss)
-		}
-		if cfg.OnEpochStats != nil {
-			cfg.OnEpochStats(EpochStats{
-				Epoch: epoch, TrainLoss: trainLoss, ValLoss: valLoss,
-				GradNorm: st.lastGradNorm, LR: lr,
-			})
-		}
-	}
-
-	best := math.Inf(1)
-	badEpochs := 0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		curEpoch = epoch
 		epochLR := t.Opt.LR()
 		rng.Shuffle(nTrain, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var epochLoss float64
@@ -258,13 +176,18 @@ func (t *Trainer) FitCtx(ctx context.Context, x, y *tensor.Matrix) (TrainResult,
 				end = nTrain
 			}
 			batch := order[start:end]
-			l, ok := t.batchStep(st, x, y, batch, workers, guard)
+			l, ok := t.batchStep(st, x, y, batch, workers)
 			if !ok {
-				rollback()
-				if events >= patience {
+				t.Net.CopyWeightsFrom(ckpt)
+				t.Opt.SetLR(t.Opt.LR() / 2)
+				res.Rollbacks++
+				if cfg.OnRollback != nil {
+					cfg.OnRollback(epoch, res.Rollbacks, t.Opt.LR())
+				}
+				if res.Rollbacks >= divergencePatience {
 					res.Diverged = true
 					res.Epochs = epoch + 1
-					return res, &DivergenceError{Epoch: epoch, Events: events, LastLoss: lastFinite}
+					return res, &DivergenceError{Epoch: epoch, Events: res.Rollbacks, LastLoss: lastFinite}
 				}
 				continue
 			}
@@ -282,46 +205,13 @@ func (t *Trainer) FitCtx(ctx context.Context, x, y *tensor.Matrix) (TrainResult,
 		res.Epochs = epoch + 1
 		res.FinalLoss = epochLoss
 
-		valLoss := math.NaN()
-		if nVal > 0 {
-			pred := t.Net.Predict(xVal)
-			valLoss, _ = cfg.evalLoss(pred, yVal)
-			if guard && (math.IsNaN(valLoss) || math.IsInf(valLoss, 0)) {
-				rollback()
-				if events >= patience {
-					res.Diverged = true
-					return res, &DivergenceError{Epoch: epoch, Events: events, LastLoss: lastFinite}
-				}
-				continue
-			}
-			if valLoss < best-1e-9 {
-				best = valLoss
-				badEpochs = 0
-			} else {
-				badEpochs++
-			}
-			res.BestVal = best
-			if cfg.Patience > 0 && badEpochs >= cfg.Patience {
-				res.EarlyStops = true
-				emitEpoch(epoch, epochLoss, valLoss, epochLR)
-				break
-			}
+		// Checkpoint on improvement of the training loss.
+		if !math.IsNaN(epochLoss) && !math.IsInf(epochLoss, 0) && epochLoss < ckptScore {
+			ckptScore = epochLoss
+			ckpt.CopyWeightsFrom(t.Net)
 		}
-		// Checkpoint on improvement: validation loss when available,
-		// training loss otherwise.
-		if guard {
-			score := epochLoss
-			if nVal > 0 {
-				score = valLoss
-			}
-			if !math.IsNaN(score) && !math.IsInf(score, 0) && score < ckptScore {
-				ckptScore = score
-				ckpt.CopyWeightsFrom(t.Net)
-			}
-		}
-		emitEpoch(epoch, epochLoss, valLoss, epochLR)
-		if cfg.LRDecay > 0 && cfg.LRDecay != 1 {
-			t.Opt.SetLR(t.Opt.LR() * cfg.LRDecay)
+		if cfg.OnEpochStats != nil {
+			cfg.OnEpochStats(EpochStats{Epoch: epoch, TrainLoss: epochLoss, GradNorm: st.lastGradNorm, LR: epochLR})
 		}
 	}
 	return res, nil
@@ -339,8 +229,8 @@ type trainState struct {
 	params   [][]Param // params[w] belongs to replicas[w]; [0] is the master
 	losses   []float64
 	sizes    []int
-	// lastGradNorm is the pre-clip global gradient L2 norm of the most
-	// recent successful batch step; only maintained when the config's
+	// lastGradNorm is the global gradient L2 norm of the most recent
+	// successful batch step; only maintained when the config's
 	// OnEpochStats hook is set.
 	lastGradNorm float64
 }
@@ -362,10 +252,9 @@ func newTrainState(replicas []*Network) *trainState {
 
 // batchStep computes the batch gradient (possibly sharded across replicas),
 // applies one optimizer step to the master network, and returns the batch
-// loss. With guard set, a non-finite loss or gradient skips the optimizer
-// step, zeroes the accumulated gradients, and returns ok=false so the
-// caller can roll back. All intermediate tensors live in st's workspaces.
-func (t *Trainer) batchStep(st *trainState, x, y *tensor.Matrix, batch []int, workers int, guard bool) (float64, bool) {
+// loss. A non-finite loss or gradient skips the optimizer step, zeroes the
+// accumulated gradients, and returns ok=false so the caller can roll back. All intermediate tensors live in st's workspaces.
+func (t *Trainer) batchStep(st *trainState, x, y *tensor.Matrix, batch []int, workers int) (float64, bool) {
 	master := st.params[0]
 	if workers <= 1 || len(batch) < 2*workers {
 		ws := st.wss[0]
@@ -373,19 +262,18 @@ func (t *Trainer) batchStep(st *trainState, x, y *tensor.Matrix, batch []int, wo
 		yb := y.SelectRowsInto(batch, &ws.yb)
 		pred := t.Net.ForwardTrain(ws, xb)
 		l, grad := t.Cfg.evalLossWS(ws, pred, yb)
-		if guard && (math.IsNaN(l) || math.IsInf(l, 0)) {
+		if math.IsNaN(l) || math.IsInf(l, 0) {
 			zeroGrads(master)
 			return l, false
 		}
 		t.Net.BackwardTrain(ws, grad)
-		if guard && !gradsFinite(master) {
+		if !gradsFinite(master) {
 			zeroGrads(master)
 			return l, false
 		}
 		if t.Cfg.OnEpochStats != nil {
 			st.lastGradNorm = gradNorm(master)
 		}
-		clipGradients(master, t.Cfg.ClipNorm)
 		t.Opt.Step(master)
 		return l, true
 	}
@@ -453,14 +341,13 @@ func (t *Trainer) batchStep(st *trainState, x, y *tensor.Matrix, batch []int, wo
 	for w := 0; w < workers; w++ {
 		l += st.losses[w] * float64(st.sizes[w]) / total
 	}
-	if guard && ((math.IsNaN(l) || math.IsInf(l, 0)) || !gradsFinite(master)) {
+	if math.IsNaN(l) || math.IsInf(l, 0) || !gradsFinite(master) {
 		zeroGrads(master)
 		return l, false
 	}
 	if t.Cfg.OnEpochStats != nil {
 		st.lastGradNorm = gradNorm(master)
 	}
-	clipGradients(master, t.Cfg.ClipNorm)
 	t.Opt.Step(master)
 	return l, true
 }
@@ -494,22 +381,4 @@ func gradNorm(params []Param) float64 {
 		}
 	}
 	return math.Sqrt(sq)
-}
-
-// clipGradients rescales all gradients in place so their global L2 norm is
-// at most maxNorm (no-op when maxNorm <= 0 or the norm is already within).
-func clipGradients(params []Param, maxNorm float64) {
-	if maxNorm <= 0 {
-		return
-	}
-	norm := gradNorm(params)
-	if norm <= maxNorm {
-		return
-	}
-	scale := maxNorm / norm
-	for _, p := range params {
-		for i := range p.Grad.Data {
-			p.Grad.Data[i] *= scale
-		}
-	}
 }

@@ -404,8 +404,8 @@ func TestTrainTelemetry(t *testing.T) {
 	logger, _ := NewLogger(&buf, "info", "json")
 	tt := NewTrainTelemetry(r, logger)
 
-	tt.ObserveEpoch("classifier", 3, 0.5, 0.6, 1.2, 0.01)
-	tt.ObserveEpoch("classifier", 4, 0.4, 0.55, 1.1, 0.01)
+	tt.ObserveEpoch("classifier", 3, 0.5, 1.2, 0.01)
+	tt.ObserveEpoch("classifier", 4, 0.4, 1.1, 0.01)
 	tt.ObserveRollback("regressor", 7, 1, 0.005)
 
 	var b strings.Builder
@@ -430,6 +430,6 @@ func TestTrainTelemetry(t *testing.T) {
 
 	// Nil receiver is a no-op.
 	var nilT *TrainTelemetry
-	nilT.ObserveEpoch("x", 0, 0, 0, 0, 0)
+	nilT.ObserveEpoch("x", 0, 0, 0, 0)
 	nilT.ObserveRollback("x", 0, 0, 0)
 }

@@ -11,7 +11,6 @@ type TrainTelemetry struct {
 	logger *slog.Logger
 
 	loss      *GaugeVec
-	valLoss   *GaugeVec
 	gradNorm  *GaugeVec
 	lr        *GaugeVec
 	epochs    *CounterVec
@@ -25,8 +24,6 @@ func NewTrainTelemetry(r *Registry, logger *slog.Logger) *TrainTelemetry {
 		logger: logger,
 		loss: r.GaugeVec("trout_train_loss",
 			"Training loss of the most recent epoch.", "head"),
-		valLoss: r.GaugeVec("trout_train_val_loss",
-			"Validation loss of the most recent epoch (0 when no holdout).", "head"),
 		gradNorm: r.GaugeVec("trout_train_grad_norm",
 			"Global gradient L2 norm of the most recent epoch's last step.", "head"),
 		lr: r.GaugeVec("trout_train_learning_rate",
@@ -40,12 +37,11 @@ func NewTrainTelemetry(r *Registry, logger *slog.Logger) *TrainTelemetry {
 
 // ObserveEpoch records one completed epoch for the named model head.
 // Safe on a nil receiver.
-func (t *TrainTelemetry) ObserveEpoch(head string, epoch int, loss, val, gradNorm, lr float64) {
+func (t *TrainTelemetry) ObserveEpoch(head string, epoch int, loss, gradNorm, lr float64) {
 	if t == nil {
 		return
 	}
 	t.loss.Set(loss, head)
-	t.valLoss.Set(val, head)
 	t.gradNorm.Set(gradNorm, head)
 	t.lr.Set(lr, head)
 	t.epochs.Inc(head)
@@ -54,7 +50,6 @@ func (t *TrainTelemetry) ObserveEpoch(head string, epoch int, loss, val, gradNor
 			slog.String("head", head),
 			slog.Int("epoch", epoch),
 			slog.Float64("loss", loss),
-			slog.Float64("val_loss", val),
 			slog.Float64("grad_norm", gradNorm),
 			slog.Float64("learning_rate", lr),
 		)

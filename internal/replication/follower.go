@@ -28,19 +28,14 @@ type FollowerConfig struct {
 	// Client overrides the HTTP client. Nil builds one with no global
 	// timeout (long-polls are bounded per-request via context).
 	Client *http.Client
-	// Retry shapes the reconnect backoff. The zero value is the resilience
-	// default (100ms → 10s, full jitter, unlimited attempts).
+	// Retry shapes the reconnect backoff, retried until the context ends.
+	// The zero value is the resilience default (100ms → 10s).
 	Retry resilience.Policy
 	// PollWait is the long-poll window asked of the leader. 0 means 25s.
 	PollWait time.Duration
-	// MaxBatchBytes caps each WAL fetch. 0 accepts the leader default.
-	MaxBatchBytes int64
 	// LagEvents is the replication-lag threshold (in events) beyond which
 	// the follower reports itself degraded / not ready. 0 means 4096.
 	LagEvents uint64
-	// StaleAfter marks the follower degraded when the leader has not been
-	// reachable for this long. 0 means 30s.
-	StaleAfter time.Duration
 	// Logger for replication lifecycle events. Nil discards.
 	Logger *slog.Logger
 	// Tracer, when set, records each full resnapshot as a root trace
@@ -94,6 +89,10 @@ type Follower struct {
 	applyRejects   uint64
 }
 
+// staleAfter marks the follower degraded when the leader has not been
+// reachable for this long.
+const staleAfter = 30 * time.Second
+
 // NewFollower validates cfg and builds the pull loop (not yet running).
 func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.LeaderURL == "" {
@@ -108,9 +107,6 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.LagEvents == 0 {
 		cfg.LagEvents = 4096
 	}
-	if cfg.StaleAfter == 0 {
-		cfg.StaleAfter = 30 * time.Second
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -123,8 +119,8 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	return f, nil
 }
 
-// Run pulls until ctx is canceled. Transient leader failures back off with
-// jitter (resilience.Retry) and never kill the loop; Run only returns
+// Run pulls until ctx is canceled. Transient leader failures back off
+// (resilience.Retry) and never kill the loop; Run only returns
 // ctx.Err().
 func (f *Follower) Run(ctx context.Context) error {
 	p := f.cfg.Retry
@@ -182,9 +178,6 @@ func (f *Follower) syncOnce(ctx context.Context) error {
 	f.mu.Unlock()
 	url := fmt.Sprintf("%s/replication/wal?from=%d&wait=%s",
 		f.cfg.LeaderURL, from, wait)
-	if f.cfg.MaxBatchBytes > 0 {
-		url += fmt.Sprintf("&max_bytes=%d", f.cfg.MaxBatchBytes)
-	}
 	// Bound the request a comfortable margin past the long-poll window so a
 	// hung leader cannot wedge the loop.
 	rctx, cancel := context.WithTimeout(ctx, f.cfg.PollWait+15*time.Second)
@@ -407,7 +400,7 @@ func (f *Follower) Err() error {
 	f.mu.Lock()
 	last := f.lastContact
 	f.mu.Unlock()
-	if !last.IsZero() && time.Since(last) > f.cfg.StaleAfter {
+	if !last.IsZero() && time.Since(last) > staleAfter {
 		return fmt.Errorf("replication: no leader contact for %s", time.Since(last).Round(time.Second))
 	}
 	return nil

@@ -92,17 +92,6 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 		resilience.WriteError(w, http.StatusBadRequest, fmt.Sprintf("replication: bad from: %v", err))
 		return
 	}
-	maxBytes := maxBatchBytes
-	if v := q.Get("max_bytes"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n <= 0 {
-			resilience.WriteError(w, http.StatusBadRequest, "replication: bad max_bytes")
-			return
-		}
-		if n < maxBytes {
-			maxBytes = n
-		}
-	}
 	var wait time.Duration
 	if v := q.Get("wait"); v != "" {
 		d, err := time.ParseDuration(v)
@@ -152,10 +141,10 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Buffer the frames (bounded by maxBytes) so an I/O error mid-read
+	// Buffer the frames (bounded by maxBatchBytes) so an I/O error mid-read
 	// never corrupts an already-started 200 stream.
 	var buf bytes.Buffer
-	_, _, err = l.store.ReadWAL(from, maxBytes, &buf)
+	_, _, err = l.store.ReadWAL(from, maxBatchBytes, &buf)
 	if err == livestate.ErrSubsumed {
 		l.setPosHeaders(w)
 		resilience.WriteError(w, http.StatusGone,

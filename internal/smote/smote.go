@@ -18,31 +18,22 @@ import (
 // Config controls balancing.
 type Config struct {
 	// K is the neighbor count for SMOTE interpolation; 0 means 5.
-	K int
-	// TargetRatio is the desired minority/majority size ratio after
-	// balancing; 0 means 1.0 (fully balanced).
-	TargetRatio float64
-	// MaxOversample caps synthetic samples per original minority point;
-	// 0 means 10.
-	MaxOversample int
-	Seed          int64
+	K    int
+	Seed int64
 }
+
+// maxOversample caps synthetic samples per original minority point.
+const maxOversample = 10
 
 func (c *Config) defaults() {
 	if c.K <= 0 {
 		c.K = 5
 	}
-	if c.TargetRatio <= 0 {
-		c.TargetRatio = 1
-	}
-	if c.MaxOversample <= 0 {
-		c.MaxOversample = 10
-	}
 }
 
 // Balance returns a balanced dataset: the minority class is oversampled with
-// SMOTE and the majority class randomly undersampled until their ratio is
-// ~TargetRatio. Labels are booleans; the minority class is detected
+// SMOTE and the majority class randomly undersampled until the two are
+// the same size. Labels are booleans; the minority class is detected
 // automatically. Output order is shuffled deterministically from Seed.
 func Balance(cfg Config, X [][]float64, y []bool) ([][]float64, []bool, error) {
 	if len(X) != len(y) {
@@ -75,20 +66,14 @@ func Balance(cfg Config, X [][]float64, y []bool) ([][]float64, []bool, error) {
 	// the majority toward each other rather than inflating the minority
 	// all the way up (keeps synthetic fraction bounded).
 	target := int(math.Sqrt(float64(len(minIdx)) * float64(len(majIdx))))
-	maxMinority := len(minIdx) * (1 + cfg.MaxOversample)
+	maxMinority := len(minIdx) * (1 + maxOversample)
 	if target > maxMinority {
 		target = maxMinority
 	}
 	if target < len(minIdx) {
 		target = len(minIdx)
 	}
-	majTarget := int(float64(target) / cfg.TargetRatio)
-	if majTarget > len(majIdx) {
-		majTarget = len(majIdx)
-	}
-	if majTarget < 1 {
-		majTarget = 1
-	}
+	majTarget := min(target, len(majIdx))
 
 	var outX [][]float64
 	var outY []bool

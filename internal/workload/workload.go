@@ -52,10 +52,6 @@ type Config struct {
 	// (each member waits for the previous one — Slurm afterany), another
 	// source of eligible ≠ submit gaps.
 	ChainProb float64
-	// DiurnalAmplitude in [0, 1) modulates the arrival rate with a 24-hour
-	// sinusoid (peak mid-day, trough at night), the daily cycle real HPC
-	// submission logs show. 0 keeps arrivals homogeneous.
-	DiurnalAmplitude float64
 }
 
 // DefaultConfig returns a configuration shaped like the paper's dataset for
@@ -142,27 +138,11 @@ func Generate(cfg Config, cluster *slurmsim.ClusterSpec) ([]slurmsim.JobSpec, er
 
 	users := makeUsers(cfg, rng, partNames, partCum)
 
-	if cfg.DiurnalAmplitude < 0 || cfg.DiurnalAmplitude >= 1 {
-		return nil, fmt.Errorf("workload: DiurnalAmplitude %v outside [0,1)", cfg.DiurnalAmplitude)
-	}
-
 	specs := make([]slurmsim.JobSpec, 0, cfg.NumJobs)
 	clock := float64(cfg.Start)
 	id := 1
 	for len(specs) < cfg.NumJobs {
 		clock += rng.ExpFloat64() * cfg.MeanInterarrival
-		if cfg.DiurnalAmplitude > 0 {
-			// Thinning: resample arrivals against the time-of-day rate
-			// multiplier 1 + A·sin(2πt/day), peaking at 06:00 UTC+6h.
-			for {
-				phase := 2 * math.Pi * math.Mod(clock, 86400) / 86400
-				mult := (1 + cfg.DiurnalAmplitude*math.Sin(phase)) / (1 + cfg.DiurnalAmplitude)
-				if rng.Float64() < mult {
-					break
-				}
-				clock += rng.ExpFloat64() * cfg.MeanInterarrival
-			}
-		}
 		u := pickUser(users, rng)
 		n := 1
 		if rng.Float64() < cfg.BurstProb {

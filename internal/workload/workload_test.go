@@ -244,57 +244,3 @@ func TestZeroChainProbMeansNoDeps(t *testing.T) {
 		}
 	}
 }
-
-func TestDiurnalPatternModulatesArrivals(t *testing.T) {
-	cluster := slurmsim.AnvilLike(1)
-	cfg := DefaultConfig(30000, 15)
-	cfg.DiurnalAmplitude = 0.8
-	cfg.TargetUtilization = 0 // keep raw times for phase analysis
-	specs, err := Generate(cfg, &cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Jobs submitted in the "day" half-cycle (sin > 0) should outnumber
-	// the "night" half by a wide margin at amplitude 0.8.
-	day, night := 0, 0
-	for _, sp := range specs {
-		phase := math.Mod(float64(sp.Submit), 86400) / 86400
-		if phase < 0.5 {
-			day++
-		} else {
-			night++
-		}
-	}
-	ratio := float64(day) / float64(night)
-	if ratio < 1.5 {
-		t.Fatalf("day/night ratio %.2f — diurnal modulation too weak", ratio)
-	}
-	// Amplitude 0 must stay flat.
-	cfg.DiurnalAmplitude = 0
-	flat, err := Generate(cfg, &cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	day, night = 0, 0
-	for _, sp := range flat {
-		if math.Mod(float64(sp.Submit), 86400)/86400 < 0.5 {
-			day++
-		} else {
-			night++
-		}
-	}
-	if r := float64(day) / float64(night); r > 1.2 || r < 0.8 {
-		t.Fatalf("flat arrivals show ratio %.2f", r)
-	}
-}
-
-func TestDiurnalAmplitudeValidation(t *testing.T) {
-	cluster := slurmsim.AnvilLike(1)
-	for _, a := range []float64{-0.1, 1.0, 2.0} {
-		cfg := DefaultConfig(100, 1)
-		cfg.DiurnalAmplitude = a
-		if _, err := Generate(cfg, &cluster); err == nil {
-			t.Errorf("amplitude %v accepted", a)
-		}
-	}
-}

@@ -734,16 +734,13 @@ func TestServiceTrainTelemetry(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	hooks := svc.TrainHooks()
-	hooks.OnEpoch("classifier", nn.EpochStats{Epoch: 0, TrainLoss: 0.7, ValLoss: 0.8, GradNorm: 1.5, LR: 0.01})
-	hooks.OnEpoch("classifier", nn.EpochStats{Epoch: 1, TrainLoss: 0.5, ValLoss: 0.6, GradNorm: 1.2, LR: 0.01})
+	hooks.OnEpoch("classifier", nn.EpochStats{Epoch: 0, TrainLoss: 0.7, GradNorm: 1.5, LR: 0.01})
+	hooks.OnEpoch("classifier", nn.EpochStats{Epoch: 1, TrainLoss: 0.5, GradNorm: 1.2, LR: 0.01})
 	hooks.OnRollback("regressor", 3, 1, 0.05)
 
 	text, _ := scrape(t, srv.URL)
 	if v := metricValue(t, text, `trout_train_loss{head="classifier"}`); v != 0.5 {
 		t.Fatalf("train loss %v", v)
-	}
-	if v := metricValue(t, text, `trout_train_val_loss{head="classifier"}`); v != 0.6 {
-		t.Fatalf("val loss %v", v)
 	}
 	if v := metricValue(t, text, `trout_train_grad_norm{head="classifier"}`); v != 1.2 {
 		t.Fatalf("grad norm %v", v)

@@ -49,11 +49,6 @@ type PipelineConfig struct {
 	Seed int64
 	// Scale sizes the AnvilLike cluster (1 = 36 nodes).
 	Scale int
-	// Workload overrides the synthesized job stream (nil = default
-	// calibrated to the paper's Table I statistics).
-	Workload *workload.Config
-	// Sim overrides the scheduler configuration.
-	Sim *slurmsim.Config
 	// Features overrides feature engineering options.
 	Features features.Options
 	// Model configures TROUT training.
@@ -86,14 +81,7 @@ func (p *PipelineConfig) GenerateTrace() (*Trace, *ClusterSpec, error) {
 		scale = 1
 	}
 	simCfg := slurmsim.DefaultConfig(scale)
-	if p.Sim != nil {
-		simCfg = *p.Sim
-	}
-	wl := workload.DefaultConfig(p.Jobs, p.Seed)
-	if p.Workload != nil {
-		wl = *p.Workload
-	}
-	specs, err := workload.Generate(wl, &simCfg.Cluster)
+	specs, err := workload.Generate(workload.DefaultConfig(p.Jobs, p.Seed), &simCfg.Cluster)
 	if err != nil {
 		return nil, nil, err
 	}

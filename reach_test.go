@@ -41,6 +41,12 @@ var reachOracles = []string{
 	"(*repro/internal/obs.Tracer).Flush",
 	"(*repro/internal/obs.exporter).flush",
 	"(repro/internal/slurmsim.Stats).UtilizationCPU",
+	// The allocating forms the nn and tensor tests hold the workspace
+	// paths (LossInto, PredictInto, SelectRowsInto) and the f32 kernels
+	// against; the trainer's validation pass was their last caller.
+	"repro/internal/nn.Loss",
+	"(*repro/internal/nn.Network).Predict",
+	"(*repro/internal/tensor.Matrix).SelectRows",
 }
 
 // reachStdlibCalls are the methods the standard library calls on this
@@ -100,20 +106,17 @@ func (l *reachLoader) load(path, dir string, withTests bool) (*types.Package, er
 	return pkg, nil
 }
 
-// TestEveryFunctionReachable builds the call graph over every identifier
-// use that resolves to a function and walks it from the roots: each main
-// and init under cmd/ and examples/, and every module declaration bench/
-// names. A call through an interface method reaches every module method
-// of that name, as do reachStdlibCalls; a package's variable initializers
-// and init functions run as soon as anything in it does.
-func TestEveryFunctionReachable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module")
-	}
+// loadModule type-checks every package of the module that has non-test Go
+// (bench/ and testdata excluded) and then bench/ with its tests; the
+// returned set holds the module's import paths, bench/ not among them.
+func loadModule(t *testing.T) (*reachLoader, map[string]bool) {
 	l := &reachLoader{
 		fset: token.NewFileSet(), std: importer.Default(),
 		pkgs: map[string]*types.Package{}, files: map[string][]*ast.File{},
-		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		info: &types.Info{
+			Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
 	}
 	err := filepath.WalkDir(".", func(p string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -131,13 +134,27 @@ func TestEveryFunctionReachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	module := map[string]bool{} // the packages whose functions are judged
+	module := map[string]bool{}
 	for path := range l.pkgs {
 		module[path] = true
 	}
 	if _, err := l.load("repro/bench", "bench", true); err != nil {
 		t.Fatal(err)
 	}
+	return l, module
+}
+
+// TestEveryFunctionReachable builds the call graph over every identifier
+// use that resolves to a function and walks it from the roots: each main
+// and init under cmd/ and examples/, and every module declaration bench/
+// names. A call through an interface method reaches every module method
+// of that name, as do reachStdlibCalls; a package's variable initializers
+// and init functions run as soon as anything in it does.
+func TestEveryFunctionReachable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	l, module := loadModule(t) // module: the packages whose functions are judged
 
 	// Nodes are function objects, "method <name>" for a call through an
 	// interface, and a package's import path for its initialization.

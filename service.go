@@ -51,9 +51,6 @@ type ServiceConfig struct {
 	// Logger is the structured logger for access logs, middleware
 	// diagnostics, and training telemetry. Nil disables logging.
 	Logger *slog.Logger
-	// Logf, when set, receives middleware diagnostics (recovered panics).
-	// Nil with a Logger set derives a printf adapter from the Logger.
-	Logf func(format string, args ...any)
 	// LeaderURL switches the service into follower mode: the live store
 	// replicates from the leader troutd at this base URL, /predict and
 	// friends serve from the replica, and the write endpoints (/events,
@@ -139,8 +136,11 @@ type Service struct {
 
 	cfg    ServiceConfig
 	logger *slog.Logger
-	live   *livestate.Store
-	ready  atomic.Bool
+	// logf is the printf adapter over logger for middleware diagnostics
+	// (recovered panics); nil when logger is.
+	logf  func(format string, args ...any)
+	live  *livestate.Store
+	ready atomic.Bool
 
 	// tracer/slo are the hierarchical-tracing and SLO-objective sinks;
 	// both are nil-safe throughout, so disabled configurations cost one
@@ -188,12 +188,10 @@ func NewServiceWith(b *Bundle, initial *Trace, cfg ServiceConfig) (*Service, err
 		}
 		cfg.Live = st
 	}
-	if cfg.Logf == nil && cfg.Logger != nil {
-		cfg.Logf = obs.Logf(cfg.Logger)
-	}
 	s := &Service{
 		cfg:    cfg,
 		logger: cfg.Logger,
+		logf:   obs.Logf(cfg.Logger),
 		live:   cfg.Live,
 	}
 	s.tracer = cfg.Tracer
@@ -454,15 +452,11 @@ func (s *Service) Tracker() *obs.AccuracyTracker { return s.tracker }
 
 // TrainHooks returns core training hooks wired to the service's telemetry:
 // refits observed through them surface on /metrics and in the structured
-// log. A NaN validation loss (no holdout) is exported as 0.
+// log.
 func (s *Service) TrainHooks() core.TrainHooks {
 	return core.TrainHooks{
 		OnEpoch: func(head string, st nn.EpochStats) {
-			val := st.ValLoss
-			if val != val { // NaN: no validation holdout
-				val = 0
-			}
-			s.telemetry.ObserveEpoch(head, st.Epoch, st.TrainLoss, val, st.GradNorm, st.LR)
+			s.telemetry.ObserveEpoch(head, st.Epoch, st.TrainLoss, st.GradNorm, st.LR)
 		},
 		OnRollback: func(head string, epoch, events int, lr float64) {
 			s.telemetry.ObserveRollback(head, epoch, events, lr)
@@ -543,7 +537,7 @@ func (s *Service) Handler() http.Handler {
 	// poll would 504 and a follower of a quiet leader could never complete
 	// its first fetch. Replication endpoints bound themselves (wait clamp +
 	// client disconnect), so they bypass the deadline middleware.
-	timed := resilience.Timeout(h, s.cfg.RequestTimeout, s.cfg.Logf)
+	timed := resilience.Timeout(h, s.cfg.RequestTimeout, s.logf)
 	untimed := h
 	h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/replication/") {
@@ -552,7 +546,7 @@ func (s *Service) Handler() http.Handler {
 		}
 		timed.ServeHTTP(w, r)
 	})
-	h = resilience.Recover(h, s.cfg.Logf)
+	h = resilience.Recover(h, s.logf)
 	h = obs.Instrument(h, obs.HTTPOptions{
 		Logger:       s.logger,
 		Requests:     s.httpReqs,
@@ -1052,8 +1046,8 @@ func (s *Service) handleState(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The engine already holds the new state; a failed checkpoint is
 		// degraded durability, not a failed upload.
-		if s.cfg.Logf != nil {
-			s.cfg.Logf("state: live seed checkpoint: %v", err)
+		if s.logf != nil {
+			s.logf("state: live seed checkpoint: %v", err)
 		}
 	}
 	s.writeJSON(w, r, http.StatusOK, stateResponse{

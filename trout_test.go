@@ -169,7 +169,7 @@ func TestCrossValidate(t *testing.T) {
 func TestCompareFoldHasAllModels(t *testing.T) {
 	e := sharedExperiment(t)
 	scores, err := trout.CompareFold(e.Data, e.Pipeline.Model,
-		trout.CompareConfig{GBDTRounds: 30, ForestTrees: 30, KNNK: 10, Seed: 1},
+		trout.CompareConfig{GBDTRounds: 30, ForestTrees: 30, Seed: 1},
 		e.Pipeline.Folds, e.Pipeline.TestFraction, e.Pipeline.Folds)
 	if err != nil {
 		t.Fatal(err)

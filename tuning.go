@@ -18,16 +18,12 @@ import (
 type TuneConfig struct {
 	Trials int // 0 = 20
 	Seed   int64
-	// Workers evaluates trials concurrently (each rung of the halving
-	// ladder fans out across this many goroutines); 0 or 1 is serial.
-	// Results are bit-identical to the serial path for a fixed Seed —
-	// every trial trains with Seed+trialID, independent of schedule.
-	Workers int
 	// MinEpochs/MaxEpochs are the halving budget rungs; 0 = 5/40.
 	MinEpochs, MaxEpochs int
-	// ValFraction is the most-recent slice used to score trials; 0 = 0.2.
-	ValFraction float64
 }
+
+// tuneValFraction is the most-recent slice trials are scored on.
+const tuneValFraction = 0.2
 
 // TuneResult is the outcome of a search.
 type TuneResult struct {
@@ -51,10 +47,7 @@ func TuneRegressor(ds *Dataset, base ModelConfig, cfg TuneConfig) (TuneResult, e
 	if cfg.MaxEpochs <= 0 {
 		cfg.MaxEpochs = 40
 	}
-	if cfg.ValFraction <= 0 {
-		cfg.ValFraction = 0.2
-	}
-	fold, err := tscv.HoldoutRecent(ds.Len(), cfg.ValFraction)
+	fold, err := tscv.HoldoutRecent(ds.Len(), tuneValFraction)
 	if err != nil {
 		return TuneResult{}, err
 	}
@@ -85,7 +78,7 @@ func TuneRegressor(ds *Dataset, base ModelConfig, cfg TuneConfig) (TuneResult, e
 	}
 
 	res, err := hyperopt.Search(hyperopt.Config{
-		Trials: cfg.Trials, Seed: cfg.Seed, Workers: cfg.Workers,
+		Trials: cfg.Trials, Seed: cfg.Seed,
 		Halving: true, MinBudget: cfg.MinEpochs, MaxBudget: cfg.MaxEpochs, Eta: 2,
 	}, space, objective)
 	if err != nil {
