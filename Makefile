@@ -36,21 +36,26 @@ loc:
 # decoder, the queue-column feature row against the per-job walk, the
 # engine-replay dataset against the trace scan and the interval trees, the
 # engine's memoized snapshots against a fresh extraction, the appended
-# access-log line against slog's JSON handler, and the bundle loader (no
-# panic; a bundle it accepts saves to bytes that reload to themselves).
+# access-log line against slog's JSON handler, the bundle loader (no
+# panic; a bundle it accepts saves to bytes that reload to themselves),
+# and every float32 dense kernel the host runs against the portable one.
 # Corpus seeds + 5s of mutation each; Go allows one -fuzz target per run.
+# Minimizing a new interesting input may take 60s by default, which would
+# stall a 5s run after its first seconds; 1s keeps every target mutating.
+FUZZ = $(GO) test -run '^$$' -fuzzminimizetime 1s -fuzztime 5s -fuzz
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzDecodePredictRequest -fuzztime 5s .
-	$(GO) test -run '^$$' -fuzz FuzzLoadBundle -fuzztime 5s .
-	$(GO) test -run '^$$' -fuzz FuzzSnapshotRow -fuzztime 5s ./internal/features
-	$(GO) test -run '^$$' -fuzz FuzzBuildReplay -fuzztime 5s ./internal/intervaltree
-	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 5s ./internal/livestate
-	$(GO) test -run '^$$' -fuzz FuzzQueueMemo -fuzztime 5s ./internal/livestate
-	$(GO) test -run '^$$' -fuzz FuzzReadSegment -fuzztime 5s ./internal/livestate
-	$(GO) test -run '^$$' -fuzz FuzzWALEncode -fuzztime 5s ./internal/livestate
-	$(GO) test -run '^$$' -fuzz FuzzManifestDecode -fuzztime 5s ./internal/controlplane
-	$(GO) test -run '^$$' -fuzz FuzzForestGob -fuzztime 5s ./internal/baselines
-	$(GO) test -run '^$$' -fuzz FuzzAccessLine -fuzztime 5s ./internal/obs
+	$(FUZZ) FuzzDecodePredictRequest .
+	$(FUZZ) FuzzLoadBundle .
+	$(FUZZ) FuzzSnapshotRow ./internal/features
+	$(FUZZ) FuzzBuildReplay ./internal/intervaltree
+	$(FUZZ) FuzzDecodeEvent ./internal/livestate
+	$(FUZZ) FuzzQueueMemo ./internal/livestate
+	$(FUZZ) FuzzReadSegment ./internal/livestate
+	$(FUZZ) FuzzWALEncode ./internal/livestate
+	$(FUZZ) FuzzManifestDecode ./internal/controlplane
+	$(FUZZ) FuzzForestGob ./internal/baselines
+	$(FUZZ) FuzzAccessLine ./internal/obs
+	$(FUZZ) FuzzMatMul32 ./internal/tensor
 
 # Line-by-line lint of the /metrics Prometheus exposition (HELP/TYPE
 # pairing, label escaping, cumulative buckets, deterministic ordering).

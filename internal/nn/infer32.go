@@ -16,10 +16,10 @@ import (
 //
 // Precision policy (see DESIGN.md §12): hidden dense layers multiply and
 // accumulate in float32 (fixed (s0+s2)+(s1+s3) reduction order, identical
-// between the SSE and portable kernels); the output head accumulates in
-// float64 and rounds once, because head error lands directly on the
-// served prediction. ELU and sigmoid use the fast float32 exp in
-// internal/tensor (~2 ulp, bit-identical between the SSE and scalar
+// between the AVX-512, SSE and portable kernels); the output head
+// accumulates in float64 and rounds once, because head error lands
+// directly on the served prediction. ELU and sigmoid use the fast float32
+// exp in internal/tensor (~2 ulp, bit-identical between the SSE and scalar
 // forms); the remaining element-wise activations evaluate in float64 on
 // the float32 value. Batch-norm folds to a per-feature float32
 // scale/shift computed in float64.
@@ -46,10 +46,12 @@ const (
 type step32 struct {
 	kind stepKind32
 
-	// stepDense32: wt is OutPad x InPad transposed weights (padding rows
-	// and lanes zero), bias has OutPad entries. fuseReLU folds a directly
-	// following ReLU activation into the kernel epilogue; acc64 selects
-	// the float64-accumulating head kernel.
+	// stepDense32: a hidden layer's weights are packed for the kernels
+	// (packed); the head keeps wt, Out x InPad transposed weights with zero
+	// padding lanes. bias has OutPad entries. fuseReLU folds a directly
+	// following ReLU activation into the kernel epilogue; acc64 marks the
+	// head, which accumulates in float64.
+	packed        tensor.Packed32
 	wt            tensor.Matrix32
 	bias          []float32
 	in, out       int
@@ -112,8 +114,8 @@ func compileProg32(layers []Layer) *prog32 {
 				inPad: tensor.PadTo4(l.In), outPad: tensor.PadTo4(l.Out),
 			}
 			st.wt = tensor.Matrix32{
-				Rows: st.outPad, Cols: l.In, Stride: st.inPad,
-				Data: make([]float32, st.outPad*st.inPad),
+				Rows: l.Out, Cols: l.In, Stride: st.inPad,
+				Data: make([]float32, l.Out*st.inPad),
 			}
 			for o := 0; o < l.Out; o++ {
 				row := st.wt.Row(o)
@@ -194,6 +196,12 @@ func compileProg32(layers []Layer) *prog32 {
 			break
 		}
 	}
+	for j := range p.steps {
+		if st := &p.steps[j]; st.kind == stepDense32 && !st.acc64 {
+			st.packed = tensor.Pack32(&st.wt)
+			st.wt = tensor.Matrix32{}
+		}
+	}
 	p.inPad = tensor.PadTo4(p.inWidth)
 	p.outWidth = cur
 	p.maxPad = p.inPad
@@ -241,11 +249,9 @@ func (p *prog32) predictInto(n *Network, ws *Workspace, in *tensor.Matrix) *tens
 			if st.acc64 {
 				// acc64 marks the last dense; nothing downstream reads its
 				// padding lanes, so compute only the real outputs.
-				hw := st.wt
-				hw.Rows = st.out
-				tensor.MatMulTransBInto32F64Acc(&dM, &aM, &hw, st.bias, st.fuseReLU)
+				tensor.MatMulTransBInto32F64Acc(&dM, &aM, &st.wt, st.bias, st.fuseReLU)
 			} else {
-				tensor.MatMulTransBInto32(&dM, &aM, &st.wt, st.bias, st.fuseReLU)
+				tensor.MatMulTransBInto32(&dM, &aM, &st.packed, st.bias, st.fuseReLU)
 			}
 			cur, next = next, cur
 			stride, width = st.outPad, st.out

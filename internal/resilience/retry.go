@@ -3,11 +3,15 @@ package resilience
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"time"
 )
 
 // Policy shapes a Retry loop: exponential backoff, doubling from
 // InitialInterval up to MaxInterval. The zero value backs off 100ms → 10s.
+// Retry sleeps a uniform draw from the upper half of each step's ceiling,
+// so clients that failed together (followers of a restarted leader) do
+// not retry in lockstep.
 type Policy struct {
 	// InitialInterval is the first backoff sleep. 0 means 100ms.
 	InitialInterval time.Duration
@@ -50,8 +54,9 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// Sleep computes the attempt-th backoff sleep (attempt counts from 1):
-// min(InitialInterval*2^(attempt-1), MaxInterval).
+// Sleep computes the ceiling of the attempt-th backoff sleep (attempt
+// counts from 1): min(InitialInterval*2^(attempt-1), MaxInterval). Retry
+// sleeps a uniform draw in [Sleep/2, Sleep].
 func (p Policy) Sleep(attempt int) time.Duration {
 	p = p.withDefaults()
 	return p.sleep(attempt)
@@ -63,6 +68,15 @@ func (p Policy) sleep(attempt int) time.Duration {
 		ceiling *= 2
 	}
 	return time.Duration(min(ceiling, float64(p.MaxInterval)))
+}
+
+// jitter draws a sleep uniformly from [ceiling/2, ceiling].
+func jitter(ceiling time.Duration) time.Duration {
+	if ceiling <= 0 {
+		return 0
+	}
+	half := ceiling / 2
+	return half + rand.N(ceiling-half+1)
 }
 
 // Retry runs fn until it succeeds, the error is Permanent, or ctx is
@@ -87,7 +101,7 @@ func Retry(ctx context.Context, p Policy, fn func(ctx context.Context) error) er
 		if IsPermanent(err) {
 			return err
 		}
-		sleep := p.sleep(attempt)
+		sleep := jitter(p.sleep(attempt))
 		if p.OnRetry != nil {
 			p.OnRetry(attempt, err, sleep)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -87,6 +88,40 @@ func TestPolicySleepMath(t *testing.T) {
 		if got := p.Sleep(i + 1); got != w {
 			t.Fatalf("Sleep(%d) = %s, want %s", i+1, got, w)
 		}
+	}
+}
+
+// TestRetryJitter: every sleep Retry takes lies in [ceiling/2, ceiling]
+// of its attempt, and two loops on one policy do not sleep in lockstep.
+func TestRetryJitter(t *testing.T) {
+	p := Policy{InitialInterval: time.Microsecond, MaxInterval: 16 * time.Microsecond}
+	run := func() []time.Duration {
+		var sleeps []time.Duration
+		q := p
+		q.OnRetry = func(attempt int, err error, sleep time.Duration) {
+			ceiling := p.Sleep(attempt)
+			if sleep < ceiling/2 || sleep > ceiling {
+				t.Errorf("attempt %d slept %s, outside [%s, %s]", attempt, sleep, ceiling/2, ceiling)
+			}
+			sleeps = append(sleeps, sleep)
+		}
+		calls := 0
+		if err := Retry(context.Background(), q, func(context.Context) error {
+			if calls++; calls <= 12 {
+				return errors.New("transient")
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return sleeps
+	}
+	a, b := run(), run()
+	if len(a) != 12 || len(b) != 12 {
+		t.Fatalf("slept %d and %d times, want 12", len(a), len(b))
+	}
+	if slices.Equal(a, b) {
+		t.Fatalf("two retry loops slept identically: %v", a)
 	}
 }
 

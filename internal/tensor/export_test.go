@@ -1,0 +1,29 @@
+package tensor
+
+var kernel32Names = [...]string{kernel32Go: "go", kernel32SSE: "sse", kernel32AVX512: "avx512"}
+
+// Kernels32 names the hidden-layer kernels this host runs, widest first:
+// "avx512", "sse" and "go" on an AVX-512F amd64 host, "sse" and "go" on
+// any other amd64 host, "go" elsewhere.
+func Kernels32() []string {
+	var names []string
+	for _, k := range hostKernels32() {
+		names = append(names, kernel32Names[k])
+	}
+	return names
+}
+
+// UseKernel32 makes MatMulTransBInto32 run the named kernel, one that
+// Kernels32 lists, until the returned func restores the dispatched one, so
+// a test can push a whole prediction through every kernel the host
+// supports. Tests that call it must not run in parallel.
+func UseKernel32(name string) (restore func()) {
+	for _, k := range hostKernels32() {
+		if kernel32Names[k] == name {
+			prev := active32
+			active32 = k
+			return func() { active32 = prev }
+		}
+	}
+	panic("tensor: this host has no " + name + " kernel")
+}

@@ -2,14 +2,14 @@
 
 package tensor
 
-// haveSSE is false off amd64; the portable kernel is bit-identical, so
+// haveSSE is false off amd64; the portable kernels are bit-identical, so
 // nothing above this layer can observe the difference.
 const haveSSE = false
 
-// matmulTransB32SSE is never called when haveSSE is false; this stub only
-// satisfies the reference in MatMulTransBInto32.
-func matmulTransB32SSE(a, wt, bias, dst *float32, outs, inPad int64, lim float32) {
-	panic("tensor: SSE kernel called on non-amd64 build")
+func hostKernels32() []kernel32 { return []kernel32{kernel32Go} }
+
+func runKernel32(k kernel32, a []float32, w *Packed32, bias, dst []float32, lim float32) {
+	matmulTransB32Go(a, w, bias, dst, lim)
 }
 
 // eluSSE is never called when haveSSE is false; EluInPlace32 runs the

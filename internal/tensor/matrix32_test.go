@@ -24,21 +24,23 @@ func randMatrix32(rows, cols int, rng *rand.Rand) *Matrix32 {
 	return m
 }
 
-// TestMatMul32AsmMatchesGo pins the bit-identity contract between the SSE
-// kernel and the portable kernel over randomized shapes, including NaN,
-// ±Inf, and −0 inputs. On non-amd64 builds both sides take the Go path
-// and the test is vacuous by construction.
+// TestMatMul32AsmMatchesGo pins the bit-identity contract between every
+// kernel this host runs (AVX-512, SSE) and the portable kernel over
+// randomized shapes, including NaN, ±Inf, and −0 inputs. Off amd64 the Go
+// kernel is the only one and the test is vacuous by construction.
 func TestMatMul32AsmMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	shapes := [][3]int{ // rows, K, outs (outs%4==0 so the asm path engages)
+	shapes := [][3]int{ // rows, K, outs
 		{1, 33, 64}, {1, 64, 32}, {1, 32, 4}, {3, 5, 8},
 		{16, 33, 64}, {7, 128, 64}, {2, 4, 4}, {1, 36, 128},
+		{2, 33, 12}, {1, 8, 20}, {3, 64, 44}, {1, 32, 3},
 	}
 	for _, sh := range shapes {
 		rows, k, outs := sh[0], sh[1], sh[2]
 		a := randMatrix32(rows, k, rng)
 		b := randMatrix32(outs, k, rng)
-		bias := make([]float32, outs)
+		w := Pack32(b)
+		bias := make([]float32, w.outs)
 		for i := range bias {
 			bias[i] = float32(rng.NormFloat64())
 		}
@@ -48,18 +50,49 @@ func TestMatMul32AsmMatchesGo(t *testing.T) {
 			a.Row(1)[0] = float32(math.Inf(1))
 		}
 		for _, relu := range []bool{false, true} {
-			want := NewMatrix32(rows, outs)
+			want := NewMatrix32(rows, w.outs)
 			lim := reluLimit(relu)
 			for r := 0; r < rows; r++ {
-				matmulTransB32Go(a.Row(r), b.Data, bias, want.Row(r), outs, a.Stride, lim)
+				matmulTransB32Go(a.Row(r), &w, bias, want.Row(r), lim)
 			}
-			got := NewMatrix32(rows, outs)
-			MatMulTransBInto32(got, a, b, bias, relu)
-			for i, w := range want.Data {
-				g := got.Data[i]
-				if math.Float32bits(g) != math.Float32bits(w) {
-					t.Fatalf("shape %v relu=%v: elem %d: asm %x go %x", sh, relu, i, math.Float32bits(g), math.Float32bits(w))
+			for _, name := range Kernels32() {
+				got := NewMatrix32(rows, w.outs)
+				restore := UseKernel32(name)
+				MatMulTransBInto32(got, a, &w, bias, relu)
+				restore()
+				for i, wv := range want.Data {
+					g := got.Data[i]
+					if math.Float32bits(g) != math.Float32bits(wv) {
+						t.Fatalf("%s shape %v relu=%v: elem %d: %x, go %x", name, sh, relu, i, math.Float32bits(g), math.Float32bits(wv))
+					}
 				}
+			}
+		}
+	}
+}
+
+// TestPack32Layout pins the packed layout: chunk c of block b holds inputs
+// 4c…4c+3 of outputs 4b…4b+3 in turn, and padding outputs are zero.
+func TestPack32Layout(t *testing.T) {
+	m := NewMatrix32(6, 8)
+	for o := 0; o < 6; o++ {
+		for k := 0; k < 8; k++ {
+			m.Row(o)[k] = float32(100*o + k)
+		}
+	}
+	w := Pack32(m)
+	if w.outs != 8 || w.inPad != 8 || len(w.data) != 64 {
+		t.Fatalf("outs %d inPad %d len %d, want 8 8 64", w.outs, w.inPad, len(w.data))
+	}
+	for o := 0; o < 8; o++ {
+		for k := 0; k < 8; k++ {
+			want := float32(0)
+			if o < 6 {
+				want = float32(100*o + k)
+			}
+			b, c, j, l := o/4, k/4, o%4, k%4
+			if got := w.data[b*32+c*16+j*4+l]; got != want {
+				t.Fatalf("output %d input %d: %v, want %v", o, k, got, want)
 			}
 		}
 	}
@@ -74,9 +107,10 @@ func TestMatMul32NaNPropagates(t *testing.T) {
 	b := randMatrix32(8, 33, rng)
 	bias := make([]float32, 8)
 	a.Row(1)[5] = float32(math.NaN())
+	w := Pack32(b)
 	for _, relu := range []bool{false, true} {
 		dst := NewMatrix32(2, 8)
-		MatMulTransBInto32(dst, a, b, bias, relu)
+		MatMulTransBInto32(dst, a, &w, bias, relu)
 		for c := 0; c < 8; c++ {
 			if v := dst.Row(0)[c]; math.IsNaN(float64(v)) {
 				t.Fatalf("relu=%v: clean row produced NaN at %d", relu, c)
@@ -102,7 +136,8 @@ func TestMatMul32ZeroPaddingExact(t *testing.T) {
 	b := randMatrix32(8, 33, rng)
 	bias := make([]float32, 8)
 	dst := NewMatrix32(4, 8)
-	MatMulTransBInto32(dst, a, b, bias, true)
+	w := Pack32(b)
+	MatMulTransBInto32(dst, a, &w, bias, true)
 
 	// Same values declared as a full-width 36-column problem.
 	a2 := NewMatrix32(4, 36)
@@ -110,7 +145,8 @@ func TestMatMul32ZeroPaddingExact(t *testing.T) {
 	b2 := NewMatrix32(8, 36)
 	copy(b2.Data, b.Data)
 	dst2 := NewMatrix32(4, 8)
-	MatMulTransBInto32(dst2, a2, b2, bias, true)
+	w2 := Pack32(b2)
+	MatMulTransBInto32(dst2, a2, &w2, bias, true)
 	for i := range dst.Data {
 		if math.Float32bits(dst.Data[i]) != math.Float32bits(dst2.Data[i]) {
 			t.Fatalf("elem %d: padded %v full %v", i, dst.Data[i], dst2.Data[i])
@@ -145,25 +181,25 @@ func TestMatMul32F64AccClose(t *testing.T) {
 func BenchmarkMatMul32Batch64(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := randMatrix32(64, 33, rng)
-	w := randMatrix32(64, 33, rng)
+	w := Pack32(randMatrix32(64, 33, rng))
 	bias := make([]float32, 64)
 	dst := NewMatrix32(64, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulTransBInto32(dst, a, w, bias, true)
+		MatMulTransBInto32(dst, a, &w, bias, true)
 	}
 }
 
 func BenchmarkMatMul32Single(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := randMatrix32(1, 33, rng)
-	w := randMatrix32(64, 33, rng)
+	w := Pack32(randMatrix32(64, 33, rng))
 	bias := make([]float32, 64)
 	dst := NewMatrix32(1, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulTransBInto32(dst, a, w, bias, true)
+		MatMulTransBInto32(dst, a, &w, bias, true)
 	}
 }
