@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check loc fuzz-smoke metrics-smoke replication-smoke controlplane-smoke serving-smoke trace-smoke bench-module ci clean
+.PHONY: all build test race alloc-pins vet fmt-check loc fuzz-smoke metrics-smoke replication-smoke controlplane-smoke serving-smoke trace-smoke bench-module ci clean
 
 all: build
 
@@ -14,6 +14,13 @@ test:
 # single-CPU box that brushes the default 10m per-package limit.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# The allocation pins skip themselves under the race detector (its
+# instrumentation allocates and its sync.Pool drops puts), so `race` never
+# runs them: this runs exactly those tests without it.
+ALLOC_PINS = '^(TestRouteCost|TestInstrumentAllocs|TestFloat32PredictNoAllocs|TestPredictSteadyStateAllocs|TestBatchStepAllocFree|TestPredictWarmPathAllocatesNothing)$$'
+alloc-pins:
+	$(GO) test -count=1 -run $(ALLOC_PINS) . ./internal/obs ./internal/nn ./internal/core
 
 vet:
 	$(GO) vet ./...
@@ -106,7 +113,7 @@ trace-smoke:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: fmt-check vet build race fuzz-smoke metrics-smoke replication-smoke controlplane-smoke serving-smoke trace-smoke bench-module
+ci: fmt-check vet build race alloc-pins fuzz-smoke metrics-smoke replication-smoke controlplane-smoke serving-smoke trace-smoke bench-module
 
 clean:
 	$(GO) clean ./...

@@ -138,7 +138,9 @@ func (b *Bundle) FeatureRow(snap *Snapshot) ([]float64, error) {
 }
 
 // checkPrediction rejects non-finite or out-of-range predictions — the
-// gate each fallback tier must pass before its answer is served.
+// gate each fallback tier must pass before its answer is served. Minutes
+// must round to an int64, the count the message prints: past it, the
+// conversion wraps and the answer would read as a negative wait.
 func checkPrediction(p core.Prediction) error {
 	if !resilience.Finite(p.Prob, p.Minutes) {
 		return fmt.Errorf("non-finite prediction (prob=%v minutes=%v)", p.Prob, p.Minutes)
@@ -148,6 +150,9 @@ func checkPrediction(p core.Prediction) error {
 	}
 	if p.Minutes < 0 {
 		return fmt.Errorf("negative minutes %v", p.Minutes)
+	}
+	if math.Round(p.Minutes) >= math.MaxInt64 {
+		return fmt.Errorf("minutes %v beyond a printable count", p.Minutes)
 	}
 	return nil
 }
@@ -179,7 +184,7 @@ func minutesPrediction(minutes, cutoff float64) core.Prediction {
 // partition) returns an error — that is a bad request, not a degraded
 // model. It is PredictBatchWithFallback on a batch of one.
 func (b *Bundle) PredictWithFallback(snap *Snapshot) (TieredPrediction, error) {
-	res := b.predictBatchWithFallback([]*Snapshot{snap}, obs.SpanHandle{})[0]
+	res := b.predictBatch(new(predictArena), []*Snapshot{snap}, obs.SpanHandle{})[0]
 	return res.TieredPrediction, res.Err
 }
 
@@ -237,36 +242,43 @@ type BatchResult struct {
 // check — or every row, when the model is absent or the forward pass
 // panics — drop to the per-row tier-2/3 chain.
 func (b *Bundle) PredictBatchWithFallback(snaps []*Snapshot) []BatchResult {
-	return b.predictBatchWithFallback(snaps, obs.SpanHandle{})
+	return b.predictBatch(new(predictArena), snaps, obs.SpanHandle{})
 }
 
-// predictBatchWithFallback is the one body of the tiered chain, recording
-// stage spans under parent: featurize covers row staging, scale, classify
-// and regress each model chunk, and fallback the degraded per-row chains
-// (one span around all fallen-back rows).
-func (b *Bundle) predictBatchWithFallback(snaps []*Snapshot, parent obs.SpanHandle) []BatchResult {
-	results := make([]BatchResult, len(snaps))
+// predictBatch is the one body of the tiered chain, taking every row,
+// prediction and result from a (the returned results are a's), and
+// recording stage spans under parent: featurize covers row staging, scale,
+// classify and regress each model chunk, and fallback the degraded per-row
+// chains (one span around all fallen-back rows).
+func (b *Bundle) predictBatch(a *predictArena, snaps []*Snapshot, parent obs.SpanHandle) []BatchResult {
+	results := resize(a.results, len(snaps))
+	a.results = results
 
 	// Stage the feature rows; per-row failures are bad requests, not
 	// batch failures.
 	sp := parent.StartChild(obs.StageFeaturize)
-	rows := make([][]float64, 0, len(snaps))
-	rowOf := make([]int, 0, len(snaps)) // rows index -> snaps index
+	const width = features.NumFeatures
+	a.slab = resize(a.slab, len(snaps)*width)
+	rows, rowOf := a.rows[:0], a.rowOf[:0] // rows index -> snaps index
 	for i, snap := range snaps {
-		row, err := features.SnapshotRow(snap, &b.Cluster, b.Runtime)
-		if err != nil {
+		results[i] = BatchResult{}
+		row := a.slab[i*width : (i+1)*width : (i+1)*width]
+		if err := features.SnapshotRowInto(row, snap, &b.Cluster, b.Runtime); err != nil {
 			results[i].Err = err
 			continue
 		}
 		rows = append(rows, row)
 		rowOf = append(rowOf, i)
 	}
+	a.rows, a.rowOf = rows, rowOf
 	sp.End()
 	if len(rows) == 0 {
 		return results
 	}
 
-	preds, ok := b.tryPredictBatch(rows, parent)
+	preds := resize(a.preds, len(rows))
+	a.preds = preds
+	ok := b.tryPredictBatch(preds, rows, parent)
 	var fellBack []int // rows indices the NN tier could not answer
 	for k, i := range rowOf {
 		if ok && checkPrediction(preds[k]) == nil {
@@ -290,19 +302,20 @@ func (b *Bundle) predictBatchWithFallback(snaps []*Snapshot, parent obs.SpanHand
 	return results
 }
 
-// tryPredictBatch is the NN tier: it reports ok=false when the model is
-// missing or the forward pass panics (per-tier panic recovery, as
-// resilience.Run gives the tiers below).
-func (b *Bundle) tryPredictBatch(rows [][]float64, parent obs.SpanHandle) (preds []core.Prediction, ok bool) {
+// tryPredictBatch is the NN tier, answering rows[k] into preds[k]: it
+// reports false when the model is missing or the forward pass panics
+// (per-tier panic recovery, as resilience.Run gives the tiers below).
+func (b *Bundle) tryPredictBatch(preds []core.Prediction, rows [][]float64, parent obs.SpanHandle) (ok bool) {
 	if b.Model == nil {
-		return nil, false
+		return false
 	}
 	defer func() {
 		if recover() != nil {
-			preds, ok = nil, false
+			ok = false
 		}
 	}()
-	return b.Model.PredictBatchTraced(rows, parent), true
+	b.Model.PredictBatchInto(preds, rows, parent)
+	return true
 }
 
 // SnapshotAtInstant reconstructs queue state at an arbitrary instant by

@@ -31,6 +31,17 @@ type servingBundle struct {
 	// version is the control-plane registry version (0 = the boot bundle,
 	// which predates the registry).
 	version int
+	// partitions are b's cluster's partition names, which the predict
+	// decoders intern.
+	partitions []string
+}
+
+func newServingBundle(b *Bundle, version int) *servingBundle {
+	sb := &servingBundle{b: b, version: version}
+	for _, p := range b.Cluster.Partitions {
+		sb.partitions = append(sb.partitions, p.Name)
+	}
+	return sb
 }
 
 // CurrentModel returns the serving bundle and its registry version.
@@ -57,7 +68,7 @@ func (s *Service) SwapBundle(b *Bundle, version int) error {
 	}
 	s.applyFastInference(b)
 	s.prev = cur
-	s.serving.Store(&servingBundle{b: b, version: version})
+	s.serving.Store(newServingBundle(b, version))
 	s.tracker.Reset()
 	s.swapsTotal.Inc("promote")
 	if s.logger != nil {

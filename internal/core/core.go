@@ -97,10 +97,21 @@ type Prediction struct {
 
 // Message renders the CLI string exactly as Algorithm 1 specifies.
 func (p Prediction) Message(cutoff float64) string {
+	var buf [64]byte
+	return string(p.AppendMessage(buf[:0], cutoff))
+}
+
+// AppendMessage appends Message(cutoff) to dst. The text is printable
+// ASCII with nothing JSON escapes, so an encoder may quote it as is.
+func (p Prediction) AppendMessage(dst []byte, cutoff float64) []byte {
 	if p.Long {
-		return "Predicted to start in " + strconv.Itoa(int(math.Round(p.Minutes))) + " minutes"
+		dst = append(dst, "Predicted to start in "...)
+		dst = strconv.AppendInt(dst, int64(math.Round(p.Minutes)), 10)
+	} else {
+		dst = append(dst, "Predicted to take less than "...)
+		dst = strconv.AppendInt(dst, int64(cutoff), 10)
 	}
-	return "Predicted to take less than " + strconv.Itoa(int(cutoff)) + " minutes"
+	return append(dst, " minutes"...)
 }
 
 // Train fits the hierarchical model on the rows of ds selected by trainIdx.
@@ -308,19 +319,21 @@ const batchChunk = 16
 // per pass. Each result is what Predict returns for that row: both run
 // predictChunk, and the kernels treat rows independently.
 func (m *Model) PredictBatch(raw [][]float64) []Prediction {
-	return m.PredictBatchTraced(raw, obs.SpanHandle{})
+	preds := make([]Prediction, len(raw))
+	m.PredictBatchInto(preds, raw, obs.SpanHandle{})
+	return preds
 }
 
-// PredictBatchTraced is the one body of PredictBatch: every chunk
-// additionally records its scale, classify and regress stages as child
-// spans of parent. The zero parent records nothing and reads no clock.
-func (m *Model) PredictBatchTraced(raw [][]float64, parent obs.SpanHandle) []Prediction {
-	preds := make([]Prediction, len(raw))
+// PredictBatchInto is the one body of PredictBatch, writing row i's
+// answer into preds[i] (preds must hold len(raw) entries; each is
+// overwritten whole). Every chunk also records its scale, classify and
+// regress stages as child spans of parent; the zero parent records nothing
+// and reads no clock. Warm, it allocates nothing.
+func (m *Model) PredictBatchInto(preds []Prediction, raw [][]float64, parent obs.SpanHandle) {
 	for lo := 0; lo < len(raw); lo += batchChunk {
 		hi := min(lo+batchChunk, len(raw))
 		m.predictChunk(raw[lo:hi], preds[lo:hi], parent)
 	}
-	return preds
 }
 
 // predictChunk is the one body of Algorithm 1: it scales up to batchChunk

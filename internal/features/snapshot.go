@@ -46,18 +46,29 @@ type Snapshot struct {
 // — shares one pass of the runtime forest over them, and every target with
 // the same ahead set shares one sum (queueColumn.block).
 func SnapshotRow(snap *Snapshot, cluster *slurmsim.ClusterSpec, rp *RuntimePredictor) ([]float64, error) {
+	row := make([]float64, NumFeatures)
+	if err := SnapshotRowInto(row, snap, cluster, rp); err != nil {
+		return nil, err
+	}
+	return row, nil
+}
+
+// SnapshotRowInto is SnapshotRow writing into row, which must hold
+// NumFeatures values: it writes every one of them and allocates nothing
+// once the snapshot's queue column is warm. On error row is left as it
+// was.
+func SnapshotRowInto(row []float64, snap *Snapshot, cluster *slurmsim.ClusterSpec, rp *RuntimePredictor) error {
 	if cluster.Partition(snap.Target.Partition) == nil {
-		return nil, fmt.Errorf("features: snapshot target references unknown partition %q", snap.Target.Partition)
+		return fmt.Errorf("features: snapshot target references unknown partition %q", snap.Target.Partition)
 	}
 	if rp == nil {
-		return nil, fmt.Errorf("features: snapshot needs a runtime predictor")
+		return fmt.Errorf("features: snapshot needs a runtime predictor")
 	}
 	tot := cluster.Totals(snap.Target.Partition)
 	j := &snap.Target
 	agg := rp.column(snap, j.Partition, tot).block(j, &rp.cols)
-	row := make([]float64, NumFeatures)
-	agg.fill(row, j, tot, userSums(snap), rp.PredictSeconds(j, tot))
-	return row, nil
+	agg.fill(row[:NumFeatures], j, tot, userSums(snap), rp.PredictSeconds(j, tot))
+	return nil
 }
 
 // userSums is the target user's past-day activity: History's entries by

@@ -610,27 +610,35 @@ func (e *Engine) queueAt(at int64) *queueMemo {
 // so concurrent batches do not wait on each other's allocations.
 func (e *Engine) SnapshotBatch(targets []trace.Job, at int64) []*features.Snapshot {
 	block := make([]features.Snapshot, len(targets))
+	e.SnapshotBatchInto(block, targets, at)
+	snaps := make([]*features.Snapshot, len(block))
+	for i := range block {
+		snaps[i] = &block[i]
+	}
+	return snaps
+}
+
+// SnapshotBatchInto is SnapshotBatch writing target i's snapshot into
+// block[i]; block must hold len(targets) snapshots, and its old contents
+// are overwritten whole. It allocates only when the memo misses.
+func (e *Engine) SnapshotBatchInto(block []features.Snapshot, targets []trace.Job, at int64) {
 	e.mu.RLock()
 	e.memoMu.Lock()
 	m := e.queueAt(at)
-	for i, target := range targets {
+	for i := range targets {
+		target := &targets[i]
 		hist, ok := m.hist[target.User]
 		if !ok {
 			hist = e.userHistoryLocked(target.User, at)
 			m.hist[target.User] = hist
 		}
 		block[i] = features.Snapshot{
-			Now: at, Target: target,
+			Now: at, Target: *target,
 			Pending: m.pending, Running: m.running, History: hist,
 		}
 	}
 	e.memoMu.Unlock()
 	e.mu.RUnlock()
-	snaps := make([]*features.Snapshot, len(block))
-	for i := range block {
-		snaps[i] = &block[i]
-	}
-	return snaps
 }
 
 // SnapshotForJob extracts a snapshot for a tracked pending job at the

@@ -83,7 +83,9 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 //
 // With a JSON logger from NewLogger, the access record is appended to its
 // sink directly (appendAccess), the same bytes slog would write; any
-// other logger gets it through LogAttrs.
+// other logger gets it through LogAttrs. The trace buffer goes back to a
+// pool once the record is written: the handler must not keep it, or any
+// span handle, past its return.
 func Instrument(next http.Handler, o HTTPOptions) http.Handler {
 	var stageHists [len(stageNames)]*Histogram
 	if o.StageLatency != nil {
@@ -155,17 +157,22 @@ func Instrument(next http.Handler, o HTTPOptions) http.Handler {
 				}
 				o.Tracer.FinishRequest(tb, root, rootName, code, elapsed)
 			}
-			if !logged {
-				return
+			if logged {
+				rec := accessRecord{
+					traceID: id, method: r.Method, path: path, remote: r.RemoteAddr,
+					status: code, seconds: elapsed.Seconds(), bytes: sw.bytes, stages: stages,
+				}
+				if fastLog.JSONHandler != nil {
+					fastLog.writeAccess(start.Add(elapsed), &rec)
+				} else {
+					o.Logger.LogAttrs(ctx, slog.LevelInfo, "request", rec.attrs()...)
+				}
 			}
-			rec := accessRecord{
-				traceID: id, method: r.Method, path: path, remote: r.RemoteAddr,
-				status: code, seconds: elapsed.Seconds(), bytes: sw.bytes, stages: stages,
-			}
-			if fastLog.JSONHandler != nil {
-				fastLog.writeAccess(start.Add(elapsed), &rec)
-			} else {
-				o.Logger.LogAttrs(ctx, slog.LevelInfo, "request", rec.attrs()...)
+			// Everything kept of the tree is cloned by now. A handler that
+			// panicked may have left something holding the buffer, so only
+			// a request that returned gives it back.
+			if code != StatusAborted {
+				releaseTrace(tb)
 			}
 		}()
 		next.ServeHTTP(sw, r.WithContext(ctx))

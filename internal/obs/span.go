@@ -52,16 +52,37 @@ type SpanRec struct {
 
 // TraceBuf collects the spans of one trace; span 0 is the root. Finishing
 // clones the spans it keeps, because the flight recorder and the exporter
-// goroutine hold them after the request has returned; the buffer itself is
-// never recycled. The mutex is uncontended on the request path and keeps a
-// span handle that travels with a context to another goroutine safe.
-// A nil *TraceBuf is inert: its root is the no-op handle.
+// goroutine hold them after the request has returned. Instrument then
+// returns a request's buffer to a pool (releaseTrace), so a buffer and the
+// *TraceBuf from TraceFrom are the request's only until its handler
+// returns; a SpanHandle kept past that is inert, not a writer into the
+// next request's tree. The mutex is uncontended on the request path and
+// keeps a span handle that travels with a context to another goroutine
+// safe. A nil *TraceBuf is inert: its root is the no-op handle.
 type TraceBuf struct {
 	mu      sync.Mutex
 	traceID string
 	spans   []SpanRec
 	dropped int
 	errored bool
+	gen     uint64 // bumped by releaseTrace: handles carry the gen they were issued at
+}
+
+// traceBufs recycles request trace buffers (see releaseTrace).
+var traceBufs = sync.Pool{New: func() any { return &TraceBuf{spans: make([]SpanRec, 0, 12)} }}
+
+// releaseTrace returns a finished request's buffer to the pool. Every
+// handle issued on it goes inert, and the spans' strings and attributes
+// are dropped, so the pool pins nothing the recorder or exporter cloned.
+func releaseTrace(tb *TraceBuf) {
+	tb.mu.Lock()
+	tb.gen++
+	tb.traceID = ""
+	clear(tb.spans)
+	tb.spans = tb.spans[:0]
+	tb.dropped, tb.errored = 0, false
+	tb.mu.Unlock()
+	traceBufs.Put(tb)
 }
 
 // TraceID returns the trace's ID.
@@ -78,7 +99,9 @@ func (tb *TraceBuf) Root() SpanHandle {
 	if tb == nil {
 		return SpanHandle{}
 	}
-	return SpanHandle{tb: tb}
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	return SpanHandle{tb: tb, gen: tb.gen}
 }
 
 // stageTimings are a finished request's closed stage spans in start order:
@@ -128,12 +151,16 @@ func (tb *TraceBuf) snapshot(now int64) []SpanRec {
 }
 
 // start appends a span opened at `at` under the span at index parent
-// (-1 opens the root).
-func (tb *TraceBuf) start(parent int, name string, at time.Time) SpanHandle {
+// (-1 opens the root) of generation gen; on a buffer recycled since, it
+// opens nothing.
+func (tb *TraceBuf) start(parent int, gen uint64, name string, at time.Time) SpanHandle {
 	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	if tb.gen != gen {
+		return SpanHandle{}
+	}
 	if len(tb.spans) >= maxTraceSpans {
 		tb.dropped++
-		tb.mu.Unlock()
 		return SpanHandle{}
 	}
 	var parentID uint64
@@ -144,17 +171,26 @@ func (tb *TraceBuf) start(parent int, name string, at time.Time) SpanHandle {
 	tb.spans = append(tb.spans, SpanRec{
 		ID: nextSpanID(), Parent: parentID, Name: name, Start: at.UnixNano(),
 	})
-	tb.mu.Unlock()
-	return SpanHandle{tb: tb, idx: idx}
+	return SpanHandle{tb: tb, idx: idx, gen: gen}
 }
 
 // SpanHandle mutates one span inside a TraceBuf. The zero value is a
 // valid no-op handle that records nothing and reads no clock, so timed
 // code takes a parent handle unconditionally and untraced callers pass
-// SpanHandle{}.
+// SpanHandle{}. A handle whose buffer was recycled is a no-op too.
 type SpanHandle struct {
 	tb  *TraceBuf
 	idx int
+	gen uint64
+}
+
+// span is the handle's span, or nil once its buffer has been recycled.
+// The caller holds h.tb.mu.
+func (h SpanHandle) span() *SpanRec {
+	if h.tb.gen != h.gen {
+		return nil
+	}
+	return &h.tb.spans[h.idx]
 }
 
 // ID returns the span's ID (0 for a no-op handle).
@@ -164,7 +200,10 @@ func (h SpanHandle) ID() uint64 {
 	}
 	h.tb.mu.Lock()
 	defer h.tb.mu.Unlock()
-	return h.tb.spans[h.idx].ID
+	if sp := h.span(); sp != nil {
+		return sp.ID
+	}
+	return 0
 }
 
 // End closes the span at now.
@@ -174,8 +213,8 @@ func (h SpanHandle) End() {
 	}
 	now := time.Now().UnixNano()
 	h.tb.mu.Lock()
-	if h.tb.spans[h.idx].End == 0 {
-		h.tb.spans[h.idx].End = now
+	if sp := h.span(); sp != nil && sp.End == 0 {
+		sp.End = now
 	}
 	h.tb.mu.Unlock()
 }
@@ -195,8 +234,10 @@ func (h SpanHandle) SetError(msg string) {
 		return
 	}
 	h.tb.mu.Lock()
-	h.tb.spans[h.idx].Err = msg
-	h.tb.errored = true
+	if sp := h.span(); sp != nil {
+		sp.Err = msg
+		h.tb.errored = true
+	}
 	h.tb.mu.Unlock()
 }
 
@@ -206,13 +247,17 @@ func (h SpanHandle) SetAttr(key, val string) {
 		return
 	}
 	h.tb.mu.Lock()
-	if h.tb.spans[h.idx].Attrs == nil {
+	defer h.tb.mu.Unlock()
+	sp := h.span()
+	if sp == nil {
+		return
+	}
+	if sp.Attrs == nil {
 		// Root spans carry 3-4 attrs (remote/status/bytes[/reason]);
 		// pre-sizing turns the append ladder into one allocation.
-		h.tb.spans[h.idx].Attrs = make([]Attr, 0, 4)
+		sp.Attrs = make([]Attr, 0, 4)
 	}
-	h.tb.spans[h.idx].Attrs = append(h.tb.spans[h.idx].Attrs, Attr{Key: key, Val: val})
-	h.tb.mu.Unlock()
+	sp.Attrs = append(sp.Attrs, Attr{Key: key, Val: val})
 }
 
 // SetAttrInt attaches an integer attribute to the span.
@@ -231,8 +276,9 @@ func (h SpanHandle) Link(traceID string, span uint64) {
 		return
 	}
 	h.tb.mu.Lock()
-	h.tb.spans[h.idx].LinkTrace = traceID
-	h.tb.spans[h.idx].LinkSpan = span
+	if sp := h.span(); sp != nil {
+		sp.LinkTrace, sp.LinkSpan = traceID, span
+	}
 	h.tb.mu.Unlock()
 }
 
@@ -241,7 +287,7 @@ func (h SpanHandle) StartChild(name string) SpanHandle {
 	if h.tb == nil {
 		return SpanHandle{}
 	}
-	return h.tb.start(h.idx, name, time.Now())
+	return h.tb.start(h.idx, h.gen, name, time.Now())
 }
 
 // --- span IDs ---------------------------------------------------------
@@ -411,12 +457,22 @@ func (t *Tracer) SlowThreshold() time.Duration {
 	return t.cfg.SlowThreshold
 }
 
-// newTrace opens a trace buffer rooted at `name`. On its own (no tracer)
-// it records spans and stage timings but is never sampled, exported or
-// offered to the flight recorder.
+// newTrace opens a trace buffer rooted at `name`, drawn from the pool
+// releaseTrace fills. On its own (no tracer) it records spans and stage
+// timings but is never sampled, exported or offered to the flight
+// recorder.
 func newTrace(traceID, name string, at time.Time) (*TraceBuf, SpanHandle) {
-	tb := &TraceBuf{traceID: traceID, spans: make([]SpanRec, 0, 12)}
-	return tb, tb.start(-1, name, at)
+	tb := traceBufs.Get().(*TraceBuf)
+	return tb, tb.open(traceID, name, at)
+}
+
+// open names an empty buffer's trace and opens its root span.
+func (tb *TraceBuf) open(traceID, name string, at time.Time) SpanHandle {
+	tb.mu.Lock()
+	tb.traceID = traceID
+	gen := tb.gen
+	tb.mu.Unlock()
+	return tb.start(-1, gen, name, at)
 }
 
 // StartTrace opens a trace rooted at `name` with the given trace ID and

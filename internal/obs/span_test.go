@@ -129,6 +129,43 @@ func TestSpanCap(t *testing.T) {
 	}
 }
 
+// TestRecycledBufferHandlesInert: once a buffer is released, every handle
+// issued on it records nothing into the buffer's next trace, and what the
+// flight recorder kept of the first trace is unchanged.
+func TestRecycledBufferHandlesInert(t *testing.T) {
+	tr, _ := NewTracer(TracerConfig{SampleRate: -1, FlightSlots: 2})
+	tb, root := tr.StartTrace("first", "a", time.Now(), 0)
+	root.SetAttr("k", "v")
+	child := root.StartChild(StageClassify)
+	child.End()
+	tr.FinishRequest(tb, root, "a", 200, time.Second) // kept: slow set not full
+	releaseTrace(tb)
+
+	root2 := tb.open("second", "b", time.Now())
+	root.SetAttr("stale", "x")
+	root.StartChild("stale").End()
+	child.SetError("stale")
+	root.Link("other", 1)
+	root.End()
+	if root.ID() != 0 || child.ID() != 0 {
+		t.Error("a stale handle reports a span ID")
+	}
+	if root2.ID() == 0 || tb.TraceID() != "second" {
+		t.Fatal("the reopened buffer has no live root")
+	}
+	spans := tb.snapshot(0)
+	if len(spans) != 1 || spans[0].Name != "b" || spans[0].End != 0 || spans[0].Attrs != nil ||
+		spans[0].Err != "" || spans[0].LinkTrace != "" || tb.errored {
+		t.Fatalf("stale handles wrote into the next trace: %+v errored=%v", spans, tb.errored)
+	}
+
+	kept := tr.Recorder().Snapshot().Slowest
+	if len(kept) != 1 || kept[0].TraceID != "first" || len(kept[0].Spans) != 2 ||
+		kept[0].Spans[0].Attrs["k"] != "v" || kept[0].Spans[1].Name != StageClassify {
+		t.Fatalf("recorded trace changed after its buffer was recycled: %+v", kept)
+	}
+}
+
 // readTraceLines parses every JSONL line of the export file.
 func readTraceLines(t *testing.T, path string) []TraceJSON {
 	t.Helper()

@@ -15,14 +15,30 @@ import (
 // re-parses with encoding/json, which rules: every value the reader accepts,
 // encoding/json accepts too and decodes to the same Go value, so the
 // fallback alone decides error text. Nothing is allocated except the
-// strings a caller keeps.
+// strings a caller keeps, and not those a partition name shares with
+// Intern's names.
 type JSONReader struct {
-	b []byte
-	i int
+	b     []byte
+	i     int
+	names []string
 }
 
 // NewJSONReader reads b from its start.
 func NewJSONReader(b []byte) JSONReader { return JSONReader{b: b} }
+
+// Intern makes Job hand out the entry of names equal to a partition it
+// reads, instead of a fresh copy: the same value, no allocation.
+func (r *JSONReader) Intern(names []string) { r.names = names }
+
+// intern is s as a string, one of r.names when s equals it.
+func (r *JSONReader) intern(s []byte) string {
+	for _, n := range r.names {
+		if n == string(s) {
+			return n
+		}
+	}
+	return string(s)
+}
 
 func (r *JSONReader) ws() {
 	for r.i < len(r.b) {
@@ -265,7 +281,7 @@ func (r *JSONReader) Job(j *Job) bool {
 		case "partition":
 			var s []byte
 			s, ok = r.Str()
-			j.Partition = string(s)
+			j.Partition = r.intern(s)
 		case "state":
 			j.State, ok = r.State()
 		case "submit":

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -159,9 +160,22 @@ func appendJSONBool(b []byte, v bool) []byte {
 	return append(b, "false"...)
 }
 
+// appendMessage appends an answer's message as a JSON string: msg, or with
+// a non-zero cutoff the message Algorithm 1 words from long and minutes,
+// appended in place (it is plain ASCII, so it needs no escaping).
+func appendMessage(b []byte, msg string, long bool, minutes, cutoff float64) []byte {
+	if cutoff == 0 {
+		return appendJSONString(b, msg)
+	}
+	b = append(b, '"')
+	b = core.Prediction{Long: long, Minutes: minutes}.AppendMessage(b, cutoff)
+	return append(b, '"')
+}
+
 // encodePredictResponse appends v exactly as json.NewEncoder(w).Encode(v)
-// would write it (field order, omitempty, trailing newline). ok=false
-// means a non-finite float; the caller must fall back to the stdlib path.
+// would write it (field order, omitempty, trailing newline), v's message
+// spelled out as withMessage does. ok=false means a non-finite float; the
+// caller must fall back to the stdlib path.
 func encodePredictResponse(b []byte, v *predictResponse) ([]byte, bool) {
 	var ok bool
 	b = append(b, `{"long":`...)
@@ -177,7 +191,7 @@ func encodePredictResponse(b []byte, v *predictResponse) ([]byte, bool) {
 		}
 	}
 	b = append(b, `,"message":`...)
-	b = appendJSONString(b, v.Message)
+	b = appendMessage(b, v.Message, v.Long, v.Minutes, v.cutoff)
 	b = append(b, `,"tier":`...)
 	b = appendJSONString(b, v.Tier)
 	b = append(b, `,"snapshot_source":`...)
@@ -195,7 +209,8 @@ func encodePredictResponse(b []byte, v *predictResponse) ([]byte, bool) {
 	return append(b, '}', '\n'), true
 }
 
-// encodePredictBatchResponse is encodePredictResponse's batch sibling.
+// encodePredictBatchResponse is encodePredictResponse's batch sibling,
+// the messages spelled out as withMessages does.
 func encodePredictBatchResponse(b []byte, v *predictBatchResponse) ([]byte, bool) {
 	var ok bool
 	b = append(b, `{"at":`...)
@@ -228,9 +243,9 @@ func encodePredictBatchResponse(b []byte, v *predictBatchResponse) ([]byte, bool
 					return b, false
 				}
 			}
-			if it.Message != "" {
+			if it.Message != "" || v.cutoff != 0 && it.Error == "" {
 				b = append(b, `,"message":`...)
-				b = appendJSONString(b, it.Message)
+				b = appendMessage(b, it.Message, it.Long, it.Minutes, v.cutoff)
 			}
 			if it.Tier != "" {
 				b = append(b, `,"tier":`...)
@@ -253,12 +268,14 @@ func encodePredictBatchResponse(b []byte, v *predictBatchResponse) ([]byte, bool
 	return append(b, '}', '\n'), true
 }
 
-// decodePredictRequest parses a POST /predict body with trace.JSONReader.
-// ok=false means the body is outside the reader's subset (NOT that it is
-// invalid) — re-parse with encoding/json. Trailing data after the object is
-// ignored, matching json.Decoder.Decode.
-func decodePredictRequest(body []byte, req *predictRequest) bool {
+// decodePredictRequest parses a POST /predict body with trace.JSONReader,
+// interning a partition equal to one of names. ok=false means the body is
+// outside the reader's subset (NOT that it is invalid) — re-parse with
+// encoding/json. Trailing data after the object is ignored, matching
+// json.Decoder.Decode.
+func decodePredictRequest(body []byte, req *predictRequest, names []string) bool {
 	r := trace.NewJSONReader(body)
+	r.Intern(names)
 	return r.Object(func(key []byte) bool {
 		var ok bool
 		switch string(key) {
@@ -272,10 +289,13 @@ func decodePredictRequest(body []byte, req *predictRequest) bool {
 }
 
 // decodePredictBatchRequest parses a POST /predict/batch body; same
-// contract as decodePredictRequest. A repeated "jobs" key bails: there
-// encoding/json decodes element-wise into the first array's elements.
-func decodePredictBatchRequest(body []byte, req *predictBatchRequest) bool {
+// contract as decodePredictRequest. The jobs are appended to jobs[:0], so
+// a caller's scratch slice backs req.Jobs (each element is zeroed before it
+// is decoded into). A repeated "jobs" key bails: there encoding/json
+// decodes element-wise into the first array's elements.
+func decodePredictBatchRequest(body []byte, req *predictBatchRequest, jobs []trace.Job, names []string) bool {
 	r := trace.NewJSONReader(body)
+	r.Intern(names)
 	return r.Object(func(key []byte) bool {
 		var ok bool
 		switch string(key) {
@@ -285,7 +305,9 @@ func decodePredictBatchRequest(body []byte, req *predictBatchRequest) bool {
 			if req.Jobs != nil {
 				return false
 			}
-			req.Jobs = []trace.Job{}
+			if req.Jobs = jobs[:0]; req.Jobs == nil {
+				req.Jobs = []trace.Job{}
+			}
 			ok = r.Array(func() bool {
 				req.Jobs = append(req.Jobs, trace.Job{})
 				return r.Job(&req.Jobs[len(req.Jobs)-1])

@@ -115,6 +115,38 @@ func TestEncodePredictBatchResponseDifferential(t *testing.T) {
 	}
 }
 
+// TestEncodeDerivedMessages: with a cutoff, the encoders word each answer's
+// message in place, byte for byte what encoding/json writes for the value
+// with its messages spelled out (the fallback path's input).
+func TestEncodeDerivedMessages(t *testing.T) {
+	minutes := []float64{0, 0.49, 0.5, 10, 10.5, 11.4999, 1234567.5, 9.2e18, math.Nextafter(9.223372036854775e18, 0)}
+	for _, cutoff := range []float64{5, 10, 10.9, 30} {
+		var items []batchItem
+		for i, m := range minutes {
+			v := predictResponse{Long: i%3 != 0, Prob: 0.5, Minutes: m, Tier: "nn", Source: "live", cutoff: cutoff}
+			got, ok := encodePredictResponse(nil, &v)
+			if !ok {
+				t.Fatalf("encoder refused %+v", v)
+			}
+			if want := stdlibEncode(t, v.withMessage()); !bytes.Equal(got, want) {
+				t.Errorf("cutoff %v minutes %v:\n got  %q\n want %q", cutoff, m, got, want)
+			}
+			items = append(items, batchItem{Long: v.Long, Prob: 0.25, Minutes: m, Tier: "baseline"})
+			if i%4 == 0 {
+				items = append(items, batchItem{Error: "features: snapshot target references unknown partition \"x\""})
+			}
+		}
+		v := predictBatchResponse{At: 7, Source: "live", Results: items, cutoff: cutoff}
+		got, ok := encodePredictBatchResponse(nil, &v)
+		if !ok {
+			t.Fatalf("batch encoder refused cutoff %v", cutoff)
+		}
+		if want := stdlibEncode(t, v.withMessages()); !bytes.Equal(got, want) {
+			t.Errorf("batch cutoff %v:\n got  %q\n want %q", cutoff, got, want)
+		}
+	}
+}
+
 // Non-finite floats are the one shape the fast encoder cannot reproduce
 // (the stdlib errors); it must refuse so the caller reaches that error.
 func TestEncodeRefusesNonFinite(t *testing.T) {
@@ -170,7 +202,7 @@ func TestDecodePredictRequestDifferential(t *testing.T) {
 	}
 	for i, body := range accepted {
 		var fast predictRequest
-		if !decodePredictRequest([]byte(body), &fast) {
+		if !decodePredictRequest([]byte(body), &fast, nil) {
 			t.Errorf("case %d: fast path rejected in-subset body %q", i, body)
 			continue
 		}
@@ -215,7 +247,7 @@ func TestDecodePredictRequestDifferential(t *testing.T) {
 	}
 	for i, body := range bail {
 		var fast predictRequest
-		if decodePredictRequest([]byte(body), &fast) {
+		if decodePredictRequest([]byte(body), &fast, nil) {
 			t.Errorf("bail case %d: fast path accepted %q", i, body)
 		}
 	}
@@ -230,7 +262,7 @@ func TestDecodePredictBatchRequestDifferential(t *testing.T) {
 	}
 	for i, body := range accepted {
 		var fast predictBatchRequest
-		if !decodePredictBatchRequest([]byte(body), &fast) {
+		if !decodePredictBatchRequest([]byte(body), &fast, nil, nil) {
 			t.Errorf("case %d: fast path rejected %q", i, body)
 			continue
 		}
@@ -252,7 +284,7 @@ func TestDecodePredictBatchRequestDifferential(t *testing.T) {
 	}
 	for i, body := range bail {
 		var fast predictBatchRequest
-		if decodePredictBatchRequest([]byte(body), &fast) {
+		if decodePredictBatchRequest([]byte(body), &fast, nil, nil) {
 			t.Errorf("bail case %d: fast path accepted %q", i, body)
 		}
 	}
@@ -297,9 +329,64 @@ func FuzzDecodePredictRequest(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		checkDecodeMatchesStdlib(t, body, decodePredictRequest)
-		checkDecodeMatchesStdlib(t, body, decodePredictBatchRequest)
+		checkDecodeMatchesStdlib(t, body, func(b []byte, req *predictRequest) bool {
+			return decodePredictRequest(b, req, nil)
+		})
+		checkDecodeMatchesStdlib(t, body, func(b []byte, req *predictBatchRequest) bool {
+			return decodePredictBatchRequest(b, req, nil, nil)
+		})
+		checkStaleArenaDecode(t, body)
 	})
+}
+
+// dirtyBatch fills every job field the reader knows, in partitions the
+// interning list names, so a decode into its leftover jobs shows any field
+// the next body does not set.
+const dirtyBatch = `{"at":99,"jobs":[` +
+	`{"id":5,"user":4,"partition":"gpu","state":"FAILED","submit":10,"eligible":11,"start":12,"end":13,"req_cpus":64,"req_mem_gb":512.5,"req_nodes":8,"req_gpus":4,"time_limit":86400,"priority":9000,"qos":3,"interactive":true,"depends_on":2},` +
+	`{"id":6,"user":7,"partition":"shared","req_gpus":1,"priority":1},` +
+	`{"id":7,"partition":"gpu","req_gpus":2,"priority":2}]}`
+
+// checkStaleArenaDecode decodes body as the handlers do, into a pooled
+// arena a different body dirtied and with the partition names interned,
+// and holds the result to a fresh decode: same verdict, same value.
+func checkStaleArenaDecode(t *testing.T, body []byte) {
+	t.Helper()
+	names := []string{"shared", "gpu", "wholenode"}
+	a := new(predictArena)
+	var dirty predictBatchRequest
+	if !decodePredictBatchRequest([]byte(dirtyBatch), &dirty, a.jobs, names) {
+		t.Fatal("the dirtying body does not decode")
+	}
+	a.jobs = dirty.Jobs
+
+	var fresh, stale predictBatchRequest
+	okFresh := decodePredictBatchRequest(body, &fresh, nil, nil)
+	okStale := decodePredictBatchRequest(body, &stale, a.jobs, names)
+	if okFresh != okStale || okFresh && !reflect.DeepEqual(fresh, stale) {
+		t.Fatalf("%q: into a dirty arena %v %+v, fresh %v %+v", body, okStale, stale, okFresh, fresh)
+	}
+	var one, interned predictRequest
+	okOne := decodePredictRequest(body, &one, nil)
+	if okInterned := decodePredictRequest(body, &interned, names); okOne != okInterned || okOne && !reflect.DeepEqual(one, interned) {
+		t.Fatalf("%q: interned %v %+v, plain %v %+v", body, okInterned, interned, okOne, one)
+	}
+}
+
+// TestDecodeIntoStaleArena runs the stale-arena check over the fuzz seeds'
+// shapes plus bodies that omit every field the dirtying body set.
+func TestDecodeIntoStaleArena(t *testing.T) {
+	for _, body := range []string{
+		`{"at":5,"jobs":[{"user":1},{"user":2,"req_cpus":16},{}]}`,
+		`{"at":5,"jobs":[{"user":1,"req_cpus":8,"req_mem_gb":16,"req_nodes":1,"time_limit":3600}]}`,
+		`{"at":5,"jobs":[{"partition":"shared"},{"partition":"gpu"},{"partition":"other"},{}]}`,
+		`{"at":5,"jobs":[]}`,
+		`{"at":5}`,
+		`{"jobs":[{"user":1}],"jobs":[{}]}`,
+		`{"at":1,"job":{"partition":"gpu","user":3}}`,
+	} {
+		checkStaleArenaDecode(t, []byte(body))
+	}
 }
 
 func checkDecodeMatchesStdlib[T any](t *testing.T, body []byte, decode func([]byte, *T) bool) {

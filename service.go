@@ -99,7 +99,7 @@ func (c *ServiceConfig) defaults() {
 		c.MaxBadStateRows = 100
 	}
 	if c.MaxBatchJobs == 0 {
-		c.MaxBatchJobs = 256
+		c.MaxBatchJobs = defaultMaxBatchJobs
 	}
 }
 
@@ -204,7 +204,7 @@ func NewServiceWith(b *Bundle, initial *Trace, cfg ServiceConfig) (*Service, err
 	}
 	s.slo = obs.NewSLOTracker(cfg.SLO)
 	s.applyFastInference(b)
-	s.serving.Store(&servingBundle{b: b})
+	s.serving.Store(newServingBundle(b, 0))
 	s.repLeader = replication.NewLeader(s.live)
 	if cfg.LeaderURL != "" {
 		fc := cfg.Replication
@@ -794,21 +794,37 @@ type predictResponse struct {
 	// empty for never-serialized in-memory bundles).
 	ModelVersion int    `json:"model_version"`
 	ModelID      string `json:"model_id,omitempty"`
+	// cutoff, when non-zero, stands in for Message: the message is
+	// core.Prediction{Long, Minutes}.Message(cutoff), which the fast
+	// encoder appends in place and withMessage spells out for
+	// encoding/json.
+	cutoff float64
+}
+
+// withMessage is v with its message spelled out in Message.
+func (v predictResponse) withMessage() predictResponse {
+	if v.cutoff != 0 {
+		v.Message = core.Prediction{Long: v.Long, Minutes: v.Minutes}.Message(v.cutoff)
+		v.cutoff = 0
+	}
+	return v
 }
 
 // sourceLive is the snapshot_source every response carries.
 const sourceLive = "live"
 
 // resolveWhatIf is the one request resolver behind POST /predict and POST
-// /predict/batch: it validates the instant, validates and defaults each
-// hypothetical job in place, and assembles every snapshot at once under the
-// snapshot span. It returns nil after writing a refusal. single drops the
-// jobs[i] prefix a batch puts on a bad job's message.
-func (s *Service) resolveWhatIf(w http.ResponseWriter, root obs.SpanHandle, at int64, jobs []trace.Job, single bool) []*Snapshot {
+// /predict/batch: it validates the instant, validates and defaults each of
+// a's hypothetical jobs in place, and assembles every snapshot at once
+// under the snapshot span, into a's block. It returns nil after writing a
+// refusal. single drops the jobs[i] prefix a batch puts on a bad job's
+// message.
+func (s *Service) resolveWhatIf(w http.ResponseWriter, root obs.SpanHandle, a *predictArena, at int64, single bool) []*Snapshot {
 	refuse := func(code int, format string, args ...any) []*Snapshot {
 		resilience.WriteError(w, code, "predict: "+fmt.Sprintf(format, args...))
 		return nil
 	}
+	jobs := a.jobs
 	if at == 0 {
 		return refuse(http.StatusBadRequest, "need at (unix seconds)")
 	}
@@ -838,9 +854,9 @@ func (s *Service) resolveWhatIf(w http.ResponseWriter, root obs.SpanHandle, at i
 	}
 	sp := root.StartChild(obs.StageSnapshot)
 	now, ok := s.live.Engine().Ready(at)
-	var snaps []*Snapshot
 	if ok {
-		snaps = s.live.Engine().SnapshotBatch(jobs, at)
+		a.block = resize(a.block, len(jobs))
+		s.live.Engine().SnapshotBatchInto(a.block, jobs, at)
 	}
 	sp.End()
 	if !ok {
@@ -849,7 +865,7 @@ func (s *Service) resolveWhatIf(w http.ResponseWriter, root obs.SpanHandle, at i
 		return refuse(http.StatusUnprocessableEntity,
 			"at %d is more than an hour behind the engine clock %d; replay history offline with cmd/trout -trace ... -at", at, now)
 	}
-	return snaps
+	return a.snapshotsOf(len(jobs))
 }
 
 // serve answers resolved snapshots — every /predict and /predict/batch
@@ -859,10 +875,10 @@ func (s *Service) resolveWhatIf(w http.ResponseWriter, root obs.SpanHandle, at i
 // the online accuracy tracker can join it against the job's realized start
 // event. A job whose feature row could not be built is a bad request, not
 // a tier outcome: only fallback-tier answers and an exhausted chain may
-// mark /health degraded.
-func (s *Service) serve(snaps []*Snapshot, root obs.SpanHandle) (*servingBundle, []BatchResult) {
+// mark /health degraded. The results are a's.
+func (s *Service) serve(a *predictArena, snaps []*Snapshot, root obs.SpanHandle) (*servingBundle, []BatchResult) {
 	sb := s.serving.Load()
-	results := sb.b.predictBatchWithFallback(snaps, root)
+	results := sb.b.predictBatch(a, snaps, root)
 	for i, res := range results {
 		if res.Tier != "" {
 			s.tiers.Inc(res.Tier)
@@ -876,11 +892,13 @@ func (s *Service) serve(snaps []*Snapshot, root obs.SpanHandle) (*servingBundle,
 }
 
 // readPredictBody reads a POST /predict{,/batch} body into rb and decodes
-// it: fast is the jsonfast decoder for the endpoint's shape, and anything
-// outside its subset (or malformed) restarts from zero under encoding/json,
-// which rules — identical semantics and error text to the pre-fast-path
-// decoder. It reports false after writing the refusal.
+// it into req, zeroed first: fast is the jsonfast decoder for the
+// endpoint's shape, and anything outside its subset (or malformed) restarts
+// from zero under encoding/json, which rules — identical semantics and
+// error text to the pre-fast-path decoder. It reports false after writing
+// the refusal.
 func readPredictBody[T any](w http.ResponseWriter, r *http.Request, rb *respBuf, fast func([]byte, *T) bool, req *T) bool {
+	*req = *new(T)
 	body, err := readBody(rb, r.Body)
 	if err == nil && !fast(body, req) {
 		*req = *new(T)
@@ -895,6 +913,8 @@ func readPredictBody[T any](w http.ResponseWriter, r *http.Request, rb *respBuf,
 
 func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 	root := obs.TraceFrom(r.Context()).Root()
+	a := getArena()
+	defer putArena(a)
 	var snaps []*Snapshot
 	switch r.Method {
 	case http.MethodGet:
@@ -910,15 +930,20 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 			resilience.WriteError(w, http.StatusNotFound, err.Error())
 			return
 		}
-		snaps = []*Snapshot{snap}
+		a.snaps = append(a.snaps[:0], snap)
+		snaps = a.snaps
 	case http.MethodPost:
 		rb := getRespBuf()
 		defer putRespBuf(rb)
-		var req predictRequest
-		if !readPredictBody(w, r, rb, decodePredictRequest, &req) {
+		names := s.serving.Load().partitions
+		req := &a.one
+		if !readPredictBody(w, r, rb, func(body []byte, req *predictRequest) bool {
+			return decodePredictRequest(body, req, names)
+		}, req) {
 			return
 		}
-		if snaps = s.resolveWhatIf(w, root, req.At, []trace.Job{req.Job}, true); snaps == nil {
+		a.jobs = append(a.jobs[:0], req.Job)
+		if snaps = s.resolveWhatIf(w, root, a, req.At, true); snaps == nil {
 			return
 		}
 	default:
@@ -926,7 +951,7 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sb, results := s.serve(snaps, root)
+	sb, results := s.serve(a, snaps, root)
 	snap, pred := snaps[0], results[0]
 	if pred.Err != nil {
 		resilience.WriteError(w, http.StatusBadRequest, pred.Err.Error())
@@ -934,11 +959,11 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writePredictResponse(w, r, &predictResponse{
 		Long: pred.Long, Prob: pred.Prob, Minutes: pred.Minutes,
-		Message: pred.Message(sb.b.Model.Cfg.CutoffMinutes),
 		Tier:    pred.Tier,
 		Source:  sourceLive,
 		Pending: len(snap.Pending), Running: len(snap.Running),
 		ModelVersion: sb.version, ModelID: sb.b.Fingerprint,
+		cutoff: sb.b.Model.Cfg.CutoffMinutes,
 	})
 }
 
@@ -976,6 +1001,23 @@ type predictBatchResponse struct {
 	// can straddle a hot-swap.
 	ModelVersion int    `json:"model_version"`
 	ModelID      string `json:"model_id,omitempty"`
+	// cutoff, when non-zero, stands in for each answered item's Message,
+	// as on predictResponse; items with an Error carry no message.
+	cutoff float64
+}
+
+// withMessages spells out v's messages in each answered item's Message.
+// The items are rewritten in place.
+func (v predictBatchResponse) withMessages() predictBatchResponse {
+	if v.cutoff != 0 {
+		for i := range v.Results {
+			if it := &v.Results[i]; it.Error == "" {
+				it.Message = core.Prediction{Long: it.Long, Minutes: it.Minutes}.Message(v.cutoff)
+			}
+		}
+		v.cutoff = 0
+	}
+	return v
 }
 
 func (s *Service) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
@@ -983,38 +1025,41 @@ func (s *Service) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		resilience.WriteError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
+	a := getArena()
+	defer putArena(a)
 	rb := getRespBuf()
 	defer putRespBuf(rb)
-	var req predictBatchRequest
-	if !readPredictBody(w, r, rb, decodePredictBatchRequest, &req) {
+	names := s.serving.Load().partitions
+	req := &a.batch
+	if !readPredictBody(w, r, rb, func(body []byte, req *predictBatchRequest) bool {
+		return decodePredictBatchRequest(body, req, a.jobs, names)
+	}, req) {
 		return
 	}
+	a.jobs = req.Jobs
 	root := obs.TraceFrom(r.Context()).Root()
-	snaps := s.resolveWhatIf(w, root, req.At, req.Jobs, false)
+	snaps := s.resolveWhatIf(w, root, a, req.At, false)
 	if snaps == nil {
 		return
 	}
 	s.batchSize.Observe(float64(len(req.Jobs)))
 
-	sb, results := s.serve(snaps, root)
-	resp := predictBatchResponse{
-		At: req.At, Source: sourceLive,
-		Pending: len(snaps[0].Pending), Running: len(snaps[0].Running),
-		Results:      make([]batchItem, len(results)),
-		ModelVersion: sb.version, ModelID: sb.b.Fingerprint,
-	}
+	sb, results := s.serve(a, snaps, root)
+	a.items = resize(a.items, len(results))
 	for i, res := range results {
 		if res.Err != nil {
-			resp.Results[i] = batchItem{Error: res.Err.Error()}
+			a.items[i] = batchItem{Error: res.Err.Error()}
 			continue
 		}
-		resp.Results[i] = batchItem{
-			Long: res.Long, Prob: res.Prob, Minutes: res.Minutes,
-			Message: res.Message(sb.b.Model.Cfg.CutoffMinutes),
-			Tier:    res.Tier,
-		}
+		a.items[i] = batchItem{Long: res.Long, Prob: res.Prob, Minutes: res.Minutes, Tier: res.Tier}
 	}
-	s.writePredictBatchResponse(w, r, &resp)
+	s.writePredictBatchResponse(w, r, &predictBatchResponse{
+		At: req.At, Source: sourceLive,
+		Pending: len(snaps[0].Pending), Running: len(snaps[0].Running),
+		Results:      a.items,
+		ModelVersion: sb.version, ModelID: sb.b.Fingerprint,
+		cutoff: sb.b.Model.Cfg.CutoffMinutes,
+	})
 }
 
 // stateResponse is the POST /state payload, reporting how the tolerant
@@ -1191,7 +1236,7 @@ func (s *Service) writePredictResponse(w http.ResponseWriter, r *http.Request, v
 	b, ok := encodePredictResponse(rb.b[:0], v)
 	rb.b = b[:0]
 	if !ok {
-		s.writeJSON(w, r, http.StatusOK, v)
+		s.writeJSON(w, r, http.StatusOK, v.withMessage())
 		return
 	}
 	writeBody(w, http.StatusOK, b)
@@ -1204,7 +1249,7 @@ func (s *Service) writePredictBatchResponse(w http.ResponseWriter, r *http.Reque
 	b, ok := encodePredictBatchResponse(rb.b[:0], v)
 	rb.b = b[:0]
 	if !ok {
-		s.writeJSON(w, r, http.StatusOK, v)
+		s.writeJSON(w, r, http.StatusOK, v.withMessages())
 		return
 	}
 	writeBody(w, http.StatusOK, b)

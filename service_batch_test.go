@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -407,5 +408,62 @@ func TestServiceBatchMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestBatchAfterStaleArena: the predict path reuses one pooled arena per
+// request, so a batch decodes into the jobs an earlier batch left there. A
+// batch whose jobs omit partition, priority and req_gpus must answer byte
+// for byte what a service that never served the first batch answers, from
+// a freshly allocated arena: nothing of the earlier jobs may show through.
+func TestBatchAfterStaleArena(t *testing.T) {
+	q := liveQueueFixture(t)
+	var dirty, sparse []map[string]any
+	for i := 0; i < 16; i++ {
+		p := q.Pending[i*len(q.Pending)/16]
+		dirty = append(dirty, map[string]any{
+			"id": p.ID, "user": p.User, "partition": p.Partition, "req_cpus": p.ReqCPUs,
+			"req_mem_gb": p.ReqMemGB, "req_nodes": p.ReqNodes, "req_gpus": 2 + i%3,
+			"time_limit": p.TimeLimit, "priority": p.Priority + 1000, "qos": 2, "interactive": true,
+		})
+		job := map[string]any{"user": p.User, "req_cpus": p.ReqCPUs, "req_mem_gb": p.ReqMemGB,
+			"req_nodes": p.ReqNodes, "time_limit": p.TimeLimit}
+		if i%2 == 1 { // the rest keep their partition, so they are answered
+			job["partition"] = p.Partition
+		}
+		sparse = append(sparse, job)
+	}
+	post := func(url string, jobs []map[string]any) []byte {
+		t.Helper()
+		raw, err := json.Marshal(map[string]any{"at": q.Now, "jobs": jobs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(url+"/predict/batch", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch status %d (%v): %s", resp.StatusCode, err, body)
+		}
+		return body
+	}
+
+	// Two collections empty the arena pool, so the reference is served
+	// from a fresh arena.
+	runtime.GC()
+	runtime.GC()
+	fresh, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{})
+	want := post(fresh.URL, sparse)
+	if !bytes.Contains(want, []byte(`"tier":"nn"`)) || !bytes.Contains(want, []byte(`unknown partition \"\"`)) {
+		t.Fatalf("the reference answers neither a job nor a refusal: %s", want)
+	}
+
+	used, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{})
+	post(used.URL, dirty)
+	if got := post(used.URL, sparse); !bytes.Equal(got, want) {
+		t.Fatalf("after a full batch:\n got  %s\n want %s", got, want)
 	}
 }

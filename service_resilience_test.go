@@ -568,3 +568,83 @@ func TestBundlePoisonedPredictDirect(t *testing.T) {
 		}
 	}
 }
+
+// TestHugeFiniteWaitFallsBack: a regressor whose output bias is forced
+// high answers a finite wait too large for the message's minute count
+// (expm1 of the bias alone is ≈5e21 minutes). Printed, it wrapped to a
+// negative wait; the NN tier must refuse it so the baseline answers, on
+// the bundle and through POST /predict/batch alike.
+func TestHugeFiniteWaitFallsBack(t *testing.T) {
+	b := resilientBundle(t)
+	high := b.Model.Regressor.CloneFor(rand.New(rand.NewSource(1)))
+	high.CopyWeightsFrom(b.Model.Regressor)
+	ps := high.Params()
+	bias := ps[len(ps)-1].Value.Data
+	if len(bias) != 1 {
+		t.Fatalf("the regressor's last parameter has %d values, want its output bias", len(bias))
+	}
+	bias[0] = 50
+	mCopy := *b.Model
+	mCopy.Regressor = high
+	bCopy := *b
+	bCopy.Model = &mCopy
+
+	q := liveQueueFixture(t)
+	var jobs []trace.Job // queued jobs as what-ifs: some wait past the cutoff
+	for i := 0; i < len(q.Pending); i += max(1, len(q.Pending)/32) {
+		jobs = append(jobs, q.Pending[i])
+	}
+	var longs int
+	for i, j := range jobs {
+		snap := trout.SnapshotAtInstant(q.Trace, q.Now, j)
+		if b.Model.Predict(mustRow(t, b, snap)).Long {
+			longs++
+		}
+		if raw := mCopy.Predict(mustRow(t, b, snap)); raw.Long && math.Round(raw.Minutes) < math.MaxInt64 {
+			t.Fatalf("job %d: forced regressor answers %v minutes, not past an int64", i, raw.Minutes)
+		}
+		p, err := bCopy.PredictWithFallback(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Long && p.Tier == resilience.TierNN {
+			t.Fatalf("job %d: NN tier served %v minutes", i, p.Minutes)
+		}
+		if msg := p.Message(b.Model.Cfg.CutoffMinutes); strings.Contains(msg, "-") {
+			t.Fatalf("job %d: %q", i, msg)
+		}
+	}
+	if longs == 0 {
+		t.Fatal("no fixture job is classified long; the regressor is not under test")
+	}
+
+	srv, _ := resilientServer(t, &bCopy, trout.ServiceConfig{})
+	var got batchReply
+	if code := postJSON(t, srv.URL+"/predict/batch", map[string]any{"at": q.Now, "jobs": jobs}, &got); code != http.StatusOK {
+		t.Fatalf("batch status %d", code)
+	}
+	var fellBack int
+	for i, r := range got.Results {
+		if r.Error != "" || strings.Contains(r.Message, "-") {
+			t.Fatalf("item %d: %+v", i, r)
+		}
+		if r.Long && r.Tier == resilience.TierNN {
+			t.Fatalf("item %d: NN tier served %v minutes", i, r.Minutes)
+		}
+		if r.Tier != resilience.TierNN {
+			fellBack++
+		}
+	}
+	if fellBack == 0 {
+		t.Fatal("no item fell back")
+	}
+}
+
+func mustRow(t *testing.T, b *trout.Bundle, snap *trout.Snapshot) []float64 {
+	t.Helper()
+	row, err := b.FeatureRow(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return row
+}
