@@ -34,21 +34,27 @@ type predictArena struct {
 	items   []batchItem          // /predict/batch's response entries
 }
 
-// defaultMaxBatchJobs is ServiceConfig.MaxBatchJobs's default. An arena
-// that held more jobs (a body over the cap, or a service run with a
-// larger cap or none) is not pooled, so an odd huge batch cannot pin its
-// memory for the daemon's lifetime.
+// defaultMaxBatchJobs is ServiceConfig.MaxBatchJobs's default.
 const defaultMaxBatchJobs = 256
+
+// maxPooledJobs bounds what a pooled arena may hold: one any of whose
+// slices has room for more jobs (a body over the cap, or a service run
+// with a larger cap or none) is dropped, so an odd huge batch cannot pin
+// its memory for the daemon's lifetime. It is twice defaultMaxBatchJobs
+// because append rounds a full batch's 256 decoded jobs up to room for 323.
+const maxPooledJobs = 2 * defaultMaxBatchJobs
 
 var arenaPool = sync.Pool{New: func() any { return new(predictArena) }}
 
 func getArena() *predictArena { return arenaPool.Get().(*predictArena) }
 
-// putArena gives a back to the pool. It drops the references the arena
-// holds into the engine's queue memo, the decoded body and the per-job
-// errors, so a pooled arena pins none of them.
+// putArena gives a back to the pool. It first drops the decoded bodies,
+// whose job slice encoding/json may have filled past the cap before it
+// refused the body, then the references the arena holds into the engine's
+// queue memo and the per-job errors, so a pooled arena pins none of them.
 func putArena(a *predictArena) {
-	if len(a.jobs) > defaultMaxBatchJobs {
+	a.one, a.batch = predictRequest{}, predictBatchRequest{}
+	if a.room() > maxPooledJobs {
 		return
 	}
 	clear(a.jobs[:cap(a.jobs)])
@@ -57,6 +63,12 @@ func putArena(a *predictArena) {
 	clear(a.results[:cap(a.results)])
 	clear(a.items[:cap(a.items)])
 	arenaPool.Put(a)
+}
+
+// room is the most jobs any of a's slices has room for.
+func (a *predictArena) room() int {
+	return max(cap(a.jobs), cap(a.block), cap(a.snaps), cap(a.slab)/features.NumFeatures,
+		cap(a.rows), cap(a.rowOf), cap(a.preds), cap(a.results), cap(a.items))
 }
 
 // resize returns s with length n, reusing its backing array when it is

@@ -160,13 +160,10 @@ func appendJSONBool(b []byte, v bool) []byte {
 	return append(b, "false"...)
 }
 
-// appendMessage appends an answer's message as a JSON string: msg, or with
-// a non-zero cutoff the message Algorithm 1 words from long and minutes,
-// appended in place (it is plain ASCII, so it needs no escaping).
-func appendMessage(b []byte, msg string, long bool, minutes, cutoff float64) []byte {
-	if cutoff == 0 {
-		return appendJSONString(b, msg)
-	}
+// appendMessage appends as a JSON string the message Algorithm 1 words
+// from long and minutes at cutoff, in place (it is plain ASCII, so it
+// needs no escaping).
+func appendMessage(b []byte, long bool, minutes, cutoff float64) []byte {
 	b = append(b, '"')
 	b = core.Prediction{Long: long, Minutes: minutes}.AppendMessage(b, cutoff)
 	return append(b, '"')
@@ -191,7 +188,7 @@ func encodePredictResponse(b []byte, v *predictResponse) ([]byte, bool) {
 		}
 	}
 	b = append(b, `,"message":`...)
-	b = appendMessage(b, v.Message, v.Long, v.Minutes, v.cutoff)
+	b = appendMessage(b, v.Long, v.Minutes, v.cutoff)
 	b = append(b, `,"tier":`...)
 	b = appendJSONString(b, v.Tier)
 	b = append(b, `,"snapshot_source":`...)
@@ -243,9 +240,9 @@ func encodePredictBatchResponse(b []byte, v *predictBatchResponse) ([]byte, bool
 					return b, false
 				}
 			}
-			if it.Message != "" || v.cutoff != 0 && it.Error == "" {
+			if it.Error == "" {
 				b = append(b, `,"message":`...)
-				b = appendMessage(b, it.Message, it.Long, it.Minutes, v.cutoff)
+				b = appendMessage(b, it.Long, it.Minutes, v.cutoff)
 			}
 			if it.Tier != "" {
 				b = append(b, `,"tier":`...)

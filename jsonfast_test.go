@@ -58,20 +58,20 @@ func TestEncodePredictResponseDifferential(t *testing.T) {
 	for i, s := range edgeStrings {
 		f := edgeFloats[i%len(edgeFloats)]
 		cases = append(cases,
-			predictResponse{Long: i%2 == 0, Prob: f, Message: s, Tier: "nn",
-				Source: "live", Pending: i, Running: -i, ModelVersion: i},
-			predictResponse{Prob: 0.5, Minutes: f, Message: "ok", Tier: s,
-				Source: s, Pending: math.MaxInt32, ModelVersion: -1, ModelID: s},
+			predictResponse{Long: i%2 == 0, Prob: f, Tier: s,
+				Source: "live", Pending: i, Running: -i, ModelVersion: i, cutoff: 10},
+			predictResponse{Prob: 0.5, Minutes: f, Tier: s,
+				Source: s, Pending: math.MaxInt32, ModelVersion: -1, ModelID: s, cutoff: 30},
 		)
 	}
 	// Minutes==0 must omit the field; ModelID=="" must omit the field.
-	cases = append(cases, predictResponse{}, predictResponse{Minutes: 0, ModelID: ""})
+	cases = append(cases, predictResponse{cutoff: 10}, predictResponse{Minutes: 0, ModelID: "", cutoff: 5})
 	for i, v := range cases {
 		got, ok := encodePredictResponse(nil, &v)
 		if !ok {
 			t.Fatalf("case %d: encoder refused finite value %+v", i, v)
 		}
-		want := stdlibEncode(t, &v)
+		want := stdlibEncode(t, v.withMessage())
 		if !bytes.Equal(got, want) {
 			t.Errorf("case %d:\n got  %q\n want %q", i, got, want)
 		}
@@ -85,8 +85,7 @@ func TestEncodePredictBatchResponseDifferential(t *testing.T) {
 			items[i] = batchItem{
 				Long: i%2 == 1, Prob: edgeFloats[i%len(edgeFloats)],
 				Minutes: edgeFloats[(i+3)%len(edgeFloats)],
-				Message: edgeStrings[i%len(edgeStrings)],
-				Tier:    "nn",
+				Tier:    edgeStrings[i%len(edgeStrings)],
 			}
 		}
 		// omitempty coverage: one all-zero item, one error-only item.
@@ -97,18 +96,18 @@ func TestEncodePredictBatchResponseDifferential(t *testing.T) {
 		return items
 	}
 	cases := []predictBatchResponse{
-		{At: 0, Source: "scan", Results: nil},            // null results
-		{At: -5, Source: "live", Results: []batchItem{}}, // empty array
-		{At: 12345, Source: "live", Pending: 7, Running: 3, Results: mkItems(1)},
+		{At: 0, Source: "scan", Results: nil, cutoff: 10},            // null results
+		{At: -5, Source: "live", Results: []batchItem{}, cutoff: 10}, // empty array
+		{At: 12345, Source: "live", Pending: 7, Running: 3, Results: mkItems(1), cutoff: 5},
 		{At: math.MaxInt64, Source: edgeStrings[6], Pending: -1,
-			Results: mkItems(9), ModelVersion: 4, ModelID: "deadbeef"},
+			Results: mkItems(9), ModelVersion: 4, ModelID: "deadbeef", cutoff: 30},
 	}
 	for i, v := range cases {
 		got, ok := encodePredictBatchResponse(nil, &v)
 		if !ok {
 			t.Fatalf("case %d: encoder refused finite value", i)
 		}
-		want := stdlibEncode(t, &v)
+		want := stdlibEncode(t, v.withMessages())
 		if !bytes.Equal(got, want) {
 			t.Errorf("case %d:\n got  %q\n want %q", i, got, want)
 		}
@@ -171,8 +170,8 @@ func TestEncodeRefusesNonFinite(t *testing.T) {
 func TestEncodePredictResponseZeroAllocs(t *testing.T) {
 	v := &predictResponse{
 		Long: true, Prob: 0.8251, Minutes: 42.5,
-		Message: "long wait likely", Tier: "nn", Source: "live",
-		Pending: 1234, Running: 567, ModelVersion: 3, ModelID: "abcdef012345",
+		Tier: "nn", Source: "live",
+		Pending: 1234, Running: 567, ModelVersion: 3, ModelID: "abcdef012345", cutoff: 10,
 	}
 	buf := make([]byte, 0, 1024)
 	allocs := testing.AllocsPerRun(200, func() {
@@ -458,13 +457,13 @@ func TestWritePredictResponseFallback(t *testing.T) {
 		t.Errorf("fallback encode failure not logged: %q", logBuf.String())
 	}
 
-	v := &predictResponse{Prob: 0.75, Message: "ok", Tier: "nn", Source: "live"}
+	v := &predictResponse{Prob: 0.75, Tier: "nn", Source: "live", cutoff: 10}
 	rec = httptest.NewRecorder()
 	s.writePredictResponse(rec, req, v)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d, want 200", rec.Code)
 	}
-	want := stdlibEncode(t, v)
+	want := stdlibEncode(t, v.withMessage())
 	if !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Errorf("fast body %q != stdlib %q", rec.Body.Bytes(), want)
 	}

@@ -794,19 +794,15 @@ type predictResponse struct {
 	// empty for never-serialized in-memory bundles).
 	ModelVersion int    `json:"model_version"`
 	ModelID      string `json:"model_id,omitempty"`
-	// cutoff, when non-zero, stands in for Message: the message is
-	// core.Prediction{Long, Minutes}.Message(cutoff), which the fast
-	// encoder appends in place and withMessage spells out for
-	// encoding/json.
+	// cutoff words the message, core.Prediction{Long, Minutes}.Message(cutoff),
+	// which the fast encoder appends in place; Message is set only by
+	// withMessage, for the encoding/json fallback.
 	cutoff float64
 }
 
 // withMessage is v with its message spelled out in Message.
 func (v predictResponse) withMessage() predictResponse {
-	if v.cutoff != 0 {
-		v.Message = core.Prediction{Long: v.Long, Minutes: v.Minutes}.Message(v.cutoff)
-		v.cutoff = 0
-	}
+	v.Message = core.Prediction{Long: v.Long, Minutes: v.Minutes}.Message(v.cutoff)
 	return v
 }
 
@@ -1001,21 +997,18 @@ type predictBatchResponse struct {
 	// can straddle a hot-swap.
 	ModelVersion int    `json:"model_version"`
 	ModelID      string `json:"model_id,omitempty"`
-	// cutoff, when non-zero, stands in for each answered item's Message,
-	// as on predictResponse; items with an Error carry no message.
+	// cutoff words each answered item's message, as on predictResponse;
+	// items with an Error carry none.
 	cutoff float64
 }
 
 // withMessages spells out v's messages in each answered item's Message.
 // The items are rewritten in place.
 func (v predictBatchResponse) withMessages() predictBatchResponse {
-	if v.cutoff != 0 {
-		for i := range v.Results {
-			if it := &v.Results[i]; it.Error == "" {
-				it.Message = core.Prediction{Long: it.Long, Minutes: it.Minutes}.Message(v.cutoff)
-			}
+	for i := range v.Results {
+		if it := &v.Results[i]; it.Error == "" {
+			it.Message = core.Prediction{Long: it.Long, Minutes: it.Minutes}.Message(v.cutoff)
 		}
-		v.cutoff = 0
 	}
 	return v
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -465,5 +466,45 @@ func TestBatchAfterStaleArena(t *testing.T) {
 	post(used.URL, dirty)
 	if got := post(used.URL, sparse); !bytes.Equal(got, want) {
 		t.Fatalf("after a full batch:\n got  %s\n want %s", got, want)
+	}
+}
+
+// TestRefusedBatchPoolsNoLargeArena: encoding/json decodes a body the fast
+// decoder refused into the arena's request before it reports the type
+// error, so a batch of 600 jobs that ends in a bad "at" leaves 600 decoded
+// jobs there after its 400. The arena must go back to the pool without
+// them: a pooled arena holds at most twice the default cap's jobs.
+func TestRefusedBatchPoolsNoLargeArena(t *testing.T) {
+	q := liveQueueFixture(t)
+	svc, err := trout.NewServiceWith(resilientBundle(t), q.Trace, trout.ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	serve := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict/batch", strings.NewReader(body)))
+		return rec
+	}
+	const maxRoom = 2 * 256
+
+	runtime.GC() // two collections empty the pool
+	runtime.GC()
+	bad := `{"jobs":[{}` + strings.Repeat(`,{}`, 599) + `],"at":"x"}`
+	if rec := serve(bad); rec.Code != http.StatusBadRequest {
+		t.Fatalf("bad batch: status %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if _, room := trout.DrainArenaPool(); room > maxRoom {
+		t.Fatalf("after a refused batch of 600 jobs a pooled arena has room for %d jobs, want at most %d", room, maxRoom)
+	}
+
+	good := fmt.Sprintf(`{"at":%d,"jobs":[{"user":1,"partition":%q,"req_cpus":1,"req_mem_gb":1,"req_nodes":1,"time_limit":600}]}`,
+		q.Now, q.Pending[0].Partition)
+	if rec := serve(good); rec.Code != http.StatusOK {
+		t.Fatalf("good batch: status %d: %s", rec.Code, rec.Body)
+	}
+	// The race detector's sync.Pool drops some puts at random.
+	if arenas, _ := trout.DrainArenaPool(); arenas == 0 && !raceEnabled {
+		t.Fatal("a served batch pooled no arena, so the check above saw none")
 	}
 }
