@@ -20,7 +20,7 @@ import (
 // sums are order-dependent, so the scan runs over an ID-sorted copy of the
 // trace — the order the engine emits, whatever the trace's order was.
 func TestSnapshotRowMatchesBuild(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	jobs := slices.Clone(e.Trace.Jobs)
 	slices.SortFunc(jobs, func(a, b trout.Job) int { return a.ID - b.ID })
 	sorted := &trout.Trace{Jobs: jobs}
@@ -49,14 +49,14 @@ func TestSnapshotRowMatchesBuild(t *testing.T) {
 }
 
 func TestSnapshotFromTraceErrors(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	if _, err := trout.SnapshotFromTrace(e.Trace, -12345); err == nil {
 		t.Fatal("missing job accepted")
 	}
 }
 
 func TestSnapshotRowErrors(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	snap := &trout.Snapshot{Target: trout.Job{Partition: "nope"}}
 	if _, err := features.SnapshotRow(snap, e.Cluster, e.Data.Runtime); err == nil {
 		t.Fatal("unknown partition accepted")
@@ -68,7 +68,7 @@ func TestSnapshotRowErrors(t *testing.T) {
 }
 
 func TestBundleRoundTrip(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	m, fold, err := trout.TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestBundleRoundTrip(t *testing.T) {
 }
 
 func TestBundleFileRoundTrip(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	m, _, err := trout.TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestBundleFileRoundTrip(t *testing.T) {
 }
 
 func TestNewBundleValidation(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	if _, err := trout.NewBundle(nil, e.Data, e.Cluster); err == nil {
 		t.Fatal("nil model accepted")
 	}
@@ -249,15 +249,19 @@ func FuzzLoadBundle(f *testing.F) {
 	p.Model.Classifier.Epochs, p.Model.Classifier.Hidden = 1, []int{4}
 	p.Model.Regressor.Epochs, p.Model.Regressor.Hidden = 1, []int{4}
 	p.Features.RuntimeTrees = 2
-	e, err := trout.NewExperiment(p)
+	tr, cluster, err := p.GenerateTrace()
 	if err != nil {
 		f.Fatal(err)
 	}
-	m, _, err := trout.TrainHoldout(e.Data, p.Model, 0.2)
+	ds, err := p.BuildDataset(tr, cluster)
 	if err != nil {
 		f.Fatal(err)
 	}
-	b, err := trout.NewBundle(m, e.Data, e.Cluster)
+	m, _, err := trout.TrainHoldout(ds, p.Model, 0.2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	b, err := trout.NewBundle(m, ds, cluster)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // Benchmarks regenerating each table and figure of the paper's evaluation
-// (see DESIGN.md §3 for the experiment index). These run the same code paths
-// as cmd/experiments on a reduced trace so `go test -bench=.` completes on a
-// laptop; cmd/experiments -jobs 60000 produces the full-size numbers
-// recorded in EXPERIMENTS.md.
-package trout_test
+// (see DESIGN.md §3 for the experiment index). These run the experiment
+// runners on a reduced trace so `go test -bench=.` completes on a laptop;
+// `experiments -jobs 60000` produces the full-size numbers recorded in
+// EXPERIMENTS.md.
+package main
 
 import (
 	"sync"
@@ -32,14 +32,14 @@ func benchPipeline() trout.PipelineConfig {
 
 var (
 	benchOnce sync.Once
-	benchExp  *trout.Experiment
+	benchExp  *Experiment
 	benchErr  error
 )
 
-func benchExperiment(b *testing.B) *trout.Experiment {
+func benchExperiment(b *testing.B) *Experiment {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchExp, benchErr = trout.NewExperiment(benchPipeline())
+		benchExp, benchErr = NewExperiment(benchPipeline())
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -126,7 +126,7 @@ func BenchmarkFig5ScatterFold5(b *testing.B) {
 
 func benchComparison(b *testing.B, fold int, metric string) {
 	e := benchExperiment(b)
-	cmp := trout.CompareConfig{GBDTRounds: 30, ForestTrees: 30, Seed: 5}
+	cmp := CompareConfig{GBDTRounds: 30, ForestTrees: 30, Seed: 5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scores, err := e.RunComparison(fold, cmp)
@@ -134,7 +134,7 @@ func benchComparison(b *testing.B, fold int, metric string) {
 			b.Fatal(err)
 		}
 		for _, s := range scores {
-			if s.Model == trout.ModelNeuralNet {
+			if s.Model == ModelNeuralNet {
 				switch metric {
 				case "mape":
 					b.ReportMetric(s.MAPE, "nn-mape-%")

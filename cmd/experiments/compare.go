@@ -1,9 +1,10 @@
-package trout
+package main
 
 import (
 	"fmt"
 	"math"
 
+	trout "repro"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/features"
@@ -53,7 +54,7 @@ func (c *CompareConfig) defaults() {
 // long-job subset (identical features, log-scaled, log targets) and scores
 // them on the fold's truly-long test jobs — the experiment behind
 // Figs 6–9. fold is a 1-based index into the same splits CrossValidate uses.
-func CompareFold(ds *Dataset, nnCfg ModelConfig, cmp CompareConfig, folds int, testFraction float64, fold int) ([]ModelScore, error) {
+func CompareFold(ds *trout.Dataset, nnCfg trout.ModelConfig, cmp CompareConfig, folds int, testFraction float64, fold int) ([]ModelScore, error) {
 	cmp.defaults()
 	splits, err := tscv.Split(ds.Len(), folds, testFraction)
 	if err != nil {
@@ -65,7 +66,7 @@ func CompareFold(ds *Dataset, nnCfg ModelConfig, cmp CompareConfig, folds int, t
 	return compareFold(ds, nnCfg, cmp, splits[fold-1], fold)
 }
 
-func compareFold(ds *Dataset, nnCfg ModelConfig, cmp CompareConfig, fold tscv.Fold, foldNum int) ([]ModelScore, error) {
+func compareFold(ds *trout.Dataset, nnCfg trout.ModelConfig, cmp CompareConfig, fold tscv.Fold, foldNum int) ([]ModelScore, error) {
 	// Shared preprocessing: log-scale features (fit on train), long-job
 	// subsets, log targets — every model sees identical data, as §IV
 	// requires.
@@ -163,5 +164,38 @@ func compareFold(ds *Dataset, nnCfg ModelConfig, cmp CompareConfig, fold tscv.Fo
 	}
 	out = append(out, score(ModelKNN, knn.Predict))
 
+	return out, nil
+}
+
+// FoldMetrics is one cross-validation fold's regression scores.
+type FoldMetrics struct {
+	Fold      int
+	N         int     // long test jobs evaluated
+	MAPE      float64 // percent
+	Pearson   float64
+	Within100 float64 // fraction within 100 % error
+	MAE       float64 // minutes
+}
+
+// CrossValidate trains and evaluates the hierarchical model under
+// time-series CV, returning per-fold regression metrics (the protocol
+// behind the paper's §IV fold numbers).
+func CrossValidate(ds *trout.Dataset, cfg trout.ModelConfig, folds int, testFraction float64) ([]FoldMetrics, error) {
+	splits, err := tscv.Split(ds.Len(), folds, testFraction)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]FoldMetrics, 0, len(splits))
+	for fi, fold := range splits {
+		m, err := core.Train(ds, fold.Train, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("trout: fold %d: %w", fi+1, err)
+		}
+		ev := core.EvaluateRegression(m, ds, fold.Test)
+		out = append(out, FoldMetrics{
+			Fold: fi + 1, N: ev.N, MAPE: ev.MAPE,
+			Pearson: ev.Pearson, Within100: ev.Within100, MAE: ev.MAE,
+		})
+	}
 	return out, nil
 }

@@ -1,9 +1,10 @@
-package trout
+package main
 
 import (
 	"fmt"
 	"io"
 
+	trout "repro"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/nn"
@@ -15,14 +16,14 @@ import (
 // Experiment bundles one generated trace + dataset so the per-figure
 // runners share the expensive pipeline stages.
 type Experiment struct {
-	Pipeline PipelineConfig
-	Trace    *Trace
-	Cluster  *ClusterSpec
-	Data     *Dataset
+	Pipeline trout.PipelineConfig
+	Trace    *trout.Trace
+	Cluster  *trout.ClusterSpec
+	Data     *trout.Dataset
 }
 
 // NewExperiment generates the trace and engineers features once.
-func NewExperiment(p PipelineConfig) (*Experiment, error) {
+func NewExperiment(p trout.PipelineConfig) (*Experiment, error) {
 	tr, cluster, err := p.GenerateTrace()
 	if err != nil {
 		return nil, err
@@ -57,15 +58,7 @@ func (e *Experiment) RunTableOne() TableOne {
 
 // Print renders the table in the paper's row layout.
 func (t TableOne) Print(w io.Writer) {
-	row := func(name string, s trace.Summary) {
-		fmt.Fprintf(w, "%-24s %10.1f %10.2f %10.2f %10.2f %10d\n",
-			name, s.Max, s.Mean, s.Median, s.StdDev, s.Count)
-	}
-	fmt.Fprintf(w, "%-24s %10s %10s %10s %10s %10s\n", "Variable", "Max", "Mean", "Median", "StdDev", "Count")
-	row("Requested Time (hr)", t.Stats.RequestedHours)
-	row("Runtime (hr)", t.Stats.RuntimeHours)
-	row("Wasted Time (hr)", t.Stats.WastedHours)
-	row("Jobs Submitted By User", t.Stats.JobsPerUser)
+	t.Stats.Print(w)
 	fmt.Fprintf(w, "short-queue fraction (<10 min): %.4f  shared-partition fraction: %.4f  mean wall-time usage: %.4f\n",
 		t.ShortFraction, t.SharedFraction, t.MeanWalltimeUsage)
 }
@@ -185,7 +178,7 @@ type ClassifierResult struct {
 // RunClassifier trains on all but the most recent 20 % and scores the
 // quick-start/long classifier on that holdout.
 func (e *Experiment) RunClassifier() (ClassifierResult, error) {
-	m, fold, err := TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
+	m, fold, err := trout.TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
 	if err != nil {
 		return ClassifierResult{}, err
 	}
@@ -309,7 +302,7 @@ func (e *Experiment) RunSMOTEAblation() (SMOTEResult, error) {
 	run := func(use bool) (ClassifierResult, error) {
 		cfg := e.Pipeline.Model
 		cfg.UseSMOTE = use
-		m, fold, err := TrainHoldout(e.Data, cfg, 0.2)
+		m, fold, err := trout.TrainHoldout(e.Data, cfg, 0.2)
 		if err != nil {
 			return ClassifierResult{}, err
 		}

@@ -1,9 +1,10 @@
-package trout
+package main
 
 import (
 	"fmt"
 	"math"
 
+	trout "repro"
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/livestate"
@@ -29,7 +30,7 @@ type BinError struct {
 // RunErrorByBin trains on the holdout protocol and reports long-job
 // regression error stratified by the actual queue-time decade.
 func (e *Experiment) RunErrorByBin() ([]BinError, error) {
-	m, fold, err := TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
+	m, fold, err := trout.TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
 	if err != nil {
 		return nil, err
 	}
@@ -147,8 +148,8 @@ func (e *Experiment) RunFeatureGroupAblation() ([]GroupAblation, error) {
 }
 
 // maskColumns returns a shallow dataset copy with the given columns zeroed.
-func maskColumns(ds *Dataset, cols []int) *Dataset {
-	masked := &Dataset{
+func maskColumns(ds *trout.Dataset, cols []int) *trout.Dataset {
+	masked := &trout.Dataset{
 		Names:        ds.Names,
 		X:            make([][]float64, len(ds.X)),
 		QueueMinutes: ds.QueueMinutes,
@@ -252,7 +253,7 @@ type TransferResult struct {
 // and measures zero-shot vs retrained performance there.
 func (e *Experiment) RunTransfer() (TransferResult, error) {
 	// Home model.
-	home, homeFold, err := TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
+	home, homeFold, err := trout.TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
 	if err != nil {
 		return TransferResult{}, err
 	}
@@ -333,7 +334,7 @@ func (e *Experiment) RunSchedulerETA(sampleMax int) (ETAComparison, error) {
 	if sampleMax <= 0 {
 		sampleMax = 200
 	}
-	m, fold, err := TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
+	m, fold, err := trout.TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
 	if err != nil {
 		return ETAComparison{}, err
 	}
@@ -381,7 +382,7 @@ func (e *Experiment) RunSchedulerETA(sampleMax int) (ETAComparison, error) {
 
 // forwardStateFromTrace reconstructs the scheduler-visible queue state at
 // job i's eligibility instant.
-func forwardStateFromTrace(ds *Dataset, i int) (slurmsim.ForwardState, error) {
+func forwardStateFromTrace(ds *trout.Dataset, i int) (slurmsim.ForwardState, error) {
 	target := ds.Jobs[i]
 	t := target.Eligible
 	state := slurmsim.ForwardState{Now: t, TargetID: target.ID}
@@ -407,7 +408,7 @@ func forwardStateFromTrace(ds *Dataset, i int) (slurmsim.ForwardState, error) {
 }
 
 // jobToSpec converts an accounting record back into a scheduler request.
-func jobToSpec(j *Job) slurmsim.JobSpec {
+func jobToSpec(j *trout.Job) slurmsim.JobSpec {
 	return slurmsim.JobSpec{
 		ID: j.ID, User: j.User, Partition: j.Partition,
 		Submit: j.Submit, ReqCPUs: j.ReqCPUs, ReqMemGB: j.ReqMemGB,
@@ -509,7 +510,7 @@ func (e *Experiment) RunCalibration(bins int) (CalibrationResult, error) {
 	if bins <= 0 {
 		bins = 10
 	}
-	m, fold, err := TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
+	m, fold, err := trout.TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
 	if err != nil {
 		return CalibrationResult{}, err
 	}
@@ -526,15 +527,6 @@ func (e *Experiment) RunCalibration(bins int) (CalibrationResult, error) {
 }
 
 // --- Prediction intervals (extension of §V's outlier discussion) ---
-
-// QuantileModel exposes the pinball-loss interval regressor.
-type QuantileModel = core.QuantileModel
-
-// TrainQuantileModel fits interval regressors at the given quantiles on the
-// rows selected by trainIdx.
-func TrainQuantileModel(ds *Dataset, trainIdx []int, cfg ModelConfig, taus []float64) (*QuantileModel, error) {
-	return core.TrainQuantiles(ds, trainIdx, cfg, taus)
-}
 
 // IntervalResult summarizes prediction-interval quality on the holdout.
 type IntervalResult struct {
@@ -587,7 +579,7 @@ func (e *Experiment) RunSHAP(explainRows, coalitionSamples int) ([]SHAPRow, erro
 	if coalitionSamples <= 0 {
 		coalitionSamples = 600
 	}
-	m, fold, err := TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
+	m, fold, err := trout.TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
 	if err != nil {
 		return nil, err
 	}
@@ -646,7 +638,7 @@ type PartitionScore struct {
 // per-partition performance, quantifying how much the dominant `shared`
 // partition drives the averages.
 func (e *Experiment) RunPartitionBreakdown() ([]PartitionScore, error) {
-	m, fold, err := TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
+	m, fold, err := trout.TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
 	if err != nil {
 		return nil, err
 	}

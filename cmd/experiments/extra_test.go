@@ -1,8 +1,7 @@
-package trout_test
+package main
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	trout "repro"
@@ -36,7 +35,7 @@ func TestErrorByBin(t *testing.T) {
 
 func TestFeatureGroupsCoverAllColumns(t *testing.T) {
 	seen := map[int]bool{}
-	for _, g := range trout.FeatureGroups() {
+	for _, g := range FeatureGroups() {
 		if len(g.Columns) == 0 {
 			t.Fatalf("group %q resolves no columns", g.Name)
 		}
@@ -87,118 +86,6 @@ func TestOnlineAdaptation(t *testing.T) {
 	// Fine-tuning must actually change the model.
 	if res.StaleMAPE == res.UpdatedMAPE && res.StaleClassBA == res.UpdatedClassBA {
 		t.Fatal("ContinueTraining changed nothing")
-	}
-}
-
-func TestContinueTrainingErrors(t *testing.T) {
-	e := sharedExperiment(t)
-	m, fold, err := trout.TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.ContinueTraining(e.Data, fold.Test[:3], 2); err == nil {
-		t.Fatal("tiny update slice accepted")
-	}
-	if err := m.ContinueTraining(e.Data, fold.Test, 0); err == nil {
-		t.Fatal("zero epochs accepted")
-	}
-}
-
-func TestContinueTrainingMovesTowardFreshData(t *testing.T) {
-	// Train on the oldest half, then fine-tune heavily on the newest
-	// quarter; loss on that fresh window must improve.
-	e := sharedExperiment(t)
-	n := e.Data.Len()
-	trainIdx := make([]int, n/2)
-	for i := range trainIdx {
-		trainIdx[i] = i
-	}
-	fresh := make([]int, n/4)
-	for i := range fresh {
-		fresh[i] = n - n/4 + i
-	}
-	m, err := core.Train(e.Data, trainIdx, e.Pipeline.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Score in the space the update optimizes: mean |log1p(pred) −
-	// log1p(actual)| over the window's long jobs.
-	logMAE := func() float64 {
-		var s float64
-		n := 0
-		for _, i := range fresh {
-			if e.Data.QueueMinutes[i] < m.Cfg.CutoffMinutes {
-				continue
-			}
-			d := math.Log1p(m.RegressMinutes(e.Data.X[i])) - math.Log1p(e.Data.QueueMinutes[i])
-			s += math.Abs(d)
-			n++
-		}
-		return s / float64(n)
-	}
-	before := logMAE()
-	if err := m.ContinueTraining(e.Data, fresh, 40); err != nil {
-		t.Fatal(err)
-	}
-	after := logMAE()
-	// Trained on the evaluation window itself: the objective must drop.
-	if after >= before {
-		t.Fatalf("fine-tuning on the window did not reduce log-MAE: %.4f -> %.4f", before, after)
-	}
-}
-
-func TestTuneRegressor(t *testing.T) {
-	e := sharedExperiment(t)
-	cfg := e.Pipeline.Model
-	res, err := trout.TuneRegressor(e.Data, cfg, trout.TuneConfig{
-		Trials: 6, Seed: 3, MinEpochs: 1, MaxEpochs: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trials != 6 {
-		t.Fatalf("%d trials", res.Trials)
-	}
-	if res.Pruned == 0 {
-		t.Fatal("halving pruned nothing")
-	}
-	if math.IsNaN(res.BestMAPE) || res.BestMAPE <= 0 {
-		t.Fatalf("best MAPE %v", res.BestMAPE)
-	}
-	if len(res.Best.Regressor.Hidden) < 2 || len(res.Best.Regressor.Hidden) > 4 {
-		t.Fatalf("tuned hidden stack %v", res.Best.Regressor.Hidden)
-	}
-	// Tuned config must train.
-	tuned := res.Best
-	tuned.Regressor.Epochs = 2
-	tuned.Classifier.Epochs = 2
-	if _, err := core.Train(e.Data, seqIdx(e.Data.Len()*8/10), tuned); err != nil {
-		t.Fatal(err)
-	}
-	desc := trout.DescribeConfig(res.Best)
-	if !strings.Contains(desc, "regressor") {
-		t.Fatalf("DescribeConfig = %q", desc)
-	}
-}
-
-func seqIdx(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-func TestHoldoutRecentReexport(t *testing.T) {
-	// tscv is internal; the public API goes through TrainHoldout, but the
-	// Fold alias must be usable.
-	f, err := tscv.HoldoutRecent(100, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pub trout.Fold = f
-	if len(pub.Test) != 20 {
-		t.Fatal("alias broken")
 	}
 }
 
@@ -305,7 +192,7 @@ func TestTrainQuantileModelPublic(t *testing.T) {
 	}
 	cfg := e.Pipeline.Model
 	cfg.Regressor.Epochs = 5
-	qm, err := trout.TrainQuantileModel(e.Data, fold.Train, cfg, []float64{0.25, 0.75})
+	qm, err := core.TrainQuantiles(e.Data, fold.Train, cfg, []float64{0.25, 0.75})
 	if err != nil {
 		t.Fatal(err)
 	}

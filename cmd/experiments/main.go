@@ -59,7 +59,7 @@ func main() {
 
 	fmt.Printf("== pipeline: %d jobs, seed %d, scale %d ==\n", *jobs, *seed, *scale)
 	t0 := time.Now()
-	e, err := trout.NewExperiment(p)
+	e, err := NewExperiment(p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func main() {
 
 	type runner struct {
 		name string
-		fn   func(*trout.Experiment) error
+		fn   func(*Experiment) error
 	}
 	runners := []runner{
 		{"table1", runTable1}, {"table2", runTable2},
@@ -99,14 +99,14 @@ func main() {
 	}
 }
 
-func runTable1(e *trout.Experiment) error {
+func runTable1(e *Experiment) error {
 	one := e.RunTableOne()
 	fmt.Println("Table I — historic job statistics (paper: req 12.55 h mean / 4 h median; runtime 1.9 h mean; 87% short; 68.95% shared; 15% wall-time usage)")
 	one.Print(os.Stdout)
 	return nil
 }
 
-func runTable2(e *trout.Experiment) error {
+func runTable2(e *Experiment) error {
 	fmt.Println("Table II — engineered features (33 columns):")
 	fmt.Printf("%-28s %12s %12s %12s %12s\n", "Feature", "Max", "Mean", "Median", "StdDev")
 	for _, r := range e.RunTableTwo() {
@@ -115,7 +115,7 @@ func runTable2(e *trout.Experiment) error {
 	return nil
 }
 
-func runFig2(e *trout.Experiment) error {
+func runFig2(e *Experiment) error {
 	fmt.Println("Fig 2 — queue-time density (log-spaced bins, minutes):")
 	bins := e.RunFigTwo(24)
 	total := 0
@@ -129,7 +129,7 @@ func runFig2(e *trout.Experiment) error {
 	return nil
 }
 
-func runFig3(e *trout.Experiment) error {
+func runFig3(e *Experiment) error {
 	fmt.Println("Fig 3 — time-series CV layout (5 folds, test = 1/6):")
 	splits, err := e.RunFigThree()
 	if err != nil {
@@ -142,7 +142,7 @@ func runFig3(e *trout.Experiment) error {
 	return nil
 }
 
-func runScatterFig(e *trout.Experiment, fold int, paperNote string) error {
+func runScatterFig(e *Experiment, fold int, paperNote string) error {
 	sc, err := e.RunScatter(fold)
 	if err != nil {
 		return err
@@ -185,18 +185,18 @@ func runScatterFig(e *trout.Experiment, fold int, paperNote string) error {
 	return nil
 }
 
-func runFig4(e *trout.Experiment) error {
+func runFig4(e *Experiment) error {
 	fmt.Println("Fig 4 — predicted vs actual, fold 4 (paper: visibly linear trend):")
 	return runScatterFig(e, 4, "paper fold 4: linear trend")
 }
 
-func runFig5(e *trout.Experiment) error {
+func runFig5(e *Experiment) error {
 	fmt.Println("Fig 5 — predicted vs actual, fold 5 (paper: r = 0.7532):")
 	return runScatterFig(e, 5, "paper fold 5: r = 0.7532")
 }
 
-func runComparisonFig(e *trout.Experiment, fold int, metric string) error {
-	scores, err := e.RunComparison(fold, trout.CompareConfig{Seed: e.Pipeline.Seed})
+func runComparisonFig(e *Experiment, fold int, metric string) error {
+	scores, err := e.RunComparison(fold, CompareConfig{Seed: e.Pipeline.Seed})
 	if err != nil {
 		return err
 	}
@@ -211,27 +211,27 @@ func runComparisonFig(e *trout.Experiment, fold int, metric string) error {
 	return nil
 }
 
-func runFig6(e *trout.Experiment) error {
+func runFig6(e *Experiment) error {
 	fmt.Println("Fig 6 — average percent error by model, fold 4 (paper: NN lowest):")
 	return runComparisonFig(e, 4, "mape")
 }
 
-func runFig7(e *trout.Experiment) error {
+func runFig7(e *Experiment) error {
 	fmt.Println("Fig 7 — average percent error by model, fold 5 (paper: NN lowest):")
 	return runComparisonFig(e, 5, "mape")
 }
 
-func runFig8(e *trout.Experiment) error {
+func runFig8(e *Experiment) error {
 	fmt.Println("Fig 8 — % predictions within 100% error, fold 4 (paper: NN highest):")
 	return runComparisonFig(e, 4, "within")
 }
 
-func runFig9(e *trout.Experiment) error {
+func runFig9(e *Experiment) error {
 	fmt.Println("Fig 9 — % predictions within 100% error, fold 5 (paper: NN highest):")
 	return runComparisonFig(e, 5, "within")
 }
 
-func runClassifier(e *trout.Experiment) error {
+func runClassifier(e *Experiment) error {
 	res, err := e.RunClassifier()
 	if err != nil {
 		return err
@@ -241,7 +241,7 @@ func runClassifier(e *trout.Experiment) error {
 	return nil
 }
 
-func runRegression(e *trout.Experiment) error {
+func runRegression(e *Experiment) error {
 	fms, lastThree, err := e.RunRegressionFolds()
 	if err != nil {
 		return err
@@ -255,7 +255,7 @@ func runRegression(e *trout.Experiment) error {
 	return nil
 }
 
-func runCutoff(e *trout.Experiment) error {
+func runCutoff(e *Experiment) error {
 	res, err := e.RunCutoffAblation([]float64{5, 10, 30})
 	if err != nil {
 		return err
@@ -268,7 +268,7 @@ func runCutoff(e *trout.Experiment) error {
 	return nil
 }
 
-func runLeakage(e *trout.Experiment) error {
+func runLeakage(e *Experiment) error {
 	res, err := e.RunLeakageAblation()
 	if err != nil {
 		return err
@@ -280,7 +280,7 @@ func runLeakage(e *trout.Experiment) error {
 	return nil
 }
 
-func runSMOTE(e *trout.Experiment) error {
+func runSMOTE(e *Experiment) error {
 	res, err := e.RunSMOTEAblation()
 	if err != nil {
 		return err
@@ -293,7 +293,7 @@ func runSMOTE(e *trout.Experiment) error {
 	return nil
 }
 
-func runActivation(e *trout.Experiment) error {
+func runActivation(e *Experiment) error {
 	res, err := e.RunActivationAblation()
 	if err != nil {
 		return err
@@ -305,7 +305,7 @@ func runActivation(e *trout.Experiment) error {
 	return nil
 }
 
-func runScaling(e *trout.Experiment) error {
+func runScaling(e *Experiment) error {
 	res, err := e.RunScalingAblation()
 	if err != nil {
 		return err
@@ -317,7 +317,7 @@ func runScaling(e *trout.Experiment) error {
 	return nil
 }
 
-func runErrorByBin(e *trout.Experiment) error {
+func runErrorByBin(e *Experiment) error {
 	bins, err := e.RunErrorByBin()
 	if err != nil {
 		return err
@@ -330,7 +330,7 @@ func runErrorByBin(e *trout.Experiment) error {
 	return nil
 }
 
-func runFeatureGroups(e *trout.Experiment) error {
+func runFeatureGroups(e *Experiment) error {
 	res, err := e.RunFeatureGroupAblation()
 	if err != nil {
 		return err
@@ -342,7 +342,7 @@ func runFeatureGroups(e *trout.Experiment) error {
 	return nil
 }
 
-func runOnline(e *trout.Experiment) error {
+func runOnline(e *Experiment) error {
 	res, err := e.RunOnlineAdaptation(5)
 	if err != nil {
 		return err
@@ -353,7 +353,7 @@ func runOnline(e *trout.Experiment) error {
 	return nil
 }
 
-func runSimETA(e *trout.Experiment) error {
+func runSimETA(e *Experiment) error {
 	res, err := e.RunSchedulerETA(300)
 	if err != nil {
 		return err
@@ -364,7 +364,7 @@ func runSimETA(e *trout.Experiment) error {
 	return nil
 }
 
-func runScheduler(e *trout.Experiment) error {
+func runScheduler(e *Experiment) error {
 	res, err := e.RunSchedulerAblation()
 	if err != nil {
 		return err
@@ -377,7 +377,7 @@ func runScheduler(e *trout.Experiment) error {
 	return nil
 }
 
-func runTransfer(e *trout.Experiment) error {
+func runTransfer(e *Experiment) error {
 	res, err := e.RunTransfer()
 	if err != nil {
 		return err
@@ -389,7 +389,7 @@ func runTransfer(e *trout.Experiment) error {
 	return nil
 }
 
-func runCalibration(e *trout.Experiment) error {
+func runCalibration(e *Experiment) error {
 	res, err := e.RunCalibration(10)
 	if err != nil {
 		return err
@@ -405,7 +405,7 @@ func runCalibration(e *trout.Experiment) error {
 	return nil
 }
 
-func runIntervals(e *trout.Experiment) error {
+func runIntervals(e *Experiment) error {
 	res, err := e.RunIntervals()
 	if err != nil {
 		return err
@@ -417,7 +417,7 @@ func runIntervals(e *trout.Experiment) error {
 	return nil
 }
 
-func runSHAP(e *trout.Experiment) error {
+func runSHAP(e *Experiment) error {
 	rows, err := e.RunSHAP(15, 600)
 	if err != nil {
 		return err
@@ -432,7 +432,7 @@ func runSHAP(e *trout.Experiment) error {
 	return nil
 }
 
-func runPartitions(e *trout.Experiment) error {
+func runPartitions(e *Experiment) error {
 	res, err := e.RunPartitionBreakdown()
 	if err != nil {
 		return err
@@ -445,7 +445,7 @@ func runPartitions(e *trout.Experiment) error {
 	return nil
 }
 
-func runRuntimeSource(e *trout.Experiment) error {
+func runRuntimeSource(e *Experiment) error {
 	res, err := e.RunRuntimeSourceAblation()
 	if err != nil {
 		return err

@@ -1,4 +1,4 @@
-package trout_test
+package main
 
 import (
 	"math"
@@ -24,35 +24,19 @@ func testPipeline() trout.PipelineConfig {
 
 var (
 	expOnce sync.Once
-	expMemo *trout.Experiment
+	expMemo *Experiment
 	expErr  error
 )
 
-func sharedExperiment(t *testing.T) *trout.Experiment {
+func sharedExperiment(t *testing.T) *Experiment {
 	t.Helper()
 	expOnce.Do(func() {
-		expMemo, expErr = trout.NewExperiment(testPipeline())
+		expMemo, expErr = NewExperiment(testPipeline())
 	})
 	if expErr != nil {
 		t.Fatal(expErr)
 	}
 	return expMemo
-}
-
-func TestGenerateTraceShape(t *testing.T) {
-	e := sharedExperiment(t)
-	if len(e.Trace.Jobs) != 7000 {
-		t.Fatalf("trace has %d jobs", len(e.Trace.Jobs))
-	}
-	if err := e.Trace.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Data.Len() != 7000 {
-		t.Fatalf("dataset has %d rows", e.Data.Len())
-	}
-	if len(e.Data.X[0]) != len(trout.FeatureNames) {
-		t.Fatalf("row width %d != %d features", len(e.Data.X[0]), len(trout.FeatureNames))
-	}
 }
 
 func TestTableOneShape(t *testing.T) {
@@ -131,25 +115,9 @@ func TestFigThreeSplits(t *testing.T) {
 	}
 }
 
-func TestTrainHoldoutAndPredict(t *testing.T) {
-	e := sharedExperiment(t)
-	m, fold, err := trout.TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := m.Predict(e.Data.X[fold.Test[0]])
-	if p.Prob < 0 || p.Prob > 1 {
-		t.Fatalf("prob %v", p.Prob)
-	}
-	msg := p.Message(10)
-	if msg == "" {
-		t.Fatal("empty message")
-	}
-}
-
 func TestCrossValidate(t *testing.T) {
 	e := sharedExperiment(t)
-	fms, err := trout.CrossValidate(e.Data, e.Pipeline.Model, 3, 1.0/6.0)
+	fms, err := CrossValidate(e.Data, e.Pipeline.Model, 3, 1.0/6.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +136,8 @@ func TestCrossValidate(t *testing.T) {
 
 func TestCompareFoldHasAllModels(t *testing.T) {
 	e := sharedExperiment(t)
-	scores, err := trout.CompareFold(e.Data, e.Pipeline.Model,
-		trout.CompareConfig{GBDTRounds: 30, ForestTrees: 30, Seed: 1},
+	scores, err := CompareFold(e.Data, e.Pipeline.Model,
+		CompareConfig{GBDTRounds: 30, ForestTrees: 30, Seed: 1},
 		e.Pipeline.Folds, e.Pipeline.TestFraction, e.Pipeline.Folds)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +145,7 @@ func TestCompareFoldHasAllModels(t *testing.T) {
 	if len(scores) != 4 {
 		t.Fatalf("%d model scores", len(scores))
 	}
-	names := map[trout.ModelName]bool{}
+	names := map[ModelName]bool{}
 	for _, s := range scores {
 		names[s.Model] = true
 		if s.N == 0 || math.IsNaN(s.MAPE) {
@@ -187,7 +155,7 @@ func TestCompareFoldHasAllModels(t *testing.T) {
 			t.Fatalf("within100 %v", s.Within100)
 		}
 	}
-	for _, want := range []trout.ModelName{trout.ModelNeuralNet, trout.ModelGBDT, trout.ModelRandomForest, trout.ModelKNN} {
+	for _, want := range []ModelName{ModelNeuralNet, ModelGBDT, ModelRandomForest, ModelKNN} {
 		if !names[want] {
 			t.Fatalf("missing model %s", want)
 		}

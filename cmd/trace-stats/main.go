@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"sort"
 	"strings"
 
@@ -45,16 +46,7 @@ func main() {
 	first, last := tr.Span()
 	fmt.Printf("%d jobs spanning %.1f days\n\n", len(tr.Jobs), float64(last-first)/86400)
 
-	one := tr.TableOne()
-	row := func(name string, s trace.Summary) {
-		fmt.Printf("%-24s %10.1f %10.2f %10.2f %10.2f %10d\n",
-			name, s.Max, s.Mean, s.Median, s.StdDev, s.Count)
-	}
-	fmt.Printf("%-24s %10s %10s %10s %10s %10s\n", "Variable", "Max", "Mean", "Median", "StdDev", "Count")
-	row("Requested Time (hr)", one.RequestedHours)
-	row("Runtime (hr)", one.RuntimeHours)
-	row("Wasted Time (hr)", one.WastedHours)
-	row("Jobs Submitted By User", one.JobsPerUser)
+	tr.TableOne().Print(os.Stdout)
 	fmt.Printf("\nshort-queue fraction (<10 min): %.4f   mean wall-time usage: %.4f\n",
 		tr.ShortQueueFraction(600), tr.MeanWalltimeUsage())
 

@@ -69,9 +69,9 @@ func main() {
 	fmt.Printf("wrote %s to %s\n", written, *out)
 
 	if !*quiet {
-		e := &trout.Experiment{Pipeline: p, Trace: tr}
-		one := e.RunTableOne()
 		fmt.Println("\nTable I — generated trace statistics:")
-		one.Print(os.Stdout)
+		tr.TableOne().Print(os.Stdout)
+		fmt.Printf("short-queue fraction (<10 min): %.4f  shared-partition fraction: %.4f  mean wall-time usage: %.4f\n",
+			tr.ShortQueueFraction(600), float64(tr.ByPartition()["shared"])/float64(len(tr.Jobs)), tr.MeanWalltimeUsage())
 	}
 }

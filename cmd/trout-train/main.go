@@ -71,13 +71,13 @@ func main() {
 
 	if *tune > 0 {
 		fmt.Printf("tuning regressor hyperparameters (%d trials, successive halving)...\n", *tune)
-		res, err := trout.TuneRegressor(ds, p.Model, trout.TuneConfig{
+		res, err := TuneRegressor(ds, p.Model, TuneConfig{
 			Trials: *tune, Seed: *seed,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  best search MAPE %.2f%% — %s\n", res.BestMAPE, trout.DescribeConfig(res.Best))
+		fmt.Printf("  best search MAPE %.2f%% — %s\n", res.BestMAPE, DescribeConfig(res.Best))
 		p.Model = res.Best
 	}
 

@@ -1,10 +1,11 @@
-package trout
+package main
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
 
+	trout "repro"
 	"repro/internal/core"
 	"repro/internal/hyperopt"
 	"repro/internal/nn"
@@ -16,18 +17,20 @@ import (
 // with Optuna; this uses random search with successive-halving pruning over
 // the same space).
 type TuneConfig struct {
-	Trials int // 0 = 20
+	Trials int // 0 = 20, hyperopt.Search's default
 	Seed   int64
-	// MinEpochs/MaxEpochs are the halving budget rungs; 0 = 5/40.
-	MinEpochs, MaxEpochs int
 }
 
-// tuneValFraction is the most-recent slice trials are scored on.
-const tuneValFraction = 0.2
+const (
+	// tuneValFraction is the most-recent slice trials are scored on.
+	tuneValFraction = 0.2
+	// tuneMinEpochs and tuneMaxEpochs are the halving budget rungs.
+	tuneMinEpochs, tuneMaxEpochs = 5, 40
+)
 
 // TuneResult is the outcome of a search.
 type TuneResult struct {
-	Best     ModelConfig
+	Best     trout.ModelConfig
 	BestMAPE float64
 	Trials   int
 	Pruned   int
@@ -37,16 +40,7 @@ type TuneResult struct {
 // regression head and returns the base config with the winning regressor
 // settings applied. Scoring is holdout MAPE on the most recent slice under
 // the same time-ordered discipline as training.
-func TuneRegressor(ds *Dataset, base ModelConfig, cfg TuneConfig) (TuneResult, error) {
-	if cfg.Trials <= 0 {
-		cfg.Trials = 20
-	}
-	if cfg.MinEpochs <= 0 {
-		cfg.MinEpochs = 5
-	}
-	if cfg.MaxEpochs <= 0 {
-		cfg.MaxEpochs = 40
-	}
+func TuneRegressor(ds *trout.Dataset, base trout.ModelConfig, cfg TuneConfig) (TuneResult, error) {
 	fold, err := tscv.HoldoutRecent(ds.Len(), tuneValFraction)
 	if err != nil {
 		return TuneResult{}, err
@@ -79,7 +73,7 @@ func TuneRegressor(ds *Dataset, base ModelConfig, cfg TuneConfig) (TuneResult, e
 
 	res, err := hyperopt.Search(hyperopt.Config{
 		Trials: cfg.Trials, Seed: cfg.Seed,
-		Halving: true, MinBudget: cfg.MinEpochs, MaxBudget: cfg.MaxEpochs, Eta: 2,
+		Halving: true, MinBudget: tuneMinEpochs, MaxBudget: tuneMaxEpochs, Eta: 2,
 	}, space, objective)
 	if err != nil {
 		return TuneResult{}, err
@@ -90,7 +84,7 @@ func TuneRegressor(ds *Dataset, base ModelConfig, cfg TuneConfig) (TuneResult, e
 	best.Regressor.Dropout = res.Best.Float("dropout")
 	best.Regressor.Activation = nn.ActivationKind(res.Best.Cat("act"))
 	best.Regressor.Hidden = pyramid(res.Best.Int("width"), res.Best.Int("layers"))
-	best.Regressor.Epochs = cfg.MaxEpochs
+	best.Regressor.Epochs = tuneMaxEpochs
 
 	pruned := 0
 	for _, t := range res.Trials {
@@ -115,7 +109,7 @@ func pyramid(width, layers int) []int {
 }
 
 // DescribeConfig renders a model config compactly (for tuning reports).
-func DescribeConfig(c ModelConfig) string {
+func DescribeConfig(c trout.ModelConfig) string {
 	var hidden []string
 	for _, h := range c.Regressor.Hidden {
 		hidden = append(hidden, strconv.Itoa(h))

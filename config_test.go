@@ -2,8 +2,7 @@
 // and surface_test.go holds flags, metric families and routes: every
 // exported field of an exported struct named *Config, *Options or *Policy
 // in non-test Go outside bench/ must be set by non-test code (a binary,
-// an example, bench/ or the library), or be deleted and its default made
-// a constant. Writes inside the struct's own methods (its defaults) do not
+// bench/ or the library), or be deleted and its default made a constant. Writes inside the struct's own methods (its defaults) do not
 // count.
 package trout_test
 
@@ -31,8 +30,8 @@ var configTestOnly = map[string]string{
 	"controlplane.Options.CheckInterval":      "TestControllerPromotesBetterCandidate polls every 2 ms so a cycle fits a test's time",
 	"controlplane.Options.RollbackWindow":     "TestControllerRollsBackRegressedPromotion ends probation after two joined outcomes instead of 32",
 	"trout.ServiceConfig.MaxBadStateRows":     "TestServiceTolerantStateUpload reaches the bad-row budget with two rows instead of 100",
-	"trout.CompareConfig.GBDTRounds":          "TestCompareFoldHasAllModels boosts 30 rounds instead of 100 to stay fast",
-	"trout.CompareConfig.ForestTrees":         "TestCompareFoldHasAllModels grows 30 trees instead of 100 to stay fast",
+	"main.CompareConfig.GBDTRounds":           "TestCompareFoldHasAllModels boosts 30 rounds instead of 100 to stay fast",
+	"main.CompareConfig.ForestTrees":          "TestCompareFoldHasAllModels grows 30 trees instead of 100 to stay fast",
 	"features.Options.RuntimeTrees":           "TestTrainAndClassifierBeatsChance grows a 20-tree runtime forest instead of 50 to stay fast",
 	"core.Config.Workers":                     "TestDeterministicTraining pins two gradient workers so its bits do not depend on the host's CPU count",
 	"obs.TracerConfig.MaxFileBytes":           "TestExporterRotation rotates the export file after 2 KiB instead of 64 MiB",

@@ -84,7 +84,7 @@ type cpHarness struct {
 
 func newCPHarness(t *testing.T, cfg trout.ControlPlaneConfig) *cpHarness {
 	t.Helper()
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	svc, err := trout.NewServiceWith(resilientBundle(t), e.Trace, trout.ServiceConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -730,7 +730,7 @@ func TestControlPlaneProbationJudgesPromotedBundle(t *testing.T) {
 // returns how many lifecycles it fed.
 func (h *cpHarness) feedDay() int {
 	h.t.Helper()
-	jobs := sharedExperiment(h.t).Trace.Jobs
+	jobs := sharedFixture(h.t).Trace.Jobs
 	submits := make([]int64, len(jobs))
 	for i := range jobs {
 		submits[i] = jobs[i].Submit

@@ -8,9 +8,8 @@
 // event-driven Slurm-like cluster simulator and synthetic workload generator
 // (standing in for the proprietary Anvil accounting trace), feature
 // engineering by replaying a trace through the live-state engine the
-// daemon serves from, a stdlib-only neural-network stack, SMOTE balancing,
-// gradient-boosted/random-forest/kNN baselines, time-series cross-validation
-// and hyperparameter search.
+// daemon serves from, and a stdlib-only neural-network stack. It also
+// serves the model over HTTP (Service, behind cmd/troutd).
 //
 // The typical flow:
 //
@@ -21,7 +20,8 @@
 //	pred := m.Predict(ds.X[fold.Test[0]])
 //	fmt.Println(pred.Message(10))
 //
-// Every table and figure of the paper's evaluation can be regenerated with
-// the experiment runners in this package (see cmd/experiments and
-// EXPERIMENTS.md).
+// Every table and figure of the paper's evaluation, with the baselines,
+// time-series cross-validation and ablations behind them, is regenerated
+// by cmd/experiments (see EXPERIMENTS.md); the hyperparameter search lives
+// in cmd/trout-train.
 package trout

@@ -184,21 +184,17 @@ func Load(r io.Reader) (*Network, error) {
 	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
 		return nil, fmt.Errorf("nn: load: %w", err)
 	}
-	n := NewNetwork(rand.New(rand.NewSource(0)), dto.Specs...)
-	ps := n.Params()
-	if len(ps) != len(dto.Weights) {
-		return nil, fmt.Errorf("nn: load: %d weight blobs for %d params", len(dto.Weights), len(ps))
+	if err := checkSpecs(dto.Specs, dto.Weights); err != nil {
+		return nil, fmt.Errorf("nn: load: %w", err)
 	}
-	for i, p := range ps {
-		if len(p.Value.Data) != len(dto.Weights[i].Data) {
-			return nil, fmt.Errorf("nn: load: param %d size mismatch", i)
-		}
+	n := NewNetwork(rand.New(rand.NewSource(0)), dto.Specs...)
+	for i, p := range n.Params() {
 		copy(p.Value.Data, dto.Weights[i].Data)
 	}
 	bi := 0
 	for _, l := range n.Layers {
 		if bn, ok := l.(*BatchNorm); ok {
-			if bi >= len(dto.BNMean) {
+			if bi >= len(dto.BNMean) || bi >= len(dto.BNVar) {
 				return nil, fmt.Errorf("nn: load: missing batch-norm stats")
 			}
 			copy(bn.RunMean, dto.BNMean[bi])
@@ -207,6 +203,35 @@ func Load(r io.Reader) (*Network, error) {
 		}
 	}
 	return n, nil
+}
+
+// checkSpecs reports why Load cannot build specs over the decoded weight
+// blobs: a spec its constructor would panic on, or a parameter (in Params
+// order) whose blob has another size. Load runs it first, so corrupt input
+// is an error, never a panic or an allocation the input does not pay for.
+func checkSpecs(specs []LayerSpec, weights []*tensor.Matrix) error {
+	var shapes [][2]int // rows, cols
+	for _, s := range specs {
+		switch {
+		case s.Kind == "dense" && s.In > 0 && s.Out > 0:
+			shapes = append(shapes, [2]int{s.In, s.Out}, [2]int{1, s.Out})
+		case s.Kind == "batchnorm" && s.Dim > 0:
+			shapes = append(shapes, [2]int{1, s.Dim}, [2]int{1, s.Dim})
+		case s.Kind == "activation" && ValidActivation(s.Activation),
+			s.Kind == "dropout" && !(s.Rate < 0 || s.Rate >= 1):
+		default:
+			return fmt.Errorf("invalid layer spec %+v", s)
+		}
+	}
+	if len(weights) != len(shapes) {
+		return fmt.Errorf("%d weight blobs for %d params", len(weights), len(shapes))
+	}
+	for i, rc := range shapes {
+		if n := len(weights[i].Data); n%rc[0] != 0 || n/rc[0] != rc[1] {
+			return fmt.Errorf("param %d size mismatch", i)
+		}
+	}
+	return nil
 }
 
 // Bytes serializes the network to a byte slice (for embedding in bundles).

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -446,6 +447,42 @@ func TestSaveLoadBatchNormStats(t *testing.T) {
 	}
 	if !matEqual(got.Predict(in), want, 1e-12) {
 		t.Fatal("batch-norm running stats not preserved")
+	}
+}
+
+// A saved network whose specs or weight blobs were corrupted loads as an
+// error, never a constructor panic; a spec whose parameters do not match
+// their blobs' sizes is refused before anything is built for it.
+func TestLoadRejectsCorruptSpecs(t *testing.T) {
+	net := NewNetwork(rand.New(rand.NewSource(21)), DenseSpec(2, 3), BatchNormSpec(3),
+		ActivationSpec(ELU), DropoutSpec(0.1), DenseSpec(3, 1))
+	corrupt := []func(d *netDTO){
+		func(d *netDTO) { d.Specs[0].Kind = "de\x81se" },
+		func(d *netDTO) { d.Specs[0].In = -2 },
+		func(d *netDTO) { d.Specs[0].In, d.Specs[0].Out = 3, 5 },
+		func(d *netDTO) { d.Specs[1].Dim = 4 },
+		func(d *netDTO) { d.Specs[2].Activation = "swish" },
+		func(d *netDTO) { d.Specs[3].Rate = 1 },
+		func(d *netDTO) { d.Weights = d.Weights[:3] },
+		func(d *netDTO) { d.BNVar = nil },
+	}
+	for i, c := range corrupt {
+		var buf bytes.Buffer
+		if err := net.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var dto netDTO
+		if err := gob.NewDecoder(&buf).Decode(&dto); err != nil {
+			t.Fatal(err)
+		}
+		c(&dto)
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("case %d: corrupt network loaded", i)
+		}
 	}
 }
 

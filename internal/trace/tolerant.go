@@ -43,10 +43,10 @@ func budgetExceeded(skipped, maxBad int) bool {
 	return maxBad >= 0 && skipped > maxBad
 }
 
-// ReadCSVTolerant parses a WriteCSV-format trace like ReadCSV, but skips
-// malformed rows — wrong field counts or unparseable values — instead of
-// aborting, up to a budget of maxBad rows (negative means unlimited,
-// 0 means strict). It fails only on an unreadable header, an I/O error,
+// ReadCSVTolerant parses a WriteCSV-format trace, skipping malformed
+// rows — wrong field counts or unparseable values — instead of aborting,
+// up to a budget of maxBad rows (negative means unlimited, 0 means
+// strict). It fails only on an unreadable header, an I/O error,
 // or an exhausted budget. The returned report is non-nil even on error.
 //
 // Rows are split on commas directly rather than through encoding/csv:
@@ -92,10 +92,10 @@ func ReadCSVTolerant(r io.Reader, maxBad int) (*Trace, *ReadReport, error) {
 	return t, rep, nil
 }
 
-// ReadJSONLTolerant parses a JSONL trace like ReadJSONL, but skips lines
-// that fail to decode instead of aborting, up to a budget of maxBad rows
-// (negative means unlimited, 0 means strict). Blank lines are ignored and
-// do not count against the budget.
+// ReadJSONLTolerant parses a JSONL trace, one Job object per line,
+// skipping lines that fail to decode instead of aborting, up to a budget
+// of maxBad rows (negative means unlimited, 0 means strict). Blank lines
+// are ignored and do not count against the budget.
 func ReadJSONLTolerant(r io.Reader, maxBad int) (*Trace, *ReadReport, error) {
 	rep := &ReadReport{}
 	sc := bufio.NewScanner(r)

@@ -147,22 +147,18 @@ func TestReadJSONLTolerantBudget(t *testing.T) {
 
 func TestReadJSONLTolerantMatchesStrictOnCleanInput(t *testing.T) {
 	tr, _, jsonlText := tolerantFixture(t)
-	strict, err := ReadJSONL(strings.NewReader(jsonlText))
-	if err != nil {
-		t.Fatal(err)
-	}
 	tolerant, rep, err := ReadJSONLTolerant(strings.NewReader(jsonlText), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(strict.Jobs) != len(tolerant.Jobs) || len(tolerant.Jobs) != len(tr.Jobs) {
-		t.Fatalf("strict %d tolerant %d", len(strict.Jobs), len(tolerant.Jobs))
+	if len(tolerant.Jobs) != len(tr.Jobs) {
+		t.Fatalf("wrote %d jobs, read %d", len(tr.Jobs), len(tolerant.Jobs))
 	}
 	if rep.Skipped != 0 {
 		t.Fatalf("report %+v", rep)
 	}
-	for i := range strict.Jobs {
-		if strict.Jobs[i] != tolerant.Jobs[i] {
+	for i := range tr.Jobs {
+		if tr.Jobs[i] != tolerant.Jobs[i] {
 			t.Fatalf("job %d differs", i)
 		}
 	}

@@ -247,6 +247,19 @@ func (t *Trace) TableOne() TableOneStats {
 	}
 }
 
+// Print renders the table under a header, in the paper's row layout.
+func (s TableOneStats) Print(w io.Writer) {
+	row := func(name string, s Summary) {
+		fmt.Fprintf(w, "%-24s %10.1f %10.2f %10.2f %10.2f %10d\n",
+			name, s.Max, s.Mean, s.Median, s.StdDev, s.Count)
+	}
+	fmt.Fprintf(w, "%-24s %10s %10s %10s %10s %10s\n", "Variable", "Max", "Mean", "Median", "StdDev", "Count")
+	row("Requested Time (hr)", s.RequestedHours)
+	row("Runtime (hr)", s.RuntimeHours)
+	row("Wasted Time (hr)", s.WastedHours)
+	row("Jobs Submitted By User", s.JobsPerUser)
+}
+
 // MeanWalltimeUsage returns the mean of runtime/timelimit across jobs — the
 // paper reports ≈15% on Anvil.
 func (t *Trace) MeanWalltimeUsage() float64 {
@@ -301,36 +314,6 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a trace written by WriteCSV.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading CSV header: %w", err)
-	}
-	if len(header) != len(csvHeader) {
-		return nil, fmt.Errorf("trace: CSV header has %d fields, want %d", len(header), len(csvHeader))
-	}
-	t := &Trace{}
-	line := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: CSV line %d: %w", line, err)
-		}
-		line++
-		j, err := parseCSVRecord(rec)
-		if err != nil {
-			return nil, fmt.Errorf("trace: CSV line %d: %w", line, err)
-		}
-		t.Jobs = append(t.Jobs, j)
-	}
-	return t, nil
-}
-
 // parseCSVRecord decodes one WriteCSV-format record into a Job.
 func parseCSVRecord(rec []string) (Job, error) {
 	if len(rec) != len(csvHeader) {
@@ -374,37 +357,24 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// ReadJSONL parses a JSONL trace.
-func ReadJSONL(r io.Reader) (*Trace, error) {
-	dec := json.NewDecoder(r)
-	t := &Trace{}
-	for {
-		var j Job
-		if err := dec.Decode(&j); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: JSONL record %d: %w", len(t.Jobs)+1, err)
-		}
-		t.Jobs = append(t.Jobs, j)
-	}
-	return t, nil
-}
-
 // ReadFile reads a trace file in the format its extension names: .jsonl is
-// ReadJSONL, .sacct and .txt are ReadSacct (real Slurm accounting dumps:
-// sacct --parsable2 output), anything else ReadCSV.
+// ReadJSONLTolerant, .sacct and .txt are ReadSacct (real Slurm accounting
+// dumps: sacct --parsable2 output), anything else ReadCSVTolerant. The
+// tolerant readers run with a budget of 0, so the first bad row fails.
 func ReadFile(path string) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	var t *Trace
 	switch {
 	case strings.HasSuffix(path, ".jsonl"):
-		return ReadJSONL(f)
+		t, _, err = ReadJSONLTolerant(f, 0)
 	case strings.HasSuffix(path, ".sacct"), strings.HasSuffix(path, ".txt"):
 		return ReadSacct(f)
 	default:
-		return ReadCSV(f)
+		t, _, err = ReadCSVTolerant(f, 0)
 	}
+	return t, err
 }

@@ -165,7 +165,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, _, err := ReadCSVTolerant(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, _, err := ReadJSONLTolerant(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,21 +191,21 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("bad,header\n")); err == nil {
+	if _, _, err := ReadCSVTolerant(strings.NewReader("bad,header\n"), 0); err == nil {
 		t.Fatal("expected header error")
 	}
 	good := strings.Join(csvHeader, ",") + "\n"
-	if _, err := ReadCSV(strings.NewReader(good + "x,y\n")); err == nil {
+	if _, _, err := ReadCSVTolerant(strings.NewReader(good+"x,y\n"), 0); err == nil {
 		t.Fatal("expected field-count error")
 	}
 	bad := good + "notanint,3,shared,COMPLETED,1,2,3,4,5,6,7,8,9,10,11,false\n"
-	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
+	if _, _, err := ReadCSVTolerant(strings.NewReader(bad), 0); err == nil {
 		t.Fatal("expected parse error")
 	}
 }
 
 func TestReadJSONLError(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{not json}\n")); err == nil {
+	if _, _, err := ReadJSONLTolerant(strings.NewReader("{not json}\n"), 0); err == nil {
 		t.Fatal("expected JSONL error")
 	}
 }

@@ -29,7 +29,7 @@ import (
 // by job ID — the order accounting dumps arrive in, and the order the
 // engine emits.
 func TestLiveStateEquivalence(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	jobs := append([]trace.Job(nil), e.Trace.Jobs...)
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
 	tr := &trout.Trace{Jobs: jobs}
@@ -106,7 +106,7 @@ func TestLiveStateEquivalence(t *testing.T) {
 // the dataset the model trained on, which the same engine built by
 // replaying the same stream.
 func TestServedFeaturesMatchDataset(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	svc, err := trout.NewServiceWith(resilientBundle(t), nil, trout.ServiceConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +269,7 @@ func TestServiceEventsLineLimits(t *testing.T) {
 // of the budget. (The budget here is 1, the smallest a ServiceConfig can
 // set: 0 means the default.)
 func TestServiceEventsBlankLines(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	svc, err := trout.NewServiceWith(resilientBundle(t), e.Trace, trout.ServiceConfig{MaxBadStateRows: 1})
 	if err != nil {
 		t.Fatal(err)

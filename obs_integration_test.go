@@ -725,7 +725,7 @@ func TestOnlineAccuracyLoop(t *testing.T) {
 // TestServiceTrainTelemetry drives the service's TrainHooks as a refit
 // would and checks the per-head training families surface on /metrics.
 func TestServiceTrainTelemetry(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	svc, err := trout.NewServiceWith(resilientBundle(t), e.Trace, trout.ServiceConfig{})
 	if err != nil {
 		t.Fatal(err)

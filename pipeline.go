@@ -114,36 +114,3 @@ func TrainHoldout(ds *Dataset, cfg ModelConfig, testFraction float64) (*Model, F
 	m, err := core.Train(ds, fold.Train, cfg)
 	return m, fold, err
 }
-
-// FoldMetrics is one cross-validation fold's regression scores.
-type FoldMetrics struct {
-	Fold      int
-	N         int     // long test jobs evaluated
-	MAPE      float64 // percent
-	Pearson   float64
-	Within100 float64 // fraction within 100 % error
-	MAE       float64 // minutes
-}
-
-// CrossValidate trains and evaluates the hierarchical model under
-// time-series CV, returning per-fold regression metrics (the protocol
-// behind the paper's §IV fold numbers).
-func CrossValidate(ds *Dataset, cfg ModelConfig, folds int, testFraction float64) ([]FoldMetrics, error) {
-	splits, err := tscv.Split(ds.Len(), folds, testFraction)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]FoldMetrics, 0, len(splits))
-	for fi, fold := range splits {
-		m, err := core.Train(ds, fold.Train, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("trout: fold %d: %w", fi+1, err)
-		}
-		ev := core.EvaluateRegression(m, ds, fold.Test)
-		out = append(out, FoldMetrics{
-			Fold: fi + 1, N: ev.N, MAPE: ev.MAPE,
-			Pearson: ev.Pearson, Within100: ev.Within100, MAE: ev.MAE,
-		})
-	}
-	return out, nil
-}

@@ -146,7 +146,7 @@ func loadModule(t *testing.T) (*reachLoader, map[string]bool) {
 
 // TestEveryFunctionReachable builds the call graph over every identifier
 // use that resolves to a function and walks it from the roots: each main
-// and init under cmd/ and examples/, and every module declaration bench/
+// and init under cmd/, and every module declaration bench/
 // names. A call through an interface method reaches every module method
 // of that name, as do reachStdlibCalls; a package's variable initializers
 // and init functions run as soon as anything in it does.

@@ -150,24 +150,25 @@ func TestRouteCost(t *testing.T) {
 		}
 	}
 
-	// Pins after the pooled predict arena and trace buffer; the last two
-	// columns are allocations and bytes, both ceilings. Before them, a
-	// batch of 16 took 99.5 allocations and 21.5 KB, a single predict 36
-	// and 4.3 KB.
+	// The last two columns are allocations and bytes, both ceilings. Before
+	// the pooled predict arena and trace buffer, a batch of 16 took 99.5
+	// allocations and 21.5 KB, a single predict 36 and 4.3 KB; before the
+	// shared Content-Type value, each route took one allocation more; and
+	// before its appender, /features took 100 allocations and 6.5 KB.
 	const nn = `"tier":"nn"`
 	predict := []routeCost{
-		{"POST /predict what-if", "POST", "/predict", fixed(fmt.Sprintf(`{"at":%d,"job":%s}`, q.Now, whatIf)), nn, 200, 24, 2200},
-		{"POST /predict by ID", "POST", "/predict", fixed(fmt.Sprintf(`{"at":%d,"job":%s}`, q.Now, byID)), nn, 200, 24, 2200},
-		{"GET /predict?job=", "GET", fmt.Sprintf("/predict?job=%d", pending.ID), nil, nn, 200, 29, 2500},
-		{"POST /predict/batch of 1", "POST", "/predict/batch", batch(1), nn, 200, 24, 2200},
-		{"POST /predict/batch of 16", "POST", "/predict/batch", batch(16), nn, 200, 24, 2200},
-		{"GET /features", "GET", fmt.Sprintf("/features?job=%d", pending.ID), nil, `"Priority":`, 200, 101, 7000},
+		{"POST /predict what-if", "POST", "/predict", fixed(fmt.Sprintf(`{"at":%d,"job":%s}`, q.Now, whatIf)), nn, 200, 23, 2200},
+		{"POST /predict by ID", "POST", "/predict", fixed(fmt.Sprintf(`{"at":%d,"job":%s}`, q.Now, byID)), nn, 200, 23, 2200},
+		{"GET /predict?job=", "GET", fmt.Sprintf("/predict?job=%d", pending.ID), nil, nn, 200, 28, 2500},
+		{"POST /predict/batch of 1", "POST", "/predict/batch", batch(1), nn, 200, 23, 2200},
+		{"POST /predict/batch of 16", "POST", "/predict/batch", batch(16), nn, 200, 23, 2200},
+		{"GET /features", "GET", fmt.Sprintf("/features?job=%d", pending.ID), nil, `"Priority":`, 200, 28, 2500},
 	}
 	// The 1 MiB scanner buffer (ROADMAP item 1(g)) is most of either
 	// /events request, pinned as it is.
 	ingest := []routeCost{
-		{"POST /events of 1", "POST", "/events", events(1, 50_000_000), `"applied":1,`, 50, 31, 1_060_000},
-		{"POST /events of 256", "POST", "/events", events(256, 60_000_000), `"applied":256,`, 10, 1060, 1_250_000},
+		{"POST /events of 1", "POST", "/events", events(1, 50_000_000), `"applied":1,`, 50, 30, 1_060_000},
+		{"POST /events of 256", "POST", "/events", events(256, 60_000_000), `"applied":256,`, 10, 1059, 1_250_000},
 	}
 	got := map[string]float64{}
 	check := func(h http.Handler, table []routeCost) {

@@ -1179,18 +1179,21 @@ func (s *Service) handleFeatures(w http.ResponseWriter, r *http.Request) {
 		resilience.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	out := make(map[string]float64, len(row))
-	for i, v := range row {
-		out[FeatureNames[i]] = v
-	}
-	s.writeJSON(w, r, http.StatusOK, out)
+	s.writeFeatures(w, r, row)
 }
+
+// jsonContentType is the Content-Type value every writeBody reply shares.
+// Its capacity is 1, so a writer that appends to the header's values gets
+// a copy; none writes into it in place, and net/http sends a clone of the
+// header the handler built.
+var jsonContentType = []string{"application/json"}
 
 // writeBody commits a fully-marshaled JSON body: Content-Length is exact,
 // so clients never see a truncated-but-200 response.
 func writeBody(w http.ResponseWriter, code int, b []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(b))}
 	w.WriteHeader(code)
 	_, _ = w.Write(b)
 }
@@ -1230,6 +1233,22 @@ func (s *Service) writePredictResponse(w http.ResponseWriter, r *http.Request, v
 	rb.b = b[:0]
 	if !ok {
 		s.writeJSON(w, r, http.StatusOK, v.withMessage())
+		return
+	}
+	writeBody(w, http.StatusOK, b)
+}
+
+// writeFeatures writes a GET /features 200, the row keyed by feature name,
+// through the zero-alloc encoder. A non-finite value falls back to the
+// stdlib path: encoding/json refuses the row with the error the map would
+// give, and writeJSON answers that with its logged 500.
+func (s *Service) writeFeatures(w http.ResponseWriter, r *http.Request, row []float64) {
+	rb := getRespBuf()
+	defer putRespBuf(rb)
+	b, ok := encodeFeatures(rb.b[:0], row)
+	rb.b = b[:0]
+	if !ok {
+		s.writeJSON(w, r, http.StatusOK, row)
 		return
 	}
 	writeBody(w, http.StatusOK, b)

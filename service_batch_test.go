@@ -67,7 +67,7 @@ func postJSON(t *testing.T, url string, body any, out any) int {
 
 // batchFixtureJobs derives hypothetical jobs from trace jobs spread across
 // the fixture, varied enough to hit both classifier verdicts.
-func batchFixtureJobs(e *trout.Experiment, n int) []trace.Job {
+func batchFixtureJobs(e *fixture, n int) []trace.Job {
 	jobs := make([]trace.Job, n)
 	for i := range jobs {
 		tmpl := e.Trace.Jobs[(i+1)*len(e.Trace.Jobs)/(n+1)]
@@ -124,7 +124,7 @@ func checkBatchMatchesSequential(t *testing.T, url string, at int64, jobs []trac
 // one-hour window behind it.
 func TestServiceBatchMatchesSequential(t *testing.T) {
 	srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{})
-	jobs := batchFixtureJobs(sharedExperiment(t), 12)
+	jobs := batchFixtureJobs(sharedFixture(t), 12)
 	now := liveQueueFixture(t).Now
 
 	t.Run("behind-clock", func(t *testing.T) {
@@ -140,7 +140,7 @@ func TestServiceBatchMatchesSequential(t *testing.T) {
 // the baseline tier, and the per-row fallback must still answer exactly
 // like the single-job path.
 func TestServiceBatchFallbackMatchesSequential(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	srv, svc := resilientServer(t, poisonedClassifier(t, resilientBundle(t)), trout.ServiceConfig{})
 	jobs := batchFixtureJobs(e, 6)
 	at := liveQueueFixture(t).Now
@@ -168,7 +168,7 @@ func TestServiceBatchFallbackMatchesSequential(t *testing.T) {
 // there and a 400 alone.
 func TestServiceBatchChunkBoundaries(t *testing.T) {
 	srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{})
-	jobs := batchFixtureJobs(sharedExperiment(t), 40)
+	jobs := batchFixtureJobs(sharedFixture(t), 40)
 	const bad = 16
 	jobs[bad].Partition = "no-such-partition"
 	at := liveQueueFixture(t).Now
@@ -213,7 +213,7 @@ func TestServiceBatchChunkBoundaries(t *testing.T) {
 // batch drops alone to a lower tier — its chunk neighbours keep their NN
 // answers — and every result is what the snapshot gets on its own.
 func TestBundleBatchPoisonedRow(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	b := resilientBundle(t)
 	snaps := make([]*trout.Snapshot, 40)
 	for i := range snaps {
@@ -243,7 +243,7 @@ func TestBundleBatchPoisonedRow(t *testing.T) {
 // TestServiceBatchValidation pins the endpoint's input checks.
 func TestServiceBatchValidation(t *testing.T) {
 	srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{})
-	job := batchFixtureJobs(sharedExperiment(t), 1)[0]
+	job := batchFixtureJobs(sharedFixture(t), 1)[0]
 	at := liveQueueFixture(t).Now
 
 	cases := []struct {
@@ -274,7 +274,7 @@ func TestServiceBatchValidation(t *testing.T) {
 
 // TestServiceBatchSizeLimit caps batches at MaxBatchJobs with a 413.
 func TestServiceBatchSizeLimit(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{MaxBatchJobs: 4})
 	jobs := batchFixtureJobs(e, 5)
 	at := liveQueueFixture(t).Now
@@ -325,7 +325,7 @@ func TestServicePredictNegativeInputs(t *testing.T) {
 func TestServiceConcurrentStateSwapAndBatch(t *testing.T) {
 	srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{})
 	q := liveQueueFixture(t)
-	jobs := batchFixtureJobs(sharedExperiment(t), 4)
+	jobs := batchFixtureJobs(sharedFixture(t), 4)
 	jobID := q.Pending[len(q.Pending)-1].ID
 	at := q.Now
 
@@ -383,7 +383,7 @@ func TestServiceConcurrentStateSwapAndBatch(t *testing.T) {
 // TestServiceBatchMetrics checks the trout_predict_batch_size histogram
 // lands in /metrics with cumulative le buckets.
 func TestServiceBatchMetrics(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{})
 	jobs := batchFixtureJobs(e, 3)
 	at := liveQueueFixture(t).Now

@@ -29,9 +29,9 @@ var replTestRetry = resilience.Policy{InitialInterval: 5 * time.Millisecond, Max
 
 // leaderService builds a WAL-backed dashboard service seeded with the
 // shared experiment's trace.
-func leaderService(t *testing.T, cfg trout.ServiceConfig) (*httptest.Server, *trout.Service, *trout.Experiment) {
+func leaderService(t *testing.T, cfg trout.ServiceConfig) (*httptest.Server, *trout.Service, *fixture) {
 	t.Helper()
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	if cfg.Live == nil {
 		st, err := livestate.OpenStore(livestate.StoreOptions{
 			Dir: t.TempDir(), SegmentBytes: 64 << 10,
@@ -54,7 +54,7 @@ func leaderService(t *testing.T, cfg trout.ServiceConfig) (*httptest.Server, *tr
 // loop is NOT started; call svc.StartReplication when the test wants it.
 func followerService(t *testing.T, leaderURL string) (*httptest.Server, *trout.Service) {
 	t.Helper()
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	svc, err := trout.NewServiceWith(resilientBundle(t), e.Trace, trout.ServiceConfig{
 		LeaderURL: leaderURL,
 		Replication: replication.FollowerConfig{

@@ -32,7 +32,7 @@ var (
 
 func resilientBundle(t *testing.T) *trout.Bundle {
 	t.Helper()
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	rbOnce.Do(func() {
 		m, _, err := trout.TrainHoldout(e.Data, e.Pipeline.Model, 0.2)
 		if err != nil {
@@ -239,7 +239,7 @@ func TestServiceHeuristicTier(t *testing.T) {
 // child at every split (NaN <= threshold is false), so the tier-2 GBDT
 // answered garbage with a straight face instead of deferring.
 func TestFallbackOnPoisonedInput(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	b := resilientBundle(t)
 	jobID := e.Trace.Jobs[len(e.Trace.Jobs)/2].ID
 	snap, err := trout.SnapshotFromTrace(e.Trace, jobID)
@@ -349,7 +349,7 @@ func TestServicePanicRecovery(t *testing.T) {
 
 // TestServiceBodyLimit posts an oversized /state body and expects a 413.
 func TestServiceBodyLimit(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{MaxBodyBytes: 1 << 10})
 
 	sub := &trout.Trace{Jobs: e.Trace.Jobs[:200]}
@@ -426,7 +426,7 @@ func TestServiceStalledEventsDurableBefore504(t *testing.T) {
 // TestServiceTolerantStateUpload mixes corrupt rows into a /state body:
 // within budget they are skipped and reported; past it the upload fails.
 func TestServiceTolerantStateUpload(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	srv, _ := resilientServer(t, resilientBundle(t), trout.ServiceConfig{MaxBadStateRows: 2})
 
 	sub := &trout.Trace{Jobs: e.Trace.Jobs[:50]}
@@ -505,7 +505,7 @@ func TestServiceStrictJobIDParsing(t *testing.T) {
 // TestBundleFallbackRoundTrip saves and reloads a bundle and checks the
 // fallback predictors survive the trip and still answer identically.
 func TestBundleFallbackRoundTrip(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	b := resilientBundle(t)
 	var buf bytes.Buffer
 	if err := b.Save(&buf); err != nil {
@@ -544,7 +544,7 @@ func TestBundleFallbackRoundTrip(t *testing.T) {
 // TestBundlePoisonedPredictDirect exercises the chain below the HTTP
 // layer, including NaN-classifier → baseline consistency of the Long flag.
 func TestBundlePoisonedPredictDirect(t *testing.T) {
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	b := poisonedClassifier(t, resilientBundle(t))
 	cutoff := b.Model.Cfg.CutoffMinutes
 	for i := 0; i < 10; i++ {

@@ -37,7 +37,7 @@ var (
 
 func liveQueueFixture(t *testing.T) *liveQueue {
 	t.Helper()
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	lqOnce.Do(func() {
 		// Cut where the queue is deepest among sampled eligibility
 		// instants of the trace's middle half.
@@ -81,9 +81,9 @@ func liveQueueFixture(t *testing.T) *liveQueue {
 // whole suite; every test still gets its own Service (state and counters
 // are per-Service, and tests that poison the bundle copy it first). Tests
 // that need queued jobs boot from liveQueueFixture via resilientServer.
-func testService(t *testing.T) (*httptest.Server, *trout.Experiment) {
+func testService(t *testing.T) (*httptest.Server, *fixture) {
 	t.Helper()
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	svc, err := trout.NewServiceWith(resilientBundle(t), e.Trace, trout.ServiceConfig{})
 	if err != nil {
 		t.Fatal(err)

@@ -152,7 +152,7 @@ func TestTraceSmoke(t *testing.T) {
 // GET /debug/requests.
 func TestTraceSlowRequestRecorded(t *testing.T) {
 	const traceID = "cafe0123deadbeef"
-	e := sharedExperiment(t)
+	e := sharedFixture(t)
 	file := filepath.Join(t.TempDir(), "traces.jsonl")
 	svc, err := trout.NewServiceWith(fastBundle(t), e.Trace, trout.ServiceConfig{
 		FastInference: true,
@@ -249,7 +249,7 @@ func TestStageMetricsMatchTree(t *testing.T) {
 		obs.StageClassify, obs.StageRegress, obs.StageFallback}
 	for _, disabled := range []bool{false, true} {
 		t.Run(map[bool]string{false: "traced", true: "tracing-disabled"}[disabled], func(t *testing.T) {
-			e := sharedExperiment(t)
+			e := sharedFixture(t)
 			var sb syncBuf
 			logger, err := obs.NewLogger(&sb, "info", "json")
 			if err != nil {
