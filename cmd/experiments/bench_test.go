@@ -53,7 +53,7 @@ func BenchmarkTable1Stats(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		one := e.RunTableOne()
-		if one.Stats.RequestedHours.Count == 0 {
+		if one.RequestedHours.Count == 0 {
 			b.Fatal("empty table")
 		}
 	}

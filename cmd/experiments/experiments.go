@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 
 	trout "repro"
 	"repro/internal/core"
@@ -37,30 +36,9 @@ func NewExperiment(p trout.PipelineConfig) (*Experiment, error) {
 
 // --- T1: Table I — historic job statistics ---
 
-// TableOne reproduces the paper's Table I over the synthetic trace.
-type TableOne struct {
-	Stats             trace.TableOneStats
-	ShortFraction     float64 // jobs queueing < 10 min (paper: 0.87)
-	SharedFraction    float64 // jobs in `shared` (paper: 0.6895)
-	MeanWalltimeUsage float64 // paper: ≈ 0.15
-}
-
-// RunTableOne computes Table I.
-func (e *Experiment) RunTableOne() TableOne {
-	byPart := e.Trace.ByPartition()
-	return TableOne{
-		Stats:             e.Trace.TableOne(),
-		ShortFraction:     e.Trace.ShortQueueFraction(600),
-		SharedFraction:    float64(byPart["shared"]) / float64(len(e.Trace.Jobs)),
-		MeanWalltimeUsage: e.Trace.MeanWalltimeUsage(),
-	}
-}
-
-// Print renders the table in the paper's row layout.
-func (t TableOne) Print(w io.Writer) {
-	t.Stats.Print(w)
-	fmt.Fprintf(w, "short-queue fraction (<10 min): %.4f  shared-partition fraction: %.4f  mean wall-time usage: %.4f\n",
-		t.ShortFraction, t.SharedFraction, t.MeanWalltimeUsage)
+// RunTableOne computes Table I over the synthetic trace.
+func (e *Experiment) RunTableOne() trace.TableOneStats {
+	return e.Trace.TableOne()
 }
 
 // --- T2: Table II — the feature set ---

@@ -52,7 +52,7 @@ func TestTableOneShape(t *testing.T) {
 	if one.MeanWalltimeUsage > 0.4 {
 		t.Fatalf("mean wall-time usage %.3f — overestimation too weak", one.MeanWalltimeUsage)
 	}
-	if one.Stats.RequestedHours.Mean <= one.Stats.RuntimeHours.Mean {
+	if one.RequestedHours.Mean <= one.RuntimeHours.Mean {
 		t.Fatal("requested hours must exceed runtime hours on average")
 	}
 }

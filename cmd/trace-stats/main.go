@@ -46,7 +46,7 @@ func main() {
 	first, last := tr.Span()
 	fmt.Printf("%d jobs spanning %.1f days\n\n", len(tr.Jobs), float64(last-first)/86400)
 
-	tr.TableOne().Print(os.Stdout)
+	tr.TableOne().PrintRows(os.Stdout)
 	fmt.Printf("\nshort-queue fraction (<10 min): %.4f   mean wall-time usage: %.4f\n",
 		tr.ShortQueueFraction(600), tr.MeanWalltimeUsage())
 

@@ -71,7 +71,5 @@ func main() {
 	if !*quiet {
 		fmt.Println("\nTable I — generated trace statistics:")
 		tr.TableOne().Print(os.Stdout)
-		fmt.Printf("short-queue fraction (<10 min): %.4f  shared-partition fraction: %.4f  mean wall-time usage: %.4f\n",
-			tr.ShortQueueFraction(600), float64(tr.ByPartition()["shared"])/float64(len(tr.Jobs)), tr.MeanWalltimeUsage())
 	}
 }

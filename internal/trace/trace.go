@@ -6,7 +6,7 @@
 package trace
 
 import (
-	"encoding/csv"
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -219,6 +219,10 @@ type TableOneStats struct {
 	RuntimeHours   Summary
 	WastedHours    Summary
 	JobsPerUser    Summary
+
+	ShortFraction     float64 // jobs queueing < 10 min (paper: 0.87)
+	SharedFraction    float64 // jobs in `shared` (paper: 0.6895)
+	MeanWalltimeUsage float64 // paper: ≈ 0.15
 }
 
 // TableOne computes the paper's Table I statistics over the trace.
@@ -244,11 +248,23 @@ func (t *Trace) TableOne() TableOneStats {
 		RuntimeHours:   Summarize(run),
 		WastedHours:    Summarize(waste),
 		JobsPerUser:    Summarize(users),
+
+		ShortFraction:     t.ShortQueueFraction(600),
+		SharedFraction:    float64(t.ByPartition()["shared"]) / float64(n),
+		MeanWalltimeUsage: t.MeanWalltimeUsage(),
 	}
 }
 
-// Print renders the table under a header, in the paper's row layout.
+// Print renders the table in the paper's layout: the four rows, then the
+// queue, partition and wall-time fractions.
 func (s TableOneStats) Print(w io.Writer) {
+	s.PrintRows(w)
+	fmt.Fprintf(w, "short-queue fraction (<10 min): %.4f  shared-partition fraction: %.4f  mean wall-time usage: %.4f\n",
+		s.ShortFraction, s.SharedFraction, s.MeanWalltimeUsage)
+}
+
+// PrintRows renders the table's four rows under a header.
+func (s TableOneStats) PrintRows(w io.Writer) {
 	row := func(name string, s Summary) {
 		fmt.Fprintf(w, "%-24s %10.1f %10.2f %10.2f %10.2f %10d\n",
 			name, s.Max, s.Mean, s.Median, s.StdDev, s.Count)
@@ -280,15 +296,23 @@ var csvHeader = []string{
 	"priority", "qos", "interactive", "depends_on",
 }
 
-// WriteCSV serializes the trace as CSV with a header row.
+// WriteCSV serializes the trace as CSV with a header row. No field is
+// quoted, so ReadCSVTolerant's split on lines and commas reads every row
+// back; a partition or state holding a comma, a quote or a line break
+// cannot be written that way and is refused.
 func (t *Trace) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
+	bw := bufio.NewWriter(w)
+	if _, err := bw.WriteString(strings.Join(csvHeader, ",") + "\n"); err != nil {
 		return err
 	}
 	rec := make([]string, len(csvHeader))
 	for i := range t.Jobs {
 		j := &t.Jobs[i]
+		for _, f := range [...]string{j.Partition, string(j.State)} {
+			if strings.ContainsAny(f, ",\"\r\n") {
+				return fmt.Errorf("trace: job %d: %q cannot be written as an unquoted CSV field", j.ID, f)
+			}
+		}
 		rec[0] = strconv.Itoa(j.ID)
 		rec[1] = strconv.Itoa(j.User)
 		rec[2] = j.Partition
@@ -306,12 +330,11 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 		rec[14] = strconv.Itoa(j.QOS)
 		rec[15] = strconv.FormatBool(j.Interactive)
 		rec[16] = strconv.Itoa(j.DependsOn)
-		if err := cw.Write(rec); err != nil {
+		if _, err := bw.WriteString(strings.Join(rec, ",") + "\n"); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return bw.Flush()
 }
 
 // parseCSVRecord decodes one WriteCSV-format record into a Job.

@@ -3,7 +3,6 @@ package trout
 import (
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -12,9 +11,8 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the zero-allocation JSON fast path for the /predict,
-// /predict/batch and /features hot loop. The contract, pinned by
-// differential tests:
+// This file is the zero-allocation JSON fast path for the /predict and
+// /predict/batch hot loop. The contract, pinned by differential tests:
 //
 //   - Encoders produce output byte-identical to encoding/json's Encoder
 //     (HTML escaping on, '\n' terminator) for the fixed response shapes,
@@ -263,37 +261,6 @@ func encodePredictBatchResponse(b []byte, v *predictBatchResponse) ([]byte, bool
 	if v.ModelID != "" {
 		b = append(b, `,"model_id":`...)
 		b = appendJSONString(b, v.ModelID)
-	}
-	return append(b, '}', '\n'), true
-}
-
-// featureKeyOrder holds FeatureNames' indices in the sorted order in
-// which encoding/json writes a map's keys; FeatureNames is in column order.
-var featureKeyOrder = func() []int {
-	order := make([]int, len(FeatureNames))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return FeatureNames[order[a]] < FeatureNames[order[b]] })
-	return order
-}()
-
-// encodeFeatures appends the GET /features object, each feature name to
-// its value in row, exactly as json.NewEncoder(w).Encode would write it as
-// a map[string]float64 (keys sorted, trailing newline). ok=false means a
-// non-finite value; the caller must fall back to the stdlib path.
-func encodeFeatures(b []byte, row []float64) ([]byte, bool) {
-	var ok bool
-	b = append(b, '{')
-	for k, i := range featureKeyOrder {
-		if k > 0 {
-			b = append(b, ',')
-		}
-		b = appendJSONString(b, FeatureNames[i])
-		b = append(b, ':')
-		if b, ok = appendJSONFloat(b, row[i]); !ok {
-			return b, false
-		}
 	}
 	return append(b, '}', '\n'), true
 }

@@ -185,51 +185,6 @@ func TestEncodePredictResponseZeroAllocs(t *testing.T) {
 	}
 }
 
-// GET /features writes the row as encoding/json wrote the name → value
-// map it used to build: keys sorted (FeatureNames is in column order),
-// trailing newline, exact Content-Length. A non-finite value answers the
-// logged 500 that map's stdlib encode gave, byte for byte.
-func TestWriteFeaturesMatchesStdlib(t *testing.T) {
-	var logBuf bytes.Buffer
-	s := &Service{logger: slog.New(slog.NewTextHandler(&logBuf, nil))}
-	req := httptest.NewRequest(http.MethodGet, "/features?job=1", nil)
-	asMap := func(row []float64) map[string]float64 {
-		m := make(map[string]float64, len(row))
-		for i, v := range row {
-			m[FeatureNames[i]] = v
-		}
-		return m
-	}
-	for k := range edgeFloats {
-		row := make([]float64, len(FeatureNames))
-		for i := range row {
-			row[i] = edgeFloats[(i+k)%len(edgeFloats)]
-		}
-		rec := httptest.NewRecorder()
-		s.writeFeatures(rec, req, row)
-		want := stdlibEncode(t, asMap(row))
-		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
-			t.Fatalf("rotation %d: status %d body\n got  %q\n want %q", k, rec.Code, rec.Body.Bytes(), want)
-		}
-		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(len(want)) {
-			t.Errorf("rotation %d: Content-Length %q, want %d", k, got, len(want))
-		}
-	}
-	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		row := make([]float64, len(FeatureNames))
-		row[len(row)/2] = f
-		rec, old := httptest.NewRecorder(), httptest.NewRecorder()
-		s.writeFeatures(rec, req, row)
-		s.writeJSON(old, req, http.StatusOK, asMap(row))
-		if rec.Code != http.StatusInternalServerError || !bytes.Equal(rec.Body.Bytes(), old.Body.Bytes()) {
-			t.Errorf("%v: status %d body %q, want 500 %q", f, rec.Code, rec.Body.Bytes(), old.Body.Bytes())
-		}
-	}
-	if !strings.Contains(logBuf.String(), "response encode failed") {
-		t.Errorf("fallback encode failure not logged: %q", logBuf.String())
-	}
-}
-
 func TestDecodePredictRequestDifferential(t *testing.T) {
 	accepted := []string{
 		`{}`,

@@ -153,8 +153,7 @@ func TestRouteCost(t *testing.T) {
 	// The last two columns are allocations and bytes, both ceilings. Before
 	// the pooled predict arena and trace buffer, a batch of 16 took 99.5
 	// allocations and 21.5 KB, a single predict 36 and 4.3 KB; before the
-	// shared Content-Type value, each route took one allocation more; and
-	// before its appender, /features took 100 allocations and 6.5 KB.
+	// shared Content-Type value, each route took one allocation more.
 	const nn = `"tier":"nn"`
 	predict := []routeCost{
 		{"POST /predict what-if", "POST", "/predict", fixed(fmt.Sprintf(`{"at":%d,"job":%s}`, q.Now, whatIf)), nn, 200, 23, 2200},
@@ -162,7 +161,7 @@ func TestRouteCost(t *testing.T) {
 		{"GET /predict?job=", "GET", fmt.Sprintf("/predict?job=%d", pending.ID), nil, nn, 200, 28, 2500},
 		{"POST /predict/batch of 1", "POST", "/predict/batch", batch(1), nn, 200, 23, 2200},
 		{"POST /predict/batch of 16", "POST", "/predict/batch", batch(16), nn, 200, 23, 2200},
-		{"GET /features", "GET", fmt.Sprintf("/features?job=%d", pending.ID), nil, `"Priority":`, 200, 28, 2500},
+		{"GET /features", "GET", fmt.Sprintf("/features?job=%d", pending.ID), nil, `"Priority":`, 200, 100, 7000},
 	}
 	// The 1 MiB scanner buffer (ROADMAP item 1(g)) is most of either
 	// /events request, pinned as it is.

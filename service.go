@@ -1179,7 +1179,11 @@ func (s *Service) handleFeatures(w http.ResponseWriter, r *http.Request) {
 		resilience.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.writeFeatures(w, r, row)
+	out := make(map[string]float64, len(row))
+	for i, v := range row {
+		out[FeatureNames[i]] = v
+	}
+	s.writeJSON(w, r, http.StatusOK, out)
 }
 
 // jsonContentType is the Content-Type value every writeBody reply shares.
@@ -1233,22 +1237,6 @@ func (s *Service) writePredictResponse(w http.ResponseWriter, r *http.Request, v
 	rb.b = b[:0]
 	if !ok {
 		s.writeJSON(w, r, http.StatusOK, v.withMessage())
-		return
-	}
-	writeBody(w, http.StatusOK, b)
-}
-
-// writeFeatures writes a GET /features 200, the row keyed by feature name,
-// through the zero-alloc encoder. A non-finite value falls back to the
-// stdlib path: encoding/json refuses the row with the error the map would
-// give, and writeJSON answers that with its logged 500.
-func (s *Service) writeFeatures(w http.ResponseWriter, r *http.Request, row []float64) {
-	rb := getRespBuf()
-	defer putRespBuf(rb)
-	b, ok := encodeFeatures(rb.b[:0], row)
-	rb.b = b[:0]
-	if !ok {
-		s.writeJSON(w, r, http.StatusOK, row)
 		return
 	}
 	writeBody(w, http.StatusOK, b)
