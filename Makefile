@@ -45,7 +45,9 @@ loc:
 # engine's memoized snapshots against a fresh extraction, the appended
 # access-log line against slog's JSON handler, the bundle loader (no
 # panic; a bundle it accepts saves to bytes that reload to themselves),
-# and every float32 dense kernel the host runs against the portable one.
+# every float32 dense kernel the host runs against the portable one, and
+# the cluster simulator's bookkeeping on random clusters and job streams
+# (capacity, running set, drain, determinism).
 # Corpus seeds + 5s of mutation each; Go allows one -fuzz target per run.
 # Minimizing a new interesting input may take 60s by default, which would
 # stall a 5s run after its first seconds; 1s keeps every target mutating.
@@ -63,6 +65,7 @@ fuzz-smoke:
 	$(FUZZ) FuzzForestGob ./internal/baselines
 	$(FUZZ) FuzzAccessLine ./internal/obs
 	$(FUZZ) FuzzMatMul32 ./internal/tensor
+	$(FUZZ) FuzzSimulate ./internal/slurmsim
 
 # Line-by-line lint of the /metrics Prometheus exposition (HELP/TYPE
 # pairing, label escaping, cumulative buckets, deterministic ordering).

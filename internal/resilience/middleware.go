@@ -81,6 +81,8 @@ func (g *guardWriter) start() bool {
 		g.started = true
 		if !g.deadline.IsZero() && !time.Now().Before(g.deadline) {
 			g.expired = true
+			// The handler may have sized its own body already.
+			g.ResponseWriter.Header().Del("Content-Length")
 			WriteError(g.ResponseWriter, http.StatusGatewayTimeout, "request deadline exceeded")
 		}
 	}

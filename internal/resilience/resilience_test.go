@@ -235,6 +235,31 @@ func TestTimeoutMiddlewareDropsLateResponse(t *testing.T) {
 	}
 }
 
+// TestTimeoutMiddlewareLateSizedResponse: a late handler that set its own
+// Content-Length before writing still yields a whole, parseable 504.
+func TestTimeoutMiddlewareLateSizedResponse(t *testing.T) {
+	h := Timeout(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(30 * time.Millisecond)
+		w.Header().Set("Content-Length", "500")
+		w.Write(make([]byte, 500))
+	}), 10*time.Millisecond, nil)
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	resp, err := http.Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("status %d, Content-Length %q: body read: %v", resp.StatusCode, resp.Header.Get("Content-Length"), err)
+	}
+	var eb ErrorBody
+	if resp.StatusCode != http.StatusGatewayTimeout || json.Unmarshal(body, &eb) != nil || eb.Status != http.StatusGatewayTimeout {
+		t.Fatalf("status %d body %q", resp.StatusCode, body)
+	}
+}
+
 // TestTimeoutMiddlewareStartedResponseCompletes: the deadline judges only
 // the first write, so a 200 begun in time streams to the end. The
 // keep-alive connection it leaves serves the next request with a live

@@ -32,30 +32,25 @@ func EstimateStartTime(cfg Config, state ForwardState) (int64, error) {
 	s.nUsers = countUsers(state)
 
 	// Seed running jobs: allocate them capacity-equivalently (first-fit;
-	// exact node placement is unknown from accounting data) and schedule
-	// their ends at limit − elapsed.
+	// exact node placement is unknown from accounting data) and end them
+	// at the pessimistic limit − elapsed.
 	for _, r := range state.Running {
 		part := cfg.Cluster.Partition(r.Spec.Partition)
 		if part == nil {
 			return 0, fmt.Errorf("slurmsim: running job %d in unknown partition %q", r.Spec.ID, r.Spec.Partition)
 		}
-		j := &simJob{spec: r.Spec, part: part, eligible: state.Now, start: state.Now - r.Elapsed}
+		j := newJob(r.Spec, part, state.Now)
 		ids := s.tryAlloc(s.nodes, j)
 		if ids == nil {
 			// Snapshot inconsistent with cluster capacity (e.g. stale
 			// records); skip rather than fail the whole estimate.
 			continue
 		}
-		s.startJob(j, ids, j.start)
 		remaining := r.Spec.TimeLimit - r.Elapsed
 		if remaining < 1 {
 			remaining = 1
 		}
-		// startJob scheduled the end at start+runtime; re-pin it to the
-		// pessimistic limit-based end.
-		j.runEpoch++
-		j.end = state.Now + remaining
-		s.push(event{at: j.end, kind: evEnd, job: j, epoch: j.runEpoch})
+		s.runJob(j, ids, state.Now-r.Elapsed, state.Now+remaining)
 	}
 
 	// Seed pending jobs, runtime = full limit (the scheduler's view).
@@ -73,7 +68,7 @@ func EstimateStartTime(cfg Config, state ForwardState) (int64, error) {
 			}
 			continue
 		}
-		j := &simJob{spec: sp, part: part, eligible: state.Now}
+		j := newJob(sp, part, state.Now)
 		if sp.ID == state.TargetID {
 			target = j
 		}
@@ -85,56 +80,12 @@ func EstimateStartTime(cfg Config, state ForwardState) (int64, error) {
 
 	// Drive the event loop until the target starts (it must: all jobs
 	// terminate at their limits).
-	for len(s.events) > 0 {
-		now := s.events[0].at
-		var batch []event
-		for len(s.events) > 0 && s.events[0].at == now {
-			batch = append(batch, s.popMin())
-		}
-		for _, ev := range batch {
-			if ev.kind == evEnd && ev.epoch == ev.job.runEpoch {
-				s.finish(ev.job, now)
-			}
-		}
-		for _, ev := range batch {
-			if ev.kind == evEligible {
-				s.pending = append(s.pending, ev.job)
-				ev.job.initPrio = int64(s.jobPriority(ev.job, now))
-				s.dirty = true
-			}
-		}
-		s.schedule(now)
-		if _, running := s.running[target.spec.ID]; running || target.start > 0 {
+	for s.step() {
+		if target.start > 0 || s.runningIndex(target) >= 0 {
 			return target.start, nil
 		}
 	}
 	return 0, fmt.Errorf("slurmsim: event loop drained without starting target %d", state.TargetID)
-}
-
-// popMin removes and returns the earliest event.
-func (s *Simulator) popMin() event {
-	ev := s.events[0]
-	n := len(s.events)
-	s.events[0] = s.events[n-1]
-	s.events = s.events[:n-1]
-	// Restore heap property.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(s.events) && s.events.Less(l, small) {
-			small = l
-		}
-		if r < len(s.events) && s.events.Less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s.events.Swap(i, small)
-		i = small
-	}
-	return ev
 }
 
 func countUsers(state ForwardState) int {

@@ -87,6 +87,21 @@ func (f *fairshare) Factor(user int, now int64, nUsers int) float64 {
 // maxQOS is the number of QOS tiers (0 = lowest).
 const maxQOS = 3
 
+// userFactor returns user's fair-share factor at now, computed once per
+// instant and usage state (finish clears s.factors after its Charge).
+func (s *Simulator) userFactor(user int, now int64) float64 {
+	if now != s.factorAt {
+		clear(s.factors)
+		s.factorAt = now
+	}
+	v, ok := s.factors[user]
+	if !ok {
+		v = s.fs.Factor(user, now, s.nUsers)
+		s.factors[user] = v
+	}
+	return v
+}
+
 // jobPriority computes the live multifactor priority of a pending job.
 func (s *Simulator) jobPriority(j *simJob, now int64) float64 {
 	w := s.cfg.Weights
@@ -98,7 +113,7 @@ func (s *Simulator) jobPriority(j *simJob, now int64) float64 {
 	if w.MaxAge > 0 {
 		ageFactor = math.Min(1, age/float64(w.MaxAge))
 	}
-	fsFactor := s.fs.Factor(j.spec.User, now, s.nUsers)
+	fsFactor := s.userFactor(j.spec.User, now)
 	sizeFactor := float64(j.spec.ReqCPUs) / float64(s.totalCPUs)
 	if sizeFactor > 1 {
 		sizeFactor = 1

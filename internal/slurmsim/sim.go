@@ -1,9 +1,9 @@
 package slurmsim
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -89,12 +89,17 @@ func (s Stats) UtilizationCPU(totalCPUs int) float64 {
 	return s.BusyCPUSeconds / (span * float64(totalCPUs))
 }
 
+// share is one node's slice of a job's request.
+type share struct {
+	cpus  int
+	memGB float64
+	gpus  int
+}
+
 // alloc records the nodes a running job occupies and the per-node slice.
 type alloc struct {
-	nodeIDs   []int
-	cpus      int // per node
-	memGB     float64
-	gpus      int
+	nodeIDs []int
+	share
 	exclusive bool
 }
 
@@ -102,9 +107,10 @@ type alloc struct {
 type simJob struct {
 	spec       JobSpec
 	part       *PartitionSpec
+	ask        share // per node
 	eligible   int64
 	start      int64
-	end        int64
+	end        int64 // while running, its key in Simulator.running
 	alloc      alloc
 	priority   float64 // live priority, refreshed each sort
 	initPrio   int64   // priority at eligibility — recorded in the trace
@@ -128,21 +134,57 @@ type event struct {
 	epoch int // for evEnd: the job run this event belongs to
 }
 
+// eventHeap is a binary min-heap of events. It orders them by (at, kind,
+// seq); step applies an instant's ends before its eligibles whatever that
+// order.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind // eligible before end at equal times? ends first frees resources
+	if a.kind != b.kind {
+		return a.kind < b.kind
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	e := *h
+	for i := len(e) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !e[i].before(&e[p]) {
+			break
+		}
+		e[i], e[p] = e[p], e[i]
+		i = p
+	}
+}
+
+func (h *eventHeap) pop() event {
+	e := *h
+	ev := e[0]
+	n := len(e) - 1
+	e[0] = e[n]
+	e[n] = event{}
+	e = e[:n]
+	*h = e
+	for i := 0; ; {
+		small := i
+		if l := 2*i + 1; l < n && e[l].before(&e[small]) {
+			small = l
+		}
+		if r := 2*i + 2; r < n && e[r].before(&e[small]) {
+			small = r
+		}
+		if small == i {
+			return ev
+		}
+		e[i], e[small] = e[small], e[i]
+		i = small
+	}
+}
 
 // nodeState tracks a node's free capacity.
 type nodeState struct {
@@ -154,11 +196,14 @@ type nodeState struct {
 
 // Simulator runs jobs through the scheduler.
 type Simulator struct {
-	cfg       Config
-	nodes     []nodeState
-	running   map[int]*simJob // by job ID
+	cfg   Config
+	nodes []nodeState
+	// running holds the running jobs ordered by (end, ID), the order
+	// computeShadow releases them in.
+	running   []*simJob
 	pending   []*simJob
 	events    eventHeap
+	batch     []event // the instant step is applying
 	seq       int
 	fs        *fairshare
 	nUsers    int
@@ -170,6 +215,19 @@ type Simulator struct {
 	requeued  []*simJob         // preemption victims awaiting re-queue this pass
 	waiting   map[int][]*simJob // dependents keyed by the job they wait for
 	out       []trace.Job
+
+	// Fair-share factors by user, valid for one instant until the next
+	// Charge.
+	factors  map[int]float64
+	factorAt int64
+
+	// Reused buffers of the placement probes.
+	scratch  []nodeState // node state with hypothetical releases applied
+	partUses []int       // per node: times the probed job's partition lists it
+	fitting  []bool      // per node: the probed job fits there on scratch
+	reserved []bool      // nodes the blocked job's reservation holds
+	picked   []int       // tryAlloc's answer
+	victims  []*simJob
 }
 
 // New builds a simulator for the config.
@@ -186,11 +244,16 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.FairshareHalfLife <= 0 {
 		cfg.FairshareHalfLife = 7 * 24 * 3600
 	}
+	n := len(cfg.Cluster.Nodes)
 	s := &Simulator{
-		cfg:     cfg,
-		running: map[int]*simJob{},
-		waiting: map[int][]*simJob{},
-		fs:      newFairshare(cfg.FairshareHalfLife),
+		cfg:      cfg,
+		waiting:  map[int][]*simJob{},
+		fs:       newFairshare(cfg.FairshareHalfLife),
+		factors:  map[int]float64{},
+		scratch:  make([]nodeState, n),
+		partUses: make([]int, n),
+		fitting:  make([]bool, n),
+		reserved: make([]bool, n),
 	}
 	for _, n := range cfg.Cluster.Nodes {
 		s.nodes = append(s.nodes, nodeState{freeCPUs: n.CPUs, freeMemGB: n.MemGB, freeGPUs: n.GPUs})
@@ -215,21 +278,38 @@ func Run(cfg Config, specs []JobSpec) (*trace.Trace, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	if err := s.admit(specs); err != nil {
+		return nil, s.stats, err
+	}
+	if len(s.events) > 0 {
+		s.stats.FirstEvent = s.events[0].at
+	}
+	for s.step() {
+	}
+	tr := &trace.Trace{Jobs: s.out}
+	tr.SortByEligible()
+	return tr, s.stats, nil
+}
+
+// admit checks the specs and queues each accepted job's eligibility, or
+// parks it behind the job it depends on.
+func (s *Simulator) admit(specs []JobSpec) error {
 	users := map[int]bool{}
 	for i := range specs {
 		users[specs[i].User] = true
 	}
 	s.nUsers = len(users)
+	s.out = make([]trace.Job, 0, len(specs))
 
 	accepted := map[int]bool{}
 	for i := range specs {
 		sp := specs[i]
-		part := cfg.Cluster.Partition(sp.Partition)
+		part := s.cfg.Cluster.Partition(sp.Partition)
 		if part == nil {
-			return nil, s.stats, fmt.Errorf("slurmsim: job %d targets unknown partition %q", sp.ID, sp.Partition)
+			return fmt.Errorf("slurmsim: job %d targets unknown partition %q", sp.ID, sp.Partition)
 		}
 		if sp.DependsOn != 0 && sp.DependsOn >= sp.ID {
-			return nil, s.stats, fmt.Errorf("slurmsim: job %d depends on %d (must be an earlier job)", sp.ID, sp.DependsOn)
+			return fmt.Errorf("slurmsim: job %d depends on %d (must be an earlier job)", sp.ID, sp.DependsOn)
 		}
 		if err := s.checkFeasible(sp, part); err != nil {
 			s.stats.Rejected++
@@ -242,53 +322,54 @@ func Run(cfg Config, specs []JobSpec) (*trace.Trace, Stats, error) {
 			continue
 		}
 		accepted[sp.ID] = true
-		j := &simJob{spec: sp, part: part, eligible: sp.Submit + sp.EligibleDelay}
+		j := newJob(sp, part, sp.Submit+sp.EligibleDelay)
 		if sp.DependsOn != 0 {
 			s.waiting[sp.DependsOn] = append(s.waiting[sp.DependsOn], j)
 			continue
 		}
 		s.push(event{at: j.eligible, kind: evEligible, job: j})
 	}
+	return nil
+}
 
-	if len(s.events) > 0 {
-		s.stats.FirstEvent = s.events[0].at
+// step advances the simulation by one instant: it pops every event due at
+// the earliest time, applies the ends, then the eligibles, then runs one
+// scheduling pass. Events the instant itself creates for the same time (a
+// released dependent, a zero-length run) wait for the next step. It
+// returns false once no events remain.
+func (s *Simulator) step() bool {
+	if len(s.events) == 0 {
+		return false
 	}
-	for len(s.events) > 0 {
-		now := s.events[0].at
-		s.stats.LastEvent = now
-		// Drain all events at this instant, ends first (Less orders
-		// eligible<end, so handle explicitly: process everything at
-		// `now`, applying ends before starts inside the batch).
-		var batch []event
-		for len(s.events) > 0 && s.events[0].at == now {
-			batch = append(batch, heap.Pop(&s.events).(event))
-		}
-		for _, ev := range batch {
-			// A stale end event (the job was preempted and requeued
-			// since it was scheduled) is a no-op.
-			if ev.kind == evEnd && ev.epoch == ev.job.runEpoch {
-				s.finish(ev.job, now)
-			}
-		}
-		for _, ev := range batch {
-			if ev.kind == evEligible {
-				s.stats.Events++
-				s.pending = append(s.pending, ev.job)
-				ev.job.initPrio = int64(s.jobPriority(ev.job, now))
-				s.dirty = true
-			}
-		}
-		s.schedule(now)
+	now := s.events[0].at
+	s.stats.LastEvent = now
+	s.batch = s.batch[:0]
+	for len(s.events) > 0 && s.events[0].at == now {
+		s.batch = append(s.batch, s.events.pop())
 	}
-	tr := &trace.Trace{Jobs: s.out}
-	tr.SortByEligible()
-	return tr, s.stats, nil
+	for _, ev := range s.batch {
+		// A stale end event (the job was preempted and requeued since
+		// it was scheduled) is a no-op.
+		if ev.kind == evEnd && ev.epoch == ev.job.runEpoch {
+			s.finish(ev.job, now)
+		}
+	}
+	for _, ev := range s.batch {
+		if ev.kind == evEligible {
+			s.stats.Events++
+			s.pending = append(s.pending, ev.job)
+			ev.job.initPrio = int64(s.jobPriority(ev.job, now))
+			s.dirty = true
+		}
+	}
+	s.schedule(now)
+	return true
 }
 
 func (s *Simulator) push(ev event) {
 	ev.seq = s.seq
 	s.seq++
-	heap.Push(&s.events, ev)
+	s.events.push(ev)
 }
 
 // checkFeasible rejects jobs that could never run on their partition.
@@ -302,11 +383,11 @@ func (s *Simulator) checkFeasible(sp JobSpec, part *PartitionSpec) error {
 	if sp.ReqNodes > len(part.NodeIDs) {
 		return fmt.Errorf("more nodes than partition has")
 	}
-	cpus, mem, gpus := perNodeAsk(sp)
+	ask := perNodeAsk(sp)
 	fits := 0
 	for _, id := range part.NodeIDs {
 		n := s.cfg.Cluster.Nodes[id]
-		if n.CPUs >= cpus && n.MemGB >= mem && n.GPUs >= gpus {
+		if n.CPUs >= ask.cpus && n.MemGB >= ask.memGB && n.GPUs >= ask.gpus {
 			fits++
 		}
 	}
@@ -317,33 +398,43 @@ func (s *Simulator) checkFeasible(sp JobSpec, part *PartitionSpec) error {
 }
 
 // perNodeAsk converts a job's aggregate request into a per-node slice.
-func perNodeAsk(sp JobSpec) (cpus int, memGB float64, gpus int) {
-	cpus = (sp.ReqCPUs + sp.ReqNodes - 1) / sp.ReqNodes
-	memGB = sp.ReqMemGB / float64(sp.ReqNodes)
-	gpus = (sp.ReqGPUs + sp.ReqNodes - 1) / sp.ReqNodes
-	return
+func perNodeAsk(sp JobSpec) share {
+	return share{
+		cpus:  (sp.ReqCPUs + sp.ReqNodes - 1) / sp.ReqNodes,
+		memGB: sp.ReqMemGB / float64(sp.ReqNodes),
+		gpus:  (sp.ReqGPUs + sp.ReqNodes - 1) / sp.ReqNodes,
+	}
+}
+
+func newJob(sp JobSpec, part *PartitionSpec, eligible int64) *simJob {
+	return &simJob{spec: sp, part: part, ask: perNodeAsk(sp), eligible: eligible}
+}
+
+// release returns a's share of node id to the node state n.
+func (s *Simulator) release(n *nodeState, id int, a *alloc) {
+	if a.exclusive {
+		spec := s.cfg.Cluster.Nodes[id]
+		n.freeCPUs = spec.CPUs
+		n.freeMemGB = spec.MemGB
+		n.freeGPUs = spec.GPUs
+	} else {
+		n.freeCPUs += a.cpus
+		n.freeMemGB += a.memGB
+		n.freeGPUs += a.gpus
+	}
+	n.busyJobs--
 }
 
 // finish releases a completed job and charges fair-share usage.
 func (s *Simulator) finish(j *simJob, now int64) {
 	s.stats.Events++
 	for _, id := range j.alloc.nodeIDs {
-		n := &s.nodes[id]
-		if j.alloc.exclusive {
-			spec := s.cfg.Cluster.Nodes[id]
-			n.freeCPUs = spec.CPUs
-			n.freeMemGB = spec.MemGB
-			n.freeGPUs = spec.GPUs
-		} else {
-			n.freeCPUs += j.alloc.cpus
-			n.freeMemGB += j.alloc.memGB
-			n.freeGPUs += j.alloc.gpus
-		}
-		n.busyJobs--
+		s.release(&s.nodes[id], id, &j.alloc)
 	}
-	delete(s.running, j.spec.ID)
+	s.removeRunning(j)
 	s.stats.BusyCPUSeconds += float64(j.spec.ReqCPUs) * float64(now-j.start)
 	s.fs.Charge(j.spec.User, float64(j.spec.ReqCPUs)*float64(now-j.start), now)
+	clear(s.factors)
 	s.dirty = true
 
 	state := trace.StateCompleted
@@ -373,33 +464,90 @@ func (s *Simulator) finish(j *simJob, now int64) {
 	delete(s.waiting, j.spec.ID)
 }
 
+// fitsOn reports whether node id, in state n, can take one per-node slice
+// of j.
+func (s *Simulator) fitsOn(n *nodeState, id int, j *simJob) bool {
+	if j.part.Exclusive && (n.busyJobs > 0 || n.freeCPUs != s.cfg.Cluster.Nodes[id].CPUs) {
+		return false
+	}
+	return n.freeCPUs >= j.ask.cpus && n.freeMemGB >= j.ask.memGB && n.freeGPUs >= j.ask.gpus
+}
+
 // tryAlloc attempts a first-fit allocation for j on its partition using the
-// given node states. It returns the chosen node IDs or nil.
+// given node states. It returns the chosen node IDs, valid until the next
+// call, or nil.
 func (s *Simulator) tryAlloc(nodes []nodeState, j *simJob) []int {
-	cpus, mem, gpus := perNodeAsk(j.spec)
-	var chosen []int
+	s.picked = s.picked[:0]
 	for _, id := range j.part.NodeIDs {
-		n := &nodes[id]
-		if j.part.Exclusive {
-			spec := s.cfg.Cluster.Nodes[id]
-			if n.busyJobs > 0 || n.freeCPUs != spec.CPUs {
-				continue
-			}
-		}
-		if n.freeCPUs >= cpus && n.freeMemGB >= mem && n.freeGPUs >= gpus {
-			chosen = append(chosen, id)
-			if len(chosen) == j.spec.ReqNodes {
-				return chosen
+		if s.fitsOn(&nodes[id], id, j) {
+			s.picked = append(s.picked, id)
+			if len(s.picked) == j.spec.ReqNodes {
+				return s.picked
 			}
 		}
 	}
 	return nil
 }
 
-// startJob commits an allocation and schedules the job's end event.
+// releaseUntilFit applies the releases of order, in order, to a scratch
+// copy of the node state until j fits there. It returns how many releases
+// that took (0: j fits already) and leaves s.scratch in that state, or -1
+// when j never fits. Only the nodes a release touches are probed again,
+// so a release that frees none of j's partition costs its node count.
+func (s *Simulator) releaseUntilFit(j *simJob, order []*simJob) int {
+	copy(s.scratch, s.nodes)
+	clear(s.partUses)
+	for _, id := range j.part.NodeIDs {
+		s.partUses[id]++
+	}
+	// fit counts j's partition entries whose node fits, as tryAlloc does.
+	fit := 0
+	for id, uses := range s.partUses {
+		s.fitting[id] = uses > 0 && s.fitsOn(&s.scratch[id], id, j)
+		if s.fitting[id] {
+			fit += uses
+		}
+	}
+	if fit >= j.spec.ReqNodes {
+		return 0
+	}
+	for k, r := range order {
+		for _, id := range r.alloc.nodeIDs {
+			n := &s.scratch[id]
+			s.release(n, id, &r.alloc)
+			if s.partUses[id] == 0 {
+				continue
+			}
+			if now := s.fitsOn(n, id, j); now != s.fitting[id] {
+				s.fitting[id] = now
+				if now {
+					fit += s.partUses[id]
+				} else {
+					fit -= s.partUses[id]
+				}
+			}
+		}
+		if fit >= j.spec.ReqNodes {
+			return k + 1
+		}
+	}
+	return -1
+}
+
+// startJob commits an allocation and schedules the job's end at its
+// runtime, cut at its time limit.
 func (s *Simulator) startJob(j *simJob, nodeIDs []int, now int64) {
-	cpus, mem, gpus := perNodeAsk(j.spec)
-	j.alloc = alloc{nodeIDs: nodeIDs, cpus: cpus, memGB: mem, gpus: gpus, exclusive: j.part.Exclusive}
+	run := j.spec.Runtime
+	if run > j.spec.TimeLimit {
+		run = j.spec.TimeLimit // the scheduler kills jobs at their limit
+	}
+	s.runJob(j, nodeIDs, now, now+run)
+}
+
+// runJob commits an allocation over [start, end), enters the job into the
+// running set and schedules its end event.
+func (s *Simulator) runJob(j *simJob, nodeIDs []int, start, end int64) {
+	j.alloc = alloc{nodeIDs: slices.Clone(nodeIDs), share: j.ask, exclusive: j.part.Exclusive}
 	for _, id := range nodeIDs {
 		n := &s.nodes[id]
 		if j.part.Exclusive {
@@ -407,40 +555,51 @@ func (s *Simulator) startJob(j *simJob, nodeIDs []int, now int64) {
 			n.freeMemGB = 0
 			n.freeGPUs = 0
 		} else {
-			n.freeCPUs -= cpus
-			n.freeMemGB -= mem
-			n.freeGPUs -= gpus
+			n.freeCPUs -= j.ask.cpus
+			n.freeMemGB -= j.ask.memGB
+			n.freeGPUs -= j.ask.gpus
 		}
 		n.busyJobs++
 	}
-	j.start = now
-	run := j.spec.Runtime
-	if run > j.spec.TimeLimit {
-		run = j.spec.TimeLimit // the scheduler kills jobs at their limit
-	}
-	j.end = now + run
-	s.running[j.spec.ID] = j
+	j.start = start
+	j.end = end
+	i, _ := slices.BinarySearchFunc(s.running, j, byEnd)
+	s.running = slices.Insert(s.running, i, j)
 	s.push(event{at: j.end, kind: evEnd, job: j, epoch: j.runEpoch})
+}
+
+// byEnd is the running set's order.
+func byEnd(a, b *simJob) int {
+	if c := cmp.Compare(a.end, b.end); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.spec.ID, b.spec.ID)
+}
+
+// runningIndex returns j's index in the running set, or -1.
+func (s *Simulator) runningIndex(j *simJob) int {
+	i, _ := slices.BinarySearchFunc(s.running, j, byEnd)
+	for ; i < len(s.running) && byEnd(s.running[i], j) == 0; i++ {
+		if s.running[i] == j {
+			return i
+		}
+	}
+	return -1
+}
+
+func (s *Simulator) removeRunning(j *simJob) {
+	if i := s.runningIndex(j); i >= 0 {
+		s.running = slices.Delete(s.running, i, i+1)
+	}
 }
 
 // releaseAlloc returns a running job's resources to the cluster without
 // recording completion (the requeue half of a preemption).
 func (s *Simulator) releaseAlloc(j *simJob) {
 	for _, id := range j.alloc.nodeIDs {
-		n := &s.nodes[id]
-		if j.alloc.exclusive {
-			spec := s.cfg.Cluster.Nodes[id]
-			n.freeCPUs = spec.CPUs
-			n.freeMemGB = spec.MemGB
-			n.freeGPUs = spec.GPUs
-		} else {
-			n.freeCPUs += j.alloc.cpus
-			n.freeMemGB += j.alloc.memGB
-			n.freeGPUs += j.alloc.gpus
-		}
-		n.busyJobs--
+		s.release(&s.nodes[id], id, &j.alloc)
 	}
-	delete(s.running, j.spec.ID)
+	s.removeRunning(j)
 	j.alloc = alloc{}
 }
 
@@ -459,52 +618,30 @@ func (s *Simulator) tryPreempt(j *simJob, now int64) bool {
 	if s.cfg.DisablePreemption {
 		return false
 	}
-	var victims []*simJob
+	victims := s.victims[:0]
 	for _, r := range s.running {
 		if r.part.Preemptible && r.part.Tier < j.part.Tier {
 			victims = append(victims, r)
 		}
 	}
+	s.victims = victims
 	if len(victims) == 0 {
 		return false
 	}
-	sort.Slice(victims, func(a, b int) bool {
-		if victims[a].start != victims[b].start {
-			return victims[a].start > victims[b].start // newest first
+	slices.SortFunc(victims, func(a, b *simJob) int {
+		if c := cmp.Compare(b.start, a.start); c != 0 {
+			return c // newest first
 		}
-		return victims[a].spec.ID > victims[b].spec.ID
+		return cmp.Compare(b.spec.ID, a.spec.ID)
 	})
-	// Simulate releases on scratch state until j fits.
-	scratch := make([]nodeState, len(s.nodes))
-	copy(scratch, s.nodes)
-	needed := -1
-	for k, v := range victims {
-		for _, id := range v.alloc.nodeIDs {
-			n := &scratch[id]
-			if v.alloc.exclusive {
-				spec := s.cfg.Cluster.Nodes[id]
-				n.freeCPUs = spec.CPUs
-				n.freeMemGB = spec.MemGB
-				n.freeGPUs = spec.GPUs
-			} else {
-				n.freeCPUs += v.alloc.cpus
-				n.freeMemGB += v.alloc.memGB
-				n.freeGPUs += v.alloc.gpus
-			}
-			n.busyJobs--
-		}
-		if s.tryAlloc(scratch, j) != nil {
-			needed = k
-			break
-		}
-	}
-	if needed == -1 {
+	needed := s.releaseUntilFit(j, victims)
+	if needed < 0 {
 		return false
 	}
 	// Commit: requeue the victims, then start j for real. Victims are
 	// parked on s.requeued because schedule() is compacting s.pending in
 	// place around this call; it re-queues them after the pass.
-	for _, v := range victims[:needed+1] {
+	for _, v := range victims[:needed] {
 		s.chargePartialRun(v, now)
 		s.releaseAlloc(v)
 		v.runEpoch++
@@ -519,6 +656,24 @@ func (s *Simulator) tryPreempt(j *simJob, now int64) bool {
 	}
 	s.startJob(j, ids, now)
 	return true
+}
+
+// byEvaluation is Slurm's evaluation order: partition tier, priority,
+// submit, ID.
+func byEvaluation(a, b *simJob) int {
+	if a.part.Tier != b.part.Tier {
+		return cmp.Compare(b.part.Tier, a.part.Tier)
+	}
+	if a.priority != b.priority {
+		if a.priority > b.priority {
+			return -1
+		}
+		return 1
+	}
+	if a.spec.Submit != b.spec.Submit {
+		return cmp.Compare(a.spec.Submit, b.spec.Submit)
+	}
+	return cmp.Compare(a.spec.ID, b.spec.ID)
 }
 
 // schedule runs one scheduling pass: start pending jobs in priority order,
@@ -536,29 +691,15 @@ func (s *Simulator) schedule(now int64) {
 		for _, j := range s.pending {
 			j.priority = s.jobPriority(j, now)
 		}
-		// Slurm evaluation order: partition tier, priority, submit, ID.
-		sort.SliceStable(s.pending, func(a, b int) bool {
-			ja, jb := s.pending[a], s.pending[b]
-			if ja.part.Tier != jb.part.Tier {
-				return ja.part.Tier > jb.part.Tier
-			}
-			if ja.priority != jb.priority {
-				return ja.priority > jb.priority
-			}
-			if ja.spec.Submit != jb.spec.Submit {
-				return ja.spec.Submit < jb.spec.Submit
-			}
-			return ja.spec.ID < jb.spec.ID
-		})
+		slices.SortFunc(s.pending, byEvaluation)
 		s.lastSort = now
 		s.dirty = false
 	}
 
 	var (
-		reserved      bool
-		shadowTime    int64
-		reservedNodes map[int]bool
-		tested        int
+		reserved   bool
+		shadowTime int64
+		tested     int
 	)
 	remaining := s.pending[:0]
 	for qi, j := range s.pending {
@@ -575,7 +716,7 @@ func (s *Simulator) schedule(now int64) {
 			if !ok {
 				ok = true
 				for _, id := range nodeIDs {
-					if reservedNodes[id] {
+					if s.reserved[id] {
 						ok = false
 						break
 					}
@@ -601,16 +742,14 @@ func (s *Simulator) schedule(now int64) {
 				continue
 			}
 			reserved = true
-			shadowTime, reservedNodes = s.computeShadow(j, now)
+			shadowTime = s.computeShadow(j, now)
 		} else {
 			tested++
 		}
 		remaining = append(remaining, j)
 	}
 	// Zero the tail so released jobs do not leak via the shared array.
-	for i := len(remaining); i < len(s.pending); i++ {
-		s.pending[i] = nil
-	}
+	clear(s.pending[len(remaining):])
 	s.pending = remaining
 	if len(s.requeued) > 0 {
 		s.pending = append(s.pending, s.requeued...)
@@ -621,52 +760,22 @@ func (s *Simulator) schedule(now int64) {
 
 // computeShadow projects when the blocked job j could start by releasing
 // running jobs in end-time order over a scratch copy of node state. It
-// returns the projected start (shadow) time and the node set j would use.
-func (s *Simulator) computeShadow(j *simJob, now int64) (int64, map[int]bool) {
-	scratch := make([]nodeState, len(s.nodes))
-	copy(scratch, s.nodes)
-	if ids := s.tryAlloc(scratch, j); ids != nil {
+// returns the projected start (shadow) time and marks the nodes j would
+// use in s.reserved.
+func (s *Simulator) computeShadow(j *simJob, now int64) int64 {
+	clear(s.reserved)
+	k := s.releaseUntilFit(j, s.running)
+	if k < 0 {
+		// Queue ahead of us never frees enough (e.g. other pending jobs
+		// hold no resources yet): no effective reservation.
+		return 1 << 62
+	}
+	for _, id := range s.tryAlloc(s.scratch, j) {
+		s.reserved[id] = true
+	}
+	if k == 0 {
 		// Shouldn't happen (caller failed to alloc), but be safe.
-		return now, toSet(ids)
+		return now
 	}
-	ends := make([]*simJob, 0, len(s.running))
-	for _, r := range s.running {
-		ends = append(ends, r)
-	}
-	sort.Slice(ends, func(a, b int) bool {
-		if ends[a].end != ends[b].end {
-			return ends[a].end < ends[b].end
-		}
-		return ends[a].spec.ID < ends[b].spec.ID
-	})
-	for _, r := range ends {
-		for _, id := range r.alloc.nodeIDs {
-			n := &scratch[id]
-			if r.alloc.exclusive {
-				spec := s.cfg.Cluster.Nodes[id]
-				n.freeCPUs = spec.CPUs
-				n.freeMemGB = spec.MemGB
-				n.freeGPUs = spec.GPUs
-			} else {
-				n.freeCPUs += r.alloc.cpus
-				n.freeMemGB += r.alloc.memGB
-				n.freeGPUs += r.alloc.gpus
-			}
-			n.busyJobs--
-		}
-		if ids := s.tryAlloc(scratch, j); ids != nil {
-			return r.end, toSet(ids)
-		}
-	}
-	// Queue ahead of us never frees enough (e.g. other pending jobs hold
-	// no resources yet): no effective reservation.
-	return 1 << 62, nil
-}
-
-func toSet(ids []int) map[int]bool {
-	m := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		m[id] = true
-	}
-	return m
+	return s.running[k-1].end
 }

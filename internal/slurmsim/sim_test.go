@@ -370,44 +370,14 @@ func TestAllNodesFreedAfterDrain(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	specs := randomSpecs(rng, 300)
 	cfg := tinyConfig()
-	s, err := New(cfg)
+	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = s // Run builds its own; instead re-run and inspect via a fresh sim.
-	sim, _ := New(cfg)
-	users := map[int]bool{}
-	for i := range specs {
-		users[specs[i].User] = true
+	if err := sim.admit(specs); err != nil {
+		t.Fatal(err)
 	}
-	sim.nUsers = len(users)
-	for i := range specs {
-		sp := specs[i]
-		part := cfg.Cluster.Partition(sp.Partition)
-		if err := sim.checkFeasible(sp, part); err != nil {
-			continue
-		}
-		j := &simJob{spec: sp, part: part, eligible: sp.Submit + sp.EligibleDelay}
-		sim.push(event{at: j.eligible, kind: evEligible, job: j})
-	}
-	for len(sim.events) > 0 {
-		now := sim.events[0].at
-		var batch []event
-		for len(sim.events) > 0 && sim.events[0].at == now {
-			batch = append(batch, popEvent(sim))
-		}
-		for _, ev := range batch {
-			if ev.kind == evEnd {
-				sim.finish(ev.job, now)
-			}
-		}
-		for _, ev := range batch {
-			if ev.kind == evEligible {
-				sim.pending = append(sim.pending, ev.job)
-				sim.dirty = true
-			}
-		}
-		sim.schedule(now)
+	for sim.step() {
 	}
 	for i, n := range sim.nodes {
 		spec := cfg.Cluster.Nodes[i]
@@ -415,41 +385,8 @@ func TestAllNodesFreedAfterDrain(t *testing.T) {
 			t.Fatalf("node %d not fully freed: %+v", i, n)
 		}
 	}
-	if len(sim.pending) != 0 {
-		t.Fatalf("%d jobs still pending after drain", len(sim.pending))
-	}
-}
-
-func popEvent(s *Simulator) event {
-	ev := s.events[0]
-	n := len(s.events)
-	s.events[0] = s.events[n-1]
-	s.events = s.events[:n-1]
-	if len(s.events) > 0 {
-		down(s)
-	}
-	return ev
-}
-
-// down restores the heap property from the root (test helper mirroring
-// container/heap.Pop without the interface ceremony).
-func down(s *Simulator) {
-	i := 0
-	n := len(s.events)
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && s.events.Less(l, small) {
-			small = l
-		}
-		if r < n && s.events.Less(r, small) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		s.events.Swap(i, small)
-		i = small
+	if len(sim.pending) != 0 || len(sim.running) != 0 {
+		t.Fatalf("%d jobs still pending, %d running after drain", len(sim.pending), len(sim.running))
 	}
 }
 
