@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race alloc-pins vet fmt-check loc fuzz-smoke metrics-smoke replication-smoke controlplane-smoke serving-smoke trace-smoke bench-module ci clean
+.PHONY: all build test race alloc-pins vet cross fmt-check loc fuzz-smoke metrics-smoke replication-smoke controlplane-smoke serving-smoke trace-smoke bench-module ci clean
 
 all: build
 
@@ -25,6 +25,12 @@ alloc-pins:
 vet:
 	$(GO) vet ./...
 
+# Vets the tree as arm64, the build the amd64 host never compiles: the
+# portable kernel files (matmul32_noasm.go, matmul64_noasm.go) and
+# everything else behind a !amd64 build tag.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+
 # Fails when any file needs gofmt; prints the offenders.
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -45,8 +51,9 @@ loc:
 # engine's memoized snapshots against a fresh extraction, the appended
 # access-log line against slog's JSON handler, the bundle loader (no
 # panic; a bundle it accepts saves to bytes that reload to themselves),
-# every float32 dense kernel the host runs against the portable one, and
-# the cluster simulator's bookkeeping on random clusters and job streams
+# every float32 dense kernel the host runs against the portable one, every
+# f64 training kernel the host runs against the Go loops, and the cluster
+# simulator's bookkeeping on random clusters and job streams
 # (capacity, running set, drain, determinism).
 # Corpus seeds + 5s of mutation each; Go allows one -fuzz target per run.
 # Minimizing a new interesting input may take 60s by default, which would
@@ -65,6 +72,7 @@ fuzz-smoke:
 	$(FUZZ) FuzzForestGob ./internal/baselines
 	$(FUZZ) FuzzAccessLine ./internal/obs
 	$(FUZZ) FuzzMatMul32 ./internal/tensor
+	$(FUZZ) FuzzMatMul64 ./internal/tensor
 	$(FUZZ) FuzzSimulate ./internal/slurmsim
 
 # Line-by-line lint of the /metrics Prometheus exposition (HELP/TYPE
@@ -116,7 +124,7 @@ trace-smoke:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: fmt-check vet build race alloc-pins fuzz-smoke metrics-smoke replication-smoke controlplane-smoke serving-smoke trace-smoke bench-module
+ci: fmt-check vet cross build race alloc-pins fuzz-smoke metrics-smoke replication-smoke controlplane-smoke serving-smoke trace-smoke bench-module
 
 clean:
 	$(GO) clean ./...

@@ -6,8 +6,9 @@ package tensor
 // the amd64 baseline, so a plain `go build` on any amd64 host has them.
 const haveSSE = true
 
-// haveAVX512 reports whether this host runs the 16-lane kernel: the CPU
-// has AVX-512F and the OS saves the opmask and full ZMM state.
+// haveAVX512 reports whether this host runs the AVX-512 kernels (the
+// 16-lane float32 one and the f64 row kernel): the CPU has AVX-512F and
+// the OS saves the opmask and full ZMM state.
 var haveAVX512 = detectAVX512()
 
 func detectAVX512() bool {

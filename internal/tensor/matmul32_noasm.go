@@ -6,6 +6,10 @@ package tensor
 // nothing above this layer can observe the difference.
 const haveSSE = false
 
+// haveAVX512 is false off amd64: the f64 training products run their Go
+// loops.
+const haveAVX512 = false
+
 func hostKernels32() []kernel32 { return []kernel32{kernel32Go} }
 
 func runKernel32(k kernel32, a []float32, w *Packed32, bias, dst []float32, lim float32) {

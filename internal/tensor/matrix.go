@@ -158,7 +158,16 @@ func parallelRows(rows, work int, fn func(lo, hi int)) {
 // deliberately no skip for zero multiplicands: IEEE 754 says 0 × NaN = NaN,
 // and skipping would let a poisoned operand slip through a zero in the other
 // (the divergence guard depends on NaNs propagating).
+//
+// Under a wider kernel each row is one mulAccRows64 call, row i of a
+// against b's rows, with the same operations per element.
 func matMulRange(a, b, out *Matrix, lo, hi int) {
+	if active64 != kernel64Go {
+		for i := lo; i < hi; i++ {
+			mulAccRows64(active64, out.Row(i), a.Row(i), 1, b.Data, b.Cols, a.Cols, true)
+		}
+		return
+	}
 	n := b.Cols
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
@@ -175,17 +184,32 @@ func matMulRange(a, b, out *Matrix, lo, hi int) {
 	}
 }
 
-// MatMulTransBInto computes out = a * bᵀ into an existing destination
-// without materializing the transpose, overwriting its contents, and
-// returns out. Like MatMulInto it splits
+// MatMulTransBInto computes out = a * bᵀ into an existing destination,
+// overwriting its contents, and returns out. Like MatMulInto it splits
 // across row blocks when the product is large. out must be a.Rows x b.Rows
 // and must not alias a or b.
+//
+// The Go loop reads b as it is. A wider kernel needs bᵀ's rows: b is
+// transposed once per call into a pooled matrix (Get, so a warm training
+// step allocates nothing) and the product runs as MatMulInto(a, bᵀ), per
+// element the same dot product, k ascending.
 func MatMulTransBInto(a, b, out *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransB shape mismatch %dx%d * (%dx%d)T", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransBInto destination %dx%d for %dx%d product", out.Rows, out.Cols, a.Rows, b.Rows))
+	}
+	if active64 != kernel64Go {
+		bt := Get(b.Cols, b.Rows)
+		for j := 0; j < b.Rows; j++ {
+			for k, v := range b.Row(j) {
+				bt.Data[k*b.Rows+j] = v
+			}
+		}
+		MatMulInto(a, bt, out)
+		Put(bt)
+		return out
 	}
 	if work := a.Rows * a.Cols * b.Rows; work < parallelThreshold || runtime.GOMAXPROCS(0) < 2 || a.Rows < 2 {
 		matMulTransBRange(a, b, out, 0, a.Rows)
@@ -217,7 +241,9 @@ func matMulTransBRange(a, b, out *Matrix, lo, hi int) {
 // MatMulTransAAccum accumulates out += aᵀ*b without materializing the
 // transpose — the dense-layer weight-gradient kernel (dW += inᵀ·gradOut).
 // out must be a.Cols x b.Cols and must not alias a or b. Accumulation per
-// destination element runs over a's rows in ascending order.
+// destination element runs over a's rows in ascending order. Under a wider
+// kernel each row k of out is one mulAccRows64 call, column k of a
+// (stride a.Cols) against b's rows, accumulating in the same order.
 func MatMulTransAAccum(a, b, out *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransAAccum shape mismatch (%dx%d)T * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -226,6 +252,12 @@ func MatMulTransAAccum(a, b, out *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulTransAAccum destination %dx%d for %dx%d product", out.Rows, out.Cols, a.Cols, b.Cols))
 	}
 	n := b.Cols
+	if active64 != kernel64Go && a.Rows > 0 {
+		for k := 0; k < a.Cols; k++ {
+			mulAccRows64(active64, out.Row(k), a.Data[k:], a.Cols, b.Data, n, a.Rows, false)
+		}
+		return
+	}
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		brow := b.Data[i*n : i*n+n]
